@@ -13,7 +13,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .algebra import DimensionContext, xi_p
+from .algebra import DimensionContext
 from .sim import (
     Gate,
     GateName,
@@ -21,6 +21,7 @@ from .sim import (
     apply_gate,
     basis_state,
     gate_inverse_ops,
+    pauli_angles,
 )
 
 __all__ = [
@@ -167,12 +168,7 @@ def circuit_unitary(c: Circuit, residue_tol: float = ANCILLA_RESIDUE_TOL) -> np.
     cols = []
     ancillas = tuple(q for q in c.qudits if q not in set(c.outputs))
     for b in range(dim):
-        digits = []
-        x = b
-        for _ in range(len(c.inputs)):
-            x, r = divmod(x, d)
-            digits.append(r)
-        digits.reverse()
+        digits = np.unravel_index(b, (d,) * len(c.inputs))
         final = simulate_circuit(c, basis_state(c.ctx, c.inputs, digits))
         final = final.with_sites_order(c.outputs + ancillas)
         tensor = final.amplitudes.reshape(dim, -1)
@@ -275,10 +271,6 @@ def _r_angles_for_z(d: int, k: int) -> tuple[float, ...]:
     return tuple(2.0 * math.pi * ((k * j) % d) / d for j in range(d))
 
 
-def _phase_gate_angles(ctx: DimensionContext) -> tuple[float, ...]:
-    return tuple(2.0 * math.pi * xi_p(ctx, j) / ctx.D for j in range(ctx.d))
-
-
 def _lower_op(op: Operation, ctx: DimensionContext) -> list[Operation]:
     d = ctx.d
     g, s = op.gate, op.sites
@@ -305,7 +297,7 @@ def _lower_op(op: Operation, ctx: DimensionContext) -> list[Operation]:
     if name == GateName.DIAG:
         return [v(g.angles, s[0])] + f_power(s[0], 3)
     if name == GateName.P:
-        return [v(_phase_gate_angles(ctx), s[0])] + f_power(s[0], 3)
+        return [v(pauli_angles(d), s[0])] + f_power(s[0], 3)
     if name == GateName.Z:
         if g.k % d == 0:
             return []

@@ -180,13 +180,7 @@ def verify_equivalent(
     worst = 0.0
     inputs: list[np.ndarray] = []
     for idx in range(d**n):
-        digits = []
-        x = idx
-        for _ in range(n):
-            x, r = divmod(x, d)
-            digits.append(r)
-        state = basis_state(a.ctx, range(n), digits[::-1])
-        inputs.append(state.amplitudes)
+        inputs.append(basis_state(a.ctx, range(n), np.unravel_index(idx, (d,) * n)).amplitudes)
     for _ in range(random_inputs):
         inputs.append(random_state(a.ctx, range(n), rng).amplitudes)
     for amps in inputs:

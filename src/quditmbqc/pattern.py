@@ -830,6 +830,9 @@ def pattern_to_json(p: Pattern) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+_COMMAND_ARITY = {"E": 2, "M": 1, "X": 1, "Z": 1}
+
+
 def pattern_from_json(text: str) -> Pattern:
     doc = json.loads(text)
     d = int(doc["d"])
@@ -838,6 +841,11 @@ def pattern_from_json(text: str) -> Pattern:
     for entry in doc["commands"]:
         kind = entry["kind"]
         sites = entry["sites"]
+        arity = _COMMAND_ARITY.get(kind)
+        if arity is None:
+            raise ValueError(f"unknown command kind {kind!r}")
+        if len(sites) != arity or len(set(sites)) != arity:
+            raise ValueError(f"{kind} command needs exactly {arity} distinct site(s), got {sites!r}")
         if kind == "E":
             seq.append(Entangle(sites[0], sites[1]))
         elif kind == "M":
@@ -851,8 +859,6 @@ def pattern_from_json(text: str) -> Pattern:
             )
         elif kind == "X":
             seq.append(CorrectX(sites[0], _signal_from_json(d, entry.get("s"))))
-        elif kind == "Z":
-            seq.append(CorrectZ(sites[0], _signal_from_json(d, entry.get("t"))))
         else:
-            raise ValueError(f"unknown command kind {kind!r}")
+            seq.append(CorrectZ(sites[0], _signal_from_json(d, entry.get("t"))))
     return Pattern(ctx, tuple(doc["qudits"]), tuple(doc["inputs"]), tuple(doc["outputs"]), tuple(seq))

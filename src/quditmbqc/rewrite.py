@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 
-from .algebra import DimensionContext, xi_p
 from .pattern import (
     CorrectX,
     CorrectZ,
@@ -25,6 +24,7 @@ from .pattern import (
     pattern_depth_and_size,
     require_valid,
 )
+from .sim import pauli_angles
 
 __all__ = [
     "zero_angles",
@@ -46,14 +46,6 @@ ANGLE_TOL = 1e-12
 def zero_angles(d: int) -> tuple[float, ...]:
     """Angle vector of the Fourier-direction measurement: v(0) = F."""
     return (0.0,) * d
-
-
-def pauli_angles(d: int) -> tuple[float, ...]:
-    """Angle vector p with v(p) = F.P, i.e. p_j = pi * j * (j + delta_d) / d."""
-    ctx = DimensionContext.of(d)
-    # equivalently 2*pi*xi_p(j)/D, which keeps the entries exactly
-    # representable for the runtime phase-gate diagonal
-    return tuple(2.0 * math.pi * xi_p(ctx, j) / ctx.D for j in range(d))
 
 
 def angles_match(theta, reference, tol: float = ANGLE_TOL) -> bool:

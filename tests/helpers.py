@@ -7,6 +7,8 @@
   gate family), exact at any register width
 - a stabilizer-table tracker with group-membership tests, built on the
   matrix-verified symbolic Pauli conjugation (prime d)
+- the simulator's former index-arithmetic kernels and three-pass
+  measurement frame, as the reference for the axis-based kernels
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ import numpy as np
 from quditmbqc.algebra import DimensionContext, PauliOperator, xi_p
 from quditmbqc.circuit import Circuit, Operation
 from quditmbqc.pattern import CorrectX, CorrectZ, Entangle, Measure, Pattern
-from quditmbqc.sim import Gate, GateName
+from quditmbqc.sim import Gate, GateName, StateVector, gate_matrix
 
 CONST = "#const"
 
@@ -458,6 +460,127 @@ def target_stabilizers(circuit: Circuit, digits) -> list[tuple[dict, dict, int]]
         xs = {circuit.qudits[i]: v for i, v in enumerate(gen.x_exp) if v}
         zs = {circuit.qudits[i]: v for i, v in enumerate(gen.z_exp) if v}
         out.append((xs, zs, gen.phase_exp))
+    return out
+
+
+# -- kernel oracle -------------------------------------------------------------------
+#
+# Gate application by arithmetic on full flat indices: every amplitude's
+# target digits are computed from its index, then permuted or phased.
+
+
+def apply_matrix(state: StateVector, matrix: np.ndarray, targets: tuple[int, ...]) -> np.ndarray:
+    """Apply a d^k x d^k matrix on the target sites; returns a flat array."""
+    d = state.ctx.d
+    k = len(targets)
+    axes = [state.site_axis(t) for t in targets]
+    tensor = state.tensor()
+    moved = np.moveaxis(tensor, axes, range(k))
+    shaped = moved.reshape(d**k, -1)
+    shaped = matrix @ shaped
+    moved = shaped.reshape((d,) * k + moved.shape[k:])
+    return np.ascontiguousarray(np.moveaxis(moved, range(k), axes)).reshape(-1)
+
+
+def _digit_grid(state: StateVector, targets: tuple[int, ...]) -> list[np.ndarray]:
+    """Per-target digit value of every flat amplitude index."""
+    d = state.ctx.d
+    n = state.num_sites
+    idx = np.arange(state.amplitudes.size)
+    grids = []
+    for t in targets:
+        pos = state.site_axis(t)
+        weight = d ** (n - 1 - pos)
+        grids.append((idx // weight) % d)
+    return grids
+
+
+def _apply_permutation(state: StateVector, gate: Gate, targets: tuple[int, ...]) -> np.ndarray:
+    """Basis-permutation gates (X, CX, SWAP, FANOUT, MOD) via index shifts."""
+    d = state.ctx.d
+    n = state.num_sites
+    idx = np.arange(state.amplitudes.size)
+    grids = _digit_grid(state, targets)
+    weights = [d ** (n - 1 - state.site_axis(t)) for t in targets]
+    name = gate.name
+    if name == GateName.X:
+        new = [(grids[0] + gate.k) % d]
+    elif name == GateName.CX:
+        new = [grids[0], (grids[1] + gate.k * grids[0]) % d]
+    elif name == GateName.SWAP:
+        new = [grids[1], grids[0]]
+    elif name == GateName.FANOUT:
+        new = [grids[0]] + [(y + c * grids[0]) % d for y, c in zip(grids[1:], gate.coeffs)]
+    elif name == GateName.MOD:
+        total = grids[0].copy()
+        for c, y in zip(gate.coeffs, grids[1:]):
+            total = total + c * y
+        new = [total % d] + grids[1:]
+    else:
+        raise ValueError(name)
+    dest = idx.copy()
+    for g_old, g_new, w in zip(grids, new, weights):
+        dest = dest + (g_new - g_old) * w
+    out = np.zeros_like(state.amplitudes)
+    out[dest] = state.amplitudes
+    return out
+
+
+def _apply_diagonal(state: StateVector, gate: Gate, targets: tuple[int, ...]) -> np.ndarray:
+    ctx = state.ctx
+    d = ctx.d
+    grids = _digit_grid(state, targets)
+    name = gate.name
+    if name == GateName.Z:
+        phases = np.asarray(ctx.omega) ** ((gate.k * grids[0]) % d)
+    elif name == GateName.CZ:
+        phases = np.asarray(ctx.omega) ** ((gate.k * grids[0] * grids[1]) % d)
+    elif name == GateName.P:
+        phases = np.array([ctx.phase(xi_p(ctx, n)) for n in range(d)])[grids[0]]
+    elif name == GateName.R:
+        phases = np.exp(1j * np.asarray(gate.theta))[grids[0]]
+    elif name == GateName.DIAG:
+        phases = np.exp(1j * np.asarray(gate.angles))[grids[0]]
+    else:
+        raise ValueError(name)
+    return state.amplitudes * phases
+
+
+PERMUTATION_GATES = {GateName.X, GateName.CX, GateName.SWAP, GateName.FANOUT, GateName.MOD}
+DIAGONAL_GATES = {GateName.Z, GateName.CZ, GateName.P, GateName.R, GateName.DIAG}
+
+
+def oracle_apply_gate(state: StateVector, gate: Gate, targets) -> StateVector:
+    """Gate application through the index-arithmetic kernels; dense gates
+    through the moved-axis matrix product."""
+    targets = tuple(targets)
+    if gate.name in PERMUTATION_GATES:
+        amps = _apply_permutation(state, gate, targets)
+    elif gate.name in DIAGONAL_GATES:
+        amps = _apply_diagonal(state, gate, targets)
+    else:
+        amps = apply_matrix(state, gate_matrix(gate, state.ctx), targets)
+    return StateVector(state.ctx, state.sites, amps)
+
+
+def oracle_measure_branches(state: StateVector, site: int, theta, s_val: int, t_val: int):
+    """(outcome, probability, post-state amplitudes) for every outcome, with
+    the frame applied as three gates: Z^t, then X^s, then v(theta)."""
+    d = state.ctx.d
+    work = state
+    if t_val % d:
+        work = oracle_apply_gate(work, Gate.z(t_val % d), (site,))
+    if s_val % d:
+        work = oracle_apply_gate(work, Gate.x(s_val % d), (site,))
+    work = oracle_apply_gate(work, Gate.v(theta), (site,))
+    axis = work.site_axis(site)
+    other = tuple(i for i in range(work.num_sites) if i != axis)
+    probs = (np.abs(work.tensor()) ** 2).sum(axis=other)
+    out = []
+    for j in range(d):
+        p = float(probs[j])
+        taken = np.ascontiguousarray(np.take(work.tensor(), j, axis=axis)).reshape(-1)
+        out.append((j, p, taken / np.sqrt(p) if p > 0 else taken))
     return out
 
 

@@ -2,6 +2,8 @@ import json
 import sys
 from pathlib import Path
 
+import pytest
+
 
 sys.path.insert(0, str(Path(__file__).parent))
 
@@ -119,6 +121,26 @@ def test_wrong_artifact_kind_is_input_error(tmp_path):
     circuit = tmp_path / "c.json"
     run_cli("gen", "cascade", "--d", "2", "--n", "3", "--out", str(circuit))
     assert run_cli("rewrite", "complete", "--in", str(circuit)) == 2
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        {"kind": "E", "sites": [1]},
+        {"kind": "E", "sites": [1, 1]},
+        {"kind": "E", "sites": [1, 2, 3]},
+        {"kind": "M", "sites": [1, 2], "theta": [0.0, 0.0]},
+        {"kind": "X", "sites": []},
+        {"kind": "Z", "sites": [2, 3]},
+    ],
+)
+def test_malformed_pattern_command_is_input_error(tmp_path, capsys, command):
+    pattern = tmp_path / "p.json"
+    doc = {"d": 2, "qudits": [1, 2, 3], "inputs": [1], "outputs": [3], "commands": [command]}
+    pattern.write_text(json.dumps(doc))
+    assert run_cli("run", "--in", str(pattern)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_convert_emits_report(tmp_path):

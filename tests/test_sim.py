@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
+from helpers import DIAGONAL_GATES, PERMUTATION_GATES, apply_matrix, oracle_apply_gate, oracle_measure_branches
 from quditmbqc.algebra import DimensionContext
 from quditmbqc.sim import (
     Gate,
+    GateName,
     StateVector,
     apply_gate,
     basis_state,
@@ -125,9 +127,7 @@ class TestApplyGate:
             target = sites[: g.arity]
             state = random_state(ctx, sites, rng)
             got = apply_gate(state, g, target)
-            from quditmbqc.sim import _apply_matrix
-
-            want = _apply_matrix(state, gate_matrix(g, ctx), target)
+            want = apply_matrix(state, gate_matrix(g, ctx), target)
             assert np.max(np.abs(got.amplitudes - want)) < 1e-10, g
 
     def test_norm_preserved_over_many_gates(self):
@@ -149,6 +149,95 @@ class TestApplyGate:
             apply_gate(state, Gate.f(), (7,))
         with pytest.raises(ValueError):
             apply_gate(state, Gate.cz(), (0, 0))
+
+
+# One builder per gate kind; ``trial`` 0 gives FANOUT/MOD a zero coefficient.
+KIND_BUILDERS = {
+    GateName.F: lambda d, rng, trial: Gate.f(),
+    GateName.FINV: lambda d, rng, trial: Gate.finv(),
+    GateName.X: lambda d, rng, trial: Gate.x(int(rng.integers(-d, 2 * d))),
+    GateName.Z: lambda d, rng, trial: Gate.z(int(rng.integers(-d, 2 * d))),
+    GateName.P: lambda d, rng, trial: Gate.p(),
+    GateName.R: lambda d, rng, trial: Gate.r(random_theta(rng, d)),
+    GateName.V: lambda d, rng, trial: Gate.v(random_theta(rng, d)),
+    GateName.CZ: lambda d, rng, trial: Gate.cz(int(rng.integers(1, d))),
+    GateName.CX: lambda d, rng, trial: Gate.cx(int(rng.integers(1, d))),
+    GateName.SWAP: lambda d, rng, trial: Gate.swap(),
+    GateName.FANOUT: lambda d, rng, trial: Gate.fanout(
+        (0, int(rng.integers(1, d))) if trial == 0 else tuple(rng.integers(d, size=2))
+    ),
+    GateName.MOD: lambda d, rng, trial: Gate.mod(
+        (int(rng.integers(1, d)), 0) if trial == 0 else tuple(rng.integers(d, size=2))
+    ),
+    GateName.DIAG: lambda d, rng, trial: Gate.diag(random_theta(rng, d)),
+}
+ORACLE_SITES = {2: 6, 3: 4, 5: 3}
+
+
+def oracle_case(d, seed):
+    ctx = ctx_of(d)
+    rng = np.random.default_rng(seed)
+    sites = tuple(int(s) for s in rng.permutation(np.arange(10, 10 + ORACLE_SITES[d])))
+    return ctx, rng, sites
+
+
+class TestKernelOracle:
+    """The axis-based kernels against the index-arithmetic oracle."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("kind", list(GateName), ids=lambda k: k.value)
+    def test_kernel_matches_oracle(self, kind, d):
+        ctx, rng, sites = oracle_case(d, 100 * d + list(GateName).index(kind))
+        for trial in range(8):
+            g = KIND_BUILDERS[kind](d, rng, trial)
+            targets = tuple(int(t) for t in rng.choice(sites, size=g.arity, replace=False))
+            state = random_state(ctx, sites, rng)
+            for order in [targets, targets[::-1]] if g.arity == 2 else [targets]:
+                got = apply_gate(state, g, order).amplitudes
+                want = oracle_apply_gate(state, g, order).amplitudes
+                if kind in PERMUTATION_GATES or kind in DIAGONAL_GATES:
+                    assert np.array_equal(got, want), (g, order)
+                else:
+                    assert np.max(np.abs(got - want)) < 1e-12, (g, order)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_measurement_frame_matches_three_passes(self, d):
+        ctx, rng, sites = oracle_case(d, d)
+        for s_val, t_val in [(1, 1), (d - 1, 1), (1, d - 1), (2 * d + 1, -1)]:
+            state = random_state(ctx, sites, rng)
+            site = sites[int(rng.integers(len(sites)))]
+            theta = random_theta(rng, d)
+            want = oracle_measure_branches(state, site, theta, s_val, t_val)
+            got = measure_branches(state, site, theta, s_val, t_val, min_probability=0.0)
+            assert [b.outcome for b in got] == [j for j, _, _ in want]
+            for b, (j, p, amps) in zip(got, want):
+                assert abs(b.probability - p) < 1e-12
+                assert b.state.sites == tuple(s for s in sites if s != site)
+                assert np.max(np.abs(b.state.amplitudes - amps)) < 1e-12
+                forced = measure(state, site, theta, s_val, t_val, forced=j)
+                assert forced.probability == b.probability
+                assert np.array_equal(forced.state.amplitudes, b.state.amplitudes)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_mutating_results_leaves_tables_intact(self, d):
+        ctx, rng, sites = oracle_case(d, 7 * d)
+        gates = [KIND_BUILDERS[kind](d, rng, 1) for kind in GateName]
+        state = random_state(ctx, sites, rng)
+
+        def scribble(arr):
+            arr[...] = np.nan
+
+        for g in gates:
+            scribble(apply_gate(state, g, sites[: g.arity]).amplitudes)
+            scribble(gate_matrix(g, ctx))
+        scribble(plus_state(ctx, 0).amplitudes)
+        for b in measure_branches(state, sites[0], random_theta(rng, d), 1, 1):
+            scribble(b.state.amplitudes)
+        for g in gates:
+            got = apply_gate(state, g, sites[: g.arity]).amplitudes
+            want = oracle_apply_gate(state, g, sites[: g.arity]).amplitudes
+            assert np.max(np.abs(got - want)) < 1e-12, g
+        assert np.max(np.abs(plus_state(ctx, 0).amplitudes - np.full(d, 1 / np.sqrt(d)))) < 1e-12
 
 
 class TestMeasure:
