@@ -8,21 +8,12 @@ to the universal two-gate set {CZ, v(theta)}.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .algebra import DimensionContext
-from .sim import (
-    Gate,
-    GateName,
-    StateVector,
-    apply_gate,
-    basis_state,
-    gate_inverse_ops,
-    pauli_angles,
-)
+from .sim import _KINDS, Gate, GateName, StateVector, apply_gate, basis_state, gate_inverse_ops
 
 __all__ = [
     "Operation",
@@ -240,8 +231,6 @@ def inverse_circuit(c: Circuit) -> Circuit:
 
 # -- gate-set validation ----------------------------------------------------
 
-_UNBOUNDED = {GateName.FANOUT, GateName.MOD}
-
 
 def validate_gate_set(c: Circuit, model: str = "standard", max_arity: int = 2) -> list[str]:
     """Check ops against a circuit model; returns diagnostics (empty = ok).
@@ -256,7 +245,7 @@ def validate_gate_set(c: Circuit, model: str = "standard", max_arity: int = 2) -
     for idx, op in enumerate(c.ops):
         if len(op.sites) <= max_arity:
             continue
-        if model == "fanout" and op.gate.name in _UNBOUNDED:
+        if model == "fanout" and _KINDS[op.gate.name].arity is None:
             continue
         problems.append(
             f"op {idx}: {op.gate.name.value} on {len(op.sites)} qudits exceeds arity {max_arity}"
@@ -267,122 +256,50 @@ def validate_gate_set(c: Circuit, model: str = "standard", max_arity: int = 2) -
 # -- lowering to the universal set -------------------------------------------
 
 
-def _r_angles_for_z(d: int, k: int) -> tuple[float, ...]:
-    return tuple(2.0 * math.pi * ((k * j) % d) / d for j in range(d))
-
-
-def _lower_op(op: Operation, ctx: DimensionContext) -> list[Operation]:
-    d = ctx.d
-    g, s = op.gate, op.sites
-    name = g.name
-    zero = (0.0,) * d
-
-    def v(theta, site):
-        return Operation(Gate.v(theta), (site,))
-
-    def f_power(site, power):
-        return [v(zero, site) for _ in range(power % 4)]
-
-    if name == GateName.CZ:
-        return [Operation(Gate.cz(), s) for _ in range(g.k % d)]
-    if name == GateName.V:
-        return [op]
-    if name == GateName.F:
-        return [v(zero, s[0])]
-    if name == GateName.FINV:
-        return f_power(s[0], 3)
-    if name == GateName.R:
-        # R = F^3 . v(theta)
-        return [v(g.theta, s[0])] + f_power(s[0], 3)
-    if name == GateName.DIAG:
-        return [v(g.angles, s[0])] + f_power(s[0], 3)
-    if name == GateName.P:
-        return [v(pauli_angles(d), s[0])] + f_power(s[0], 3)
-    if name == GateName.Z:
-        if g.k % d == 0:
-            return []
-        return _lower_op(Operation(Gate.r(_r_angles_for_z(d, g.k)), s), ctx)
-    if name == GateName.X:
-        if g.k % d == 0:
-            return []
-        # X^k = F^dagger Z^k F
-        inner = _lower_op(Operation(Gate.z(g.k), s), ctx)
-        return [v(zero, s[0])] + inner + f_power(s[0], 3)
-    if name == GateName.CX:
-        # CX^k(i -> j) = F_j^dagger CZ^k F_j
-        i, j = s
-        out = [v(zero, j)]
-        out += [Operation(Gate.cz(), (i, j)) for _ in range(g.k % d)]
-        out += f_power(j, 3)
-        return out
-    if name == GateName.SWAP:
-        # three CX-type gates plus the F^2 negation fix-up on the first site
-        i, j = s
-        seq = [
-            Operation(Gate.cx(), (i, j)),
-            Operation(Gate.cx(d - 1), (j, i)),
-            Operation(Gate.cx(), (i, j)),
-            Operation(Gate.f(), (i,)),
-            Operation(Gate.f(), (i,)),
-        ]
-        out = []
-        for sub in seq:
-            out += _lower_op(sub, ctx)
-        return out
-    if name == GateName.FANOUT:
-        control, targets = s[0], s[1:]
-        out = []
-        for cft, t in zip(g.coeffs, targets):
-            out += _lower_op(Operation(Gate.cx(cft % d), (control, t)), ctx)
-        return out
-    if name == GateName.MOD:
-        # MOD(v) = F^(x) . FANOUT(-v) . Finv^(x)
-        out = [Operation(Gate.finv(), (q,)) for q in s]
-        out.append(Operation(Gate.fanout(tuple((-cft) % d for cft in g.coeffs)), s))
-        out += [Operation(Gate.f(), (q,)) for q in s]
-        lowered = []
-        for sub in out:
-            lowered += _lower_op(sub, ctx)
-        return lowered
-    raise ValueError(f"cannot lower gate {name!r}")
+def _lowered(gate: Gate, sites: tuple[int, ...], d: int, out: list[Operation]) -> None:
+    """Expand the gate's definition recursively until only primitives are left."""
+    definition = _KINDS[gate.name].define(gate, d)
+    if definition is None:
+        out.append(Operation(gate, sites))
+        return
+    for sub, positions in definition:
+        _lowered(sub, tuple(sites[i] for i in positions), d, out)
 
 
 def lower_to_guni(c: Circuit) -> Circuit:
     """Semantics-preserving rewrite onto the universal set {CZ, v(theta)}."""
     ops: list[Operation] = []
     for op in c.ops:
-        ops += _lower_op(op, c.ctx)
+        _lowered(op.gate, op.sites, c.ctx.d, ops)
     return c.with_ops(ops)
 
 
 # -- JSON format --------------------------------------------------------------
 
 
+# JSON key of each Gate parameter field, and the type of its entries
+_JSON_PARAMS = {"k": ("k", int), "theta": ("theta", float), "coeffs": ("v", int), "angles": ("angles", float)}
+
+
 def _gate_to_json(gate: Gate) -> dict:
-    params: dict = {}
-    if gate.name in (GateName.X, GateName.Z, GateName.CZ, GateName.CX):
-        params["k"] = gate.k
-    if gate.theta is not None:
-        params["theta"] = list(gate.theta)
-    if gate.coeffs is not None:
-        params["v"] = list(gate.coeffs)
-    if gate.angles is not None:
-        params["angles"] = list(gate.angles)
-    return params
+    param = _KINDS[gate.name].param
+    if param is None:
+        return {}
+    value = getattr(gate, param)
+    return {_JSON_PARAMS[param][0]: value if param == "k" else list(value)}
 
 
 def _gate_from_json(name: str, params: dict) -> Gate:
-    name_enum = GateName(name)
-    kwargs: dict = {}
-    if "k" in params:
-        kwargs["k"] = int(params["k"])
-    if "theta" in params:
-        kwargs["theta"] = tuple(float(t) for t in params["theta"])
-    if "v" in params:
-        kwargs["coeffs"] = tuple(int(x) for x in params["v"])
-    if "angles" in params:
-        kwargs["angles"] = tuple(float(a) for a in params["angles"])
-    return Gate(name_enum, **kwargs)
+    kind = GateName(name)
+    param = _KINDS[kind].param
+    key, cast = _JSON_PARAMS[param] if param else (None, None)
+    unknown = set(params) - {key}
+    if unknown:
+        raise ValueError(f"{name} takes no parameter(s) {sorted(unknown)}")
+    if key not in params:
+        return Gate(kind)
+    value = params[key]
+    return Gate(kind, **{param: cast(value) if param == "k" else tuple(cast(x) for x in value)})
 
 
 def circuit_to_json(c: Circuit) -> str:

@@ -285,6 +285,9 @@ def _cmd_run(args) -> int:
         emit(doc, cfg, args.out)
         return EXIT_OK
     if args.mode == "all-branches":
+        measured = len(artifact.measured_qudits())
+        if artifact.ctx.d**measured > BRANCH_ENUMERATION_CAP:
+            raise InputError(f"{artifact.ctx.d}^{measured} branches exceed the cap of {BRANCH_ENUMERATION_CAP}; use --mode sampled")
         branches = run_branches(artifact, lazy=True)
         doc = {
             "kind": "pattern-branches",

@@ -10,7 +10,8 @@ constant-depth blocks with fan-out machinery.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,6 +20,7 @@ from .circuit import (
     Circuit,
     DepthReport,
     Operation,
+    circuit_unitary,
     depth_and_size,
     inverse_circuit,
     lower_to_guni,
@@ -30,13 +32,14 @@ from .pattern import (
     Measure,
     Pattern,
     Signal,
+    _greedy_coloring,
     entanglement_depth,
     entanglement_graph,
     pattern_depth_and_size,
     require_valid,
 )
 from .rewrite import completely_standardise, is_completely_standard
-from .sim import Gate, GateName, gate_matrix
+from .sim import _KINDS, Gate, GateName, gate_inverse_ops
 
 __all__ = [
     "basic_cz_pattern",
@@ -164,12 +167,8 @@ def circuit_to_pattern_cluster(c: Circuit) -> Pattern:
 # -- pattern -> circuit ----------------------------------------------------------
 
 
-def _correction_gates(signal: Signal, target: int, controlled: GateName) -> list[Operation]:
-    ops = []
-    for q, coeff in signal.coeffs:
-        gate = Gate.cx(coeff) if controlled == GateName.CX else Gate.cz(coeff)
-        ops.append(Operation(gate, (q, target)))
-    return ops
+def _correction_gates(signal: Signal, target: int, controlled: Callable[[int], Gate]) -> list[Operation]:
+    return [Operation(controlled(coeff), (q, target)) for q, coeff in signal.coeffs]
 
 
 def pattern_to_circuit_coherent(p: Pattern) -> Circuit:
@@ -194,12 +193,12 @@ def pattern_to_circuit_coherent(p: Pattern) -> Circuit:
         if isinstance(cmd, Entangle):
             ops.append(Operation(Gate.cz(), (cmd.i, cmd.j)))
         elif isinstance(cmd, Measure):
-            ops.extend(_correction_gates(cmd.x_signal, cmd.site, GateName.CX))
+            ops.extend(_correction_gates(cmd.x_signal, cmd.site, Gate.cx))
             ops.append(Operation(Gate.v(cmd.theta), (cmd.site,)))
         elif isinstance(cmd, CorrectX):
-            ops.extend(_correction_gates(cmd.signal, cmd.site, GateName.CX))
+            ops.extend(_correction_gates(cmd.signal, cmd.site, Gate.cx))
         else:
-            ops.extend(_correction_gates(cmd.signal, cmd.site, GateName.CZ))
+            ops.extend(_correction_gates(cmd.signal, cmd.site, Gate.cz))
     return Circuit(p.ctx, p.qudits, p.inputs, p.outputs, tuple(ops))
 
 
@@ -275,34 +274,17 @@ def build_generalized(ctx: DimensionContext, coeffs, kind: str = "fanout") -> Ci
 
 # -- commuting-unitary parallelization --------------------------------------------
 
-_DIAGONAL_GATES = {GateName.Z, GateName.CZ, GateName.P, GateName.R, GateName.DIAG}
 _DIAG_DENSE_CHECK_LIMIT = 4096
 
 
 def _check_diagonal(c: Circuit) -> None:
-    if all(op.gate.name in _DIAGONAL_GATES for op in c.ops):
+    if all(_KINDS[op.gate.name].phases for op in c.ops):
         return
-    dim = c.ctx.d ** len(c.qudits)
-    if dim > _DIAG_DENSE_CHECK_LIMIT:
+    if c.ctx.d ** len(c.qudits) > _DIAG_DENSE_CHECK_LIMIT:
         raise ValueError("cannot certify diagonality: non-diagonal gate kinds on a large register")
-    u = np.eye(dim, dtype=np.complex128)
-    for op in c.ops:
-        full = _embed(gate_matrix(op.gate, c.ctx), c, op.sites)
-        u = full @ u
+    u = circuit_unitary(replace(c, inputs=c.qudits, outputs=c.qudits))
     if np.max(np.abs(u - np.diag(np.diag(u)))) > 1e-10:
         raise ValueError("block is not diagonal in the computational basis")
-
-
-def _embed(m: np.ndarray, c: Circuit, sites) -> np.ndarray:
-    d = c.ctx.d
-    n = len(c.qudits)
-    axes = [c.qudits.index(s) for s in sites]
-    k = len(axes)
-    tensor = np.eye(d**n, dtype=np.complex128).reshape((d,) * (2 * n))
-    src = np.moveaxis(tensor, axes, range(k)).reshape(d**k, -1)
-    src = m @ src
-    tensor = np.moveaxis(src.reshape((d,) * k + (d,) * (2 * n - k)), range(k), axes)
-    return tensor.reshape(d**n, d**n)
 
 
 def _remap_ops(ops, mapping: dict[int, int]) -> list[Operation]:
@@ -479,20 +461,12 @@ def _normalize_controlled_pauli(c: Circuit):
 def _diagonal_layers(c: Circuit, cross, quad, lin) -> list[Circuit]:
     """Emit the phase polynomial as depth-1 diagonal layers on the full register."""
     d = c.ctx.d
-    layers: list[list[Operation]] = []
-    # proper edge coloring by greedy assignment gives disjoint CZ layers
-    busy: list[set[int]] = []
-    for (a, b), coeff in sorted(cross.items()):
-        placed = False
-        for li, owned in enumerate(busy):
-            if a not in owned and b not in owned:
-                layers[li].append(Operation(Gate.cz(coeff), (c.qudits[a], c.qudits[b])))
-                owned.update((a, b))
-                placed = True
-                break
-        if not placed:
-            layers.append([Operation(Gate.cz(coeff), (c.qudits[a], c.qudits[b]))])
-            busy.append({a, b})
+    # a proper edge coloring, first fit in sorted edge order, gives disjoint CZ layers
+    edges = sorted(cross)
+    by_color: dict[int, list[Operation]] = {}
+    for (a, b), color in zip(edges, _greedy_coloring(edges)):
+        by_color.setdefault(color, []).append(Operation(Gate.cz(cross[a, b]), (c.qudits[a], c.qudits[b])))
+    layers = [by_color[color] for color in sorted(by_color)]
     local_ops = []
     for a in range(len(c.qudits)):
         cq = quad.get(a, 0)
@@ -560,26 +534,15 @@ def controlled_pauli_constant_depth(c: Circuit, ancilla_start: int | None = None
                 forward.append(Operation(Gate.cx(rows[kq][kq] % d), (source[kq], registers[kq][kq])))
             return forward
 
-        def uncompute(forward: list[Operation]) -> list[Operation]:
-            out = []
-            for op in reversed(forward):
-                if op.gate.name == GateName.FANOUT:
-                    out.append(Operation(Gate.fanout(tuple((d - 1) for _ in op.gate.coeffs)), op.sites))
-                elif op.gate.name == GateName.MOD:
-                    out.append(Operation(Gate.mod(tuple((-x) % d for x in op.gate.coeffs)), op.sites))
-                else:
-                    out.append(Operation(Gate.cx((-op.gate.k) % d), op.sites))
-            return out
-
         forward = compute_rows(list(mains), matrix.rows)
         ops += forward
         ops += [Operation(Gate.cx(), (registers[kq][kq], result[kq])) for kq in range(n)]
-        ops += uncompute(forward)
+        ops += [Operation(g, s) for op in reversed(forward) for g, s in gate_inverse_ops(op.gate, op.sites, d)]
 
         backward = compute_rows(list(result), inverse.rows)
         ops += backward
         ops += [Operation(Gate.cx(d - 1), (registers[kq][kq], mains[kq])) for kq in range(n)]
-        ops += uncompute(backward)
+        ops += [Operation(g, s) for op in reversed(backward) for g, s in gate_inverse_ops(op.gate, op.sites, d)]
 
         ops += [Operation(Gate.swap(), (mains[kq], result[kq])) for kq in range(n)]
 
@@ -651,7 +614,7 @@ def pattern_to_fanout_circuit(p: Pattern) -> FanoutCompileResult:
     for layer in _measurement_layers(p):
         block_ops: list[Operation] = []
         for m in layer:
-            block_ops.extend(_correction_gates(m.x_signal, m.site, GateName.CX))
+            block_ops.extend(_correction_gates(m.x_signal, m.site, Gate.cx))
         if block_ops:
             compile_block(block_ops)
         for m in layer:
@@ -660,9 +623,9 @@ def pattern_to_fanout_circuit(p: Pattern) -> FanoutCompileResult:
     block_ops = []
     for cmd in p.seq:
         if isinstance(cmd, CorrectX):
-            block_ops.extend(_correction_gates(cmd.signal, cmd.site, GateName.CX))
+            block_ops.extend(_correction_gates(cmd.signal, cmd.site, Gate.cx))
         elif isinstance(cmd, CorrectZ):
-            block_ops.extend(_correction_gates(cmd.signal, cmd.site, GateName.CZ))
+            block_ops.extend(_correction_gates(cmd.signal, cmd.site, Gate.cz))
     if block_ops:
         compile_block(block_ops)
 

@@ -13,6 +13,7 @@ the depth analyzer operate on.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -274,6 +275,8 @@ def validate(p: Pattern) -> Violation | None:
                 return Violation(idx, f"output qudit {cmd.site} must not be measured")
             if len(cmd.theta) != p.ctx.d:
                 return Violation(idx, f"angle vector must have length {p.ctx.d}")
+            if not all(map(math.isfinite, cmd.theta)):
+                return Violation(idx, f"angle vector must be finite, got {list(cmd.theta)}")
             measured.add(cmd.site)
     unmeasured = qs - outputs - measured
     if unmeasured:

@@ -14,7 +14,8 @@ multiply by a phase table, dense single-site gates one matmul.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections.abc import Callable
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from functools import lru_cache
 
@@ -65,12 +66,10 @@ class GateName(str, Enum):
 
 @dataclass(frozen=True)
 class Gate:
-    """A gate kind plus its parameters.
-
-    ``k`` is the integer power for X/Z/CZ/CX, ``theta`` the length-d
-    angle vector for R and v (v = F followed by the phase layer R),
-    ``coeffs`` the Z(d) coefficient vector for FANOUT/MOD, and
-    ``angles`` the explicit phase angles of a single-site diagonal.
+    """A gate kind plus the one parameter its ``_KINDS`` entry reads: the
+    integer power ``k``, the angle vector ``theta`` (v = F followed by the
+    phase layer R(theta)), the Z(d) coefficient vector ``coeffs`` or the
+    explicit diagonal ``angles``.
     """
 
     name: GateName
@@ -133,22 +132,26 @@ class Gate:
 
     @property
     def arity(self) -> int:
-        if self.name in (GateName.FANOUT, GateName.MOD):
-            return len(self.coeffs) + 1
-        if self.name in (GateName.CZ, GateName.CX, GateName.SWAP):
-            return 2
-        return 1
+        arity = _KINDS[self.name].arity
+        return len(self.coeffs) + 1 if arity is None else arity
 
     def validate(self, ctx: DimensionContext) -> None:
-        d = ctx.d
-        if self.name in (GateName.R, GateName.V):
-            if self.theta is None or len(self.theta) != d:
-                raise ValueError(f"{self.name.value} needs a length-{d} angle vector")
-        if self.name == GateName.DIAG:
-            if self.angles is None or len(self.angles) != d:
-                raise ValueError(f"DIAG needs a length-{d} angle vector")
-        if self.name in (GateName.FANOUT, GateName.MOD) and not self.coeffs:
+        param = _KINDS[self.name].param
+        for field_name, unset in _UNSET.items():
+            if field_name != param and getattr(self, field_name) != unset:
+                raise ValueError(f"{self.name.value} takes no {field_name!r} parameter")
+        value = getattr(self, param) if param else None
+        if param == "coeffs" and not value:
             raise ValueError(f"{self.name.value} needs a nonempty coefficient vector")
+        if param in ("theta", "angles"):
+            if value is None or len(value) != ctx.d:
+                raise ValueError(f"{self.name.value} needs a length-{ctx.d} angle vector")
+            if not all(map(math.isfinite, value)):
+                raise ValueError(f"{self.name.value} angles must be finite, got {list(value)}")
+
+
+# the Gate parameter fields at their defaults, i.e. not set
+_UNSET = {"k": 1, "theta": None, "coeffs": None, "angles": None}
 
 
 def pauli_angles(d: int) -> tuple[float, ...]:
@@ -170,110 +173,176 @@ def _permutation_matrix(d: int, arity: int, new_digits) -> np.ndarray:
     return out
 
 
-@lru_cache(maxsize=None)
-def _table(name: GateName, k: int, d: int) -> np.ndarray:
-    """Read-only constant table of one (kind, k mod d, d): the F matrix, the
-    Z^k and P phase vectors, the d x d phase grid of CZ^k and the X^k matrix."""
-    ctx = DimensionContext.of(d)
-    n = np.arange(d)
-    if name == GateName.F:
-        table = np.asarray(ctx.omega) ** np.multiply.outer(n, n) / math.sqrt(d)
-    elif name == GateName.Z:
-        table = np.asarray(ctx.omega) ** ((k * n) % d)
-    elif name == GateName.CZ:
-        table = np.asarray(ctx.omega) ** ((k * np.multiply.outer(n, n)) % d)
-    elif name == GateName.P:
-        table = np.array([ctx.phase(xi_p(ctx, j)) for j in range(d)])
-    elif name == GateName.X:
-        table = _permutation_matrix(d, 1, lambda g: [g[0] + k])
-    else:
-        raise ValueError(f"no constant table for {name!r}")
+# -- read-only constant tables, cached per (k mod d, d): callers reduce k -------
+
+
+def _read_only(table: np.ndarray) -> np.ndarray:
     table.setflags(write=False)
     return table
 
 
-def _phases(gate: Gate, d: int) -> np.ndarray:
-    """Diagonal of a single-site diagonal gate (Z, P, R, DIAG)."""
-    if gate.name == GateName.Z:
-        return _table(GateName.Z, gate.k % d, d)
-    if gate.name == GateName.P:
-        return _table(GateName.P, 0, d)
-    return np.exp(1j * np.asarray(gate.theta if gate.name == GateName.R else gate.angles))
+@lru_cache(maxsize=None)
+def _fourier(d: int) -> np.ndarray:
+    n = np.arange(d)
+    return _read_only(np.asarray(DimensionContext.of(d).omega) ** np.multiply.outer(n, n) / math.sqrt(d))
 
 
-def _single_matrix(gate: Gate, d: int) -> np.ndarray:
-    """d x d matrix of a dense single-site gate (F, Finv, v)."""
-    f = _table(GateName.F, 0, d)
-    if gate.name == GateName.F:
-        return f
-    if gate.name == GateName.FINV:
-        return f.conj().T
-    return f * np.exp(1j * np.asarray(gate.theta))
+@lru_cache(maxsize=None)
+def _z_phases(k: int, d: int, arity: int = 1) -> np.ndarray:
+    """Phases omega^(k * product of the digits): Z^k on one site, CZ^k on two."""
+    n = np.arange(d)
+    digits = n if arity == 1 else np.multiply.outer(n, n)
+    return _read_only(np.asarray(DimensionContext.of(d).omega) ** ((k * digits) % d))
+
+
+@lru_cache(maxsize=None)
+def _p_phases(d: int) -> np.ndarray:
+    ctx = DimensionContext.of(d)
+    return _read_only(np.array([ctx.phase(xi_p(ctx, j)) for j in range(d)]))
+
+
+@lru_cache(maxsize=None)
+def _x_matrix(k: int, d: int) -> np.ndarray:
+    return _read_only(_permutation_matrix(d, 1, lambda g: [g[0] + k]))
+
+
+# -- the gate-kind table ------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _Kind:
+    """Everything the stack derives per gate kind: arity, validation, kernel,
+    dense matrix, inverse, lowering and JSON.
+
+    ``param`` is the one Gate field the kind reads; ``arity`` its site count
+    (None: one site plus one per coefficient).  The action is exactly one
+    of ``shifts`` [(target, k, control)] by site position, each adding k
+    times the control digit (k alone without a control) to the target
+    digit; ``swap`` of two sites; ``phases``, a diagonal's phase table with
+    one dimension per site; ``matrix``, a single-site d x d matrix.
+    ``inverse`` lists gates on the same sites, replacing the default of the
+    same kind with its parameter negated.  ``define`` expands the gate one
+    step into [(gate, site positions)], or gives None for a primitive of the
+    universal set {CZ, v}.  The callables take (gate, d).
+    """
+
+    param: str | None
+    arity: int | None
+    shifts: Callable | None = None
+    swap: bool = False
+    phases: Callable | None = None
+    matrix: Callable | None = None
+    inverse: Callable | None = None
+    define: Callable = lambda g, d: None
+
+
+_KINDS: dict[GateName, _Kind] = {
+    GateName.F: _Kind(
+        None, 1, matrix=lambda g, d: _fourier(d),
+        inverse=lambda g, d: [Gate.finv()],
+        define=lambda g, d: [(Gate.v((0.0,) * d), (0,))],
+    ),
+    GateName.FINV: _Kind(
+        None, 1, matrix=lambda g, d: _fourier(d).conj().T,
+        inverse=lambda g, d: [Gate.f()],
+        define=lambda g, d: [(Gate.f(), (0,))] * 3,
+    ),
+    GateName.X: _Kind(
+        "k", 1, shifts=lambda g, d: [(0, g.k, None)],
+        # X^k = F^dagger Z^k F
+        define=lambda g, d: [(Gate.f(), (0,)), (Gate.z(g.k), (0,)), (Gate.finv(), (0,))] if g.k % d else [],
+    ),
+    GateName.Z: _Kind(
+        "k", 1, phases=lambda g, d: _z_phases(g.k % d, d),
+        define=lambda g, d: [(Gate.r(2.0 * math.pi * ((g.k * j) % d) / d for j in range(d)), (0,))] if g.k % d else [],
+    ),
+    GateName.P: _Kind(
+        None, 1, phases=lambda g, d: _p_phases(d),
+        inverse=lambda g, d: [Gate.diag(-a for a in pauli_angles(d))],
+        define=lambda g, d: [(Gate.r(pauli_angles(d)), (0,))],
+    ),
+    GateName.R: _Kind(
+        "theta", 1, phases=lambda g, d: np.exp(1j * np.asarray(g.theta)),
+        # R = F^3 . v(theta)
+        define=lambda g, d: [(Gate.v(g.theta), (0,)), (Gate.finv(), (0,))],
+    ),
+    GateName.DIAG: _Kind(
+        "angles", 1, phases=lambda g, d: np.exp(1j * np.asarray(g.angles)),
+        define=lambda g, d: [(Gate.r(g.angles), (0,))],
+    ),
+    GateName.V: _Kind(
+        "theta", 1, matrix=lambda g, d: _fourier(d) * np.exp(1j * np.asarray(g.theta)),
+        inverse=lambda g, d: [Gate.finv(), Gate.r(-t for t in g.theta)],
+    ),
+    GateName.CZ: _Kind(
+        "k", 2, phases=lambda g, d: _z_phases(g.k % d, d, 2),
+        define=lambda g, d: None if g.k == 1 else [(Gate.cz(), (0, 1))] * (g.k % d),
+    ),
+    GateName.CX: _Kind(
+        "k", 2, shifts=lambda g, d: [(1, g.k, 0)],
+        # CX^k(i -> j) = F_j^dagger CZ^k F_j
+        define=lambda g, d: [(Gate.f(), (1,)), (Gate.cz(g.k), (0, 1)), (Gate.finv(), (1,))],
+    ),
+    GateName.SWAP: _Kind(
+        None, 2, swap=True,
+        # three CX-type gates plus the F^2 negation fix-up on the first site
+        define=lambda g, d: [
+            (Gate.cx(), (0, 1)), (Gate.cx(d - 1), (1, 0)), (Gate.cx(), (0, 1)), (Gate.f(), (0,)), (Gate.f(), (0,))
+        ],
+    ),
+    GateName.FANOUT: _Kind(
+        "coeffs", None, shifts=lambda g, d: [(t, c, 0) for t, c in enumerate(g.coeffs, 1)],
+        define=lambda g, d: [(Gate.cx(c % d), (0, t)) for t, c in enumerate(g.coeffs, 1)],
+    ),
+    GateName.MOD: _Kind(
+        "coeffs", None, shifts=lambda g, d: [(0, c, t) for t, c in enumerate(g.coeffs, 1)],
+        # MOD(v) = F^(x) . FANOUT(-v) . Finv^(x)
+        define=lambda g, d: [(Gate.finv(), (q,)) for q in range(g.arity)]
+        + [(Gate.fanout((-c) % d for c in g.coeffs), tuple(range(g.arity)))]
+        + [(Gate.f(), (q,)) for q in range(g.arity)],
+    ),
+}
 
 
 def gate_matrix(gate: Gate, ctx: DimensionContext) -> np.ndarray:
-    """Dense unitary of any gate kind, in the site ordering of its targets."""
+    """Dense unitary of any gate kind, in the site ordering of its targets.
+    Permutations are built by index arithmetic from the declared shifts,
+    independently of the kernels."""
     gate.validate(ctx)
-    d = ctx.d
-    name = gate.name
-    k = gate.k
-    if name in (GateName.F, GateName.FINV, GateName.V):
-        return np.array(_single_matrix(gate, d))
-    if name in (GateName.Z, GateName.P, GateName.R, GateName.DIAG):
-        return np.diag(_phases(gate, d))
-    if name == GateName.CZ:
-        return np.diag(_table(GateName.CZ, k % d, d).ravel())
-    if name == GateName.X:
-        return np.array(_table(GateName.X, k % d, d))
-    if name == GateName.CX:
-        return _permutation_matrix(d, 2, lambda g: [g[0], g[1] + k * g[0]])
-    if name == GateName.SWAP:
-        return _permutation_matrix(d, 2, lambda g: [g[1], g[0]])
-    if name == GateName.FANOUT:
-        return _permutation_matrix(
-            d, gate.arity, lambda g: [g[0]] + [y + c * g[0] for y, c in zip(g[1:], gate.coeffs)]
-        )
-    if name == GateName.MOD:
-        return _permutation_matrix(
-            d, gate.arity, lambda g: [g[0] + sum(c * y for c, y in zip(gate.coeffs, g[1:]))] + list(g[1:])
-        )
-    raise ValueError(f"unknown gate {name!r}")
+    d, kind = ctx.d, _KINDS[gate.name]
+    if kind.matrix:
+        return np.array(kind.matrix(gate, d))
+    if kind.phases:
+        return np.diag(kind.phases(gate, d).ravel())
+    if kind.swap:
+        return _permutation_matrix(d, 2, lambda g: g[::-1])
+    shifts = kind.shifts(gate, d)
+
+    def new_digits(g):
+        g = list(g)
+        for target, k, control in shifts:
+            g[target] = g[target] + (k if control is None else k * g[control])
+        return g
+
+    return _permutation_matrix(d, gate.arity, new_digits)
+
+
+def _negated(gate: Gate, param: str | None, d: int) -> Gate:
+    """The same kind with its parameter negated (mod d for integers)."""
+    if param == "k":
+        return replace(gate, k=(-gate.k) % d)
+    if param == "coeffs":
+        return replace(gate, coeffs=tuple(int((-c) % d) for c in gate.coeffs))
+    if param:
+        return replace(gate, **{param: tuple(float(-a) for a in getattr(gate, param))})
+    return gate
 
 
 def gate_inverse_ops(gate: Gate, sites: tuple[int, ...], d: int) -> list[tuple[Gate, tuple[int, ...]]]:
-    """Replacement op list implementing the inverse of one gate.
-
-    Every kind inverts to a single gate except v(theta), whose inverse
-    is Finv followed by R(-theta).
-    """
-    name = gate.name
-    if name == GateName.F:
-        return [(Gate.finv(), sites)]
-    if name == GateName.FINV:
-        return [(Gate.f(), sites)]
-    if name == GateName.X:
-        return [(Gate.x((-gate.k) % d), sites)]
-    if name == GateName.Z:
-        return [(Gate.z((-gate.k) % d), sites)]
-    if name == GateName.P:
-        return [(Gate.diag(tuple(-a for a in pauli_angles(d))), sites)]
-    if name == GateName.R:
-        return [(Gate.r(tuple(-t for t in gate.theta)), sites)]
-    if name == GateName.V:
-        return [(Gate.finv(), sites), (Gate.r(tuple(-t for t in gate.theta)), sites)]
-    if name == GateName.CZ:
-        return [(Gate.cz((-gate.k) % d), sites)]
-    if name == GateName.CX:
-        return [(Gate.cx((-gate.k) % d), sites)]
-    if name == GateName.SWAP:
-        return [(Gate.swap(), sites)]
-    if name == GateName.FANOUT:
-        return [(Gate.fanout(tuple((-c) % d for c in gate.coeffs)), sites)]
-    if name == GateName.MOD:
-        return [(Gate.mod(tuple((-c) % d for c in gate.coeffs)), sites)]
-    if name == GateName.DIAG:
-        return [(Gate.diag(tuple(-a for a in gate.angles)), sites)]
-    raise ValueError(f"unknown gate {name!r}")
+    """Replacement op list implementing the inverse of one gate."""
+    kind = _KINDS[gate.name]
+    gates = kind.inverse(gate, d) if kind.inverse else [_negated(gate, kind.param, d)]
+    return [(g, sites) for g in gates]
 
 
 @dataclass(frozen=True)
@@ -346,7 +415,7 @@ def basis_state(ctx: DimensionContext, sites, digits) -> StateVector:
 
 def plus_state(ctx: DimensionContext, site: int, n: int = 0) -> StateVector:
     """The conjugate-basis state F|n> on a single site."""
-    amps = _table(GateName.F, 0, ctx.d)[:, n % ctx.d].copy()
+    amps = _fourier(ctx.d)[:, n % ctx.d].copy()
     return StateVector(ctx, (site,), amps)
 
 
@@ -425,27 +494,17 @@ def _apply_single(amps: np.ndarray, d: int, n: int, matrix: np.ndarray, axis: in
 
 def _kernel(state: StateVector, gate: Gate, axes: tuple[int, ...]) -> np.ndarray:
     amps, d, n = state.amplitudes, state.ctx.d, state.num_sites
-    name = gate.name
-    if name == GateName.X:
-        return _shift(amps, d, n, axes[0], gate.k)
-    if name == GateName.CX:
-        return _shift(amps, d, n, axes[1], gate.k, control=axes[0])
-    if name == GateName.FANOUT:
-        for axis, c in zip(axes[1:], gate.coeffs):
-            amps = _shift(amps, d, n, axis, c, control=axes[0])
+    kind = _KINDS[gate.name]
+    if kind.shifts:
+        for target, k, control in kind.shifts(gate, d):
+            amps = _shift(amps, d, n, axes[target], k, None if control is None else axes[control])
         return amps
-    if name == GateName.MOD:
-        for axis, c in zip(axes[1:], gate.coeffs):
-            amps = _shift(amps, d, n, axes[0], c, control=axis)
-        return amps
-    if name == GateName.SWAP:
-        view, (a, b) = _split_view(amps, d, n, axes)
-        return np.ascontiguousarray(np.swapaxes(view, a, b)).reshape(-1)
-    if name == GateName.CZ:
-        return _phase(amps, d, n, _table(GateName.CZ, gate.k % d, d), axes)
-    if name in (GateName.Z, GateName.P, GateName.R, GateName.DIAG):
-        return _phase(amps, d, n, _phases(gate, d), axes)
-    return _apply_single(amps, d, n, _single_matrix(gate, d), axes[0])
+    if kind.phases:
+        return _phase(amps, d, n, kind.phases(gate, d), axes)
+    if kind.matrix:
+        return _apply_single(amps, d, n, kind.matrix(gate, d), axes[0])
+    view, (a, b) = _split_view(amps, d, n, axes)
+    return np.ascontiguousarray(np.swapaxes(view, a, b)).reshape(-1)
 
 
 def apply_gate(state: StateVector, gate: Gate, targets) -> StateVector:
@@ -473,9 +532,7 @@ def _measurement_frame(state: StateVector, site: int, theta, s_val: int, t_val: 
     (before, d, after) view around the site, and the outcome probabilities."""
     d = state.ctx.d
     axis = state.site_axis(site)
-    v = Gate.v(theta)
-    v.validate(state.ctx)
-    frame = (_single_matrix(v, d) @ _table(GateName.X, s_val % d, d)) * _table(GateName.Z, t_val % d, d)
+    frame = (gate_matrix(Gate.v(theta), state.ctx) @ _x_matrix(s_val % d, d)) * _z_phases(t_val % d, d)
     rotated = _apply_single(state.amplitudes, d, state.num_sites, frame, axis)
     view, _ = _split_view(rotated, d, state.num_sites, (axis,))
     return view, (np.abs(view) ** 2).sum(axis=(0, 2))

@@ -174,6 +174,8 @@ class TestLowering:
             lambda: Gate.r(tuple(rng.uniform(0, 2, d))),
             lambda: Gate.fanout(tuple(rng.integers(d, size=2))),
             lambda: Gate.mod(tuple(rng.integers(d, size=2))),
+            lambda: Gate.diag(tuple(rng.uniform(0, 2, d))),
+            lambda: Gate.v(tuple(rng.uniform(0, 2, d))),
         ]
         qudits = (1, 2, 3)
         ops = []

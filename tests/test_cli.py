@@ -143,6 +143,50 @@ def test_malformed_pattern_command_is_input_error(tmp_path, capsys, command):
     assert err.startswith("error:") and "Traceback" not in err
 
 
+def test_nan_angle_is_input_error(tmp_path, capsys):
+    circuit, pattern = tmp_path / "a.json", tmp_path / "p.json"
+    run_cli("gen", "guni", "--d", "3", "--n", "2", "--gates", "4", "--seed", "1", "--out", str(circuit))
+    run_cli("convert", "def7", "--in", str(circuit), "--out", str(pattern))
+    doc = json.loads(circuit.read_text())
+    next(op for op in doc["ops"] if "theta" in op["params"])["params"]["theta"][1] = float("nan")
+    (tmp_path / "nan_c.json").write_text(json.dumps(doc))
+    doc = json.loads(pattern.read_text())
+    next(cmd for cmd in doc["commands"] if cmd["kind"] == "M")["theta"][1] = float("nan")
+    (tmp_path / "nan_p.json").write_text(json.dumps(doc))
+    capsys.readouterr()
+    for bad in ("nan_c.json", "nan_p.json"):
+        assert run_cli("verify", str(circuit), str(tmp_path / bad)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+
+
+@pytest.mark.parametrize(
+    "gate, params",
+    [
+        ("CZ", {"k": 1, "theta": [0.0, 0.0], "v": [1]}),
+        ("F", {"k": 2}),
+        ("R", {"theta": [0.0, 0.0], "k": 1}),
+        ("X", {"k": 1, "power": 2}),
+    ],
+)
+def test_parameter_the_gate_does_not_read_is_input_error(tmp_path, capsys, gate, params):
+    circuit = tmp_path / "c.json"
+    op = {"gate": gate, "params": params, "sites": [0, 1] if gate == "CZ" else [0]}
+    circuit.write_text(json.dumps({"d": 2, "qudits": [0, 1], "inputs": [0, 1], "outputs": [0, 1], "ops": [op]}))
+    assert run_cli("analyze", "--in", str(circuit)) == 2
+    assert capsys.readouterr().err.startswith("error:")
+
+
+def test_all_branches_above_the_enumeration_cap_is_input_error(tmp_path, capsys):
+    # one qutrit through 5 v gates gives 3^5 = 243 branches, through 6 gives 729
+    for gates, code in ((5, 0), (6, 2)):
+        circuit, pattern = tmp_path / f"c{gates}.json", tmp_path / f"p{gates}.json"
+        run_cli("gen", "guni", "--d", "3", "--n", "1", "--gates", str(gates), "--seed", "1", "--out", str(circuit))
+        run_cli("convert", "def7", "--in", str(circuit), "--out", str(pattern))
+        assert run_cli("run", "--in", str(pattern), "--mode", "all-branches", "--out", str(tmp_path / "r.json")) == code
+    assert "--mode sampled" in capsys.readouterr().err
+
+
 def test_convert_emits_report(tmp_path):
     circuit = tmp_path / "c.json"
     pattern = tmp_path / "p.json"

@@ -363,6 +363,16 @@ class TestParallelize:
         out = parallelize_commuting(b, [diag] * 4)
         assert len(out.qudits) - len(mains) == len(mains) * 3
 
+    def test_accepts_diagonal_block_of_non_diagonal_kinds(self):
+        ctx = ctx_of(3)
+        mains = (1,)
+        b = Circuit(ctx, mains, mains, mains, ())
+        ops = (Operation(Gate.x(1), (1,)), Operation(Gate.z(1), (1,)), Operation(Gate.x(2), (1,)))
+        diag = Circuit(ctx, mains, mains, mains, ops)
+        out = parallelize_commuting(b, [diag, diag])
+        want = circuit_unitary(diag) @ circuit_unitary(diag)
+        assert max_diff_up_to_phase(circuit_unitary(out), want) < 1e-9
+
     def test_rejects_non_diagonal_block(self):
         ctx = ctx_of(2)
         mains = (1,)

@@ -150,6 +150,25 @@ class TestApplyGate:
         with pytest.raises(ValueError):
             apply_gate(state, Gate.cz(), (0, 0))
 
+    @pytest.mark.parametrize(
+        "gate",
+        [
+            Gate(GateName.CZ, theta=(0.0, 0.0)),
+            Gate(GateName.F, k=2),
+            Gate(GateName.SWAP, coeffs=(1,)),
+            Gate(GateName.FANOUT, coeffs=(1,), angles=(0.0, 0.0)),
+            Gate(GateName.V, k=0, theta=(0.0, 0.0)),
+            Gate.r((0.0, float("nan"))),
+            Gate.v((float("inf"), 0.0)),
+            Gate.diag((0.0, float("-inf"))),
+        ],
+        ids=["CZ-theta", "F-k", "SWAP-coeffs", "FANOUT-angles", "v-k", "R-nan", "v-inf", "DIAG-neginf"],
+    )
+    def test_rejects_unread_and_non_finite_parameters(self, gate):
+        state = basis_state(ctx_of(2), (0, 1), (0, 0))
+        with pytest.raises(ValueError):
+            apply_gate(state, gate, (0, 1)[: gate.arity])
+
 
 # One builder per gate kind; ``trial`` 0 gives FANOUT/MOD a zero coefficient.
 KIND_BUILDERS = {
