@@ -14,6 +14,7 @@ only produced on demand for verification.
 from __future__ import annotations
 
 import cmath
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -68,7 +69,11 @@ class DimensionContext:
 
     @staticmethod
     def of(d: int) -> "DimensionContext":
-        """Shared cached context for dimension d."""
+        """Shared cached context for dimension d; any integer type, never a float."""
+        try:
+            d = operator.index(d)
+        except TypeError:
+            raise ValueError(f"qudit dimension must be an integer >= 2, got {d!r}") from None
         return _context_cached(d)
 
     def phase(self, exponent: int) -> complex:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, replace
+from itertools import count
 
 import numpy as np
 
@@ -19,6 +20,7 @@ __all__ = [
     "Operation",
     "Circuit",
     "DepthReport",
+    "longest_chain",
     "depth_and_size",
     "simulate_circuit",
     "circuit_unitary",
@@ -92,38 +94,55 @@ class DepthReport:
     longest_path: tuple[int, ...]
 
 
-def depth_and_size(c: Circuit) -> DepthReport:
-    """Depth = longest chain of ops linked by qudit sharing, one pass.
+def longest_chain(items) -> tuple[DepthReport, list[int]]:
+    """Longest chain over items ``(sites, referenced outcome qudits,
+    measured qudit or None)``, in one pass; the one depth rule of both IRs.
 
-    Size is the total number of qudit touches.  The witness is the op
-    index sequence of one longest chain.
+    An item follows the last earlier item on each of its sites and the
+    measurement of each outcome it references, one level deeper than the
+    deepest of those.  Size counts site touches; the witness is the item
+    index sequence of one longest chain.  Also returns each item's level.
     """
-    heights: dict[int, int] = {}
-    pred: dict[int, int] = {}
+    height: dict[int, int] = {}
+    last: dict[int, int] = {}
+    outcome_height: dict[int, int] = {}
+    outcome_item: dict[int, int] = {}
+    levels: list[int] = []
     parents: list[int] = []
     size = 0
-    best_idx, best = -1, 0
-    for idx, op in enumerate(c.ops):
-        level = 0
-        parent = -1
-        for s in op.sites:
-            h = heights.get(s, 0)
+    best, best_idx = 0, -1
+    for idx, (sites, refs, measured) in enumerate(items):
+        level, parent = 0, -1
+        for s in sites:
+            h = height.get(s, 0)
             if h > level:
-                level = h
-                parent = pred.get(s, -1)
+                level, parent = h, last[s]
+        for q in refs:
+            h = outcome_height.get(q, 0)
+            if h > level:
+                level, parent = h, outcome_item[q]
         level += 1
+        for s in sites:
+            height[s] = level
+            last[s] = idx
+        if measured is not None:
+            outcome_height[measured] = level
+            outcome_item[measured] = idx
+        levels.append(level)
         parents.append(parent)
-        for s in op.sites:
-            heights[s] = level
-            pred[s] = idx
-        size += len(op.sites)
+        size += len(sites)
         if level > best:
             best, best_idx = level, idx
     path = []
     while best_idx >= 0:
         path.append(best_idx)
         best_idx = parents[best_idx]
-    return DepthReport(best, size, tuple(reversed(path)))
+    return DepthReport(best, size, tuple(reversed(path))), levels
+
+
+def depth_and_size(c: Circuit) -> DepthReport:
+    """Depth = longest chain of ops linked by qudit sharing; size = qudit touches."""
+    return longest_chain((op.sites, (), None) for op in c.ops)[0]
 
 
 def simulate_circuit(c: Circuit, input_state: StateVector | None = None) -> StateVector:
@@ -173,14 +192,37 @@ def circuit_unitary(c: Circuit, residue_tol: float = ANCILLA_RESIDUE_TOL) -> np.
     return np.stack(cols, axis=1)
 
 
-def _relabeled(c: Circuit, mapping: dict[int, int]) -> Circuit:
-    return Circuit(
-        c.ctx,
-        tuple(mapping[q] for q in c.qudits),
-        tuple(mapping[q] for q in c.inputs),
-        tuple(mapping[q] for q in c.outputs),
-        tuple(Operation(op.gate, tuple(mapping[s] for s in op.sites)) for op in c.ops),
-    )
+def _relabel_ops(ops, mapping: dict[int, int]) -> tuple[Operation, ...]:
+    return tuple(Operation(op.gate, tuple(mapping[s] for s in op.sites)) for op in ops)
+
+
+def _wired(second, first, body: str, relabel_body=None):
+    """Composite of two circuits or two patterns; ``body`` names their op
+    or command field.
+
+    Given ``relabel_body(body, mapping)`` it is the serial composite: run
+    ``first``, then ``second`` with its k-th input wired to ``first``'s
+    k-th output and its other qudits given fresh identifiers.  Otherwise
+    it is the parallel composite of disjoint qudit sets.
+    """
+    if first.ctx != second.ctx:
+        raise ValueError(f"{type(first).__name__.lower()}s live in different dimensions")
+    first_body = getattr(first, body)
+    if relabel_body is None:
+        if set(first.qudits) & set(second.qudits):
+            raise ValueError("parallel composition requires disjoint qudit sets")
+        wires = (first.qudits + second.qudits, first.inputs + second.inputs, first.outputs + second.outputs)
+        return type(first)(first.ctx, *wires, first_body + getattr(second, body))
+    if len(first.outputs) != len(second.inputs):
+        raise ValueError(f"cannot compose: {len(first.outputs)} outputs vs {len(second.inputs)} inputs")
+    mapping = dict(zip(second.inputs, first.outputs))
+    fresh = count(max(set(first.qudits) | set(second.qudits), default=0) + 1)
+    mapping.update({q: next(fresh) for q in second.qudits if q not in mapping})
+    ours = set(first.qudits)
+    qudits = first.qudits + tuple(mapping[q] for q in second.qudits if mapping[q] not in ours)
+    outputs = tuple(mapping[q] for q in second.outputs)
+    second_body = relabel_body(getattr(second, body), mapping)
+    return type(first)(first.ctx, qudits, first.inputs, outputs, first_body + second_body)
 
 
 def compose_serial(c1: Circuit, c0: Circuit) -> Circuit:
@@ -190,34 +232,12 @@ def compose_serial(c1: Circuit, c0: Circuit) -> Circuit:
     qudits get fresh identifiers.  Depths satisfy depth <= depth0 +
     depth1 and sizes add.
     """
-    if c0.ctx != c1.ctx:
-        raise ValueError("circuits live in different dimensions")
-    if len(c0.outputs) != len(c1.inputs):
-        raise ValueError(f"cannot compose: {len(c0.outputs)} outputs vs {len(c1.inputs)} inputs")
-    mapping = dict(zip(c1.inputs, c0.outputs))
-    fresh = max(set(c0.qudits) | set(c1.qudits), default=0) + 1
-    for q in c1.qudits:
-        if q not in mapping:
-            mapping[q] = fresh
-            fresh += 1
-    c1r = _relabeled(c1, mapping)
-    qudits = c0.qudits + tuple(q for q in c1r.qudits if q not in set(c0.qudits))
-    return Circuit(c0.ctx, qudits, c0.inputs, c1r.outputs, c0.ops + c1r.ops)
+    return _wired(c1, c0, "ops", _relabel_ops)
 
 
 def compose_parallel(c1: Circuit, c0: Circuit) -> Circuit:
     """Parallel (tensor) composite of circuits on disjoint qudits."""
-    if c0.ctx != c1.ctx:
-        raise ValueError("circuits live in different dimensions")
-    if set(c0.qudits) & set(c1.qudits):
-        raise ValueError("parallel composition requires disjoint qudit sets")
-    return Circuit(
-        c0.ctx,
-        c0.qudits + c1.qudits,
-        c0.inputs + c1.inputs,
-        c0.outputs + c1.outputs,
-        c0.ops + c1.ops,
-    )
+    return _wired(c1, c0, "ops")
 
 
 def inverse_circuit(c: Circuit) -> Circuit:
@@ -318,7 +338,7 @@ def circuit_to_json(c: Circuit) -> str:
 
 def circuit_from_json(text: str) -> Circuit:
     doc = json.loads(text)
-    ctx = DimensionContext.of(int(doc["d"]))
+    ctx = DimensionContext.of(doc["d"])
     ops = tuple(
         Operation(_gate_from_json(entry["gate"], entry.get("params", {})), tuple(entry["sites"]))
         for entry in doc["ops"]

@@ -137,22 +137,23 @@ def _as_table(doc: dict, prefix: str = "") -> str:
 # -- equivalence verification ---------------------------------------------------
 
 
-def _artifact_io(a: Circuit | Pattern) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    return (a.inputs, a.outputs)
-
-
 def _output_states(
     artifact: Circuit | Pattern, input_state: StateVector, seed: int
 ) -> list[StateVector]:
-    """Representative output states on O (subnormalized for circuits whose
-    ancillas fail to disentangle, so infidelity surfaces naturally)."""
+    """Representative output states on O.
+
+    A circuit's output is the leading left singular vector of its
+    (outputs x other wires) amplitude matrix scaled by the singular
+    value: exact when the outputs end in a pure state whatever the other
+    wires hold, and subnormalized when they stay entangled with them, so
+    that infidelity surfaces naturally."""
     if isinstance(artifact, Circuit):
         final = simulate_circuit(artifact, input_state)
-        ancillas = tuple(q for q in artifact.qudits if q not in set(artifact.outputs))
-        final = final.with_sites_order(artifact.outputs + ancillas)
-        d = artifact.ctx.d
-        block = final.amplitudes.reshape(d ** len(artifact.outputs), -1)[:, 0]
-        return [StateVector(artifact.ctx, artifact.outputs, block)]
+        others = tuple(q for q in artifact.qudits if q not in set(artifact.outputs))
+        final = final.with_sites_order(artifact.outputs + others)
+        block = final.amplitudes.reshape(artifact.ctx.d ** len(artifact.outputs), -1)
+        u, singular, _ = np.linalg.svd(block, full_matrices=False)
+        return [StateVector(artifact.ctx, artifact.outputs, u[:, 0] * singular[0])]
     measured = len(artifact.measured_qudits())
     if artifact.ctx.d**measured <= BRANCH_ENUMERATION_CAP:
         branches = run_branches(artifact, input_state, lazy=True)
@@ -168,10 +169,11 @@ def verify_equivalent(
     a: Circuit | Pattern, b: Circuit | Pattern, cfg: RunConfig, random_inputs: int = 4
 ) -> float:
     """Max infidelity over all basis inputs plus random input states."""
-    in_a, _ = _artifact_io(a)
-    in_b, _ = _artifact_io(b)
+    in_a, in_b = a.inputs, b.inputs
     if len(in_a) != len(in_b):
         raise InputError(f"input arities differ: {len(in_a)} vs {len(in_b)}")
+    if len(a.outputs) != len(b.outputs):
+        raise InputError(f"output arities differ: {len(a.outputs)} vs {len(b.outputs)}")
     if a.ctx.d != b.ctx.d:
         raise InputError(f"dimensions differ: {a.ctx.d} vs {b.ctx.d}")
     d = a.ctx.d

@@ -21,8 +21,10 @@ from .circuit import (
     DepthReport,
     Operation,
     circuit_unitary,
+    _relabel_ops,
     depth_and_size,
     inverse_circuit,
+    longest_chain,
     lower_to_guni,
 )
 from .pattern import (
@@ -287,10 +289,6 @@ def _check_diagonal(c: Circuit) -> None:
         raise ValueError("block is not diagonal in the computational basis")
 
 
-def _remap_ops(ops, mapping: dict[int, int]) -> list[Operation]:
-    return [Operation(op.gate, tuple(mapping[s] for s in op.sites)) for op in ops]
-
-
 def parallelize_commuting(
     b: Circuit, diagonals: list[Circuit], ancilla_ids: list[int] | None = None
 ) -> Circuit:
@@ -330,7 +328,7 @@ def parallelize_commuting(
         ops.append(Operation(Gate.fanout((1,) * (n - 1)), (mains[pos],) + fan_targets[pos]))
     for i, diag in enumerate(diagonals):
         mapping = dict(zip(mains, registers[i]))
-        ops += _remap_ops(diag.ops, mapping)
+        ops += _relabel_ops(diag.ops, mapping)
     for _ in range(ctx.d - 1):
         for pos in range(k):
             ops.append(Operation(Gate.fanout((1,) * (n - 1)), (mains[pos],) + fan_targets[pos]))
@@ -462,7 +460,7 @@ def _diagonal_layers(c: Circuit, cross, quad, lin) -> list[Circuit]:
     """Emit the phase polynomial as depth-1 diagonal layers on the full register."""
     d = c.ctx.d
     # a proper edge coloring, first fit in sorted edge order, gives disjoint CZ layers
-    edges = sorted(cross)
+    edges = sorted(e for e in cross if cross[e])  # CZ^0 is the identity
     by_color: dict[int, list[Operation]] = {}
     for (a, b), color in zip(edges, _greedy_coloring(edges)):
         by_color.setdefault(color, []).append(Operation(Gate.cz(cross[a, b]), (c.qudits[a], c.qudits[b])))
@@ -565,16 +563,12 @@ class FanoutCompileResult:
 
 
 def _measurement_layers(p: Pattern) -> list[list[Measure]]:
-    level: dict[int, int] = {}
-    layers: list[list[Measure]] = []
-    for cmd in p.seq:
-        if not isinstance(cmd, Measure):
-            continue
-        lvl = 1 + max((level.get(q, 0) for q in cmd.x_signal.qudits()), default=0)
-        level[cmd.site] = lvl
-        while len(layers) < lvl:
-            layers.append([])
-        layers[lvl - 1].append(cmd)
+    """Measurements in written order, each one layer after its deepest X dependency."""
+    measures = [cmd for cmd in p.seq if isinstance(cmd, Measure)]
+    _, levels = longest_chain(((), m.x_signal.qudits(), m.site) for m in measures)
+    layers: list[list[Measure]] = [[] for _ in range(max(levels, default=0))]
+    for m, level in zip(measures, levels):
+        layers[level - 1].append(m)
     return layers
 
 

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .algebra import DimensionContext
-from .circuit import DepthReport
+from .circuit import DepthReport, _wired, longest_chain
 from .sim import (
     Gate,
     StateVector,
@@ -493,40 +493,16 @@ def pattern_depth_and_size(p: Pattern) -> DepthReport:
     counts 2, measurements and corrections count 1 (classical control
     adds no quantum size)."""
     require_valid(p)
-    qudit_height: dict[int, int] = {}
-    qudit_pred: dict[int, int] = {}
-    outcome_height: dict[int, int] = {}
-    outcome_pred: dict[int, int] = {}
-    parents: list[int] = []
-    size = 0
-    best, best_idx = 0, -1
-    for idx, cmd in enumerate(p.seq):
-        level, parent = 0, -1
-        for s in cmd.sites():
-            h = qudit_height.get(s, 0)
-            if h > level:
-                level, parent = h, qudit_pred.get(s, -1)
-        for sig in _command_signals(cmd):
-            for q in sig.qudits():
-                h = outcome_height.get(q, 0)
-                if h > level:
-                    level, parent = h, outcome_pred.get(q, -1)
-        level += 1
-        parents.append(parent)
-        for s in cmd.sites():
-            qudit_height[s] = level
-            qudit_pred[s] = idx
-        if isinstance(cmd, Measure):
-            outcome_height[cmd.site] = level
-            outcome_pred[cmd.site] = idx
-        size += len(cmd.sites())
-        if level > best:
-            best, best_idx = level, idx
-    path = []
-    while best_idx >= 0:
-        path.append(best_idx)
-        best_idx = parents[best_idx]
-    return DepthReport(best, size, tuple(reversed(path)))
+    return longest_chain(map(_chain_item, p.seq))[0]
+
+
+def _chain_item(cmd: Command) -> tuple:
+    """(sites, referenced outcome qudits, measured qudit or None) of a command."""
+    if isinstance(cmd, Entangle):
+        return (cmd.i, cmd.j), (), None
+    if isinstance(cmd, Measure):
+        return (cmd.site,), cmd.x_signal.qudits() + cmd.z_signal.qudits(), cmd.site
+    return (cmd.site,), cmd.signal.qudits(), None
 
 
 # -- entanglement graph and entanglement depth --------------------------------
@@ -740,58 +716,25 @@ def entanglement_depth(g: EntanglementGraph) -> EntanglementDepthReport:
 # -- composition ---------------------------------------------------------------
 
 
-def _relabel_pattern(p: Pattern, mapping: dict[int, int]) -> Pattern:
-    def m(q):
-        return mapping.get(q, q)
-
-    seq = []
-    for cmd in p.seq:
+def _relabel_commands(seq, mapping: dict[int, int]) -> tuple[Command, ...]:
+    out = []
+    for cmd in seq:
         if isinstance(cmd, Entangle):
-            seq.append(Entangle(m(cmd.i), m(cmd.j)))
+            out.append(Entangle(mapping[cmd.i], mapping[cmd.j]))
         elif isinstance(cmd, Measure):
-            seq.append(Measure(m(cmd.site), cmd.theta, cmd.x_signal.relabel(mapping), cmd.z_signal.relabel(mapping)))
-        elif isinstance(cmd, CorrectX):
-            seq.append(CorrectX(m(cmd.site), cmd.signal.relabel(mapping)))
+            out.append(Measure(mapping[cmd.site], cmd.theta, cmd.x_signal.relabel(mapping), cmd.z_signal.relabel(mapping)))
         else:
-            seq.append(CorrectZ(m(cmd.site), cmd.signal.relabel(mapping)))
-    return Pattern(
-        p.ctx,
-        tuple(m(q) for q in p.qudits),
-        tuple(m(q) for q in p.inputs),
-        tuple(m(q) for q in p.outputs),
-        tuple(seq),
-    )
+            out.append(type(cmd)(mapping[cmd.site], cmd.signal.relabel(mapping)))
+    return tuple(out)
 
 
 def compose_serial(p1: Pattern, p0: Pattern) -> Pattern:
     """Run p0 then p1, wiring p1's k-th input to p0's k-th output."""
-    if p0.ctx != p1.ctx:
-        raise ValueError("patterns live in different dimensions")
-    if len(p0.outputs) != len(p1.inputs):
-        raise ValueError(f"cannot compose: {len(p0.outputs)} outputs vs {len(p1.inputs)} inputs")
-    mapping = dict(zip(p1.inputs, p0.outputs))
-    fresh = max(set(p0.qudits) | set(p1.qudits), default=0) + 1
-    for q in p1.qudits:
-        if q not in mapping:
-            mapping[q] = fresh
-            fresh += 1
-    p1r = _relabel_pattern(p1, mapping)
-    qudits = p0.qudits + tuple(q for q in p1r.qudits if q not in set(p0.qudits))
-    return Pattern(p0.ctx, qudits, p0.inputs, p1r.outputs, p0.seq + p1r.seq)
+    return _wired(p1, p0, "seq", _relabel_commands)
 
 
 def compose_parallel(p1: Pattern, p0: Pattern) -> Pattern:
-    if p0.ctx != p1.ctx:
-        raise ValueError("patterns live in different dimensions")
-    if set(p0.qudits) & set(p1.qudits):
-        raise ValueError("parallel composition requires disjoint qudit sets")
-    return Pattern(
-        p0.ctx,
-        p0.qudits + p1.qudits,
-        p0.inputs + p1.inputs,
-        p0.outputs + p1.outputs,
-        p0.seq + p1.seq,
-    )
+    return _wired(p1, p0, "seq")
 
 
 # -- JSON format ---------------------------------------------------------------
@@ -838,8 +781,8 @@ _COMMAND_ARITY = {"E": 2, "M": 1, "X": 1, "Z": 1}
 
 def pattern_from_json(text: str) -> Pattern:
     doc = json.loads(text)
-    d = int(doc["d"])
-    ctx = DimensionContext.of(d)
+    ctx = DimensionContext.of(doc["d"])
+    d = ctx.d
     seq: list[Command] = []
     for entry in doc["commands"]:
         kind = entry["kind"]

@@ -45,6 +45,7 @@ from quditmbqc.pattern import (
     CorrectZ,
     EntanglementGraph,
     Measure,
+    Pattern,
     Signal,
     compose_parallel as pattern_parallel,
     compose_serial as pattern_serial,
@@ -452,9 +453,16 @@ def test_criterion_09_composition_laws():
         assert serial.depth <= ra.depth + rb.depth
         assert serial.size == ra.size + rb.size
         shift = {q: q + 100 for q in pb.qudits}
-        from quditmbqc.pattern import _relabel_pattern
+        from quditmbqc.pattern import _relabel_commands
 
-        par = pattern_depth_and_size(pattern_parallel(_relabel_pattern(pb, shift), pa))
+        pb_shifted = Pattern(
+            ctx,
+            tuple(shift[q] for q in pb.qudits),
+            tuple(shift[q] for q in pb.inputs),
+            tuple(shift[q] for q in pb.outputs),
+            _relabel_commands(pb.seq, shift),
+        )
+        par = pattern_depth_and_size(pattern_parallel(pb_shifted, pa))
         assert par.depth == max(ra.depth, rb.depth)
         assert par.size == ra.size + rb.size
     announce(9, "composition laws", started, 30)

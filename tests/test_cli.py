@@ -187,6 +187,51 @@ def test_all_branches_above_the_enumeration_cap_is_input_error(tmp_path, capsys)
     assert "--mode sampled" in capsys.readouterr().err
 
 
+def test_verify_accepts_coherent_circuit_with_unreset_wires(tmp_path):
+    # the def9 circuit leaves its measured wires in superpositions, not |0>
+    circuit, pattern, coherent = tmp_path / "c.json", tmp_path / "p.json", tmp_path / "c9.json"
+    run_cli("gen", "guni", "--d", "2", "--n", "2", "--gates", "6", "--seed", "3", "--out", str(circuit))
+    run_cli("convert", "def7", "--in", str(circuit), "--out", str(pattern))
+    run_cli("convert", "def9", "--in", str(pattern), "--out", str(coherent))
+    assert run_cli("verify", str(circuit), str(coherent)) == 0
+
+
+def test_verify_flags_output_entangled_with_an_ancilla(tmp_path):
+    entangled, plain = tmp_path / "e.json", tmp_path / "f.json"
+    fourier = {"gate": "F", "params": {}, "sites": [1]}
+    copy = {"gate": "CX", "params": {}, "sites": [1, 2]}
+    entangled.write_text(json.dumps({"d": 2, "qudits": [1, 2], "inputs": [1], "outputs": [1], "ops": [fourier, copy]}))
+    plain.write_text(json.dumps({"d": 2, "qudits": [1], "inputs": [1], "outputs": [1], "ops": [fourier]}))
+    assert run_cli("verify", str(entangled), str(plain)) == 1
+    assert run_cli("verify", str(plain), str(entangled)) == 1
+
+
+def test_output_arity_mismatch_is_input_error(tmp_path, capsys):
+    circuit, fewer = tmp_path / "c.json", tmp_path / "c1.json"
+    run_cli("gen", "guni", "--d", "2", "--n", "2", "--gates", "4", "--seed", "1", "--out", str(circuit))
+    doc = json.loads(circuit.read_text())
+    doc["outputs"] = doc["outputs"][:1]
+    fewer.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("verify", str(circuit), str(fewer)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output arities differ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["circuit", "pattern"])
+def test_non_integer_dimension_is_input_error(tmp_path, capsys, kind):
+    circuit, pattern, bad = tmp_path / "c.json", tmp_path / "p.json", tmp_path / "bad.json"
+    run_cli("gen", "guni", "--d", "2", "--n", "2", "--gates", "4", "--seed", "1", "--out", str(circuit))
+    run_cli("convert", "def7", "--in", str(circuit), "--out", str(pattern))
+    doc = json.loads((circuit if kind == "circuit" else pattern).read_text())
+    doc["d"] = 2.5
+    bad.write_text(json.dumps(doc))
+    capsys.readouterr()
+    assert run_cli("analyze", "--in", str(bad)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "2.5" in err and "Traceback" not in err
+
+
 def test_convert_emits_report(tmp_path):
     circuit = tmp_path / "c.json"
     pattern = tmp_path / "p.json"

@@ -394,7 +394,19 @@ class TestControlledPauliCompiler:
         ctx = ctx_of(d)
         src = random_controlled_pauli_circuit(ctx, n, 5 * n, seed, locals_too=True)
         out = controlled_pauli_constant_depth(src)
+        assert all(op.gate.k % d for op in out.ops if op.gate.name == GateName.CZ)
         assert phase_poly_equivalent(out, src)
+        assert max_diff_up_to_phase(circuit_unitary(out), circuit_unitary(src)) < 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_emits_no_identity_entanglers(self, d):
+        ctx = ctx_of(d)
+        # the two entanglers on (1, 2) cancel; the one on (2, 3) stays
+        ops = (Operation(Gate.cz(), (1, 2)), Operation(Gate.cz(), (2, 3)), Operation(Gate.cz(d - 1), (2, 1)))
+        src = Circuit(ctx, (1, 2, 3), (1, 2, 3), (1, 2, 3), ops)
+        out = controlled_pauli_constant_depth(src)
+        assert any(op.gate.name == GateName.CZ for op in out.ops)
+        assert all(op.gate.k % d for op in out.ops if op.gate.name == GateName.CZ)
         assert max_diff_up_to_phase(circuit_unitary(out), circuit_unitary(src)) < 1e-9
 
     def test_commutation_identities(self):
