@@ -57,7 +57,6 @@ __all__ = [
     "parallelize_commuting",
     "controlled_pauli_constant_depth",
     "clifford_constant_depth",
-    "CxMatrix",
 ]
 
 
@@ -340,138 +339,78 @@ def parallelize_commuting(
 # -- constant-depth controlled-Pauli compiler --------------------------------------
 
 
-@dataclass(frozen=True)
-class CxMatrix:
-    """The Z(d)-linear action of a controlled-X-only circuit.
-
-    ``rows[j]`` holds the coefficients of the input digits in the final
-    value of qudit j.  Always invertible: the matrix is a product of
-    elementary row-addition transvections.
-    """
-
-    d: int
-    rows: tuple[tuple[int, ...], ...]
-    gates: tuple[tuple[int, int, int], ...]  # (control_index, target_index, power)
-
-    @classmethod
-    def from_gates(cls, d: int, n: int, gates) -> "CxMatrix":
-        rows = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-        for ci, ti, k in gates:
-            rows[ti] = [(rows[ti][c] + k * rows[ci][c]) % d for c in range(n)]
-        return cls(d, tuple(tuple(r) for r in rows), tuple(gates))
-
-    def inverse(self) -> "CxMatrix":
-        """Replay the gate list backwards with inverted updates."""
-        inv_gates = [(ci, ti, (-k) % self.d) for ci, ti, k in reversed(self.gates)]
-        inv = CxMatrix.from_gates(self.d, len(self.rows), inv_gates)
-        prod = _matmul_mod(inv.rows, self.rows, self.d)
-        if prod != tuple(tuple(1 if i == j else 0 for i in range(len(self.rows))) for j in range(len(self.rows))):
-            raise AssertionError("transvection replay did not invert the matrix")
-        return inv
-
-
-def _matmul_mod(a, b, d):
-    n = len(a)
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(n)) % d for j in range(n)) for i in range(n)
-    )
-
-
-class _AncillaPool:
-    """Deterministic ancilla ids, reusable across stages that clean up."""
-
-    def __init__(self, start: int):
-        self.start = start
-        self.allocated: list[int] = []
-
-    def take(self, count: int) -> list[int]:
-        while len(self.allocated) < count:
-            self.allocated.append(self.start + len(self.allocated))
-        return self.allocated[:count]
-
-
 def _normalize_controlled_pauli(c: Circuit):
     """Split a {CZ^k, CX^k, Z^k, X^k} circuit into a front diagonal phase
     polynomial, a controlled-X middle, and a trailing local X layer.
 
-    Each qudit's running value is tracked as an affine form over the
-    input digits; diagonal gates then contribute quadratic phase terms
-    over the inputs and can all be emitted up front.
+    Qudit j's running value is tracked as the affine form
+    ``matrix[j] . x + shift[j]`` over the input digits x; diagonal gates
+    then contribute quadratic phase terms over the inputs and can all be
+    emitted up front.  Every array is int64, reduced mod d: ``quad`` holds
+    the squares on its diagonal and the cross terms above it, ``lin`` the
+    linear terms (constants only shift the global phase).  ``cx_gates``
+    lists the nonzero controlled-X powers as (control, target, k) indices.
     """
     d = c.ctx.d
     n = len(c.qudits)
     index = {q: i for i, q in enumerate(c.qudits)}
-    rows = [[1 if i == j else 0 for i in range(n)] for j in range(n)]
-    consts = [0] * n
-    cross: dict[tuple[int, int], int] = {}
-    quad: dict[int, int] = {}
-    lin: dict[int, int] = {}
+    matrix = np.eye(n, dtype=np.int64)
+    shift = np.zeros(n, dtype=np.int64)
+    quad = np.zeros((n, n), dtype=np.int64)
+    lin = np.zeros(n, dtype=np.int64)
     cx_gates: list[tuple[int, int, int]] = []
-
-    def add_product(fi, ci, fj, cj, k):
-        # phase += k * (fi + ci) * (fj + cj), dropping the global constant
-        for a in range(n):
-            for bb in range(n):
-                coeff = (k * fi[a] * fj[bb]) % d
-                if not coeff:
-                    continue
-                if a == bb:
-                    quad[a] = (quad.get(a, 0) + coeff) % d
-                else:
-                    key = (min(a, bb), max(a, bb))
-                    cross[key] = (cross.get(key, 0) + coeff) % d
-        for a in range(n):
-            coeff = (k * (fi[a] * cj + fj[a] * ci)) % d
-            if coeff:
-                lin[a] = (lin.get(a, 0) + coeff) % d
-
-    def add_linear(f, k):
-        # the constant part of the affine form only shifts the global phase
-        for a in range(n):
-            coeff = (k * f[a]) % d
-            if coeff:
-                lin[a] = (lin.get(a, 0) + coeff) % d
-
     for op in c.ops:
         g = op.gate
-        k = g.k % d
-        if g.name == GateName.X:
-            if k:
-                consts[index[op.sites[0]]] = (consts[index[op.sites[0]]] + k) % d
-        elif g.name == GateName.CX:
-            if k:
-                ci, ti = index[op.sites[0]], index[op.sites[1]]
-                rows[ti] = [(rows[ti][a] + k * rows[ci][a]) % d for a in range(n)]
-                consts[ti] = (consts[ti] + k * consts[ci]) % d
-                cx_gates.append((ci, ti, k))
-        elif g.name == GateName.Z:
-            if k:
-                add_linear(rows[index[op.sites[0]]], k)
-        elif g.name == GateName.CZ:
-            if k:
-                i, j = index[op.sites[0]], index[op.sites[1]]
-                add_product(rows[i], consts[i], rows[j], consts[j], k)
-        else:
+        if g.name not in (GateName.X, GateName.Z, GateName.CX, GateName.CZ):
             raise ValueError(f"gate {g.name.value} outside the controlled-Pauli set")
-    return cross, quad, lin, cx_gates, consts
+        k = g.k % d
+        if not k:
+            continue
+        i = index[op.sites[0]]
+        if g.name == GateName.X:
+            shift[i] = (shift[i] + k) % d
+        elif g.name == GateName.Z:
+            lin = (lin + k * matrix[i]) % d
+        else:
+            j = index[op.sites[1]]
+            if g.name == GateName.CX:
+                matrix[j] = (matrix[j] + k * matrix[i]) % d
+                shift[j] = (shift[j] + k * shift[i]) % d
+                cx_gates.append((i, j, k))
+            else:
+                # phase += k * (row_i . x + shift_i) * (row_j . x + shift_j)
+                quad = (quad + k * np.outer(matrix[i], matrix[j])) % d
+                lin = (lin + k * (matrix[i] * shift[j] + matrix[j] * shift[i])) % d
+    quad = (np.triu(quad) + np.tril(quad, -1).T) % d
+    return quad, lin, matrix, cx_gates, shift
 
 
-def _diagonal_layers(c: Circuit, cross, quad, lin) -> list[Circuit]:
+def _cx_inverse(d: int, matrix: np.ndarray, cx_gates) -> np.ndarray:
+    """Inverse of a controlled-X matrix: replay its gate list backwards
+    with negated powers (no division, so composite d works too)."""
+    inverse = np.eye(len(matrix), dtype=np.int64)
+    for ci, ti, k in reversed(cx_gates):
+        inverse[ti] = (inverse[ti] - k * inverse[ci]) % d
+    if not np.array_equal(inverse @ matrix % d, np.eye(len(matrix), dtype=np.int64)):
+        raise AssertionError("transvection replay did not invert the matrix")
+    return inverse
+
+
+def _diagonal_layers(c: Circuit, quad: np.ndarray, lin: np.ndarray) -> list[Circuit]:
     """Emit the phase polynomial as depth-1 diagonal layers on the full register."""
     d = c.ctx.d
-    # a proper edge coloring, first fit in sorted edge order, gives disjoint CZ layers
-    edges = sorted(e for e in cross if cross[e])  # CZ^0 is the identity
+    # a proper edge coloring, first fit in sorted (row-major) edge order,
+    # gives disjoint CZ layers; CZ^0 is the identity
+    edges = [tuple(e) for e in np.argwhere(np.triu(quad, 1)).tolist()]
     by_color: dict[int, list[Operation]] = {}
     for (a, b), color in zip(edges, _greedy_coloring(edges)):
-        by_color.setdefault(color, []).append(Operation(Gate.cz(cross[a, b]), (c.qudits[a], c.qudits[b])))
+        by_color.setdefault(color, []).append(Operation(Gate.cz(int(quad[a, b])), (c.qudits[a], c.qudits[b])))
     layers = [by_color[color] for color in sorted(by_color)]
     local_ops = []
-    for a in range(len(c.qudits)):
-        cq = quad.get(a, 0)
-        cl = lin.get(a, 0)
+    for q, cq, cl in zip(c.qudits, np.diag(quad).tolist(), lin.tolist()):
         if cq or cl:
             theta = tuple(2.0 * math.pi * ((cq * j * j + cl * j) % d) / d for j in range(d))
-            local_ops.append(Operation(Gate.r(theta), (c.qudits[a],)))
+            local_ops.append(Operation(Gate.r(theta), (q,)))
     if local_ops:
         layers.append(local_ops)
     return [Circuit(c.ctx, c.qudits, c.qudits, c.qudits, tuple(ops)) for ops in layers]
@@ -493,27 +432,28 @@ def controlled_pauli_constant_depth(c: Circuit, ancilla_start: int | None = None
     ctx = c.ctx
     d = ctx.d
     n = len(mains)
-    cross, quad, lin, cx_gates, shifts = _normalize_controlled_pauli(c)
-    pool = _AncillaPool(max(mains, default=0) + 1 if ancilla_start is None else ancilla_start)
+    quad, lin, matrix, cx_gates, shift = _normalize_controlled_pauli(c)
+    # every stage returns its ancillas clean, so each reuses the ids from start
+    start = max(mains, default=0) + 1 if ancilla_start is None else ancilla_start
+    used = 0
     ops: list[Operation] = []
 
-    layers = _diagonal_layers(c, cross, quad, lin)
+    layers = _diagonal_layers(c, quad, lin)
     if layers:
         # always run the parallel form so the layer schedule (and hence the
         # depth) is independent of how many diagonal layers the input needed
         if len(layers) == 1:
             layers.append(Circuit(ctx, mains, mains, mains, ()))
         empty = Circuit(ctx, mains, mains, mains, ())
-        ancillas = pool.take(n * (len(layers) - 1))
-        block = parallelize_commuting(empty, layers, ancilla_ids=ancillas)
+        used = n * (len(layers) - 1)
+        block = parallelize_commuting(empty, layers, ancilla_ids=list(range(start, start + used)))
         ops += list(block.ops)
 
     if cx_gates:
-        matrix = CxMatrix.from_gates(d, n, cx_gates)
-        inverse = matrix.inverse()
-        regs_flat = pool.take(n * n + n)
-        registers = [regs_flat[l * n : (l + 1) * n] for l in range(n)]
-        result = regs_flat[n * n : n * n + n]
+        inverse = _cx_inverse(d, matrix, cx_gates)
+        used = max(used, n * n + n)
+        registers = [range(start + l * n, start + (l + 1) * n) for l in range(n)]
+        result = range(start + n * n, start + n * n + n)
 
         def compute_rows(source: list[int], rows) -> list[Operation]:
             """Copy ``source`` into the registers, evaluate row k on register
@@ -532,23 +472,23 @@ def controlled_pauli_constant_depth(c: Circuit, ancilla_start: int | None = None
                 forward.append(Operation(Gate.cx(rows[kq][kq] % d), (source[kq], registers[kq][kq])))
             return forward
 
-        forward = compute_rows(list(mains), matrix.rows)
+        forward = compute_rows(list(mains), matrix.tolist())
         ops += forward
         ops += [Operation(Gate.cx(), (registers[kq][kq], result[kq])) for kq in range(n)]
         ops += [Operation(g, s) for op in reversed(forward) for g, s in gate_inverse_ops(op.gate, op.sites, d)]
 
-        backward = compute_rows(list(result), inverse.rows)
+        backward = compute_rows(list(result), inverse.tolist())
         ops += backward
         ops += [Operation(Gate.cx(d - 1), (registers[kq][kq], mains[kq])) for kq in range(n)]
         ops += [Operation(g, s) for op in reversed(backward) for g, s in gate_inverse_ops(op.gate, op.sites, d)]
 
         ops += [Operation(Gate.swap(), (mains[kq], result[kq])) for kq in range(n)]
 
-    for i, shift in enumerate(shifts):
-        if shift:
-            ops.append(Operation(Gate.x(shift), (mains[i],)))
+    for q, k in zip(mains, shift.tolist()):
+        if k:
+            ops.append(Operation(Gate.x(k), (q,)))
 
-    qudits = tuple(mains) + tuple(pool.allocated)
+    qudits = tuple(mains) + tuple(range(start, start + used))
     return Circuit(ctx, qudits, mains, mains, tuple(ops))
 
 
@@ -580,7 +520,7 @@ def pattern_to_fanout_circuit(p: Pattern) -> FanoutCompileResult:
     by a unit-depth layer of local rotations; the final output
     corrections become one more constant-depth controlled-Pauli block.
     """
-    require_valid(p)
+    pattern_report = pattern_depth_and_size(p)  # validates p
     if not is_completely_standard(p):
         raise ValueError("fan-out compilation expects a completely standard pattern")
     ctx = p.ctx
@@ -600,7 +540,8 @@ def pattern_to_fanout_circuit(p: Pattern) -> FanoutCompileResult:
         touched = tuple(dict.fromkeys(s for op in block_ops for s in op.sites))
         block = Circuit(ctx, touched, touched, touched, tuple(block_ops))
         compiled = controlled_pauli_constant_depth(block, ancilla_start=fresh)
-        added = [q for q in compiled.qudits if q not in set(touched)]
+        touched_set = set(touched)
+        added = [q for q in compiled.qudits if q not in touched_set]
         all_qudits.extend(added)
         fresh = max([fresh - 1] + added) + 1
         ops.extend(compiled.ops)
@@ -624,7 +565,7 @@ def pattern_to_fanout_circuit(p: Pattern) -> FanoutCompileResult:
         compile_block(block_ops)
 
     circuit = Circuit(ctx, tuple(all_qudits), p.inputs, p.outputs, tuple(ops))
-    return FanoutCompileResult(circuit, depth_and_size(circuit), pattern_depth_and_size(p))
+    return FanoutCompileResult(circuit, depth_and_size(circuit), pattern_report)
 
 
 # -- constant-depth Clifford pipeline ------------------------------------------------

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -447,8 +448,6 @@ def run_branches(
     lazy: bool = False,
 ) -> list[RunResult]:
     """Full branch enumeration: every outcome assignment with its probability."""
-    require_valid(p)
-
     results: list[RunResult] = []
 
     def walk(ex: _Executor, pos: int, outcomes: dict[int, int], prob: float) -> None:
@@ -519,7 +518,11 @@ class EntanglementGraph:
         return sum(m for (i, j), m in self.multiplicities if node in (i, j))
 
     def max_degree(self) -> int:
-        return max((self.degree(n) for n in self.nodes), default=0)
+        degrees: Counter[int] = Counter()
+        for (i, j), m in self.multiplicities:
+            degrees[i] += m
+            degrees[j] += m
+        return max((degrees[n] for n in self.nodes), default=0)
 
     def edge_count(self) -> int:
         return sum(m for _, m in self.multiplicities)

@@ -21,7 +21,8 @@ from quditmbqc.circuit import (
     simulate_circuit,
 )
 from quditmbqc.convert import (
-    CxMatrix,
+    _cx_inverse,
+    _normalize_controlled_pauli,
     basic_cz_pattern,
     basic_v_pattern,
     build_fanout,
@@ -40,6 +41,7 @@ from quditmbqc.pattern import (
     CorrectX,
     Entangle,
     Measure,
+    Pattern,
     Signal,
     entanglement_graph,
     run_branches,
@@ -438,13 +440,24 @@ class TestControlledPauliCompiler:
             assert np.max(np.abs(z2 @ cx - cx @ z1 @ z2)) < 1e-12
 
     def test_linear_matrix_inverse_by_replay(self):
-        m = CxMatrix.from_gates(3, 3, [(0, 1, 2), (1, 2, 1), (2, 0, 2)])
-        inv = m.inverse()
-        from quditmbqc.convert import _matmul_mod
+        gates = [(0, 1, 2), (1, 2, 1), (2, 0, 2)]
+        ops = tuple(Operation(Gate.cx(k), (c, t)) for c, t, k in gates)
+        src = Circuit(ctx_of(3), (0, 1, 2), (0, 1, 2), (0, 1, 2), ops)
+        _, _, m, cx_gates, _ = _normalize_controlled_pauli(src)
+        assert cx_gates == gates
+        inv = _cx_inverse(3, m, cx_gates)
+        assert (m @ inv % 3).tolist() == [[1 if i == j else 0 for i in range(3)] for j in range(3)]
 
-        assert _matmul_mod(m.rows, inv.rows, 3) == tuple(
-            tuple(1 if i == j else 0 for i in range(3)) for j in range(3)
-        )
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_normal_form_keeps_the_phase_polynomial(self, d, n):
+        # composite d included: the inverse replay never divides
+        ctx = ctx_of(d)
+        for seed in range(3):
+            src = random_controlled_pauli_circuit(ctx, n, 5 * n, seed, locals_too=True)
+            out = controlled_pauli_constant_depth(src)
+            assert all(op.gate.k % d for op in out.ops if op.gate.name == GateName.CZ)
+            assert phase_poly_equivalent(out, src)
 
     def test_rejects_foreign_gates(self):
         ctx = ctx_of(2)
@@ -471,6 +484,19 @@ def _embed3(ctx, gate, pair):
 
 
 class TestFanoutCompileAndCliffordPipeline:
+    def test_validates_once(self, monkeypatch):
+        import quditmbqc.pattern as pattern_module
+
+        validate = pattern_module.validate
+        calls = []
+        monkeypatch.setattr(pattern_module, "validate", lambda p: calls.append(p) or validate(p))
+        pattern_to_fanout_circuit(basic_v_pattern(ctx_of(2), 1, 2, (0.1, 0.2)))
+        assert len(calls) == 1
+        zero = Signal.zero(2)
+        bad = Pattern(ctx_of(2), (1,), (1,), (1,), (Measure(1, (0.0, 0.0), zero, zero),))
+        with pytest.raises(ValueError, match="not wellformed"):
+            pattern_to_fanout_circuit(bad)
+
     def test_teleport_pattern_compiles_small(self):
         for d in (2, 3):
             ctx = ctx_of(d)

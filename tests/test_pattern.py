@@ -126,6 +126,17 @@ class TestValidate:
 
 
 class TestRun:
+    def test_run_branches_validates_once(self, monkeypatch):
+        import quditmbqc.pattern as pattern_module
+
+        calls = []
+        monkeypatch.setattr(pattern_module, "validate", lambda p: calls.append(p) or validate(p))
+        run_branches(basic_v_pattern(ctx_of(2), 1, 2, (0.1, 0.2)))
+        assert len(calls) == 1
+        bad = Pattern(ctx_of(2), (1,), (1,), (1,), (Measure(1, (0.0, 0.0), zero(2), zero(2)),))
+        with pytest.raises(ValueError, match="not wellformed"):
+            run_branches(bad)
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_teleport_implements_rotation_on_every_branch(self, d):
         ctx = ctx_of(d)
