@@ -6,7 +6,8 @@ compilers), ``rewrite`` (standardisation passes), ``run`` (simulate),
 random-state simulation) and ``analyze`` (depth/size/entanglement
 reports and scaling sweeps).
 
-Exit codes: 0 success, 1 verification failure, 2 malformed input.
+Exit codes: 0 success, 1 verification failure, 2 malformed or too
+large input.
 All randomness flows from the single --seed value; measurement k of a
 run draws from the stream spawned with key (k,) off that seed.
 """
@@ -50,6 +51,7 @@ from .pattern import (
     pattern_depth_and_size,
     pattern_from_json,
     pattern_to_json,
+    peak_live_qudits,
     run,
     run_branches,
 )
@@ -62,6 +64,7 @@ EXIT_INPUT_ERROR = 2
 
 DEFAULT_TOL = 1e-9
 BRANCH_ENUMERATION_CAP = 256
+AMPLITUDE_CAP = 1 << 24  # one dense state: 256 MiB of complex128
 
 
 class InputError(Exception):
@@ -96,6 +99,16 @@ def load_artifact(path: str) -> Circuit | Pattern:
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     raise InputError(f"{path}: neither a circuit ('ops') nor a pattern ('commands')")
+
+
+def load_runnable(path: str) -> Circuit | Pattern:
+    """An artifact whose dense state fits AMPLITUDE_CAP, checked before any allocation:
+    a circuit holds every qudit, a pattern the peak of its lazy schedule."""
+    artifact = load_artifact(path)
+    width = len(artifact.qudits) if isinstance(artifact, Circuit) else peak_live_qudits(artifact)
+    if artifact.ctx.d**width > AMPLITUDE_CAP:
+        raise InputError(f"{path}: {artifact.ctx.d}^{width} amplitudes exceed the cap of {AMPLITUDE_CAP}")
+    return artifact
 
 
 def dump_artifact(artifact: Circuit | Pattern, out: str | None) -> None:
@@ -275,7 +288,7 @@ def _cmd_rewrite(args) -> int:
 
 
 def _cmd_run(args) -> int:
-    artifact = load_artifact(args.input)
+    artifact = load_runnable(args.input)
     cfg = RunConfig(seed=args.seed, mode=args.mode, fmt=args.format)
     if isinstance(artifact, Circuit):
         final = simulate_circuit(artifact)
@@ -321,8 +334,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    a = load_artifact(args.first)
-    b = load_artifact(args.second)
+    a = load_runnable(args.first)
+    b = load_runnable(args.second)
     cfg = RunConfig(seed=args.seed, tolerance=args.tol, fmt=args.format)
     worst = verify_equivalent(a, b, cfg)
     doc = {"max_infidelity": worst, "tolerance": cfg.tolerance, "equivalent": worst <= cfg.tolerance}

@@ -127,8 +127,10 @@ def circuit_to_pattern_standard(c: Circuit, standardise: bool = True) -> Pattern
             seq.append(CorrectX(new, Signal.unit(d, wire[i])))
             wire[i] = new
     pat = Pattern(c.ctx, tuple(qudits), c.inputs, tuple(wire[q] for q in c.outputs), tuple(seq))
+    if standardise:
+        return completely_standardise(pat)  # validates pat and the result once each
     require_valid(pat)
-    return completely_standardise(pat) if standardise else pat
+    return pat
 
 
 def insert_fourier_breaks(c: Circuit) -> Circuit:

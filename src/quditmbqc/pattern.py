@@ -16,6 +16,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from functools import reduce
 
 import numpy as np
 
@@ -44,6 +45,7 @@ __all__ = [
     "run",
     "run_branches",
     "RunResult",
+    "peak_live_qudits",
     "pattern_depth_and_size",
     "EntanglementGraph",
     "entanglement_graph",
@@ -307,95 +309,100 @@ def _rng_for_measurement(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-class _Executor:
-    """Shared command-walk machinery for sampled/forced/all-branch runs.
+def _schedule(p: Pattern, lazy: bool) -> list:
+    """The fixed steps of a run: a tuple of qudits to append in F|0>, or a
+    command to apply.
 
-    With ``lazy=True`` entangling commands are deferred and flushed
-    just before a non-entangling command touches one of their qudits;
-    qudits are only materialized (appended in F|0>) when first needed,
-    which keeps the live state small for chain-like patterns.  This is
-    sound because E commands mutually commute and commute with any
-    command on disjoint qudits.
+    Eager mode appends every ancilla first and keeps the commands
+    verbatim.  Lazy mode defers each E command until a later command
+    touches one of its qudits, and appends a qudit only when first
+    needed, which keeps the live state small for chain-like patterns.
+    This is sound because E commands mutually commute and commute with
+    any command on disjoint qudits.  Which qudits are live and which E
+    commands wait depends only on the command position, never on the
+    outcomes, so one schedule serves every branch.
     """
+    steps: list = []
+    appended, pending = set(p.inputs), []
+    if not lazy:
+        ancillas = tuple(q for q in p.qudits if q not in appended)
+        return ([ancillas] if ancillas else []) + list(p.seq)
 
-    def __init__(self, p: Pattern, input_state: StateVector | None, lazy: bool):
-        require_valid(p)
-        self.p = p
-        self.lazy = lazy
-        if input_state is None and p.inputs:
-            input_state = basis_state(p.ctx, p.inputs, [0] * len(p.inputs))
-        if p.inputs:
-            if input_state is None or set(input_state.sites) != set(p.inputs):
-                raise ValueError("input state must be defined exactly on the pattern inputs")
-        ancillas = [q for q in p.qudits if q not in set(p.inputs)]
-        if input_state is None:
-            state = _all_plus(p.ctx, ancillas)
-            self.materialized = set(ancillas) if not lazy else set()
-            self.state = state if not lazy else StateVector(p.ctx, (), np.ones(1, dtype=np.complex128))
-        else:
-            self.state = input_state
-            self.materialized = set(p.inputs)
-            if not lazy and ancillas:
-                self.state = self.state.extend(_all_plus(p.ctx, ancillas))
-                self.materialized |= set(ancillas)
-        self.pending: list[Entangle] = []
+    def touch(q: int) -> None:
+        if q not in appended:
+            appended.add(q)
+            steps.append((q,))
 
-    def _materialize(self, q: int) -> None:
-        if q in self.materialized:
-            return
-        self.state = self.state.extend(plus_state(self.p.ctx, q)) if self.state.num_sites else plus_state(self.p.ctx, q)
-        self.materialized.add(q)
-
-    def entangle(self, cmd: Entangle) -> None:
-        if self.lazy:
-            self.pending.append(cmd)
-        else:
-            self.state = apply_gate(self.state, Gate.cz(), (cmd.i, cmd.j))
-
-    def flush(self, q: int | None = None) -> None:
-        if not self.lazy:
-            return
+    def flush(q: int | None = None) -> None:
         keep = []
-        for e in self.pending:
+        for e in pending:
             if q is None or q in (e.i, e.j):
-                self._materialize(e.i)
-                self._materialize(e.j)
-                self.state = apply_gate(self.state, Gate.cz(), (e.i, e.j))
+                touch(e.i)
+                touch(e.j)
+                steps.append(e)
             else:
                 keep.append(e)
-        self.pending = keep
+        pending[:] = keep
 
-    def touch(self, q: int) -> None:
-        if self.lazy:
-            self._materialize(q)
-            self.flush(q)
-
-    def correct(self, cmd: CorrectX | CorrectZ, outcomes: dict[int, int]) -> None:
-        self.touch(cmd.site)
-        k = cmd.signal.evaluate(outcomes)
-        if k:
-            gate = Gate.x(k) if isinstance(cmd, CorrectX) else Gate.z(k)
-            self.state = apply_gate(self.state, gate, (cmd.site,))
-
-    def finish(self) -> StateVector:
-        if self.lazy:
-            for q in self.p.outputs:
-                self._materialize(q)
-            self.flush(None)
-        out = self.state
-        if set(out.sites) != set(self.p.outputs):
-            raise AssertionError("execution did not end on the output qudits")
-        return out.with_sites_order(self.p.outputs)
+    for cmd in p.seq:
+        if isinstance(cmd, Entangle):
+            pending.append(cmd)
+        else:
+            touch(cmd.site)
+            flush(cmd.site)
+            steps.append(cmd)
+    for q in p.outputs:
+        touch(q)
+    flush()
+    return steps
 
 
-def _all_plus(ctx: DimensionContext, sites) -> StateVector:
-    state = None
-    for q in sites:
-        nxt = plus_state(ctx, q)
-        state = nxt if state is None else state.extend(nxt)
-    if state is None:
-        return StateVector(ctx, (), np.ones(1, dtype=np.complex128))
-    return state
+def peak_live_qudits(p: Pattern) -> int:
+    """Most qudits the lazy schedule holds at once, read before any allocation."""
+    width = peak = len(p.inputs)
+    for step in _schedule(p, lazy=True):
+        if isinstance(step, tuple):
+            width += len(step)
+            peak = max(peak, width)
+        elif isinstance(step, Measure):
+            width -= 1
+    return peak
+
+
+def _walk(p: Pattern, input_state: StateVector | None, lazy: bool, branches) -> list[RunResult]:
+    """Run the schedule depth first, in outcome order.  At each measurement
+    ``branches(state, cmd, s_val, t_val, index)`` gives the results to
+    follow; ``index`` counts the measurements before this one."""
+    require_valid(p)
+    if input_state is None:
+        input_state = basis_state(p.ctx, p.inputs, [0] * len(p.inputs))
+    if set(input_state.sites) != set(p.inputs):
+        raise ValueError("input state must be defined exactly on the pattern inputs")
+    steps = _schedule(p, lazy)
+    results: list[RunResult] = []
+    stack = [(0, input_state, {}, 1.0)]
+    while stack:
+        pos, state, outcomes, prob = stack.pop()
+        for i in range(pos, len(steps)):
+            step = steps[i]
+            if isinstance(step, tuple):
+                new = reduce(StateVector.extend, (plus_state(p.ctx, q) for q in step))
+                state = state.extend(new) if state.num_sites else new
+            elif isinstance(step, Entangle):
+                state = apply_gate(state, Gate.cz(), (step.i, step.j))
+            elif isinstance(step, Measure):
+                s_val, t_val = step.x_signal.evaluate(outcomes), step.z_signal.evaluate(outcomes)
+                for res in reversed(branches(state, step, s_val, t_val, len(outcomes))):
+                    stack.append((i + 1, res.state, {**outcomes, step.site: res.outcome}, prob * res.probability))
+                break
+            else:
+                k = step.signal.evaluate(outcomes)
+                if k:
+                    gate = Gate.x(k) if isinstance(step, CorrectX) else Gate.z(k)
+                    state = apply_gate(state, gate, (step.site,))
+        else:  # no measurement left: the branch is complete
+            results.append(RunResult(state.with_sites_order(p.outputs), outcomes, prob))
+    return results
 
 
 def run(
@@ -415,30 +422,15 @@ def run(
     """
     if mode not in ("sampled", "forced"):
         raise ValueError(f"unknown run mode {mode!r}")
-    ex = _Executor(p, input_state, lazy)
-    outcomes: dict[int, int] = {}
-    probability = 1.0
-    m_index = 0
-    for cmd in p.seq:
-        if isinstance(cmd, Entangle):
-            ex.entangle(cmd)
-        elif isinstance(cmd, Measure):
-            ex.touch(cmd.site)
-            s_val = cmd.x_signal.evaluate(outcomes)
-            t_val = cmd.z_signal.evaluate(outcomes)
-            if mode == "forced":
-                if forced_outcomes is None or cmd.site not in forced_outcomes:
-                    raise ValueError(f"forced mode needs an outcome for qudit {cmd.site}")
-                res = measure(ex.state, cmd.site, cmd.theta, s_val, t_val, forced=forced_outcomes[cmd.site])
-            else:
-                res = measure(ex.state, cmd.site, cmd.theta, s_val, t_val, rng=_rng_for_measurement(seed, m_index))
-            ex.state = res.state
-            outcomes[cmd.site] = res.outcome
-            probability *= res.probability
-            m_index += 1
-        else:
-            ex.correct(cmd, outcomes)
-    return RunResult(ex.finish(), outcomes, probability)
+
+    def choose(state, cmd, s_val, t_val, index):
+        if mode == "sampled":
+            return [measure(state, cmd.site, cmd.theta, s_val, t_val, rng=_rng_for_measurement(seed, index))]
+        if forced_outcomes is None or cmd.site not in forced_outcomes:
+            raise ValueError(f"forced mode needs an outcome for qudit {cmd.site}")
+        return [measure(state, cmd.site, cmd.theta, s_val, t_val, forced=forced_outcomes[cmd.site])]
+
+    return _walk(p, input_state, lazy, choose)[0]
 
 
 def run_branches(
@@ -448,39 +440,11 @@ def run_branches(
     lazy: bool = False,
 ) -> list[RunResult]:
     """Full branch enumeration: every outcome assignment with its probability."""
-    results: list[RunResult] = []
 
-    def walk(ex: _Executor, pos: int, outcomes: dict[int, int], prob: float) -> None:
-        for idx in range(pos, len(p.seq)):
-            cmd = p.seq[idx]
-            if isinstance(cmd, Entangle):
-                ex.entangle(cmd)
-            elif isinstance(cmd, Measure):
-                ex.touch(cmd.site)
-                s_val = cmd.x_signal.evaluate(outcomes)
-                t_val = cmd.z_signal.evaluate(outcomes)
-                branches = measure_branches(ex.state, cmd.site, cmd.theta, s_val, t_val, min_probability)
-                for res in branches:
-                    sub = _clone_executor(ex)
-                    sub.state = res.state
-                    walk(sub, idx + 1, {**outcomes, cmd.site: res.outcome}, prob * res.probability)
-                return
-            else:
-                ex.correct(cmd, outcomes)
-        results.append(RunResult(ex.finish(), dict(outcomes), prob))
+    def every(state, cmd, s_val, t_val, index):
+        return measure_branches(state, cmd.site, cmd.theta, s_val, t_val, min_probability)
 
-    walk(_Executor(p, input_state, lazy), 0, {}, 1.0)
-    return results
-
-
-def _clone_executor(ex: _Executor) -> _Executor:
-    clone = object.__new__(_Executor)
-    clone.p = ex.p
-    clone.lazy = ex.lazy
-    clone.state = ex.state
-    clone.materialized = set(ex.materialized)
-    clone.pending = list(ex.pending)
-    return clone
+    return _walk(p, input_state, lazy, every)
 
 
 # -- metrics ------------------------------------------------------------------

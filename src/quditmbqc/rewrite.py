@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 
+from .circuit import longest_chain
 from .pattern import (
     CorrectX,
     CorrectZ,
@@ -21,6 +22,7 @@ from .pattern import (
     Measure,
     Pattern,
     Signal,
+    _chain_item,
     pattern_depth_and_size,
     require_valid,
 )
@@ -66,13 +68,6 @@ def is_fourier_direction(theta, d: int) -> bool:
 
 def is_phase_direction(theta, d: int) -> bool:
     return angles_match(theta, pauli_angles(d))
-
-
-def _split(seq):
-    es = [c for c in seq if isinstance(c, Entangle)]
-    ms = [c for c in seq if isinstance(c, Measure)]
-    cs = [c for c in seq if isinstance(c, (CorrectX, CorrectZ))]
-    return es, ms, cs
 
 
 def is_standard(p: Pattern) -> bool:
@@ -233,9 +228,9 @@ def completely_standardise(p: Pattern) -> Pattern:
     correction this is a new command (smallest case: the composite of
     one teleportation step followed by one entangling command).
     """
-    before = pattern_depth_and_size(p)
-    out = signal_shift(pauli_simplify(standardise(p)))
-    after = pattern_depth_and_size(out)
+    out = signal_shift(pauli_simplify(standardise(p)))  # standardise validates p
+    before = longest_chain(map(_chain_item, p.seq))[0]
+    after = pattern_depth_and_size(out)  # validates the result
     if after.depth > before.depth:
         raise AssertionError(
             f"standardisation increased depth: {before.depth} -> {after.depth}"

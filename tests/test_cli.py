@@ -258,3 +258,36 @@ def test_gen_fanout_instance(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["ops"][0]["gate"] == "FANOUT"
     assert len(doc["qudits"]) == 5
+
+
+def test_input_free_chain_runs_in_its_live_width(tmp_path):
+    # 40 qudits, none of them inputs, but at most two live at once
+    chain, out = tmp_path / "chain.json", tmp_path / "r.json"
+    commands = []
+    for q in range(39):
+        commands += [
+            {"kind": "E", "sites": [q, q + 1]},
+            {"kind": "M", "sites": [q], "theta": [0.0, 0.3]},
+            {"kind": "X", "sites": [q + 1], "s": {str(q): 1}},
+        ]
+    chain.write_text(json.dumps({"d": 2, "qudits": list(range(40)), "inputs": [], "outputs": [39], "commands": commands}))
+    assert run_cli("run", "--in", str(chain), "--seed", "5", "--out", str(out)) == 0
+    assert json.loads(out.read_text())["sites"] == [39]
+
+
+def test_state_above_the_amplitude_cap_is_input_error(tmp_path, capsys):
+    # 2^34 amplitudes for the circuit; 2^25 for the star pattern, whose lazy
+    # schedule appends every leaf when the centre is measured
+    circuit, star, small = tmp_path / "c.json", tmp_path / "star.json", tmp_path / "s.json"
+    qudits = list(range(34))
+    op = {"gate": "F", "params": {}, "sites": [0]}
+    circuit.write_text(json.dumps({"d": 2, "qudits": qudits, "inputs": qudits, "outputs": qudits, "ops": [op]}))
+    leaves = range(1, 25)
+    commands = [{"kind": "E", "sites": [0, q]} for q in leaves] + [{"kind": "M", "sites": [0], "theta": [0.0, 0.0]}]
+    star.write_text(json.dumps({"d": 2, "qudits": [0, *leaves], "inputs": [], "outputs": list(leaves), "commands": commands}))
+    run_cli("gen", "guni", "--d", "2", "--n", "1", "--gates", "2", "--seed", "1", "--out", str(small))
+    capsys.readouterr()
+    for argv in (("run", "--in", str(circuit)), ("verify", str(circuit), str(small)), ("run", "--in", str(star))):
+        assert run_cli(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "exceed the cap" in err and "Traceback" not in err

@@ -123,6 +123,22 @@ class TestCircuitToPattern:
                 assert abs(abs(np.vdot(want, got)) - 1) < 1e-9
 
 
+    def test_conversions_validate_the_pattern_and_the_result_once(self, monkeypatch):
+        import quditmbqc.pattern as pattern_module
+
+        validate = pattern_module.validate
+        calls = []
+        monkeypatch.setattr(pattern_module, "validate", lambda p: calls.append(p) or validate(p))
+        circ = lower_to_guni(random_guni_circuit(ctx_of(2), 2, 4, 0))
+        for convert in (circuit_to_pattern_standard, circuit_to_pattern_cluster):
+            calls.clear()
+            pat = convert(circ)
+            assert len(calls) == 2 and calls[-1] == pat
+        calls.clear()
+        circuit_to_pattern_standard(circ, standardise=False)
+        assert len(calls) == 1
+
+
 class TestClusterConversion:
     def test_breaks_inserted_between_consecutive_entanglers(self):
         ctx = ctx_of(2)

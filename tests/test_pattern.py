@@ -8,7 +8,15 @@ sys.path.insert(0, str(Path(__file__).parent))
 from helpers import longest_dependent_path, pattern_items
 
 from quditmbqc.algebra import DimensionContext
-from quditmbqc.convert import basic_cz_pattern, basic_v_pattern
+from quditmbqc.circuit import lower_to_guni, simulate_circuit
+from quditmbqc.convert import (
+    basic_cz_pattern,
+    basic_v_pattern,
+    circuit_to_pattern_cluster,
+    circuit_to_pattern_standard,
+    pattern_to_circuit_coherent,
+)
+from quditmbqc.generate import random_guni_circuit
 from quditmbqc.pattern import (
     CorrectX,
     CorrectZ,
@@ -24,6 +32,7 @@ from quditmbqc.pattern import (
     pattern_depth_and_size,
     pattern_from_json,
     pattern_to_json,
+    peak_live_qudits,
     run,
     run_branches,
     validate,
@@ -136,6 +145,55 @@ class TestRun:
         bad = Pattern(ctx_of(2), (1,), (1,), (1,), (Measure(1, (0.0, 0.0), zero(2), zero(2)),))
         with pytest.raises(ValueError, match="not wellformed"):
             run_branches(bad)
+
+    def test_run_branches_follows_a_long_deterministic_chain(self):
+        # F|0> measured at theta = 0 gives outcome 0 with certainty, 1,200 times;
+        # the one input qudit is the untouched output
+        ctx = ctx_of(2)
+        n = 1200
+        seq = tuple(Measure(q, (0.0, 0.0), zero(2), zero(2)) for q in range(n))
+        pat = Pattern(ctx, tuple(range(n + 1)), (n,), (n,), seq)
+        (branch,) = run_branches(pat, lazy=True)
+        assert branch.outcomes == {q: 0 for q in range(n)}
+        assert abs(branch.probability - 1) < 1e-9
+
+    def test_input_free_chain_runs_in_its_live_width(self):
+        # E(q, q+1) M(q) X(q+1): live width 2 however long the chain
+        ctx = ctx_of(2)
+        n = 40
+        seq = []
+        for q in range(n - 1):
+            seq += [Entangle(q, q + 1), Measure(q, (0.0, 0.3), zero(2), zero(2)), CorrectX(q + 1, Signal.unit(2, q))]
+        pat = Pattern(ctx, tuple(range(n)), (), (n - 1,), tuple(seq))
+        assert peak_live_qudits(pat) == 2
+        res = run(pat, mode="sampled", seed=3, lazy=True)
+        assert res.state.sites == (n - 1,) and abs(res.state.norm() - 1) < 1e-9
+
+    @pytest.mark.parametrize("d", [2, 3])
+    # def7 measures 3 qudits; the def8 circuit has two CZ gates in a row, so
+    # it gains Fourier breaks and measures 5
+    @pytest.mark.parametrize("convert,seed", [(circuit_to_pattern_standard, 0), (circuit_to_pattern_cluster, 2)])
+    def test_branches_match_the_coherent_circuit(self, d, convert, seed):
+        # the def9 circuit holds every branch at once: after the v(theta) on a
+        # measured qudit its digit is the outcome, so the branch for outcomes m
+        # is the normalised slice at those digits and its probability the
+        # slice's squared norm
+        ctx = ctx_of(d)
+        rng = np.random.default_rng(40 + d)
+        pat = convert(lower_to_guni(random_guni_circuit(ctx, 2, 3, seed=seed)))
+        measured = pat.measured_qudits()
+        psi = random_state(ctx, pat.inputs, rng)
+        final = simulate_circuit(pattern_to_circuit_coherent(pat), psi).with_sites_order(measured + pat.outputs)
+        slices = final.amplitudes.reshape((d,) * len(measured) + (-1,))
+        kept = sum(np.linalg.norm(slices[m]) ** 2 >= 1e-12 for m in np.ndindex(slices.shape[:-1]))
+        for lazy in (False, True):
+            branches = run_branches(pat, psi, lazy=lazy)
+            assert len(branches) == kept
+            for b in branches:
+                block = slices[tuple(b.outcomes[q] for q in measured)]
+                assert abs(b.probability - np.linalg.norm(block) ** 2) < 1e-9
+                got = b.state.with_sites_order(pat.outputs).amplitudes
+                assert np.allclose(got, block / np.linalg.norm(block), atol=1e-9)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_teleport_implements_rotation_on_every_branch(self, d):
