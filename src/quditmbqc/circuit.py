@@ -79,10 +79,6 @@ class Circuit:
                 raise ValueError(f"op touches unknown qudit(s) {set(op.sites) - qs}")
             op.gate.validate(self.ctx)
 
-    @property
-    def num_qudits(self) -> int:
-        return len(self.qudits)
-
     def with_ops(self, ops) -> "Circuit":
         return replace(self, ops=tuple(ops))
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -71,14 +70,6 @@ class InputError(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
-    seed: int = 0
-    mode: str = "sampled"
-    tolerance: float = DEFAULT_TOL
-    fmt: str = "json"
-
-
 # -- artifact I/O -------------------------------------------------------------
 
 
@@ -119,8 +110,8 @@ def dump_artifact(artifact: Circuit | Pattern, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def emit(doc: dict, cfg: RunConfig, out: str | None) -> None:
-    if cfg.fmt == "json":
+def emit(doc: dict, fmt: str, out: str | None) -> None:
+    if fmt == "json":
         text = json.dumps(doc, indent=2) + "\n"
     else:
         text = _as_table(doc)
@@ -150,10 +141,9 @@ def _as_table(doc: dict, prefix: str = "") -> str:
 # -- equivalence verification ---------------------------------------------------
 
 
-def _output_states(
-    artifact: Circuit | Pattern, input_state: StateVector, seed: int
-) -> list[StateVector]:
-    """Representative output states on O.
+def _output_states(artifact: Circuit | Pattern, input_state: StateVector, seed: int) -> np.ndarray:
+    """Representative output states, one row each, with amplitudes in the
+    artifact's own ``outputs`` order.
 
     A circuit's output is the leading left singular vector of its
     (outputs x other wires) amplitude matrix scaled by the singular
@@ -166,22 +156,19 @@ def _output_states(
         final = final.with_sites_order(artifact.outputs + others)
         block = final.amplitudes.reshape(artifact.ctx.d ** len(artifact.outputs), -1)
         u, singular, _ = np.linalg.svd(block, full_matrices=False)
-        return [StateVector(artifact.ctx, artifact.outputs, u[:, 0] * singular[0])]
+        return (u[:, 0] * singular[0])[np.newaxis]
     measured = len(artifact.measured_qudits())
     if artifact.ctx.d**measured <= BRANCH_ENUMERATION_CAP:
-        branches = run_branches(artifact, input_state, lazy=True)
-        return [b.state for b in branches]
-    states = []
-    for k in range(4):
-        res = run(artifact, input_state, mode="sampled", seed=seed + k, lazy=True)
-        states.append(res.state)
-    return states
+        results = run_branches(artifact, input_state, lazy=True)
+    else:
+        results = [run(artifact, input_state, mode="sampled", seed=seed + k, lazy=True) for k in range(4)]
+    return np.array([r.state.amplitudes for r in results])
 
 
-def verify_equivalent(
-    a: Circuit | Pattern, b: Circuit | Pattern, cfg: RunConfig, random_inputs: int = 4
-) -> float:
-    """Max infidelity over all basis inputs plus random input states."""
+def verify_equivalent(a: Circuit | Pattern, b: Circuit | Pattern, seed: int, random_inputs: int = 4) -> float:
+    """Max infidelity over all basis inputs plus random input states,
+    comparing outputs by position and every branch of one side with every
+    branch of the other."""
     in_a, in_b = a.inputs, b.inputs
     if len(in_a) != len(in_b):
         raise InputError(f"input arities differ: {len(in_a)} vs {len(in_b)}")
@@ -191,7 +178,7 @@ def verify_equivalent(
         raise InputError(f"dimensions differ: {a.ctx.d} vs {b.ctx.d}")
     d = a.ctx.d
     n = len(in_a)
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     worst = 0.0
     inputs: list[np.ndarray] = []
     for idx in range(d**n):
@@ -199,16 +186,9 @@ def verify_equivalent(
     for _ in range(random_inputs):
         inputs.append(random_state(a.ctx, range(n), rng).amplitudes)
     for amps in inputs:
-        sa = _output_states(a, StateVector(a.ctx, in_a, amps.copy()), cfg.seed)
-        sb = _output_states(b, StateVector(b.ctx, in_b, amps.copy()), cfg.seed)
-        # compare by output position: relabel b's outputs onto a's
-        relabel = dict(zip(b.outputs, a.outputs))
-        for out_a in sa:
-            ref = out_a.with_sites_order(a.outputs).amplitudes
-            for out_b in sb:
-                renamed = StateVector(a.ctx, tuple(relabel[s] for s in out_b.sites), out_b.amplitudes)
-                fid = abs(np.vdot(ref, renamed.with_sites_order(a.outputs).amplitudes))
-                worst = max(worst, 1.0 - float(fid))
+        sa = _output_states(a, StateVector(a.ctx, in_a, amps.copy()), seed)
+        sb = _output_states(b, StateVector(b.ctx, in_b, amps.copy()), seed)
+        worst = max(worst, 1.0 - float(np.abs(sa.conj() @ sb.T).min()))
     return worst
 
 
@@ -233,7 +213,6 @@ def _cmd_gen(args) -> int:
 
 def _cmd_convert(args) -> int:
     artifact = load_artifact(args.input)
-    cfg = RunConfig(seed=args.seed, fmt=args.format)
     report: dict = {}
     if args.kind == "def7":
         if not isinstance(artifact, Circuit):
@@ -268,7 +247,7 @@ def _cmd_convert(args) -> int:
         raise InputError(f"unknown conversion {args.kind}")
     dump_artifact(result, args.out)
     if args.report:
-        emit(report or _analysis_doc(result), cfg, args.report)
+        emit(report or _analysis_doc(result), args.format, args.report)
     return EXIT_OK
 
 
@@ -289,7 +268,6 @@ def _cmd_rewrite(args) -> int:
 
 def _cmd_run(args) -> int:
     artifact = load_runnable(args.input)
-    cfg = RunConfig(seed=args.seed, mode=args.mode, fmt=args.format)
     if isinstance(artifact, Circuit):
         final = simulate_circuit(artifact)
         doc = {
@@ -297,7 +275,7 @@ def _cmd_run(args) -> int:
             "sites": list(final.sites),
             "amplitudes": [[float(a.real), float(a.imag)] for a in final.amplitudes],
         }
-        emit(doc, cfg, args.out)
+        emit(doc, args.format, args.out)
         return EXIT_OK
     if args.mode == "all-branches":
         measured = len(artifact.measured_qudits())
@@ -314,7 +292,7 @@ def _cmd_run(args) -> int:
                 for b in branches
             ],
         }
-        emit(doc, cfg, args.out)
+        emit(doc, args.format, args.out)
         return EXIT_OK
     forced = None
     if args.mode == "forced":
@@ -329,18 +307,17 @@ def _cmd_run(args) -> int:
         "sites": list(res.state.sites),
         "amplitudes": [[float(a.real), float(a.imag)] for a in res.state.amplitudes],
     }
-    emit(doc, cfg, args.out)
+    emit(doc, args.format, args.out)
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
     a = load_runnable(args.first)
     b = load_runnable(args.second)
-    cfg = RunConfig(seed=args.seed, tolerance=args.tol, fmt=args.format)
-    worst = verify_equivalent(a, b, cfg)
-    doc = {"max_infidelity": worst, "tolerance": cfg.tolerance, "equivalent": worst <= cfg.tolerance}
-    emit(doc, cfg, args.out)
-    return EXIT_OK if worst <= cfg.tolerance else EXIT_VERIFY_FAILED
+    worst = verify_equivalent(a, b, args.seed)
+    doc = {"max_infidelity": worst, "tolerance": args.tol, "equivalent": worst <= args.tol}
+    emit(doc, args.format, args.out)
+    return EXIT_OK if worst <= args.tol else EXIT_VERIFY_FAILED
 
 
 def _analysis_doc(artifact: Circuit | Pattern) -> dict:
@@ -370,7 +347,6 @@ def _analysis_doc(artifact: Circuit | Pattern) -> dict:
 
 
 def _cmd_analyze(args) -> int:
-    cfg = RunConfig(seed=args.seed, fmt=args.format)
     if args.sweep:
         rng_text = args.sweep.removeprefix("n=").replace("..", ":")
         try:
@@ -393,12 +369,12 @@ def _cmd_analyze(args) -> int:
                     "circuit_size": compiled.circuit_report.size,
                 }
             )
-        emit({"kind": "clifford-const-sweep", "d": args.d, "rows": rows}, cfg, args.out)
+        emit({"kind": "clifford-const-sweep", "d": args.d, "rows": rows}, args.format, args.out)
         return EXIT_OK
     if not args.input:
         raise InputError("analyze needs --in FILE or --sweep LO:HI")
     artifact = load_artifact(args.input)
-    emit(_analysis_doc(artifact), cfg, args.out)
+    emit(_analysis_doc(artifact), args.format, args.out)
     return EXIT_OK
 
 

@@ -170,39 +170,56 @@ def circuit_to_pattern_cluster(c: Circuit) -> Pattern:
 # -- pattern -> circuit ----------------------------------------------------------
 
 
-def _correction_gates(signal: Signal, target: int, controlled: Callable[[int], Gate]) -> list[Operation]:
-    return [Operation(controlled(coeff), (q, target)) for q, coeff in signal.coeffs]
+def _controlled_gates(cmd: Measure | CorrectX | CorrectZ) -> list[Operation]:
+    """The coherent form of a command's classical control: one controlled
+    Pauli per signal term (the X signal for a measurement)."""
+    if isinstance(cmd, Measure):
+        signal, controlled = cmd.x_signal, Gate.cx
+    else:
+        signal, controlled = cmd.signal, Gate.cx if isinstance(cmd, CorrectX) else Gate.cz
+    return [Operation(controlled(coeff), (q, cmd.site)) for q, coeff in signal.coeffs]
+
+
+def _coherent(p: Pattern, layers: list[list[Measure]], compile_block: Callable) -> Circuit:
+    """The coherent translation of a completely standard pattern.
+
+    Non-input wires get an initial Fourier gate (preparing F|0>) and each
+    entangling command becomes CZ.  Each layer of measurements becomes the
+    controlled-X block of their X signals followed by their v(theta)
+    rotations, and the output corrections become one last controlled-Pauli
+    block.  ``compile_block(ops, fresh)`` replaces each nonempty block by
+    ops of its own, adding ancillas numbered from ``fresh`` upwards.
+    """
+    inputs = set(p.inputs)
+    ops = [Operation(Gate.f(), (q,)) for q in p.qudits if q not in inputs]
+    ops += [Operation(Gate.cz(), (cmd.i, cmd.j)) for cmd in p.seq if isinstance(cmd, Entangle)]
+    qudits = list(p.qudits)
+    fresh = max(p.qudits, default=0) + 1
+    corrections = [cmd for cmd in p.seq if isinstance(cmd, (CorrectX, CorrectZ))]
+    for commands in [*layers, corrections]:
+        block = [g for cmd in commands for g in _controlled_gates(cmd)]
+        if block:
+            block, ancillas = compile_block(block, fresh)
+            ops += block
+            qudits += ancillas
+            fresh += len(ancillas)
+        ops += [Operation(Gate.v(cmd.theta), (cmd.site,)) for cmd in commands if isinstance(cmd, Measure)]
+    return Circuit(p.ctx, tuple(qudits), p.inputs, p.outputs, tuple(ops))
 
 
 def pattern_to_circuit_coherent(p: Pattern) -> Circuit:
     """Fully unitary circuit simulation of a completely standard pattern.
 
-    Non-input wires get an initial Fourier gate (preparing F|0>), each
-    entangling command becomes CZ, each measurement becomes its v(theta)
-    rotation preceded by the controlled-X gates realizing its adapted
-    X power, and output corrections become controlled-X / controlled-Z
-    products.  For any input, the outputs disentangle from the other
-    wires and carry the pattern's unitary.
+    The coherent translation with one measurement per layer in written
+    order and every controlled block kept verbatim.  For any input, the
+    outputs disentangle from the other wires and carry the pattern's
+    unitary.
     """
     require_valid(p)
     if not is_completely_standard(p):
         raise ValueError("coherent conversion expects a completely standard pattern")
-    ops: list[Operation] = []
-    inputs = set(p.inputs)
-    for q in p.qudits:
-        if q not in inputs:
-            ops.append(Operation(Gate.f(), (q,)))
-    for cmd in p.seq:
-        if isinstance(cmd, Entangle):
-            ops.append(Operation(Gate.cz(), (cmd.i, cmd.j)))
-        elif isinstance(cmd, Measure):
-            ops.extend(_correction_gates(cmd.x_signal, cmd.site, Gate.cx))
-            ops.append(Operation(Gate.v(cmd.theta), (cmd.site,)))
-        elif isinstance(cmd, CorrectX):
-            ops.extend(_correction_gates(cmd.signal, cmd.site, Gate.cx))
-        else:
-            ops.extend(_correction_gates(cmd.signal, cmd.site, Gate.cz))
-    return Circuit(p.ctx, p.qudits, p.inputs, p.outputs, tuple(ops))
+    measures = [[cmd] for cmd in p.seq if isinstance(cmd, Measure)]
+    return _coherent(p, measures, lambda block, _fresh: (block, ()))
 
 
 # -- fan-out builders ------------------------------------------------------------
@@ -517,56 +534,20 @@ def _measurement_layers(p: Pattern) -> list[list[Measure]]:
 def pattern_to_fanout_circuit(p: Pattern) -> FanoutCompileResult:
     """Compile a completely standard pattern to the unbounded fan-out model.
 
-    Entangling commands run verbatim; each dependency layer of
-    measurements becomes a constant-depth controlled-X block followed
-    by a unit-depth layer of local rotations; the final output
-    corrections become one more constant-depth controlled-Pauli block.
+    The coherent translation over the dependency layers of measurements,
+    with every controlled-Pauli block compiled to constant depth: each
+    layer costs one such block plus a unit-depth layer of rotations.
     """
     pattern_report = pattern_depth_and_size(p)  # validates p
     if not is_completely_standard(p):
         raise ValueError("fan-out compilation expects a completely standard pattern")
-    ctx = p.ctx
-    ops: list[Operation] = []
-    inputs = set(p.inputs)
-    all_qudits = list(p.qudits)
-    fresh = max(p.qudits, default=0) + 1
-    for q in p.qudits:
-        if q not in inputs:
-            ops.append(Operation(Gate.f(), (q,)))
-    for cmd in p.seq:
-        if isinstance(cmd, Entangle):
-            ops.append(Operation(Gate.cz(), (cmd.i, cmd.j)))
 
-    def compile_block(block_ops: list[Operation]) -> None:
-        nonlocal fresh
-        touched = tuple(dict.fromkeys(s for op in block_ops for s in op.sites))
-        block = Circuit(ctx, touched, touched, touched, tuple(block_ops))
-        compiled = controlled_pauli_constant_depth(block, ancilla_start=fresh)
-        touched_set = set(touched)
-        added = [q for q in compiled.qudits if q not in touched_set]
-        all_qudits.extend(added)
-        fresh = max([fresh - 1] + added) + 1
-        ops.extend(compiled.ops)
+    def compile_block(block: list[Operation], fresh: int):
+        touched = tuple(dict.fromkeys(s for op in block for s in op.sites))
+        compiled = controlled_pauli_constant_depth(Circuit(p.ctx, touched, touched, touched, tuple(block)), fresh)
+        return compiled.ops, compiled.qudits[len(touched) :]
 
-    for layer in _measurement_layers(p):
-        block_ops: list[Operation] = []
-        for m in layer:
-            block_ops.extend(_correction_gates(m.x_signal, m.site, Gate.cx))
-        if block_ops:
-            compile_block(block_ops)
-        for m in layer:
-            ops.append(Operation(Gate.v(m.theta), (m.site,)))
-
-    block_ops = []
-    for cmd in p.seq:
-        if isinstance(cmd, CorrectX):
-            block_ops.extend(_correction_gates(cmd.signal, cmd.site, Gate.cx))
-        elif isinstance(cmd, CorrectZ):
-            block_ops.extend(_correction_gates(cmd.signal, cmd.site, Gate.cz))
-    if block_ops:
-        compile_block(block_ops)
-
-    circuit = Circuit(ctx, tuple(all_qudits), p.inputs, p.outputs, tuple(ops))
+    circuit = _coherent(p, _measurement_layers(p), compile_block)
     return FanoutCompileResult(circuit, depth_and_size(circuit), pattern_report)
 
 

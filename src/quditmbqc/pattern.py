@@ -98,12 +98,6 @@ class Signal:
     def qudits(self) -> tuple[int, ...]:
         return tuple(q for q, _ in self.coeffs)
 
-    def coefficient(self, qudit: int) -> int:
-        for q, c in self.coeffs:
-            if q == qudit:
-                return c
-        return 0
-
     def __add__(self, other: "Signal") -> "Signal":
         if other.d != self.d:
             raise ValueError("signal moduli differ")
@@ -477,9 +471,6 @@ class EntanglementGraph:
 
     nodes: tuple[int, ...]
     multiplicities: tuple[tuple[tuple[int, int], int], ...]
-
-    def degree(self, node: int) -> int:
-        return sum(m for (i, j), m in self.multiplicities if node in (i, j))
 
     def max_degree(self) -> int:
         degrees: Counter[int] = Counter()

@@ -195,10 +195,9 @@ def signal_shift(p: Pattern) -> Pattern:
         # shift expressions are already fully resolved, so the corrections
         # are computed from the argument's own coefficients in one shot
         out = sig
-        for q, shift in shifts.items():
-            c = sig.coefficient(q)
-            if c:
-                out = out + shift.scaled(-c)
+        for q, c in sig.coeffs:
+            if q in shifts:
+                out = out + shifts[q].scaled(-c)
         return out
 
     seq = []
