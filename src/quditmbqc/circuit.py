@@ -14,7 +14,7 @@ from itertools import count
 import numpy as np
 
 from .algebra import DimensionContext
-from .sim import _KINDS, Gate, GateName, StateVector, apply_gate, basis_state, gate_inverse_ops
+from .sim import _KINDS, Gate, GateName, StateVector, _kernel, apply_gate, basis_state, gate_inverse_ops
 
 __all__ = [
     "Operation",
@@ -23,6 +23,7 @@ __all__ = [
     "longest_chain",
     "depth_and_size",
     "simulate_circuit",
+    "simulate_rows",
     "circuit_unitary",
     "compose_serial",
     "compose_parallel",
@@ -158,6 +159,21 @@ def simulate_circuit(c: Circuit, input_state: StateVector | None = None) -> Stat
     for op in c.ops:
         state = apply_gate(state, op.gate, op.sites)
     return state
+
+
+def simulate_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
+    """Run the circuit on every row of ``inputs`` (amplitudes over
+    ``c.inputs``, in that order) at once, with the ancillas in |0>.  Returns
+    the final rows over ``c.inputs`` followed by the ancillas in ``c.qudits``
+    order.  The ops were validated when the circuit was built."""
+    d = c.ctx.d
+    sites = c.inputs + tuple(q for q in c.qudits if q not in set(c.inputs))
+    axis = {q: a for a, q in enumerate(sites)}
+    amps = np.zeros((len(inputs), d ** len(c.inputs), d ** (len(sites) - len(c.inputs))), dtype=np.complex128)
+    amps[:, :, 0] = inputs
+    for op in c.ops:
+        amps = _kernel(amps, d, len(sites), op.gate, tuple(axis[q] for q in op.sites))
+    return amps.reshape(len(inputs), -1)
 
 
 def circuit_unitary(c: Circuit, residue_tol: float = ANCILLA_RESIDUE_TOL) -> np.ndarray:

@@ -29,6 +29,7 @@ from .circuit import (
     depth_and_size,
     lower_to_guni,
     simulate_circuit,
+    simulate_rows,
 )
 from .convert import (
     circuit_to_pattern_cluster,
@@ -44,6 +45,7 @@ from .generate import (
     random_guni_circuit,
 )
 from .pattern import (
+    AMPLITUDE_CAP,
     Pattern,
     entanglement_depth,
     entanglement_graph,
@@ -53,9 +55,10 @@ from .pattern import (
     peak_live_qudits,
     run,
     run_branches,
+    run_rows,
 )
 from .rewrite import completely_standardise, pauli_simplify, signal_shift, standardise
-from .sim import StateVector, basis_state, random_state
+from .sim import random_state
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -63,7 +66,7 @@ EXIT_INPUT_ERROR = 2
 
 DEFAULT_TOL = 1e-9
 BRANCH_ENUMERATION_CAP = 256
-AMPLITUDE_CAP = 1 << 24  # one dense state: 256 MiB of complex128
+SAMPLED_RUNS = 4  # sampled runs per input when verify cannot enumerate the branches
 
 
 class InputError(Exception):
@@ -141,34 +144,57 @@ def _as_table(doc: dict, prefix: str = "") -> str:
 # -- equivalence verification ---------------------------------------------------
 
 
-def _output_states(artifact: Circuit | Pattern, input_state: StateVector, seed: int) -> np.ndarray:
-    """Representative output states, one row each, with amplitudes in the
-    artifact's own ``outputs`` order.
+def _samples(artifact: Circuit | Pattern) -> bool:
+    """Whether verify samples a pattern's branches instead of enumerating them."""
+    return isinstance(artifact, Pattern) and artifact.ctx.d ** len(artifact.measured_qudits()) > BRANCH_ENUMERATION_CAP
+
+
+def _held(artifact: Circuit | Pattern) -> int:
+    """Most amplitudes one input holds on its side: a circuit's whole state,
+    or a pattern's output rows (its batched walk splits its own states)."""
+    d = artifact.ctx.d
+    if isinstance(artifact, Circuit):
+        return d ** len(artifact.qudits)
+    runs = SAMPLED_RUNS if _samples(artifact) else d ** len(artifact.measured_qudits())
+    return runs * d ** len(artifact.outputs)
+
+
+def _output_rows(artifact: Circuit | Pattern, inputs: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Representative output states of every input row at once, one row each
+    with amplitudes in the artifact's own ``outputs`` order, and the input
+    row each came from.
 
     A circuit's output is the leading left singular vector of its
     (outputs x other wires) amplitude matrix scaled by the singular
     value: exact when the outputs end in a pure state whatever the other
     wires hold, and subnormalized when they stay entangled with them, so
-    that infidelity surfaces naturally."""
+    that infidelity surfaces naturally.  A pattern gives every branch of
+    every input, or SAMPLED_RUNS sampled runs per input."""
+    d = artifact.ctx.d
     if isinstance(artifact, Circuit):
-        final = simulate_circuit(artifact, input_state)
-        others = tuple(q for q in artifact.qudits if q not in set(artifact.outputs))
-        final = final.with_sites_order(artifact.outputs + others)
-        block = final.amplitudes.reshape(artifact.ctx.d ** len(artifact.outputs), -1)
-        u, singular, _ = np.linalg.svd(block, full_matrices=False)
-        return (u[:, 0] * singular[0])[np.newaxis]
-    measured = len(artifact.measured_qudits())
-    if artifact.ctx.d**measured <= BRANCH_ENUMERATION_CAP:
-        results = run_branches(artifact, input_state, lazy=True)
-    else:
-        results = [run(artifact, input_state, mode="sampled", seed=seed + k, lazy=True) for k in range(4)]
-    return np.array([r.state.amplitudes for r in results])
+        final = simulate_rows(artifact, inputs)
+        sites = artifact.inputs + tuple(q for q in artifact.qudits if q not in set(artifact.inputs))
+        others = tuple(q for q in sites if q not in set(artifact.outputs))
+        order = [1 + sites.index(q) for q in artifact.outputs + others]
+        block = final.reshape((len(inputs),) + (d,) * len(sites)).transpose([0] + order)
+        u, singular, _ = np.linalg.svd(block.reshape(len(inputs), d ** len(artifact.outputs), -1), full_matrices=False)
+        return u[:, :, 0] * singular[:, :1], np.arange(len(inputs))
+    if not _samples(artifact):
+        rows = run_rows(artifact, inputs, lazy=True)
+        return rows.amplitudes, rows.origin
+    seeds = np.tile(seed + np.arange(SAMPLED_RUNS), len(inputs))
+    rows = run_rows(artifact, np.repeat(inputs, SAMPLED_RUNS, axis=0), seeds=seeds, lazy=True)
+    return rows.amplitudes, rows.origin // SAMPLED_RUNS
 
 
-def verify_equivalent(a: Circuit | Pattern, b: Circuit | Pattern, seed: int, random_inputs: int = 4) -> float:
+def verify_equivalent(a: Circuit | Pattern, b: Circuit | Pattern, seed: int, random_inputs: int = 4) -> tuple[float, dict]:
     """Max infidelity over all basis inputs plus random input states,
     comparing outputs by position and every branch of one side with every
-    branch of the other."""
+    branch of the other; and the coverage: the inputs checked and, per side,
+    the branches checked exactly or the runs sampled.
+
+    Each side runs all inputs in one batch, or in as few batches as keep
+    what one batch holds within AMPLITUDE_CAP."""
     in_a, in_b = a.inputs, b.inputs
     if len(in_a) != len(in_b):
         raise InputError(f"input arities differ: {len(in_a)} vs {len(in_b)}")
@@ -176,20 +202,24 @@ def verify_equivalent(a: Circuit | Pattern, b: Circuit | Pattern, seed: int, ran
         raise InputError(f"output arities differ: {len(a.outputs)} vs {len(b.outputs)}")
     if a.ctx.d != b.ctx.d:
         raise InputError(f"dimensions differ: {a.ctx.d} vs {b.ctx.d}")
-    d = a.ctx.d
     n = len(in_a)
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    inputs: list[np.ndarray] = []
-    for idx in range(d**n):
-        inputs.append(basis_state(a.ctx, range(n), np.unravel_index(idx, (d,) * n)).amplitudes)
-    for _ in range(random_inputs):
-        inputs.append(random_state(a.ctx, range(n), rng).amplitudes)
-    for amps in inputs:
-        sa = _output_states(a, StateVector(a.ctx, in_a, amps.copy()), seed)
-        sb = _output_states(b, StateVector(b.ctx, in_b, amps.copy()), seed)
-        worst = max(worst, 1.0 - float(np.abs(sa.conj() @ sb.T).min()))
-    return worst
+    randoms = [random_state(a.ctx, range(n), rng).amplitudes for _ in range(random_inputs)]
+    inputs = np.vstack([np.eye(a.ctx.d**n, dtype=np.complex128), *randoms])
+    part = max(1, AMPLITUDE_CAP // max(_held(a), _held(b)))
+    worst, counts = 0.0, np.zeros(2, dtype=np.int64)
+    for lo in range(0, len(inputs), part):
+        chunk = inputs[lo : lo + part]
+        (sa, origin_a), (sb, origin_b) = _output_rows(a, chunk, seed), _output_rows(b, chunk, seed)
+        counts += len(origin_a), len(origin_b)
+        for i in range(len(chunk)):
+            fidelities = np.abs(sa[origin_a == i].conj() @ sb[origin_b == i].T)
+            worst = max(worst, 1.0 - float(fidelities.min()))
+    first, second = (
+        {"kind": "circuit" if isinstance(x, Circuit) else "pattern", "runs_sampled" if _samples(x) else "branches_exact": int(count)}
+        for x, count in zip((a, b), counts)
+    )
+    return worst, {"inputs": len(inputs), "first": first, "second": second}
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -314,8 +344,8 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     a = load_runnable(args.first)
     b = load_runnable(args.second)
-    worst = verify_equivalent(a, b, args.seed)
-    doc = {"max_infidelity": worst, "tolerance": args.tol, "equivalent": worst <= args.tol}
+    worst, coverage = verify_equivalent(a, b, args.seed)
+    doc = {"max_infidelity": worst, "tolerance": args.tol, "equivalent": worst <= args.tol, **coverage}
     emit(doc, args.format, args.out)
     return EXIT_OK if worst <= args.tol else EXIT_VERIFY_FAILED
 

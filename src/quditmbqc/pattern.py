@@ -23,13 +23,16 @@ import numpy as np
 from .algebra import DimensionContext
 from .circuit import DepthReport, _wired, longest_chain
 from .sim import (
+    ZERO_BRANCH_TOL,
     Gate,
     StateVector,
-    apply_gate,
+    _collapse_rows,
+    _fourier,
+    _kernel,
+    _per_row,
+    _rotate_rows,
+    _sample_outcomes,
     basis_state,
-    measure,
-    measure_branches,
-    plus_state,
 )
 
 __all__ = [
@@ -44,7 +47,9 @@ __all__ = [
     "validate",
     "run",
     "run_branches",
+    "run_rows",
     "RunResult",
+    "Rows",
     "peak_live_qudits",
     "pattern_depth_and_size",
     "EntanglementGraph",
@@ -289,12 +294,30 @@ def require_valid(p: Pattern) -> None:
 
 # -- execution ----------------------------------------------------------------
 
+# One dense state, or one batch of rows of a batched run, holds at most this
+# many amplitudes: 256 MiB of complex128.
+AMPLITUDE_CAP = 1 << 24
+
 
 @dataclass(frozen=True)
 class RunResult:
     state: StateVector
     outcomes: dict[int, int]
     probability: float
+
+
+@dataclass(frozen=True)
+class Rows:
+    """A batched run: one row per (input, branch), in input order and then in
+    outcome order.  ``amplitudes`` holds each row's output state over the
+    pattern's ``outputs``; ``outcomes`` its outcome per measured qudit, the
+    columns in ``measured`` order; ``origin`` the input row it came from."""
+
+    measured: tuple[int, ...]
+    amplitudes: np.ndarray
+    outcomes: np.ndarray
+    probability: np.ndarray
+    origin: np.ndarray
 
 
 def _rng_for_measurement(seed: int, index: int) -> np.random.Generator:
@@ -314,40 +337,44 @@ def _schedule(p: Pattern, lazy: bool) -> list:
     This is sound because E commands mutually commute and commute with
     any command on disjoint qudits.  Which qudits are live and which E
     commands wait depends only on the command position, never on the
-    outcomes, so one schedule serves every branch.
+    outcomes, so one schedule serves every branch.  The deferred E
+    commands are indexed by qudit, so building the schedule is linear in
+    the pattern.
     """
     steps: list = []
-    appended, pending = set(p.inputs), []
+    appended = set(p.inputs)
     if not lazy:
         ancillas = tuple(q for q in p.qudits if q not in appended)
         return ([ancillas] if ancillas else []) + list(p.seq)
+    pending: dict[int, Entangle] = {}  # by sequence position, in insertion order
+    waiting: dict[int, list[int]] = {}  # qudit -> positions of its pending E commands
 
     def touch(q: int) -> None:
         if q not in appended:
             appended.add(q)
             steps.append((q,))
 
-    def flush(q: int | None = None) -> None:
-        keep = []
-        for e in pending:
-            if q is None or q in (e.i, e.j):
-                touch(e.i)
-                touch(e.j)
-                steps.append(e)
-            else:
-                keep.append(e)
-        pending[:] = keep
+    def emit(pos: int) -> None:
+        e = pending.pop(pos)
+        touch(e.i)
+        touch(e.j)
+        steps.append(e)
 
-    for cmd in p.seq:
+    for pos, cmd in enumerate(p.seq):
         if isinstance(cmd, Entangle):
-            pending.append(cmd)
+            pending[pos] = cmd
+            waiting.setdefault(cmd.i, []).append(pos)
+            waiting.setdefault(cmd.j, []).append(pos)
         else:
             touch(cmd.site)
-            flush(cmd.site)
+            for waited in waiting.pop(cmd.site, ()):
+                if waited in pending:
+                    emit(waited)
             steps.append(cmd)
     for q in p.outputs:
         touch(q)
-    flush()
+    for pos in list(pending):
+        emit(pos)
     return steps
 
 
@@ -363,40 +390,128 @@ def peak_live_qudits(p: Pattern) -> int:
     return peak
 
 
-def _walk(p: Pattern, input_state: StateVector | None, lazy: bool, branches) -> list[RunResult]:
-    """Run the schedule depth first, in outcome order.  At each measurement
-    ``branches(state, cmd, s_val, t_val, index)`` gives the results to
-    follow; ``index`` counts the measurements before this one."""
+def _walk(p: Pattern, sites: tuple[int, ...], amps: np.ndarray, lazy: bool, choose) -> Rows:
+    """Run the schedule once for every input row of ``amps`` (amplitudes over
+    ``sites``).  At each measurement ``choose(step, index, probs, origin)``
+    gives the (row, outcome) pairs to follow, in row order and then outcome
+    order; ``index`` counts the measurements before this one.  A batch that
+    would outgrow AMPLITUDE_CAP is split, and its parts run depth first, so
+    the rows come out in the same order."""
     require_valid(p)
+    if set(sites) != set(p.inputs):
+        raise ValueError("input state must be defined exactly on the pattern inputs")
+    ctx, d = p.ctx, p.ctx.d
+    steps = _schedule(p, lazy)
+    measured = p.measured_qudits()
+    column = {q: k for k, q in enumerate(measured)}
+
+    def value(sig: Signal, outcomes: np.ndarray) -> np.ndarray:
+        # one product mod d per row
+        cols = [column[q] for q in sig.qudits()]
+        return outcomes[:, cols] @ np.array([c for _, c in sig.coeffs], dtype=np.int64) % d
+
+    count = len(amps)
+    # a batch: (amplitudes, outcomes, probability, origin), one row each
+    stack = [(0, tuple(sites), (amps, np.zeros((count, len(measured)), dtype=np.int64), np.ones(count), np.arange(count)))]
+    done = []
+    while stack:
+        pos, sites, (amps, outcomes, prob, origin) = stack.pop()
+        for i in range(pos, len(steps)):
+            step, n = steps[i], len(sites)
+            if isinstance(step, tuple):
+                width = d ** (n + len(step))
+                if len(amps) > 1 and len(amps) * width > AMPLITUDE_CAP:
+                    part = max(1, AMPLITUDE_CAP // width)
+                    for lo in reversed(range(0, len(amps), part)):
+                        stack.append((i, sites, tuple(c[lo : lo + part] for c in (amps, outcomes, prob, origin))))
+                    break
+                fresh = reduce(np.kron, (_fourier(d)[:, 0] for _ in step))
+                amps = (amps[:, :, np.newaxis] * fresh).reshape(len(amps), -1)
+                sites += step
+            elif isinstance(step, Entangle):
+                axes = (sites.index(step.i), sites.index(step.j))
+                amps = _kernel(amps, d, n, Gate.cz(), axes).reshape(len(amps), -1)
+            elif isinstance(step, Measure):
+                axis, k = sites.index(step.site), column[step.site]
+                s_vals, t_vals = value(step.x_signal, outcomes), value(step.z_signal, outcomes)
+                view, probs = _rotate_rows(amps, ctx, n, axis, step.theta, s_vals, t_vals)
+                kept, picked = choose(step, k, probs, origin)
+                amps, p_kept = _collapse_rows(view, probs, kept, picked)
+                outcomes, prob, origin = outcomes[kept], prob[kept] * p_kept, origin[kept]
+                outcomes[:, k] = picked
+                sites = sites[:axis] + sites[axis + 1 :]
+                if not len(amps):
+                    break
+            else:
+                axis, make = sites.index(step.site), (Gate.x if isinstance(step, CorrectX) else Gate.z)
+                amps = _per_row(amps, value(step.signal, outcomes), lambda k, r: _kernel(r, d, n, make(k), (axis,)) if k else r)
+        else:  # no step left: the batch is complete
+            order = [1 + sites.index(q) for q in p.outputs]
+            tensor = amps.reshape((len(amps),) + (d,) * len(sites))
+            amps = np.ascontiguousarray(tensor.transpose([0] + order)).reshape(len(amps), -1)
+            done.append((amps, outcomes, prob, origin))
+    if not done:  # no row kept a branch
+        return Rows(measured, np.zeros((0, d ** len(p.outputs)), dtype=np.complex128), outcomes, prob, origin)
+    return Rows(measured, *(np.concatenate(columns) for columns in zip(*done)))
+
+
+def _every(min_probability: float):
+    """Follow every outcome of at least ``min_probability``."""
+    return lambda step, index, probs, origin: np.nonzero(probs >= min_probability)
+
+
+def _sampled(seeds):
+    """Input row r draws from the stream (seeds[r], measurement index): one
+    uniform per stream, shared by the rows that use it."""
+    stream_of: dict[int, int] = {}  # seed -> its position among the distinct seeds
+    row_stream = np.array([stream_of.setdefault(int(s), len(stream_of)) for s in seeds], dtype=np.int64)
+
+    def choose(step, index, probs, origin):
+        uniforms = np.array([_rng_for_measurement(s, index).random() for s in stream_of])
+        return np.arange(len(probs)), _sample_outcomes(probs, uniforms[row_stream[origin]])
+
+    return choose
+
+
+def _forced(forced_outcomes: dict[int, int] | None):
+    def choose(step, index, probs, origin):
+        if forced_outcomes is None or step.site not in forced_outcomes:
+            raise ValueError(f"forced mode needs an outcome for qudit {step.site}")
+        j = int(forced_outcomes[step.site]) % probs.shape[1]
+        low = probs[:, j] < ZERO_BRANCH_TOL
+        if low.any():
+            raise ValueError(f"forced outcome {j} on site {step.site} has probability {probs[low, j][0]:.3e}")
+        return np.arange(len(probs)), np.full(len(probs), j)
+
+    return choose
+
+
+def _one_input(p: Pattern, input_state: StateVector | None) -> tuple[tuple[int, ...], np.ndarray]:
     if input_state is None:
         input_state = basis_state(p.ctx, p.inputs, [0] * len(p.inputs))
-    if set(input_state.sites) != set(p.inputs):
-        raise ValueError("input state must be defined exactly on the pattern inputs")
-    steps = _schedule(p, lazy)
-    results: list[RunResult] = []
-    stack = [(0, input_state, {}, 1.0)]
-    while stack:
-        pos, state, outcomes, prob = stack.pop()
-        for i in range(pos, len(steps)):
-            step = steps[i]
-            if isinstance(step, tuple):
-                new = reduce(StateVector.extend, (plus_state(p.ctx, q) for q in step))
-                state = state.extend(new) if state.num_sites else new
-            elif isinstance(step, Entangle):
-                state = apply_gate(state, Gate.cz(), (step.i, step.j))
-            elif isinstance(step, Measure):
-                s_val, t_val = step.x_signal.evaluate(outcomes), step.z_signal.evaluate(outcomes)
-                for res in reversed(branches(state, step, s_val, t_val, len(outcomes))):
-                    stack.append((i + 1, res.state, {**outcomes, step.site: res.outcome}, prob * res.probability))
-                break
-            else:
-                k = step.signal.evaluate(outcomes)
-                if k:
-                    gate = Gate.x(k) if isinstance(step, CorrectX) else Gate.z(k)
-                    state = apply_gate(state, gate, (step.site,))
-        else:  # no measurement left: the branch is complete
-            results.append(RunResult(state.with_sites_order(p.outputs), outcomes, prob))
-    return results
+    return input_state.sites, input_state.amplitudes[np.newaxis]
+
+
+def _results(p: Pattern, rows: Rows) -> list[RunResult]:
+    return [
+        RunResult(StateVector(p.ctx, p.outputs, amps), dict(zip(rows.measured, outcomes)), prob)
+        for amps, outcomes, prob in zip(rows.amplitudes, rows.outcomes.tolist(), rows.probability.tolist())
+    ]
+
+
+def run_rows(p: Pattern, inputs: np.ndarray, seeds=None, min_probability: float = 1e-12, lazy: bool = False) -> Rows:
+    """Run every row of ``inputs`` (amplitudes over ``p.inputs``, in that
+    order) in one walk of the schedule.
+
+    Without ``seeds`` every row is expanded into each of its branches of
+    probability at least ``min_probability``.  With one seed per row, each
+    row follows one sampled branch drawn as ``run`` draws it.
+    """
+    inputs = np.asarray(inputs, dtype=np.complex128)
+    if inputs.ndim != 2 or inputs.shape[1] != p.ctx.d ** len(p.inputs):
+        raise ValueError(f"inputs must be rows of {p.ctx.d ** len(p.inputs)} amplitudes")
+    choose = _every(min_probability) if seeds is None else _sampled(seeds)
+    return _walk(p, p.inputs, inputs, lazy, choose)
 
 
 def run(
@@ -416,15 +531,8 @@ def run(
     """
     if mode not in ("sampled", "forced"):
         raise ValueError(f"unknown run mode {mode!r}")
-
-    def choose(state, cmd, s_val, t_val, index):
-        if mode == "sampled":
-            return [measure(state, cmd.site, cmd.theta, s_val, t_val, rng=_rng_for_measurement(seed, index))]
-        if forced_outcomes is None or cmd.site not in forced_outcomes:
-            raise ValueError(f"forced mode needs an outcome for qudit {cmd.site}")
-        return [measure(state, cmd.site, cmd.theta, s_val, t_val, forced=forced_outcomes[cmd.site])]
-
-    return _walk(p, input_state, lazy, choose)[0]
+    choose = _sampled([seed]) if mode == "sampled" else _forced(forced_outcomes)
+    return _results(p, _walk(p, *_one_input(p, input_state), lazy, choose))[0]
 
 
 def run_branches(
@@ -434,11 +542,7 @@ def run_branches(
     lazy: bool = False,
 ) -> list[RunResult]:
     """Full branch enumeration: every outcome assignment with its probability."""
-
-    def every(state, cmd, s_val, t_val, index):
-        return measure_branches(state, cmd.site, cmd.theta, s_val, t_val, min_probability)
-
-    return _walk(p, input_state, lazy, every)
+    return _results(p, _walk(p, *_one_input(p, input_state), lazy, _every(min_probability)))
 
 
 # -- metrics ------------------------------------------------------------------

@@ -431,15 +431,17 @@ def random_state(ctx: DimensionContext, sites, rng: np.random.Generator) -> Stat
 
 
 def _split_view(amps: np.ndarray, d: int, n: int, axes) -> tuple[np.ndarray, list[int]]:
-    """The flat amplitudes as (d**a0, d, d**(a1-a0-1), d, ..., d**(n-1-ak)) around
-    the sorted target axes a0 < ... < ak, plus each target's dimension in that
-    view, in the order given."""
+    """The amplitudes as (-1, d, d**(a1-a0-1), d, ..., d**(n-1-ak)) around the
+    sorted target axes a0 < ... < ak, plus each target's dimension in that
+    view, in the order given.  The leading block, d**a0 for one state, folds
+    in any leading batch of rows, so every kernel acts on all rows at once."""
     order = sorted(axes)
     shape, prev = [], -1
     for a in order:
         shape += [d ** (a - prev - 1), d]
         prev = a
     shape.append(d ** (n - 1 - prev))
+    shape[0] = -1
     return amps.reshape(shape), [2 * order.index(a) + 1 for a in axes]
 
 
@@ -492,8 +494,9 @@ def _apply_single(amps: np.ndarray, d: int, n: int, matrix: np.ndarray, axis: in
     return (view.reshape(before, d * rest) @ block).reshape(-1)
 
 
-def _kernel(state: StateVector, gate: Gate, axes: tuple[int, ...]) -> np.ndarray:
-    amps, d, n = state.amplitudes, state.ctx.d, state.num_sites
+def _kernel(amps: np.ndarray, d: int, n: int, gate: Gate, axes: tuple[int, ...]) -> np.ndarray:
+    """One gate on the target axes of every row of ``amps`` (n sites each),
+    flattened; the caller has validated the gate."""
     kind = _KINDS[gate.name]
     if kind.shifts:
         for target, k, control in kind.shifts(gate, d):
@@ -516,7 +519,7 @@ def apply_gate(state: StateVector, gate: Gate, targets) -> StateVector:
     if len(set(targets)) != len(targets):
         raise ValueError("targets must be distinct")
     axes = tuple(state.site_axis(t) for t in targets)
-    return StateVector(state.ctx, state.sites, _kernel(state, gate, axes))
+    return StateVector(state.ctx, state.sites, _kernel(state.amplitudes, state.ctx.d, state.num_sites, gate, axes))
 
 
 @dataclass(frozen=True)
@@ -526,23 +529,66 @@ class MeasureResult:
     state: StateVector
 
 
-def _measurement_frame(state: StateVector, site: int, theta, s_val: int, t_val: int) -> tuple[np.ndarray, np.ndarray]:
-    """Rotate the measured site by M = v(theta) X^s Z^t in one pass, so outcome
-    j is the computational-basis result.  Returns the rotated amplitudes as the
-    (before, d, after) view around the site, and the outcome probabilities."""
-    d = state.ctx.d
+def _per_row(amps: np.ndarray, keys: np.ndarray, kernel: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
+    """Apply ``kernel(key, rows)`` to each group of rows of the (rows, amplitudes)
+    matrix that share a key (a small nonnegative integer), returning the new
+    matrix in row order.  When every row has the same key, as a single row
+    does, the kernel runs once on the whole batch."""
+    distinct = np.flatnonzero(np.bincount(keys)).tolist()
+    if len(distinct) == 1:
+        return kernel(distinct[0], amps).reshape(amps.shape)
+    out = np.empty_like(amps)
+    for key in distinct:
+        rows = np.flatnonzero(keys == key)
+        out[rows] = kernel(key, amps[rows]).reshape(len(rows), -1)
+    return out
+
+
+def _rotate_rows(amps: np.ndarray, ctx: DimensionContext, n: int, axis: int, theta, s_vals, t_vals) -> tuple[np.ndarray, np.ndarray]:
+    """Rotate the measured axis of each row by its own frame M = v(theta) X^s Z^t
+    (``s_vals`` and ``t_vals`` hold one power per row), so that outcome j is
+    digit j after M; one matmul per distinct frame.  Returns the rows as
+    (rows, d**axis, d, rest) and the (rows, d) outcome probabilities."""
+    d = ctx.d
+    keys = np.asarray(s_vals) % d * d + np.asarray(t_vals) % d
+    v = gate_matrix(Gate.v(theta), ctx)
+
+    def rotate(key: int, rows: np.ndarray) -> np.ndarray:
+        frame = (v @ _x_matrix(key // d, d)) * _z_phases(key % d, d)
+        return _apply_single(rows, d, n, frame, axis)
+
+    view = _per_row(amps, keys, rotate).reshape(len(amps), d**axis, d, -1)
+    weights = np.abs(view)
+    return view, np.square(weights, out=weights).sum(axis=(1, 3))
+
+
+def _sample_outcomes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """The outcome of each row of (rows, d) probabilities for its uniform draw
+    in [0, 1): the first index whose normalised cumulative probability exceeds
+    it, as ``Generator.choice`` picks from the same draw."""
+    cdf = np.cumsum(probs / probs.sum(axis=1, keepdims=True), axis=1)
+    cdf /= cdf[:, -1:]
+    return (cdf <= np.asarray(uniforms)[:, None]).sum(axis=1)
+
+
+def _collapse_rows(view: np.ndarray, probs: np.ndarray, rows: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """For each (row, outcome) pair the outcome's slice of the rotated row,
+    renormalized, with the measured axis dropped; and its probability."""
+    p = probs[rows, outcomes]
+    kept = view[rows, :, outcomes, :]
+    kept /= np.sqrt(p)[:, None, None]
+    return kept.reshape(len(p), view.shape[1] * view.shape[3]), p
+
+
+def _measure_one(state: StateVector, site: int, theta, s_val: int, t_val: int) -> tuple[np.ndarray, np.ndarray]:
+    """The one state as a one-row batch, rotated for the measurement."""
     axis = state.site_axis(site)
-    frame = (gate_matrix(Gate.v(theta), state.ctx) @ _x_matrix(s_val % d, d)) * _z_phases(t_val % d, d)
-    rotated = _apply_single(state.amplitudes, d, state.num_sites, frame, axis)
-    view, _ = _split_view(rotated, d, state.num_sites, (axis,))
-    return view, (np.abs(view) ** 2).sum(axis=(0, 2))
+    return _rotate_rows(state.amplitudes[np.newaxis], state.ctx, state.num_sites, axis, theta, [s_val], [t_val])
 
 
-def _post_measurement(state: StateVector, site: int, view: np.ndarray, j: int, p: float) -> MeasureResult:
-    """Outcome j: keep its slice of the rotated amplitudes, renormalized, and
-    drop the measured site."""
-    amps = (view[:, j, :] / math.sqrt(p)).reshape(-1)
-    return MeasureResult(j, p, StateVector(state.ctx, tuple(s for s in state.sites if s != site), amps))
+def _result(state: StateVector, site: int, view: np.ndarray, probs: np.ndarray, j: int) -> MeasureResult:
+    amps, p = _collapse_rows(view, probs, np.zeros(1, dtype=np.int64), np.array([j]))
+    return MeasureResult(j, float(p[0]), StateVector(state.ctx, tuple(s for s in state.sites if s != site), amps[0]))
 
 
 def measure(
@@ -560,19 +606,17 @@ def measure(
     computational-basis distribution (or takes ``forced``), projects,
     renormalizes and removes the site from the state.
     """
-    view, probs = _measurement_frame(state, site, theta, s_val, t_val)
+    view, probs = _measure_one(state, site, theta, s_val, t_val)
     if forced is not None:
         j = int(forced) % state.ctx.d
-        p = float(probs[j])
+        p = float(probs[0, j])
         if p < ZERO_BRANCH_TOL:
             raise ValueError(f"forced outcome {j} on site {site} has probability {p:.3e}")
     else:
         if rng is None:
             raise ValueError("measurement needs an rng unless the outcome is forced")
-        total = probs.sum()
-        j = int(rng.choice(state.ctx.d, p=probs / total))
-        p = float(probs[j])
-    return _post_measurement(state, site, view, j, p)
+        j = int(_sample_outcomes(probs, [rng.random()])[0])
+    return _result(state, site, view, probs, j)
 
 
 def measure_branches(
@@ -584,8 +628,8 @@ def measure_branches(
     min_probability: float = ZERO_BRANCH_TOL,
 ) -> list[MeasureResult]:
     """All measurement branches (outcome, probability, normalized post-state)."""
-    view, probs = _measurement_frame(state, site, theta, s_val, t_val)
-    return [_post_measurement(state, site, view, j, p) for j, p in enumerate(probs.tolist()) if p >= min_probability]
+    view, probs = _measure_one(state, site, theta, s_val, t_val)
+    return [_result(state, site, view, probs, j) for j, p in enumerate(probs[0].tolist()) if p >= min_probability]
 
 
 def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:

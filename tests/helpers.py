@@ -9,18 +9,23 @@
   matrix-verified symbolic Pauli conjugation (prime d)
 - the simulator's former index-arithmetic kernels and three-pass
   measurement frame, as the reference for the axis-based kernels
+- the former one-state pattern walk (one ``apply_gate``, ``measure`` or
+  ``measure_branches`` call per step and branch) and the former quadratic
+  lazy schedule, as the reference for the batched walk and the indexed
+  schedule
 """
 
 from __future__ import annotations
 
+from functools import reduce
 from itertools import product
 
 import numpy as np
 
 from quditmbqc.algebra import DimensionContext, PauliOperator, xi_p
 from quditmbqc.circuit import Circuit, Operation
-from quditmbqc.pattern import CorrectX, CorrectZ, Entangle, Measure, Pattern
-from quditmbqc.sim import Gate, GateName, StateVector, gate_matrix
+from quditmbqc.pattern import CorrectX, CorrectZ, Entangle, Measure, Pattern, RunResult, _rng_for_measurement, require_valid
+from quditmbqc.sim import Gate, GateName, StateVector, apply_gate, basis_state, gate_matrix, measure, measure_branches, plus_state
 
 CONST = "#const"
 
@@ -582,6 +587,95 @@ def oracle_measure_branches(state: StateVector, site: int, theta, s_val: int, t_
         taken = np.ascontiguousarray(np.take(work.tensor(), j, axis=axis)).reshape(-1)
         out.append((j, p, taken / np.sqrt(p) if p > 0 else taken))
     return out
+
+
+# -- the one-state pattern walk ---------------------------------------------------
+
+
+def oracle_schedule(p: Pattern, lazy: bool) -> list:
+    """The schedule by rescanning every deferred E command at each other command."""
+    steps: list = []
+    appended, pending = set(p.inputs), []
+    if not lazy:
+        ancillas = tuple(q for q in p.qudits if q not in appended)
+        return ([ancillas] if ancillas else []) + list(p.seq)
+
+    def touch(q: int) -> None:
+        if q not in appended:
+            appended.add(q)
+            steps.append((q,))
+
+    def flush(q: int | None = None) -> None:
+        keep = []
+        for e in pending:
+            if q is None or q in (e.i, e.j):
+                touch(e.i)
+                touch(e.j)
+                steps.append(e)
+            else:
+                keep.append(e)
+        pending[:] = keep
+
+    for cmd in p.seq:
+        if isinstance(cmd, Entangle):
+            pending.append(cmd)
+        else:
+            touch(cmd.site)
+            flush(cmd.site)
+            steps.append(cmd)
+    for q in p.outputs:
+        touch(q)
+    flush()
+    return steps
+
+
+def oracle_walk(p: Pattern, input_state: StateVector | None, lazy: bool, branches) -> list[RunResult]:
+    """One state per branch, depth first in outcome order: at each measurement
+    ``branches(state, cmd, s_val, t_val, index)`` gives the results to follow."""
+    require_valid(p)
+    if input_state is None:
+        input_state = basis_state(p.ctx, p.inputs, [0] * len(p.inputs))
+    steps = oracle_schedule(p, lazy)
+    results: list[RunResult] = []
+    stack = [(0, input_state, {}, 1.0)]
+    while stack:
+        pos, state, outcomes, prob = stack.pop()
+        for i in range(pos, len(steps)):
+            step = steps[i]
+            if isinstance(step, tuple):
+                new = reduce(StateVector.extend, (plus_state(p.ctx, q) for q in step))
+                state = state.extend(new) if state.num_sites else new
+            elif isinstance(step, Entangle):
+                state = apply_gate(state, Gate.cz(), (step.i, step.j))
+            elif isinstance(step, Measure):
+                s_val, t_val = step.x_signal.evaluate(outcomes), step.z_signal.evaluate(outcomes)
+                for res in reversed(branches(state, step, s_val, t_val, len(outcomes))):
+                    stack.append((i + 1, res.state, {**outcomes, step.site: res.outcome}, prob * res.probability))
+                break
+            else:
+                k = step.signal.evaluate(outcomes)
+                if k:
+                    gate = Gate.x(k) if isinstance(step, CorrectX) else Gate.z(k)
+                    state = apply_gate(state, gate, (step.site,))
+        else:  # no measurement left: the branch is complete
+            results.append(RunResult(state.with_sites_order(p.outputs), outcomes, prob))
+    return results
+
+
+def oracle_run(p: Pattern, input_state: StateVector | None = None, seed: int = 0, lazy: bool = False) -> RunResult:
+    """One sampled branch, measurement k drawing from the stream (seed, k)."""
+
+    def choose(state, cmd, s_val, t_val, index):
+        return [measure(state, cmd.site, cmd.theta, s_val, t_val, rng=_rng_for_measurement(seed, index))]
+
+    return oracle_walk(p, input_state, lazy, choose)[0]
+
+
+def oracle_run_branches(p: Pattern, input_state: StateVector | None = None, lazy: bool = False) -> list[RunResult]:
+    def every(state, cmd, s_val, t_val, index):
+        return measure_branches(state, cmd.site, cmd.theta, s_val, t_val)
+
+    return oracle_walk(p, input_state, lazy, every)
 
 
 # -- misc generators -----------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from quditmbqc.cli import main
+from quditmbqc.pattern import run_rows
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -291,3 +292,46 @@ def test_state_above_the_amplitude_cap_is_input_error(tmp_path, capsys):
         assert run_cli(*argv) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "exceed the cap" in err and "Traceback" not in err
+
+
+def test_verify_reports_what_it_checked(tmp_path):
+    # d=3, n=2: 9 basis inputs plus 4 random states; the def7 pattern's 3^3
+    # branches are enumerated, the def8 pattern's 3^7 are sampled 4 times
+    circuit, report = tmp_path / "c.json", tmp_path / "v.json"
+    run_cli("gen", "guni", "--d", "3", "--n", "2", "--gates", "5", "--seed", "1", "--out", str(circuit))
+    expected = {"def7": {"kind": "pattern", "branches_exact": 13 * 3**3}, "def8": {"kind": "pattern", "runs_sampled": 13 * 4}}
+    for kind, second in expected.items():
+        pattern = tmp_path / f"{kind}.json"
+        run_cli("convert", kind, "--in", str(circuit), "--out", str(pattern))
+        assert run_cli("verify", str(circuit), str(pattern), "--out", str(report)) == 0
+        doc = json.loads(report.read_text())
+        assert doc["equivalent"] and doc["max_infidelity"] < 1e-9
+        assert doc["inputs"] == 13
+        assert doc["first"] == {"kind": "circuit", "branches_exact": 13}
+        assert doc["second"] == second
+
+
+def test_verify_is_unchanged_when_batches_split(tmp_path, monkeypatch):
+    # with the cap at the widest single row the pattern side runs its widest
+    # steps one row at a time and verify takes one input per batch; the
+    # verdict and the coverage stay the same
+    import quditmbqc.cli as cli_module
+    import quditmbqc.pattern as pattern_module
+    from quditmbqc.cli import load_artifact, verify_equivalent
+
+    circuit = tmp_path / "c.json"
+    run_cli("gen", "guni", "--d", "3", "--n", "2", "--gates", "5", "--seed", "1", "--out", str(circuit))
+    for kind in ("def7", "def8"):
+        pattern = tmp_path / f"{kind}.json"
+        run_cli("convert", kind, "--in", str(circuit), "--out", str(pattern))
+        c, p = load_artifact(str(circuit)), load_artifact(str(pattern))
+        worst, coverage = verify_equivalent(c, p, seed=3)
+        batches = []
+        with monkeypatch.context() as patch:
+            for module in (cli_module, pattern_module):
+                patch.setattr(module, "AMPLITUDE_CAP", 3 ** pattern_module.peak_live_qudits(p))
+            patch.setattr(cli_module, "run_rows", lambda p, inputs, **kw: batches.append(len(inputs)) or run_rows(p, inputs, **kw))
+            split_worst, split_coverage = verify_equivalent(c, p, seed=3)
+        assert len(batches) == 13 and set(batches) == {4 if kind == "def8" else 1}
+        assert split_coverage == coverage
+        assert abs(split_worst - worst) < 1e-12

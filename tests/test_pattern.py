@@ -1,11 +1,12 @@
 import sys
+from itertools import product
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from helpers import longest_dependent_path, pattern_items
+from helpers import longest_dependent_path, oracle_run, oracle_run_branches, oracle_schedule, pattern_items
 
 from quditmbqc.algebra import DimensionContext
 from quditmbqc.circuit import lower_to_guni, simulate_circuit
@@ -14,9 +15,10 @@ from quditmbqc.convert import (
     basic_v_pattern,
     circuit_to_pattern_cluster,
     circuit_to_pattern_standard,
+    clifford_constant_depth,
     pattern_to_circuit_coherent,
 )
-from quditmbqc.generate import random_guni_circuit
+from quditmbqc.generate import random_clifford_circuit, random_guni_circuit
 from quditmbqc.pattern import (
     CorrectX,
     CorrectZ,
@@ -33,8 +35,10 @@ from quditmbqc.pattern import (
     pattern_from_json,
     pattern_to_json,
     peak_live_qudits,
+    _schedule,
     run,
     run_branches,
+    run_rows,
     validate,
 )
 from quditmbqc.sim import (
@@ -53,6 +57,28 @@ def ctx_of(d):
 
 def zero(d):
     return Signal.zero(d)
+
+
+def families(d: int) -> dict[str, Pattern]:
+    """def7, its unstandardised form, def8 (with Fourier breaks at d = 2, 3)
+    and clifford-const patterns of at most 9 qudits."""
+    ctx = ctx_of(d)
+    circuit = random_guni_circuit(ctx, 2, 5, seed=1)
+    lowered = lower_to_guni(circuit)
+    return {
+        "def7": circuit_to_pattern_standard(lowered),
+        "raw7": circuit_to_pattern_standard(lowered, standardise=False),
+        "def8": circuit_to_pattern_cluster(circuit),
+        "clifford-const": clifford_constant_depth(random_clifford_circuit(ctx, 2, 3, seed=1), "pattern"),
+    }
+
+
+def same_rows(rows, picked, want, tol=1e-12):
+    """The batched rows ``picked`` against the one-state results ``want``:
+    identical outcomes in identical order, probabilities and amplitudes within tol."""
+    assert [dict(zip(rows.measured, rows.outcomes[k].tolist())) for k in picked] == [r.outcomes for r in want]
+    assert np.max(np.abs(rows.probability[picked] - [r.probability for r in want])) < tol
+    assert np.max(np.abs(rows.amplitudes[picked] - np.array([r.state.amplitudes for r in want]))) < tol
 
 
 class TestSignal:
@@ -322,6 +348,79 @@ class TestRun:
                 assert a.outcomes == b.outcomes
                 assert abs(a.probability - b.probability) < 1e-9
                 assert fidelity_up_to_phase(a.state, b.state) > 1 - 1e-9
+
+
+class TestBatchedWalk:
+    """One walk for a batch of (input, branch) rows against the former
+    one-state walk."""
+
+    @pytest.mark.parametrize("lazy", [False, True])
+    @pytest.mark.parametrize("family", ["def7", "raw7", "def8", "clifford-const"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_batched_walk_matches_the_one_state_walk(self, d, family, lazy):
+        p = families(d)[family]
+        rng = np.random.default_rng(d)
+        states = [random_state(p.ctx, p.inputs, rng) for _ in range(3)]
+        inputs = np.array([st.amplitudes for st in states])
+        if d ** len(p.measured_qudits()) <= 256:
+            rows = run_rows(p, inputs, lazy=lazy)
+            for i, psi in enumerate(states):
+                same_rows(rows, np.flatnonzero(rows.origin == i), oracle_run_branches(p, psi, lazy=lazy))
+            assert list(rows.origin) == sorted(rows.origin)
+        seeds = [0, 1, 5, 9]
+        rows = run_rows(p, np.repeat(inputs, len(seeds), axis=0), seeds=np.tile(seeds, len(states)), lazy=lazy)
+        for k, (psi, seed) in enumerate(product(states, seeds)):
+            want = oracle_run(p, psi, seed=seed, lazy=lazy)
+            same_rows(rows, [k], [want])
+            # one input runs the one-state kernels on one row: bit for bit
+            got = run(p, psi, mode="sampled", seed=seed, lazy=lazy)
+            assert got.outcomes == want.outcomes and got.probability == want.probability
+            assert np.array_equal(got.state.amplitudes, want.state.amplitudes)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_split_batches_match_the_whole_batch(self, d, monkeypatch):
+        # with the cap at the widest single row, the peak steps run one row
+        # at a time, depth first, and the rows come out as from one batch
+        import quditmbqc.pattern as pattern_module
+
+        p = families(d)["def7"]
+        rng = np.random.default_rng(30 + d)
+        inputs = np.array([random_state(p.ctx, p.inputs, rng).amplitudes for _ in range(5)])
+        psi = StateVector(p.ctx, p.inputs, inputs[0])
+        whole, one = run_rows(p, inputs, lazy=True), run_branches(p, psi, lazy=True)
+        cap = d ** peak_live_qudits(p)
+        widths = []
+        kernel = pattern_module._kernel
+        monkeypatch.setattr(pattern_module, "AMPLITUDE_CAP", cap)
+        monkeypatch.setattr(pattern_module, "_kernel", lambda amps, *args: widths.append(amps.size) or kernel(amps, *args))
+        split = run_rows(p, inputs, lazy=True)
+        assert widths and max(widths) == cap
+        assert np.array_equal(split.outcomes, whole.outcomes) and np.array_equal(split.origin, whole.origin)
+        assert np.max(np.abs(split.probability - whole.probability)) < 1e-12
+        assert np.max(np.abs(split.amplitudes - whole.amplitudes)) < 1e-12
+        same_rows(split, np.flatnonzero(split.origin == 0), one)
+        widths.clear()
+        for got, want in zip(run_branches(p, psi, lazy=True), one, strict=True):
+            assert got.outcomes == want.outcomes and abs(got.probability - want.probability) < 1e-12
+            assert np.max(np.abs(got.state.amplitudes - want.state.amplitudes)) < 1e-12
+        assert max(widths) == cap
+
+
+class TestSchedule:
+    def test_indexed_schedule_matches_the_rescan(self):
+        patterns = [p for d in (2, 3, 4) for p in families(d).values()]
+        ctx = ctx_of(2)
+        chain = []
+        for q in range(9):
+            chain += [Entangle(q, q + 1), Measure(q, (0.0, 0.3), zero(2), zero(2)), CorrectX(q + 1, Signal.unit(2, q))]
+        patterns.append(Pattern(ctx, tuple(range(10)), (), (9,), tuple(chain)))
+        # the 4,379-command def8 pattern (d=3, n=16, 800 gates) whose schedule
+        # took 0.3 s to build when every deferred E command was rescanned
+        patterns.append(circuit_to_pattern_cluster(random_guni_circuit(ctx_of(3), 16, 800, seed=1)))
+        assert len(patterns[-1].seq) == 4379
+        for p in patterns:
+            for lazy in (False, True):
+                assert _schedule(p, lazy) == oracle_schedule(p, lazy)
 
 
 class TestDepthAndSize:

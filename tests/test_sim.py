@@ -4,6 +4,9 @@ import pytest
 from helpers import DIAGONAL_GATES, PERMUTATION_GATES, apply_matrix, oracle_apply_gate, oracle_measure_branches
 from quditmbqc.algebra import DimensionContext
 from quditmbqc.sim import (
+    _kernel,
+    _rotate_rows,
+    _sample_outcomes,
     Gate,
     GateName,
     StateVector,
@@ -237,6 +240,40 @@ class TestKernelOracle:
                 assert forced.probability == b.probability
                 assert np.array_equal(forced.state.amplitudes, b.state.amplitudes)
 
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("kind", list(GateName), ids=lambda k: k.value)
+    def test_kernel_acts_on_every_row_of_a_batch(self, kind, d):
+        # the leading batch folds into the first block of the split view, so a
+        # batch gives the rows one state at a time would
+        ctx, rng, sites = oracle_case(d, 300 * d + list(GateName).index(kind))
+        for trial in range(4):
+            g = KIND_BUILDERS[kind](d, rng, trial)
+            targets = tuple(int(t) for t in rng.choice(sites, size=g.arity, replace=False))
+            states = [random_state(ctx, sites, rng) for _ in range(3)]
+            rows = np.array([st.amplitudes for st in states])
+            axes = tuple(sites.index(t) for t in targets)
+            got = _kernel(rows, d, len(sites), g, axes).reshape(len(rows), -1)
+            for row, st in zip(got, states):
+                want = apply_gate(st, g, targets).amplitudes
+                if kind in PERMUTATION_GATES or kind in DIAGONAL_GATES:
+                    assert np.array_equal(row, want), (g, targets)
+                else:  # a larger matmul may sum in another order
+                    assert np.max(np.abs(row - want)) < 1e-12, (g, targets)
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_each_row_rotates_by_its_own_frame(self, d):
+        ctx, rng, sites = oracle_case(d, 40 + d)
+        theta = random_theta(rng, d)
+        axis = int(rng.integers(len(sites)))
+        states = [random_state(ctx, sites, rng) for _ in range(6)]
+        s_vals, t_vals = rng.integers(0, d, size=6), rng.integers(0, d, size=6)
+        view, probs = _rotate_rows(np.array([st.amplitudes for st in states]), ctx, len(sites), axis, theta, s_vals, t_vals)
+        for r, st in enumerate(states):
+            want = oracle_measure_branches(st, sites[axis], theta, int(s_vals[r]), int(t_vals[r]))
+            for j, p, amps in want:
+                assert abs(probs[r, j] - p) < 1e-12
+                assert np.max(np.abs(view[r, :, j, :].reshape(-1) / np.sqrt(p) - amps)) < 1e-12
+
     @pytest.mark.parametrize("d", [2, 3])
     def test_mutating_results_leaves_tables_intact(self, d):
         ctx, rng, sites = oracle_case(d, 7 * d)
@@ -301,6 +338,20 @@ class TestMeasure:
         # measuring F|+_0> in the rotated frame leaves outcome 1 impossible
         with pytest.raises(ValueError):
             measure(plus_state(ctx, 0), 0, (0.0, 0.0), forced=1)
+
+    def test_sampling_rule_is_generator_choice(self):
+        # one uniform per draw, against the cumulative distribution: the same
+        # outcome Generator.choice picks from the same stream position
+        rng = np.random.default_rng(17)
+        for _ in range(20000):
+            d = int(rng.integers(2, 7))
+            probs = rng.random(d) ** int(rng.integers(1, 6))
+            if rng.random() < 0.3:
+                probs[rng.integers(d)] = 0.0
+            position = rng.bit_generator.state
+            want = int(rng.choice(d, p=probs / probs.sum()))
+            rng.bit_generator.state = position
+            assert int(_sample_outcomes(probs[np.newaxis], [rng.random()])[0]) == want
 
     def test_sampled_reproducible(self):
         ctx = ctx_of(3)
