@@ -14,7 +14,7 @@ from itertools import count
 import numpy as np
 
 from .algebra import DimensionContext
-from .sim import _KINDS, Gate, GateName, StateVector, _kernel, apply_gate, basis_state, gate_inverse_ops
+from .sim import _KINDS, Gate, GateName, StateVector, _kernel, basis_state, gate_inverse_ops, row_parts
 
 __all__ = [
     "Operation",
@@ -23,7 +23,7 @@ __all__ = [
     "longest_chain",
     "depth_and_size",
     "simulate_circuit",
-    "simulate_rows",
+    "output_rows",
     "circuit_unitary",
     "compose_serial",
     "compose_parallel",
@@ -142,38 +142,57 @@ def depth_and_size(c: Circuit) -> DepthReport:
     return longest_chain((op.sites, (), None) for op in c.ops)[0]
 
 
-def simulate_circuit(c: Circuit, input_state: StateVector | None = None) -> StateVector:
-    """Run the circuit; returns the full state over all qudits.
-
-    ``input_state`` must be defined on the input wires (any site
-    order); missing qudits are prepared in |0>.
-    """
-    if input_state is None:
-        input_state = basis_state(c.ctx, c.inputs, [0] * len(c.inputs))
-    if set(input_state.sites) != set(c.inputs):
-        raise ValueError("input state must be defined exactly on the circuit inputs")
-    ancillas = [q for q in c.qudits if q not in set(c.inputs)]
-    state = input_state
-    if ancillas:
-        state = state.extend(basis_state(c.ctx, ancillas, [0] * len(ancillas)))
-    for op in c.ops:
-        state = apply_gate(state, op.gate, op.sites)
-    return state
+def _run_sites(c: Circuit) -> tuple[int, ...]:
+    """The site order of a simulation: the inputs, then the ancillas."""
+    return c.inputs + tuple(q for q in c.qudits if q not in set(c.inputs))
 
 
-def simulate_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
+def _simulate_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
     """Run the circuit on every row of ``inputs`` (amplitudes over
-    ``c.inputs``, in that order) at once, with the ancillas in |0>.  Returns
-    the final rows over ``c.inputs`` followed by the ancillas in ``c.qudits``
-    order.  The ops were validated when the circuit was built."""
-    d = c.ctx.d
-    sites = c.inputs + tuple(q for q in c.qudits if q not in set(c.inputs))
+    ``c.inputs``, in that order) at once, with the ancillas in |0>; the
+    final rows are over ``_run_sites(c)``.  The ops were validated when the
+    circuit was built."""
+    d, sites = c.ctx.d, _run_sites(c)
     axis = {q: a for a, q in enumerate(sites)}
     amps = np.zeros((len(inputs), d ** len(c.inputs), d ** (len(sites) - len(c.inputs))), dtype=np.complex128)
     amps[:, :, 0] = inputs
     for op in c.ops:
         amps = _kernel(amps, d, len(sites), op.gate, tuple(axis[q] for q in op.sites))
     return amps.reshape(len(inputs), -1)
+
+
+def simulate_circuit(c: Circuit, input_state: StateVector | None = None) -> StateVector:
+    """Run the circuit; returns the full state over the inputs, then the
+    ancillas in ``c.qudits`` order.
+
+    ``input_state`` must be defined on the input wires (any site
+    order); the ancillas are prepared in |0>.
+    """
+    if input_state is None:
+        input_state = basis_state(c.ctx, c.inputs, [0] * len(c.inputs))
+    if set(input_state.sites) != set(c.inputs):
+        raise ValueError("input state must be defined exactly on the circuit inputs")
+    amps = input_state.with_sites_order(c.inputs).amplitudes
+    return StateVector(c.ctx, _run_sites(c), _simulate_rows(c, amps[np.newaxis])[0])
+
+
+def output_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
+    """The state each row of ``inputs`` (amplitudes over ``c.inputs``) leaves
+    on ``c.outputs``: the leading left singular vector of the final (outputs
+    x other wires) amplitude matrix, scaled by its singular value.  It is
+    exact when the outputs end in a pure state whatever the other wires
+    hold, and subnormalized when they stay entangled with them.  The rows
+    run in parts of at most AMPLITUDE_CAP amplitudes."""
+    d, sites = c.ctx.d, _run_sites(c)
+    others = tuple(q for q in sites if q not in set(c.outputs))
+    order = [1 + sites.index(q) for q in c.outputs + others]
+    out = np.empty((len(inputs), d ** len(c.outputs)), dtype=np.complex128)
+    for part in row_parts(len(inputs), d ** len(sites)):
+        final = _simulate_rows(c, inputs[part])
+        block = final.reshape((len(final),) + (d,) * len(sites)).transpose([0] + order)
+        u, singular, _ = np.linalg.svd(block.reshape(len(final), d ** len(c.outputs), -1), full_matrices=False)
+        out[part] = u[:, :, 0] * singular[:, :1]
+    return out
 
 
 def circuit_unitary(c: Circuit, residue_tol: float = ANCILLA_RESIDUE_TOL) -> np.ndarray:

@@ -28,8 +28,8 @@ from .circuit import (
     circuit_to_json,
     depth_and_size,
     lower_to_guni,
+    output_rows,
     simulate_circuit,
-    simulate_rows,
 )
 from .convert import (
     circuit_to_pattern_cluster,
@@ -45,7 +45,6 @@ from .generate import (
     random_guni_circuit,
 )
 from .pattern import (
-    AMPLITUDE_CAP,
     Pattern,
     entanglement_depth,
     entanglement_graph,
@@ -58,7 +57,7 @@ from .pattern import (
     run_rows,
 )
 from .rewrite import completely_standardise, pauli_simplify, signal_shift, standardise
-from .sim import random_state
+from .sim import AMPLITUDE_CAP, random_state, row_parts
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -149,41 +148,22 @@ def _samples(artifact: Circuit | Pattern) -> bool:
     return isinstance(artifact, Pattern) and artifact.ctx.d ** len(artifact.measured_qudits()) > BRANCH_ENUMERATION_CAP
 
 
-def _held(artifact: Circuit | Pattern) -> int:
-    """Most amplitudes one input holds on its side: a circuit's whole state,
-    or a pattern's output rows (its batched walk splits its own states)."""
-    d = artifact.ctx.d
-    if isinstance(artifact, Circuit):
-        return d ** len(artifact.qudits)
-    runs = SAMPLED_RUNS if _samples(artifact) else d ** len(artifact.measured_qudits())
-    return runs * d ** len(artifact.outputs)
-
-
 def _output_rows(artifact: Circuit | Pattern, inputs: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """Representative output states of every input row at once, one row each
     with amplitudes in the artifact's own ``outputs`` order, and the input
     row each came from.
 
-    A circuit's output is the leading left singular vector of its
-    (outputs x other wires) amplitude matrix scaled by the singular
-    value: exact when the outputs end in a pure state whatever the other
-    wires hold, and subnormalized when they stay entangled with them, so
-    that infidelity surfaces naturally.  A pattern gives every branch of
-    every input, or SAMPLED_RUNS sampled runs per input."""
-    d = artifact.ctx.d
+    A circuit gives one state per input (see ``output_rows``: subnormalized
+    when its outputs stay entangled with other wires, so that infidelity
+    surfaces naturally).  A pattern gives every branch of every input, or
+    SAMPLED_RUNS sampled runs per input."""
     if isinstance(artifact, Circuit):
-        final = simulate_rows(artifact, inputs)
-        sites = artifact.inputs + tuple(q for q in artifact.qudits if q not in set(artifact.inputs))
-        others = tuple(q for q in sites if q not in set(artifact.outputs))
-        order = [1 + sites.index(q) for q in artifact.outputs + others]
-        block = final.reshape((len(inputs),) + (d,) * len(sites)).transpose([0] + order)
-        u, singular, _ = np.linalg.svd(block.reshape(len(inputs), d ** len(artifact.outputs), -1), full_matrices=False)
-        return u[:, :, 0] * singular[:, :1], np.arange(len(inputs))
+        return output_rows(artifact, inputs), np.arange(len(inputs))
     if not _samples(artifact):
-        rows = run_rows(artifact, inputs, lazy=True)
+        rows = run_rows(artifact, inputs)
         return rows.amplitudes, rows.origin
     seeds = np.tile(seed + np.arange(SAMPLED_RUNS), len(inputs))
-    rows = run_rows(artifact, np.repeat(inputs, SAMPLED_RUNS, axis=0), seeds=seeds, lazy=True)
+    rows = run_rows(artifact, np.repeat(inputs, SAMPLED_RUNS, axis=0), seeds=seeds)
     return rows.amplitudes, rows.origin // SAMPLED_RUNS
 
 
@@ -193,8 +173,10 @@ def verify_equivalent(a: Circuit | Pattern, b: Circuit | Pattern, seed: int, ran
     branch of the other; and the coverage: the inputs checked and, per side,
     the branches checked exactly or the runs sampled.
 
-    Each side runs all inputs in one batch, or in as few batches as keep
-    what one batch holds within AMPLITUDE_CAP."""
+    Each side runs its inputs in one batch, or in as few groups as keep the
+    output rows of one group within the amplitude cap (at most
+    BRANCH_ENUMERATION_CAP rows per input on either side); each group's
+    inputs are built on their own."""
     in_a, in_b = a.inputs, b.inputs
     if len(in_a) != len(in_b):
         raise InputError(f"input arities differ: {len(in_a)} vs {len(in_b)}")
@@ -202,14 +184,17 @@ def verify_equivalent(a: Circuit | Pattern, b: Circuit | Pattern, seed: int, ran
         raise InputError(f"output arities differ: {len(a.outputs)} vs {len(b.outputs)}")
     if a.ctx.d != b.ctx.d:
         raise InputError(f"dimensions differ: {a.ctx.d} vs {b.ctx.d}")
-    n = len(in_a)
+    n, dim = len(in_a), a.ctx.d ** len(in_a)
     rng = np.random.default_rng(seed)
-    randoms = [random_state(a.ctx, range(n), rng).amplitudes for _ in range(random_inputs)]
-    inputs = np.vstack([np.eye(a.ctx.d**n, dtype=np.complex128), *randoms])
-    part = max(1, AMPLITUDE_CAP // max(_held(a), _held(b)))
+    randoms = np.array([random_state(a.ctx, range(n), rng).amplitudes for _ in range(random_inputs)]).reshape(-1, dim)
     worst, counts = 0.0, np.zeros(2, dtype=np.int64)
-    for lo in range(0, len(inputs), part):
-        chunk = inputs[lo : lo + part]
+    for part in row_parts(dim + random_inputs, BRANCH_ENUMERATION_CAP * a.ctx.d ** len(a.outputs)):
+        # input dim + k is the k-th random state
+        index = np.arange(dim + random_inputs)[part]
+        basis = index < dim
+        chunk = np.zeros((len(index), dim), dtype=np.complex128)
+        chunk[basis, index[basis]] = 1
+        chunk[~basis] = randoms[index[~basis] - dim]
         (sa, origin_a), (sb, origin_b) = _output_rows(a, chunk, seed), _output_rows(b, chunk, seed)
         counts += len(origin_a), len(origin_b)
         for i in range(len(chunk)):
@@ -219,7 +204,7 @@ def verify_equivalent(a: Circuit | Pattern, b: Circuit | Pattern, seed: int, ran
         {"kind": "circuit" if isinstance(x, Circuit) else "pattern", "runs_sampled" if _samples(x) else "branches_exact": int(count)}
         for x, count in zip((a, b), counts)
     )
-    return worst, {"inputs": len(inputs), "first": first, "second": second}
+    return worst, {"inputs": dim + random_inputs, "first": first, "second": second}
 
 
 # -- subcommand handlers ---------------------------------------------------------

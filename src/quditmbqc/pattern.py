@@ -33,6 +33,7 @@ from .sim import (
     _rotate_rows,
     _sample_outcomes,
     basis_state,
+    row_parts,
 )
 
 __all__ = [
@@ -294,10 +295,6 @@ def require_valid(p: Pattern) -> None:
 
 # -- execution ----------------------------------------------------------------
 
-# One dense state, or one batch of rows of a batched run, holds at most this
-# many amplitudes: 256 MiB of complex128.
-AMPLITUDE_CAP = 1 << 24
-
 
 @dataclass(frozen=True)
 class RunResult:
@@ -412,18 +409,18 @@ def _walk(p: Pattern, sites: tuple[int, ...], amps: np.ndarray, lazy: bool, choo
 
     count = len(amps)
     # a batch: (amplitudes, outcomes, probability, origin), one row each
-    stack = [(0, tuple(sites), (amps, np.zeros((count, len(measured)), dtype=np.int64), np.ones(count), np.arange(count)))]
-    done = []
+    batch = (amps, np.zeros((count, len(measured)), dtype=np.int64), np.ones(count), np.arange(count))
+    stack = [(0, tuple(sites), batch)] if count else []
+    done = [(np.zeros((0, d ** len(p.outputs)), dtype=np.complex128),) + tuple(c[:0] for c in batch[1:])]
     while stack:
         pos, sites, (amps, outcomes, prob, origin) = stack.pop()
         for i in range(pos, len(steps)):
             step, n = steps[i], len(sites)
             if isinstance(step, tuple):
-                width = d ** (n + len(step))
-                if len(amps) > 1 and len(amps) * width > AMPLITUDE_CAP:
-                    part = max(1, AMPLITUDE_CAP // width)
-                    for lo in reversed(range(0, len(amps), part)):
-                        stack.append((i, sites, tuple(c[lo : lo + part] for c in (amps, outcomes, prob, origin))))
+                parts = row_parts(len(amps), d ** (n + len(step)))
+                if len(parts) > 1:
+                    for part in reversed(parts):
+                        stack.append((i, sites, tuple(c[part] for c in (amps, outcomes, prob, origin))))
                     break
                 fresh = reduce(np.kron, (_fourier(d)[:, 0] for _ in step))
                 amps = (amps[:, :, np.newaxis] * fresh).reshape(len(amps), -1)
@@ -450,8 +447,6 @@ def _walk(p: Pattern, sites: tuple[int, ...], amps: np.ndarray, lazy: bool, choo
             tensor = amps.reshape((len(amps),) + (d,) * len(sites))
             amps = np.ascontiguousarray(tensor.transpose([0] + order)).reshape(len(amps), -1)
             done.append((amps, outcomes, prob, origin))
-    if not done:  # no row kept a branch
-        return Rows(measured, np.zeros((0, d ** len(p.outputs)), dtype=np.complex128), outcomes, prob, origin)
     return Rows(measured, *(np.concatenate(columns) for columns in zip(*done)))
 
 
@@ -499,19 +494,21 @@ def _results(p: Pattern, rows: Rows) -> list[RunResult]:
     ]
 
 
-def run_rows(p: Pattern, inputs: np.ndarray, seeds=None, min_probability: float = 1e-12, lazy: bool = False) -> Rows:
+def run_rows(p: Pattern, inputs: np.ndarray, seeds=None) -> Rows:
     """Run every row of ``inputs`` (amplitudes over ``p.inputs``, in that
-    order) in one walk of the schedule.
+    order) in one walk of the lazy schedule.
 
     Without ``seeds`` every row is expanded into each of its branches of
-    probability at least ``min_probability``.  With one seed per row, each
-    row follows one sampled branch drawn as ``run`` draws it.
+    probability at least 1e-12.  With one seed per row, each row follows one
+    sampled branch drawn as ``run`` draws it.
     """
     inputs = np.asarray(inputs, dtype=np.complex128)
     if inputs.ndim != 2 or inputs.shape[1] != p.ctx.d ** len(p.inputs):
         raise ValueError(f"inputs must be rows of {p.ctx.d ** len(p.inputs)} amplitudes")
-    choose = _every(min_probability) if seeds is None else _sampled(seeds)
-    return _walk(p, p.inputs, inputs, lazy, choose)
+    if seeds is not None and len(seeds) != len(inputs):
+        raise ValueError(f"{len(seeds)} seeds for {len(inputs)} input rows")
+    choose = _every(1e-12) if seeds is None else _sampled(seeds)
+    return _walk(p, p.inputs, inputs, True, choose)
 
 
 def run(

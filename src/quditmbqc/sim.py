@@ -47,6 +47,10 @@ NORM_TOL = 1e-9
 UNITARY_TOL = 1e-10
 ZERO_BRANCH_TOL = 1e-12
 
+# One dense state, or one batch of rows, holds at most this many amplitudes:
+# 256 MiB of complex128.
+AMPLITUDE_CAP = 1 << 24
+
 
 class GateName(str, Enum):
     F = "F"
@@ -425,6 +429,14 @@ def random_state(ctx: DimensionContext, sites, rng: np.random.Generator) -> Stat
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     amps /= np.linalg.norm(amps)
     return StateVector(ctx, sites, amps)
+
+
+def row_parts(count: int, per_row: int) -> list[slice]:
+    """Consecutive slices of ``count`` rows of ``per_row`` amplitudes, each
+    holding at most AMPLITUDE_CAP amplitudes, or one row when a row alone
+    holds more."""
+    step = max(1, AMPLITUDE_CAP // per_row)
+    return [slice(lo, lo + step) for lo in range(0, count, step)]
 
 
 # -- kernels: each acts on the target axes of the reshaped amplitudes -----------

@@ -19,11 +19,13 @@ from quditmbqc.circuit import (
     depth_and_size,
     inverse_circuit,
     lower_to_guni,
+    output_rows,
     simulate_circuit,
     validate_gate_set,
 )
+from quditmbqc.convert import build_generalized
 from quditmbqc.generate import cascade_circuit, random_guni_circuit
-from quditmbqc.sim import Gate, GateName, basis_state, fidelity_up_to_phase, gate_matrix, random_state
+from quditmbqc.sim import Gate, GateName, apply_gate, basis_state, fidelity_up_to_phase, gate_matrix, random_state
 
 
 def ctx_of(d):
@@ -68,6 +70,35 @@ class TestDepthAndSize:
 
 
 class TestSimulate:
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_one_row_matches_one_gate_call_per_op(self, d):
+        # a fan-out circuit with ancillas, input given in reversed site order
+        ctx = ctx_of(d)
+        c = build_generalized(ctx, [1, d - 1, 1], "fanout")
+        psi = random_state(ctx, tuple(reversed(c.inputs)), np.random.default_rng(d))
+        ancillas = tuple(q for q in c.qudits if q not in set(c.inputs))
+        want = psi.with_sites_order(c.inputs).extend(basis_state(ctx, ancillas, [0] * len(ancillas)))
+        for op in c.ops:
+            want = apply_gate(want, op.gate, op.sites)
+        got = simulate_circuit(c, psi)
+        assert got.sites == c.inputs + ancillas
+        assert np.array_equal(got.amplitudes, want.amplitudes)
+
+    def test_output_rows_split_at_the_cap_match_one_batch(self, monkeypatch):
+        import quditmbqc.sim as sim_module
+
+        ctx = ctx_of(3)
+        c = build_generalized(ctx, [1, 2], "fanout")
+        rng = np.random.default_rng(5)
+        inputs = np.array([random_state(ctx, c.inputs, rng).amplitudes for _ in range(5)])
+        whole = output_rows(c, inputs)
+        # the ancillas return to |0>, so each row is the unitary's image up to phase
+        images = inputs @ circuit_unitary(c).T
+        assert np.max(np.abs(np.abs(np.sum(whole.conj() * images, axis=1)) - 1)) < 1e-12
+        # one row per part
+        monkeypatch.setattr(sim_module, "AMPLITUDE_CAP", 3 ** len(c.qudits))
+        assert np.max(np.abs(output_rows(c, inputs) - whole)) < 1e-12
+
     def test_empty_circuit_is_identity(self):
         ctx = ctx_of(3)
         rng = np.random.default_rng(0)

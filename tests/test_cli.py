@@ -316,8 +316,9 @@ def test_verify_is_unchanged_when_batches_split(tmp_path, monkeypatch):
     # steps one row at a time and verify takes one input per batch; the
     # verdict and the coverage stay the same
     import quditmbqc.cli as cli_module
-    import quditmbqc.pattern as pattern_module
+    import quditmbqc.sim as sim_module
     from quditmbqc.cli import load_artifact, verify_equivalent
+    from quditmbqc.pattern import peak_live_qudits
 
     circuit = tmp_path / "c.json"
     run_cli("gen", "guni", "--d", "3", "--n", "2", "--gates", "5", "--seed", "1", "--out", str(circuit))
@@ -328,10 +329,35 @@ def test_verify_is_unchanged_when_batches_split(tmp_path, monkeypatch):
         worst, coverage = verify_equivalent(c, p, seed=3)
         batches = []
         with monkeypatch.context() as patch:
-            for module in (cli_module, pattern_module):
-                patch.setattr(module, "AMPLITUDE_CAP", 3 ** pattern_module.peak_live_qudits(p))
+            patch.setattr(sim_module, "AMPLITUDE_CAP", 3 ** peak_live_qudits(p))
             patch.setattr(cli_module, "run_rows", lambda p, inputs, **kw: batches.append(len(inputs)) or run_rows(p, inputs, **kw))
             split_worst, split_coverage = verify_equivalent(c, p, seed=3)
         assert len(batches) == 13 and set(batches) == {4 if kind == "def8" else 1}
         assert split_coverage == coverage
         assert abs(split_worst - worst) < 1e-12
+
+
+def test_verify_builds_every_input_once_in_order(monkeypatch):
+    # the d^n basis states, then the random states drawn from the seed, in
+    # one group or one input per group
+    import numpy as np
+
+    import quditmbqc.cli as cli_module
+    import quditmbqc.sim as sim_module
+    from quditmbqc.algebra import DimensionContext
+    from quditmbqc.cli import verify_equivalent
+    from quditmbqc.generate import random_guni_circuit
+
+    ctx = DimensionContext.of(3)
+    c = random_guni_circuit(ctx, 2, 3, seed=1)
+    rng = np.random.default_rng(3)
+    want = np.vstack([np.eye(9), [sim_module.random_state(ctx, range(2), rng).amplitudes for _ in range(4)]])
+    output_rows = cli_module._output_rows
+    for cap, groups in ((sim_module.AMPLITUDE_CAP, 1), (1, 13)):
+        seen = []
+        monkeypatch.setattr(sim_module, "AMPLITUDE_CAP", cap)
+        monkeypatch.setattr(cli_module, "_output_rows", lambda x, inputs, seed: seen.append(inputs) or output_rows(x, inputs, seed))
+        worst, coverage = verify_equivalent(c, c, seed=3)
+        assert len(seen) == 2 * groups and all(np.array_equal(x, y) for x, y in zip(seen[::2], seen[1::2]))
+        assert np.array_equal(np.vstack(seen[::2]), want)
+        assert worst < 1e-12 and coverage["inputs"] == 13

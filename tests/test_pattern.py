@@ -81,6 +81,14 @@ def same_rows(rows, picked, want, tol=1e-12):
     assert np.max(np.abs(rows.amplitudes[picked] - np.array([r.state.amplitudes for r in want]))) < tol
 
 
+def same_results(got, want, tol=1e-12):
+    """Two lists of run results: identical outcomes in identical order,
+    probabilities and amplitudes within tol."""
+    assert [r.outcomes for r in got] == [r.outcomes for r in want]
+    assert np.max(np.abs(np.array([r.probability for r in got]) - [r.probability for r in want])) < tol
+    assert np.max(np.abs(np.array([r.state.amplitudes for r in got]) - [r.state.amplitudes for r in want])) < tol
+
+
 class TestSignal:
     def test_reduction_and_zero_removal(self):
         s = Signal(3, ((1, 2), (1, 4), (2, 3)))
@@ -354,55 +362,69 @@ class TestBatchedWalk:
     """One walk for a batch of (input, branch) rows against the former
     one-state walk."""
 
-    @pytest.mark.parametrize("lazy", [False, True])
     @pytest.mark.parametrize("family", ["def7", "raw7", "def8", "clifford-const"])
     @pytest.mark.parametrize("d", [2, 3, 4])
-    def test_batched_walk_matches_the_one_state_walk(self, d, family, lazy):
+    def test_batched_walk_matches_the_one_state_walk(self, d, family):
         p = families(d)[family]
         rng = np.random.default_rng(d)
         states = [random_state(p.ctx, p.inputs, rng) for _ in range(3)]
         inputs = np.array([st.amplitudes for st in states])
-        if d ** len(p.measured_qudits()) <= 256:
-            rows = run_rows(p, inputs, lazy=lazy)
+        exact = d ** len(p.measured_qudits()) <= 256
+        if exact:
+            rows = run_rows(p, inputs)
             for i, psi in enumerate(states):
-                same_rows(rows, np.flatnonzero(rows.origin == i), oracle_run_branches(p, psi, lazy=lazy))
+                same_rows(rows, np.flatnonzero(rows.origin == i), oracle_run_branches(p, psi, lazy=True))
             assert list(rows.origin) == sorted(rows.origin)
         seeds = [0, 1, 5, 9]
-        rows = run_rows(p, np.repeat(inputs, len(seeds), axis=0), seeds=np.tile(seeds, len(states)), lazy=lazy)
+        rows = run_rows(p, np.repeat(inputs, len(seeds), axis=0), seeds=np.tile(seeds, len(states)))
         for k, (psi, seed) in enumerate(product(states, seeds)):
-            want = oracle_run(p, psi, seed=seed, lazy=lazy)
-            same_rows(rows, [k], [want])
-            # one input runs the one-state kernels on one row: bit for bit
-            got = run(p, psi, mode="sampled", seed=seed, lazy=lazy)
-            assert got.outcomes == want.outcomes and got.probability == want.probability
-            assert np.array_equal(got.state.amplitudes, want.state.amplitudes)
+            same_rows(rows, [k], [oracle_run(p, psi, seed=seed, lazy=True)])
+        for lazy, psi in product((False, True), states):
+            if exact:
+                same_results(run_branches(p, psi, lazy=lazy), oracle_run_branches(p, psi, lazy=lazy))
+            for seed in seeds:
+                # one input runs the one-state kernels on one row: bit for bit
+                got, want = run(p, psi, mode="sampled", seed=seed, lazy=lazy), oracle_run(p, psi, seed=seed, lazy=lazy)
+                assert got.outcomes == want.outcomes and got.probability == want.probability
+                assert np.array_equal(got.state.amplitudes, want.state.amplitudes)
+
+    def test_run_rows_checks_its_seeds_and_takes_no_rows(self):
+        p = families(3)["def7"]
+        inputs = np.eye(3 ** len(p.inputs), dtype=np.complex128)[:2]
+        for seeds in ([0], [0, 1, 2]):
+            with pytest.raises(ValueError, match="seeds for 2 input rows"):
+                run_rows(p, inputs, seeds=seeds)
+        for seeds in (None, []):
+            rows = run_rows(p, inputs[:0], seeds=seeds)
+            assert rows.amplitudes.shape == (0, 3 ** len(p.outputs))
+            assert rows.outcomes.shape == (0, len(p.measured_qudits()))
+            assert len(rows.probability) == len(rows.origin) == 0
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_split_batches_match_the_whole_batch(self, d, monkeypatch):
         # with the cap at the widest single row, the peak steps run one row
         # at a time, depth first, and the rows come out as from one batch
         import quditmbqc.pattern as pattern_module
+        import quditmbqc.sim as sim_module
 
         p = families(d)["def7"]
         rng = np.random.default_rng(30 + d)
         inputs = np.array([random_state(p.ctx, p.inputs, rng).amplitudes for _ in range(5)])
         psi = StateVector(p.ctx, p.inputs, inputs[0])
-        whole, one = run_rows(p, inputs, lazy=True), run_branches(p, psi, lazy=True)
+        whole, one = run_rows(p, inputs), run_branches(p, psi, lazy=True)
         cap = d ** peak_live_qudits(p)
         widths = []
         kernel = pattern_module._kernel
-        monkeypatch.setattr(pattern_module, "AMPLITUDE_CAP", cap)
+        monkeypatch.setattr(sim_module, "AMPLITUDE_CAP", cap)
         monkeypatch.setattr(pattern_module, "_kernel", lambda amps, *args: widths.append(amps.size) or kernel(amps, *args))
-        split = run_rows(p, inputs, lazy=True)
+        split = run_rows(p, inputs)
         assert widths and max(widths) == cap
         assert np.array_equal(split.outcomes, whole.outcomes) and np.array_equal(split.origin, whole.origin)
         assert np.max(np.abs(split.probability - whole.probability)) < 1e-12
         assert np.max(np.abs(split.amplitudes - whole.amplitudes)) < 1e-12
         same_rows(split, np.flatnonzero(split.origin == 0), one)
         widths.clear()
-        for got, want in zip(run_branches(p, psi, lazy=True), one, strict=True):
-            assert got.outcomes == want.outcomes and abs(got.probability - want.probability) < 1e-12
-            assert np.max(np.abs(got.state.amplitudes - want.state.amplitudes)) < 1e-12
+        same_results(run_branches(p, psi, lazy=True), one)
         assert max(widths) == cap
 
 
