@@ -25,7 +25,7 @@ from .pattern import (
     validate,
 )
 from .rewrite import completely_standardise, pauli_simplify, signal_shift, standardise
-from .sim import Gate, GateName, StateVector, apply_gate, fidelity_up_to_phase, measure
+from .sim import Gate, GateName, StateVector, fidelity_up_to_phase
 
 __all__ = [
     "DimensionContext",
@@ -36,8 +36,6 @@ __all__ = [
     "Gate",
     "GateName",
     "StateVector",
-    "apply_gate",
-    "measure",
     "fidelity_up_to_phase",
     "Circuit",
     "Operation",

@@ -176,6 +176,16 @@ def simulate_circuit(c: Circuit, input_state: StateVector | None = None) -> Stat
     return StateVector(c.ctx, _run_sites(c), _simulate_rows(c, amps[np.newaxis])[0])
 
 
+def _outputs_first(c: Circuit, final: np.ndarray) -> np.ndarray:
+    """Final rows over ``_run_sites(c)`` as (rows, outputs, other wires)
+    amplitude matrices; column 0 holds the other wires in |0...0>."""
+    d, sites = c.ctx.d, _run_sites(c)
+    outputs = set(c.outputs)
+    order = [1 + sites.index(q) for q in c.outputs] + [1 + a for a, q in enumerate(sites) if q not in outputs]
+    block = final.reshape((len(final),) + (d,) * len(sites)).transpose([0] + order)
+    return block.reshape(len(final), d ** len(c.outputs), -1)
+
+
 def output_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
     """The state each row of ``inputs`` (amplitudes over ``c.inputs``) leaves
     on ``c.outputs``: the leading left singular vector of the final (outputs
@@ -183,14 +193,9 @@ def output_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
     exact when the outputs end in a pure state whatever the other wires
     hold, and subnormalized when they stay entangled with them.  The rows
     run in parts of at most AMPLITUDE_CAP amplitudes."""
-    d, sites = c.ctx.d, _run_sites(c)
-    others = tuple(q for q in sites if q not in set(c.outputs))
-    order = [1 + sites.index(q) for q in c.outputs + others]
-    out = np.empty((len(inputs), d ** len(c.outputs)), dtype=np.complex128)
-    for part in row_parts(len(inputs), d ** len(sites)):
-        final = _simulate_rows(c, inputs[part])
-        block = final.reshape((len(final),) + (d,) * len(sites)).transpose([0] + order)
-        u, singular, _ = np.linalg.svd(block.reshape(len(final), d ** len(c.outputs), -1), full_matrices=False)
+    out = np.empty((len(inputs), c.ctx.d ** len(c.outputs)), dtype=np.complex128)
+    for part in row_parts(len(inputs), c.ctx.d ** len(_run_sites(c))):
+        u, singular, _ = np.linalg.svd(_outputs_first(c, _simulate_rows(c, inputs[part])), full_matrices=False)
         out[part] = u[:, :, 0] * singular[:, :1]
     return out
 
@@ -198,29 +203,28 @@ def output_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
 def circuit_unitary(c: Circuit, residue_tol: float = ANCILLA_RESIDUE_TOL) -> np.ndarray:
     """The d^|I| unitary implemented on the input -> output wires.
 
-    Simulates every basis input; ancillas must return to |0> (checked
-    within ``residue_tol``), otherwise the circuit does not implement a
-    unitary on its declared wires.
+    Runs the basis inputs as rows, in parts of at most AMPLITUDE_CAP
+    amplitudes; ancillas must return to |0> (checked within
+    ``residue_tol``), otherwise the circuit does not implement a unitary
+    on its declared wires.
     """
     if len(c.inputs) != len(c.outputs):
         raise ValueError("|inputs| must equal |outputs| for a unitary")
-    d = c.ctx.d
-    dim = d ** len(c.inputs)
-    cols = []
-    ancillas = tuple(q for q in c.qudits if q not in set(c.outputs))
-    for b in range(dim):
-        digits = np.unravel_index(b, (d,) * len(c.inputs))
-        final = simulate_circuit(c, basis_state(c.ctx, c.inputs, digits))
-        final = final.with_sites_order(c.outputs + ancillas)
-        tensor = final.amplitudes.reshape(dim, -1)
-        col = tensor[:, 0]
-        residue = 1.0 - float(np.linalg.norm(col)) ** 2
-        if residue > residue_tol:
+    dim = c.ctx.d ** len(c.inputs)
+    u = np.empty((dim, dim), dtype=np.complex128)
+    for part in row_parts(dim, c.ctx.d ** len(_run_sites(c))):
+        basis = np.arange(dim)[part]
+        rows = np.zeros((len(basis), dim), dtype=np.complex128)
+        rows[np.arange(len(basis)), basis] = 1.0
+        cols = _outputs_first(c, _simulate_rows(c, rows))[:, :, 0]
+        residue = 1.0 - np.linalg.norm(cols, axis=1) ** 2
+        bad = np.flatnonzero(residue > residue_tol)
+        if len(bad):
             raise ValueError(
-                f"ancillas do not return to |0> (residue {residue:.3e}) on basis input {b}"
+                f"ancillas do not return to |0> (residue {residue[bad[0]]:.3e}) on basis input {basis[bad[0]]}"
             )
-        cols.append(col)
-    return np.stack(cols, axis=1)
+        u[:, part] = cols.T
+    return u
 
 
 def _relabel_ops(ops, mapping: dict[int, int]) -> tuple[Operation, ...]:

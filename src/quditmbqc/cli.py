@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -396,7 +397,9 @@ def _cmd_analyze(args) -> int:
 # -- argument parsing -------------------------------------------------------------
 
 
+@cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of every ``main`` call; each parse gets a fresh namespace."""
     parser = argparse.ArgumentParser(prog="quditmbqc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -415,7 +418,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None)
     p.add_argument("--target", choices=["pattern", "fanout-circuit"], default="pattern")
     p.add_argument("--report", default=None, help="also write a depth/size report")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--format", choices=["json", "text"], default="json")
     p.set_defaults(func=_cmd_convert)
 

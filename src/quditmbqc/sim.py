@@ -3,8 +3,11 @@
 This is the ground-truth oracle for every transformation in the
 repository.  Amplitudes are stored as a flat complex vector indexed in
 mixed radix over the state's site ordering, the first site being the
-most significant digit.  Gate application and measurement return new
-``StateVector`` values; states are never mutated in place.
+most significant digit.  Every state evolves as one row of a (rows x
+amplitudes) batch: the kernels and the measurement frame act on all rows
+at once and return new arrays, never mutating their input.  The pattern
+walk and the circuit simulation are their callers, and the walk chooses
+the measurement outcomes.
 
 Kernels act on the target axes of the amplitudes reshaped around them:
 basis permutations are slice copies, diagonal gates one broadcast
@@ -27,9 +30,6 @@ __all__ = [
     "GateName",
     "Gate",
     "StateVector",
-    "apply_gate",
-    "measure",
-    "measure_branches",
     "fidelity_up_to_phase",
     "gate_matrix",
     "gate_inverse_ops",
@@ -522,25 +522,6 @@ def _kernel(amps: np.ndarray, d: int, n: int, gate: Gate, axes: tuple[int, ...])
     return np.ascontiguousarray(np.swapaxes(view, a, b)).reshape(-1)
 
 
-def apply_gate(state: StateVector, gate: Gate, targets) -> StateVector:
-    """Apply a gate to the target sites, returning the new state."""
-    targets = tuple(targets)
-    gate.validate(state.ctx)
-    if len(targets) != gate.arity:
-        raise ValueError(f"{gate.name.value} expects {gate.arity} targets, got {len(targets)}")
-    if len(set(targets)) != len(targets):
-        raise ValueError("targets must be distinct")
-    axes = tuple(state.site_axis(t) for t in targets)
-    return StateVector(state.ctx, state.sites, _kernel(state.amplitudes, state.ctx.d, state.num_sites, gate, axes))
-
-
-@dataclass(frozen=True)
-class MeasureResult:
-    outcome: int
-    probability: float
-    state: StateVector
-
-
 def _per_row(amps: np.ndarray, keys: np.ndarray, kernel: Callable[[int, np.ndarray], np.ndarray]) -> np.ndarray:
     """Apply ``kernel(key, rows)`` to each group of rows of the (rows, amplitudes)
     matrix that share a key (a small nonnegative integer), returning the new
@@ -590,58 +571,6 @@ def _collapse_rows(view: np.ndarray, probs: np.ndarray, rows: np.ndarray, outcom
     kept = view[rows, :, outcomes, :]
     kept /= np.sqrt(p)[:, None, None]
     return kept.reshape(len(p), view.shape[1] * view.shape[3]), p
-
-
-def _measure_one(state: StateVector, site: int, theta, s_val: int, t_val: int) -> tuple[np.ndarray, np.ndarray]:
-    """The one state as a one-row batch, rotated for the measurement."""
-    axis = state.site_axis(site)
-    return _rotate_rows(state.amplitudes[np.newaxis], state.ctx, state.num_sites, axis, theta, [s_val], [t_val])
-
-
-def _result(state: StateVector, site: int, view: np.ndarray, probs: np.ndarray, j: int) -> MeasureResult:
-    amps, p = _collapse_rows(view, probs, np.zeros(1, dtype=np.int64), np.array([j]))
-    return MeasureResult(j, float(p[0]), StateVector(state.ctx, tuple(s for s in state.sites if s != site), amps[0]))
-
-
-def measure(
-    state: StateVector,
-    site: int,
-    theta,
-    s_val: int = 0,
-    t_val: int = 0,
-    rng: np.random.Generator | None = None,
-    forced: int | None = None,
-) -> MeasureResult:
-    """Destructive single-site measurement.
-
-    Applies v(theta) X^s Z^t to the site, samples an outcome j from the
-    computational-basis distribution (or takes ``forced``), projects,
-    renormalizes and removes the site from the state.
-    """
-    view, probs = _measure_one(state, site, theta, s_val, t_val)
-    if forced is not None:
-        j = int(forced) % state.ctx.d
-        p = float(probs[0, j])
-        if p < ZERO_BRANCH_TOL:
-            raise ValueError(f"forced outcome {j} on site {site} has probability {p:.3e}")
-    else:
-        if rng is None:
-            raise ValueError("measurement needs an rng unless the outcome is forced")
-        j = int(_sample_outcomes(probs, [rng.random()])[0])
-    return _result(state, site, view, probs, j)
-
-
-def measure_branches(
-    state: StateVector,
-    site: int,
-    theta,
-    s_val: int = 0,
-    t_val: int = 0,
-    min_probability: float = ZERO_BRANCH_TOL,
-) -> list[MeasureResult]:
-    """All measurement branches (outcome, probability, normalized post-state)."""
-    view, probs = _measure_one(state, site, theta, s_val, t_val)
-    return [_result(state, site, view, probs, j) for j, p in enumerate(probs[0].tolist()) if p >= min_probability]
 
 
 def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:

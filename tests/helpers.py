@@ -9,10 +9,11 @@
   matrix-verified symbolic Pauli conjugation (prime d)
 - the simulator's former index-arithmetic kernels and three-pass
   measurement frame, as the reference for the axis-based kernels
-- the former one-state pattern walk (one ``apply_gate``, ``measure`` or
-  ``measure_branches`` call per step and branch) and the former quadratic
-  lazy schedule, as the reference for the batched walk and the indexed
-  schedule
+- a one-state pattern walk on those kernels (one state per branch, each
+  measurement through the three-pass frame, each sampled outcome drawn by
+  ``Generator.choice`` from the oracle's own probabilities) and the former
+  quadratic lazy schedule, as the reference for the batched walk and the
+  indexed schedule
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ import numpy as np
 
 from quditmbqc.algebra import DimensionContext, PauliOperator, xi_p
 from quditmbqc.circuit import Circuit, Operation
-from quditmbqc.pattern import CorrectX, CorrectZ, Entangle, Measure, Pattern, RunResult, _rng_for_measurement, require_valid
-from quditmbqc.sim import Gate, GateName, StateVector, apply_gate, basis_state, gate_matrix, measure, measure_branches, plus_state
+from quditmbqc.pattern import CorrectX, CorrectZ, Entangle, Measure, Pattern, RunResult, require_valid
+from quditmbqc.sim import Gate, GateName, StateVector, basis_state, gate_matrix, plus_state
 
 CONST = "#const"
 
@@ -631,7 +632,9 @@ def oracle_schedule(p: Pattern, lazy: bool) -> list:
 
 def oracle_walk(p: Pattern, input_state: StateVector | None, lazy: bool, branches) -> list[RunResult]:
     """One state per branch, depth first in outcome order: at each measurement
-    ``branches(state, cmd, s_val, t_val, index)`` gives the results to follow."""
+    ``branches(every, index)`` picks, from the (outcome, probability,
+    amplitudes) triple of every outcome, the ones to follow; ``index``
+    counts the measurements before this one."""
     require_valid(p)
     if input_state is None:
         input_state = basis_state(p.ctx, p.inputs, [0] * len(p.inputs))
@@ -646,36 +649,39 @@ def oracle_walk(p: Pattern, input_state: StateVector | None, lazy: bool, branche
                 new = reduce(StateVector.extend, (plus_state(p.ctx, q) for q in step))
                 state = state.extend(new) if state.num_sites else new
             elif isinstance(step, Entangle):
-                state = apply_gate(state, Gate.cz(), (step.i, step.j))
+                state = oracle_apply_gate(state, Gate.cz(), (step.i, step.j))
             elif isinstance(step, Measure):
                 s_val, t_val = step.x_signal.evaluate(outcomes), step.z_signal.evaluate(outcomes)
-                for res in reversed(branches(state, step, s_val, t_val, len(outcomes))):
-                    stack.append((i + 1, res.state, {**outcomes, step.site: res.outcome}, prob * res.probability))
+                every = oracle_measure_branches(state, step.site, step.theta, s_val, t_val)
+                rest = tuple(q for q in state.sites if q != step.site)
+                for j, p_j, amps in reversed(branches(every, len(outcomes))):
+                    stack.append((i + 1, StateVector(p.ctx, rest, amps), {**outcomes, step.site: j}, prob * p_j))
                 break
             else:
                 k = step.signal.evaluate(outcomes)
                 if k:
                     gate = Gate.x(k) if isinstance(step, CorrectX) else Gate.z(k)
-                    state = apply_gate(state, gate, (step.site,))
+                    state = oracle_apply_gate(state, gate, (step.site,))
         else:  # no measurement left: the branch is complete
             results.append(RunResult(state.with_sites_order(p.outputs), outcomes, prob))
     return results
 
 
 def oracle_run(p: Pattern, input_state: StateVector | None = None, seed: int = 0, lazy: bool = False) -> RunResult:
-    """One sampled branch, measurement k drawing from the stream (seed, k)."""
+    """One sampled branch: measurement k draws with ``Generator.choice`` from
+    the stream spawned off ``seed`` with key (k,)."""
 
-    def choose(state, cmd, s_val, t_val, index):
-        return [measure(state, cmd.site, cmd.theta, s_val, t_val, rng=_rng_for_measurement(seed, index))]
+    def choose(every, index):
+        probs = np.array([p_j for _, p_j, _ in every])
+        stream = np.random.default_rng(np.random.SeedSequence(entropy=seed, spawn_key=(index,)))
+        return [every[int(stream.choice(len(every), p=probs / probs.sum()))]]
 
     return oracle_walk(p, input_state, lazy, choose)[0]
 
 
 def oracle_run_branches(p: Pattern, input_state: StateVector | None = None, lazy: bool = False) -> list[RunResult]:
-    def every(state, cmd, s_val, t_val, index):
-        return measure_branches(state, cmd.site, cmd.theta, s_val, t_val)
-
-    return oracle_walk(p, input_state, lazy, every)
+    """Every branch of probability at least 1e-12, in outcome order."""
+    return oracle_walk(p, input_state, lazy, lambda every, index: [b for b in every if b[1] >= 1e-12])
 
 
 # -- misc generators -----------------------------------------------------------------

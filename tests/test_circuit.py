@@ -1,11 +1,12 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from helpers import circuit_items, longest_dependent_path, max_diff_up_to_phase
+from helpers import all_digit_tuples, circuit_items, longest_dependent_path, max_diff_up_to_phase, oracle_apply_gate
 
 from quditmbqc.algebra import DimensionContext
 from quditmbqc.circuit import (
@@ -25,11 +26,26 @@ from quditmbqc.circuit import (
 )
 from quditmbqc.convert import build_generalized
 from quditmbqc.generate import cascade_circuit, random_guni_circuit
-from quditmbqc.sim import Gate, GateName, apply_gate, basis_state, fidelity_up_to_phase, gate_matrix, random_state
+from quditmbqc.sim import Gate, GateName, _kernel, basis_state, fidelity_up_to_phase, gate_matrix, random_state
 
 
 def ctx_of(d):
     return DimensionContext.of(d)
+
+
+def oracle_unitary(c):
+    """Column b: basis input b through the index-arithmetic kernels, read
+    on the outputs with every other wire at 0."""
+    dim = c.ctx.d ** len(c.inputs)
+    ancillas = tuple(q for q in c.qudits if q not in set(c.inputs))
+    others = tuple(q for q in c.qudits if q not in set(c.outputs))
+    cols = []
+    for digits in all_digit_tuples(c.ctx.d, len(c.inputs)):
+        state = basis_state(c.ctx, c.inputs + ancillas, digits + (0,) * len(ancillas))
+        for op in c.ops:
+            state = oracle_apply_gate(state, op.gate, op.sites)
+        cols.append(state.with_sites_order(c.outputs + others).amplitudes.reshape(dim, -1)[:, 0])
+    return np.stack(cols, axis=1)
 
 
 def cz_chain(ctx, pairs, n):
@@ -77,12 +93,13 @@ class TestSimulate:
         c = build_generalized(ctx, [1, d - 1, 1], "fanout")
         psi = random_state(ctx, tuple(reversed(c.inputs)), np.random.default_rng(d))
         ancillas = tuple(q for q in c.qudits if q not in set(c.inputs))
-        want = psi.with_sites_order(c.inputs).extend(basis_state(ctx, ancillas, [0] * len(ancillas)))
+        sites = c.inputs + ancillas
+        want = psi.with_sites_order(c.inputs).extend(basis_state(ctx, ancillas, [0] * len(ancillas))).amplitudes
         for op in c.ops:
-            want = apply_gate(want, op.gate, op.sites)
+            want = _kernel(want[np.newaxis], d, len(sites), op.gate, tuple(sites.index(q) for q in op.sites))
         got = simulate_circuit(c, psi)
-        assert got.sites == c.inputs + ancillas
-        assert np.array_equal(got.amplitudes, want.amplitudes)
+        assert got.sites == sites
+        assert np.array_equal(got.amplitudes, want)
 
     def test_output_rows_split_at_the_cap_match_one_batch(self, monkeypatch):
         import quditmbqc.sim as sim_module
@@ -132,6 +149,39 @@ class TestSimulate:
         ctx = ctx_of(2)
         c = Circuit(ctx, (1, 2), (1,), (1,), (Operation(Gate.cx(), (1, 2)),))
         with pytest.raises(ValueError):
+            circuit_unitary(c)
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_unitary_matches_the_oracle_whole_or_one_row_per_part(self, d, monkeypatch):
+        import quditmbqc.circuit as circuit_module
+        import quditmbqc.sim as sim_module
+
+        ctx = ctx_of(d)
+        guni = random_guni_circuit(ctx, 3, 8, seed=d)
+        # ancillas, and output wires in another order than the inputs
+        for c in (build_generalized(ctx, [1, d - 1, 1], "fanout"), replace(guni, outputs=guni.outputs[::-1])):
+            whole = circuit_unitary(c)
+            assert np.max(np.abs(whole - oracle_unitary(c))) < 1e-12
+            rows, simulate = [], circuit_module._simulate_rows
+            monkeypatch.setattr(circuit_module, "_simulate_rows", lambda c, part: rows.append(len(part)) or simulate(c, part))
+            monkeypatch.setattr(sim_module, "AMPLITUDE_CAP", d ** len(c.qudits))
+            assert np.max(np.abs(circuit_unitary(c) - whole)) < 1e-12
+            assert rows == [1] * d ** len(c.inputs)
+            monkeypatch.undo()
+
+    def test_residue_names_the_first_failing_basis_input(self, monkeypatch):
+        import quditmbqc.sim as sim_module
+
+        # CX from the first input onto an ancilla leaves it at |0> exactly
+        # while the first input digit is 0, i.e. for basis inputs 0, 1 and 2
+        ctx = ctx_of(3)
+        c = Circuit(ctx, (1, 2, 3), (1, 2), (1, 2), (Operation(Gate.cx(), (1, 3)),))
+        message = r"ancillas do not return to \|0> \(residue 1\.000e\+00\) on basis input 3$"
+        with pytest.raises(ValueError, match=message):
+            circuit_unitary(c)
+        # two rows per part: input 3 is the second row of the second part
+        monkeypatch.setattr(sim_module, "AMPLITUDE_CAP", 2 * 3**3)
+        with pytest.raises(ValueError, match=message):
             circuit_unitary(c)
 
 

@@ -361,3 +361,28 @@ def test_verify_builds_every_input_once_in_order(monkeypatch):
         assert len(seen) == 2 * groups and all(np.array_equal(x, y) for x, y in zip(seen[::2], seen[1::2]))
         assert np.array_equal(np.vstack(seen[::2]), want)
         assert worst < 1e-12 and coverage["inputs"] == 13
+
+
+def test_main_builds_one_parser_and_parses_each_call_afresh(tmp_path, monkeypatch):
+    import argparse
+
+    parsers, parse = [], argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", lambda self, *a, **k: parsers.append(self) or parse(self, *a, **k))
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run_cli("gen", "guni", "--d", "2", "--n", "2", "--gates", "5", "--seed", "1", "--out", str(a)) == 0
+    assert run_cli("gen", "guni", "--d", "2", "--n", "2", "--gates", "5", "--seed", "2", "--out", str(b)) == 0
+    # a tolerance above any infidelity passes the inequivalent pair, and
+    # does not carry over into the next call
+    assert run_cli("verify", str(a), str(b), "--tol", "2") == 0
+    assert run_cli("verify", str(a), str(b)) == 1
+    assert len(parsers) == 4 and all(p is parsers[0] for p in parsers)
+
+
+def test_convert_takes_no_seed(tmp_path, capsys):
+    circuit = tmp_path / "c.json"
+    run_cli("gen", "guni", "--d", "2", "--n", "1", "--gates", "2", "--seed", "1", "--out", str(circuit))
+    with pytest.raises(SystemExit) as exc:
+        run_cli("convert", "def7", "--in", str(circuit), "--seed", "1")
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "unrecognized arguments: --seed 1" in err and "Traceback" not in err

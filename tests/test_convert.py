@@ -7,6 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from helpers import (
     max_diff_up_to_phase,
+    oracle_apply_gate,
     phase_poly_equivalent,
     random_controlled_pauli_circuit,
 )
@@ -270,7 +271,7 @@ class TestFanoutBuilders:
             digits = np.unravel_index(idx, (d,) * (n + 1))
             inp = basis_state(ctx, c.inputs, digits)
             got = simulate_circuit(c, inp)
-            want = _apply_named(inp, gate, c.qudits)
+            want = oracle_apply_gate(inp, gate, c.qudits)
             assert fidelity_up_to_phase(got, want) > 1 - 1e-9
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -286,14 +287,8 @@ class TestFanoutBuilders:
         for ctrl in controls:
             inp = ctrl.extend(basis_state(ctx, tuple(range(1, n + 1)), (0,) * n))
             got = simulate_circuit(c, inp)
-            want = _apply_named(inp, gate, c.qudits)
+            want = oracle_apply_gate(inp, gate, c.qudits)
             assert fidelity_up_to_phase(got, want) > 1 - 1e-9
-
-
-def _apply_named(state, gate, sites):
-    from quditmbqc.sim import apply_gate
-
-    return apply_gate(state, gate, sites)
 
 
 class TestGeneralizedGates:

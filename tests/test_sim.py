@@ -3,6 +3,8 @@ import pytest
 
 from helpers import DIAGONAL_GATES, PERMUTATION_GATES, apply_matrix, oracle_apply_gate, oracle_measure_branches
 from quditmbqc.algebra import DimensionContext
+from quditmbqc.circuit import Circuit, Operation
+from quditmbqc.pattern import Measure, Pattern, Signal, run, run_branches
 from quditmbqc.sim import (
     _kernel,
     _rotate_rows,
@@ -10,13 +12,10 @@ from quditmbqc.sim import (
     Gate,
     GateName,
     StateVector,
-    apply_gate,
     basis_state,
     fidelity_up_to_phase,
     gate_inverse_ops,
     gate_matrix,
-    measure,
-    measure_branches,
     plus_state,
     purity,
     random_state,
@@ -30,6 +29,32 @@ def ctx_of(d):
 
 def random_theta(rng, d):
     return tuple(rng.uniform(0.0, 2.0 * np.pi, size=d))
+
+
+def kernel(state, gate, targets):
+    """The gate on one state, run as a one-row batch of the simulator kernel."""
+    axes = tuple(state.site_axis(t) for t in targets)
+    amps = _kernel(state.amplitudes[np.newaxis], state.ctx.d, state.num_sites, gate, axes)
+    return StateVector(state.ctx, state.sites, amps.reshape(-1))
+
+
+def measuring(ctx, sites, site, theta, s_val=0, t_val=0):
+    """A pattern on the input ``sites`` that measures ``site`` in the frame
+    v(theta) X^s Z^t, leaving the other sites as outputs.  Its signals read
+    the one non-input qudit, measured first with outcome 1 for certain:
+    F|0> in the frame v(-2 pi k / d) is |1>."""
+    d = ctx.d
+    signal = max(sites) + 1
+    seq = (
+        Measure(signal, tuple(-2.0 * np.pi * k / d for k in range(d)), Signal.zero(d), Signal.zero(d)),
+        Measure(site, theta, Signal.of(d, {signal: s_val}), Signal.of(d, {signal: t_val})),
+    )
+    return Pattern(ctx, tuple(sites) + (signal,), tuple(sites), tuple(q for q in sites if q != site), seq)
+
+
+def forced(p, site, j):
+    """Forced outcomes of a ``measuring`` pattern: j on ``site``."""
+    return {p.qudits[-1]: 1, site: j}
 
 
 ALL_GATE_BUILDERS = [
@@ -103,21 +128,24 @@ class TestGateMatrices:
 
 
 class TestApplyGate:
+    """Gates on one state as a one-row batch; argument checks where a
+    circuit is built."""
+
     def test_fourier_on_zero_is_uniform(self):
         ctx = ctx_of(3)
-        out = apply_gate(basis_state(ctx, (0,), (0,)), Gate.f(), (0,))
+        out = kernel(basis_state(ctx, (0,), (0,)), Gate.f(), (0,))
         assert np.max(np.abs(out.amplitudes - np.full(3, 1 / np.sqrt(3)))) < 1e-12
 
     def test_fanout_adds_control_to_targets(self):
         ctx = ctx_of(3)
         state = basis_state(ctx, (0, 1, 2), (1, 0, 2))
-        out = apply_gate(state, Gate.fanout((1, 1)), (0, 1, 2))
+        out = kernel(state, Gate.fanout((1, 1)), (0, 1, 2))
         want = basis_state(ctx, (0, 1, 2), (1, 1, 0))
         assert fidelity_up_to_phase(out, want) > 1 - 1e-12
 
     def test_cz_phases_one_one(self):
         ctx = ctx_of(2)
-        out = apply_gate(basis_state(ctx, (0, 1), (1, 1)), Gate.cz(), (0, 1))
+        out = kernel(basis_state(ctx, (0, 1), (1, 1)), Gate.cz(), (0, 1))
         assert abs(out.amplitudes[3] + 1) < 1e-12
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -129,7 +157,7 @@ class TestApplyGate:
             g = build(d, rng)
             target = sites[: g.arity]
             state = random_state(ctx, sites, rng)
-            got = apply_gate(state, g, target)
+            got = kernel(state, g, target)
             want = apply_matrix(state, gate_matrix(g, ctx), target)
             assert np.max(np.abs(got.amplitudes - want)) < 1e-10, g
 
@@ -140,18 +168,14 @@ class TestApplyGate:
         for _ in range(1000):
             g = ALL_GATE_BUILDERS[rng.integers(len(ALL_GATE_BUILDERS))](2, rng)
             targets = tuple(int(t) for t in rng.choice(4, size=g.arity, replace=False))
-            state = apply_gate(state, g, targets)
+            state = kernel(state, g, targets)
         assert abs(state.norm() - 1) < 1e-9
 
     def test_arity_and_site_errors(self):
         ctx = ctx_of(2)
-        state = basis_state(ctx, (0, 1), (0, 0))
-        with pytest.raises(ValueError):
-            apply_gate(state, Gate.cz(), (0,))
-        with pytest.raises(KeyError):
-            apply_gate(state, Gate.f(), (7,))
-        with pytest.raises(ValueError):
-            apply_gate(state, Gate.cz(), (0, 0))
+        for gate, sites in [(Gate.cz(), (0,)), (Gate.f(), (7,)), (Gate.cz(), (0, 0))]:
+            with pytest.raises(ValueError):
+                Circuit(ctx, (0, 1), (0, 1), (0, 1), (Operation(gate, sites),))
 
     @pytest.mark.parametrize(
         "gate",
@@ -168,9 +192,8 @@ class TestApplyGate:
         ids=["CZ-theta", "F-k", "SWAP-coeffs", "FANOUT-angles", "v-k", "R-nan", "v-inf", "DIAG-neginf"],
     )
     def test_rejects_unread_and_non_finite_parameters(self, gate):
-        state = basis_state(ctx_of(2), (0, 1), (0, 0))
         with pytest.raises(ValueError):
-            apply_gate(state, gate, (0, 1)[: gate.arity])
+            Circuit(ctx_of(2), (0, 1), (0, 1), (0, 1), (Operation(gate, (0, 1)[: gate.arity]),))
 
 
 # One builder per gate kind; ``trial`` 0 gives FANOUT/MOD a zero coefficient.
@@ -215,7 +238,7 @@ class TestKernelOracle:
             targets = tuple(int(t) for t in rng.choice(sites, size=g.arity, replace=False))
             state = random_state(ctx, sites, rng)
             for order in [targets, targets[::-1]] if g.arity == 2 else [targets]:
-                got = apply_gate(state, g, order).amplitudes
+                got = kernel(state, g, order).amplitudes
                 want = oracle_apply_gate(state, g, order).amplitudes
                 if kind in PERMUTATION_GATES or kind in DIAGONAL_GATES:
                     assert np.array_equal(got, want), (g, order)
@@ -230,15 +253,16 @@ class TestKernelOracle:
             site = sites[int(rng.integers(len(sites)))]
             theta = random_theta(rng, d)
             want = oracle_measure_branches(state, site, theta, s_val, t_val)
-            got = measure_branches(state, site, theta, s_val, t_val, min_probability=0.0)
-            assert [b.outcome for b in got] == [j for j, _, _ in want]
-            for b, (j, p, amps) in zip(got, want):
-                assert abs(b.probability - p) < 1e-12
+            p = measuring(ctx, sites, site, theta, s_val, t_val)
+            got = run_branches(p, state)
+            assert [b.outcomes[site] for b in got] == [j for j, _, _ in want]
+            for b, (j, prob, amps) in zip(got, want):
+                assert abs(b.probability - prob) < 1e-12
                 assert b.state.sites == tuple(s for s in sites if s != site)
                 assert np.max(np.abs(b.state.amplitudes - amps)) < 1e-12
-                forced = measure(state, site, theta, s_val, t_val, forced=j)
-                assert forced.probability == b.probability
-                assert np.array_equal(forced.state.amplitudes, b.state.amplitudes)
+                one = run(p, state, mode="forced", forced_outcomes=forced(p, site, j))
+                assert one.probability == b.probability
+                assert np.array_equal(one.state.amplitudes, b.state.amplitudes)
 
     @pytest.mark.parametrize("d", [2, 3, 5])
     @pytest.mark.parametrize("kind", list(GateName), ids=lambda k: k.value)
@@ -254,7 +278,7 @@ class TestKernelOracle:
             axes = tuple(sites.index(t) for t in targets)
             got = _kernel(rows, d, len(sites), g, axes).reshape(len(rows), -1)
             for row, st in zip(got, states):
-                want = apply_gate(st, g, targets).amplitudes
+                want = kernel(st, g, targets).amplitudes
                 if kind in PERMUTATION_GATES or kind in DIAGONAL_GATES:
                     assert np.array_equal(row, want), (g, targets)
                 else:  # a larger matmul may sum in another order
@@ -284,27 +308,30 @@ class TestKernelOracle:
             arr[...] = np.nan
 
         for g in gates:
-            scribble(apply_gate(state, g, sites[: g.arity]).amplitudes)
+            scribble(kernel(state, g, sites[: g.arity]).amplitudes)
             scribble(gate_matrix(g, ctx))
         scribble(plus_state(ctx, 0).amplitudes)
-        for b in measure_branches(state, sites[0], random_theta(rng, d), 1, 1):
+        for b in run_branches(measuring(ctx, sites, sites[0], random_theta(rng, d), 1, 1), state):
             scribble(b.state.amplitudes)
         for g in gates:
-            got = apply_gate(state, g, sites[: g.arity]).amplitudes
+            got = kernel(state, g, sites[: g.arity]).amplitudes
             want = oracle_apply_gate(state, g, sites[: g.arity]).amplitudes
             assert np.max(np.abs(got - want)) < 1e-12, g
         assert np.max(np.abs(plus_state(ctx, 0).amplitudes - np.full(d, 1 / np.sqrt(d)))) < 1e-12
 
 
 class TestMeasure:
+    """One measurement, run as a pattern."""
+
     def test_conjugate_basis_state_is_deterministic(self):
         ctx = ctx_of(2)
-        res = measure(plus_state(ctx, 0), 0, (0.0, 0.0), forced=0)
-        assert res.outcome == 0 and abs(res.probability - 1) < 1e-12
+        p = measuring(ctx, (0,), 0, (0.0, 0.0))
+        res = run(p, plus_state(ctx, 0), mode="forced", forced_outcomes=forced(p, 0, 0))
+        assert res.outcomes[0] == 0 and abs(res.probability - 1) < 1e-12
 
     def test_unbiased_on_computational_state(self):
         ctx = ctx_of(3)
-        branches = measure_branches(basis_state(ctx, (0,), (0,)), 0, (0.0, 0.0, 0.0))
+        branches = run_branches(measuring(ctx, (0,), 0, (0.0, 0.0, 0.0)), basis_state(ctx, (0,), (0,)))
         assert len(branches) == 3
         for b in branches:
             assert abs(b.probability - 1 / 3) < 1e-9
@@ -313,7 +340,7 @@ class TestMeasure:
         ctx = ctx_of(3)
         rng = np.random.default_rng(4)
         state = random_state(ctx, (0, 1), rng)
-        branches = measure_branches(state, 0, random_theta(rng, 3), 1, 2)
+        branches = run_branches(measuring(ctx, (0, 1), 0, random_theta(rng, 3), 1, 2), state)
         assert abs(sum(b.probability for b in branches) - 1) < 1e-9
         for b in branches:
             assert abs(b.state.norm() - 1) < 1e-9
@@ -324,11 +351,10 @@ class TestMeasure:
         theta = random_theta(rng, 2)
         psi = random_state(ctx, (0,), rng)
         reference = None
+        p = measuring(ctx, (0, 1), 0, theta)
         for _ in range(5):
             phi = random_state(ctx, (1,), rng)
-            probs = sorted(
-                (b.outcome, round(b.probability, 12)) for b in measure_branches(psi.extend(phi), 0, theta)
-            )
+            probs = sorted((b.outcomes[0], round(b.probability, 12)) for b in run_branches(p, psi.extend(phi)))
             if reference is None:
                 reference = probs
             assert probs == reference
@@ -336,8 +362,9 @@ class TestMeasure:
     def test_forced_zero_probability_branch_raises(self):
         ctx = ctx_of(2)
         # measuring F|+_0> in the rotated frame leaves outcome 1 impossible
-        with pytest.raises(ValueError):
-            measure(plus_state(ctx, 0), 0, (0.0, 0.0), forced=1)
+        p = measuring(ctx, (0,), 0, (0.0, 0.0))
+        with pytest.raises(ValueError, match="has probability"):
+            run(p, plus_state(ctx, 0), mode="forced", forced_outcomes=forced(p, 0, 1))
 
     def test_sampling_rule_is_generator_choice(self):
         # one uniform per draw, against the cumulative distribution: the same
@@ -357,11 +384,11 @@ class TestMeasure:
         ctx = ctx_of(3)
         rng_state = np.random.default_rng(6)
         state = random_state(ctx, (0, 1), rng_state)
+        p = measuring(ctx, (0, 1), 0, (0.1, 0.2, 0.3))
         outs = []
         for _ in range(2):
-            rng = np.random.default_rng(42)
-            res = measure(state, 0, (0.1, 0.2, 0.3), rng=rng)
-            outs.append((res.outcome, res.probability))
+            res = run(p, state, mode="sampled", seed=42)
+            outs.append((res.outcomes, res.probability))
         assert outs[0] == outs[1]
 
 
