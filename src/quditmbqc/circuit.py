@@ -228,7 +228,8 @@ def circuit_unitary(c: Circuit, residue_tol: float = ANCILLA_RESIDUE_TOL) -> np.
 
 
 def _relabel_ops(ops, mapping: dict[int, int]) -> tuple[Operation, ...]:
-    return tuple(Operation(op.gate, tuple(mapping[s] for s in op.sites)) for op in ops)
+    """The ops with their sites moved by ``mapping``; sites outside it stay."""
+    return tuple(Operation(op.gate, tuple(mapping.get(s, s) for s in op.sites)) for op in ops)
 
 
 def _wired(second, first, body: str, relabel_body=None):
@@ -275,13 +276,14 @@ def compose_parallel(c1: Circuit, c0: Circuit) -> Circuit:
     return _wired(c1, c0, "ops")
 
 
+def _inverse_ops(ops, d: int) -> list[Operation]:
+    """Gate-by-gate inverse of an op sequence, in reverse order."""
+    return [Operation(g, sites) for op in reversed(ops) for g, sites in gate_inverse_ops(op.gate, op.sites, d)]
+
+
 def inverse_circuit(c: Circuit) -> Circuit:
     """Gate-by-gate inverse in reverse order, on the same wires."""
-    ops: list[Operation] = []
-    for op in reversed(c.ops):
-        for g, sites in gate_inverse_ops(op.gate, op.sites, c.ctx.d):
-            ops.append(Operation(g, sites))
-    return Circuit(c.ctx, c.qudits, c.outputs, c.inputs, tuple(ops))
+    return Circuit(c.ctx, c.qudits, c.outputs, c.inputs, tuple(_inverse_ops(c.ops, c.ctx.d)))
 
 
 # -- gate-set validation ----------------------------------------------------

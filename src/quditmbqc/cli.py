@@ -312,9 +312,10 @@ def _cmd_run(args) -> int:
         return EXIT_OK
     forced = None
     if args.mode == "forced":
-        if not args.outcomes:
-            raise InputError("forced mode requires --outcomes JSON, e.g. '{\"1\": 0}'")
-        forced = {int(k): int(v) for k, v in json.loads(args.outcomes).items()}
+        outcomes = json.loads(args.outcomes) if args.outcomes else None
+        if not isinstance(outcomes, dict) or not all(type(v) is int for v in outcomes.values()):
+            raise InputError("forced mode requires --outcomes as a JSON object {qudit: dit}, e.g. '{\"1\": 0}'")
+        forced = {int(k): v for k, v in outcomes.items()}
     res = run(artifact, mode=args.mode, seed=args.seed, forced_outcomes=forced, lazy=True)
     doc = {
         "kind": "pattern-run",

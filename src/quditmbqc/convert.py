@@ -21,9 +21,9 @@ from .circuit import (
     DepthReport,
     Operation,
     circuit_unitary,
+    _inverse_ops,
     _relabel_ops,
     depth_and_size,
-    inverse_circuit,
     longest_chain,
     lower_to_guni,
 )
@@ -41,7 +41,7 @@ from .pattern import (
     require_valid,
 )
 from .rewrite import completely_standardise, is_completely_standard
-from .sim import _KINDS, Gate, GateName, gate_inverse_ops
+from .sim import _KINDS, Gate, GateName
 
 __all__ = [
     "basic_cz_pattern",
@@ -271,18 +271,9 @@ def build_generalized(ctx: DimensionContext, coeffs, kind: str = "fanout") -> Ci
     targets = tuple(range(1, n + 1))
     mains = (control,) + targets
     if kind == "fanout":
-        if n == 1:
-            ops = [Operation(Gate.cx(coeffs[0]), (control, targets[0]))] if coeffs[0] else []
-            return Circuit(ctx, mains, mains, mains, tuple(ops))
         copies = tuple(range(n + 1, n + n))  # n - 1 ancillas
-        ops = [Operation(Gate.fanout((1,) * (n - 1)), (control,) + copies)]
-        sources = (control,) + copies
-        for src, tgt, c in zip(sources, targets, coeffs):
-            if c:
-                ops.append(Operation(Gate.cx(c), (src, tgt)))
-        for _ in range(ctx.d - 1):
-            ops.append(Operation(Gate.fanout((1,) * (n - 1)), (control,) + copies))
-        return Circuit(ctx, mains + copies, mains, mains, tuple(ops))
+        layers = [[Operation(Gate.cx(c), (control, t))] if c else [] for t, c in zip(targets, coeffs)]
+        return Circuit(ctx, mains + copies, mains, mains, tuple(_fanned((control,), layers, copies, ctx.d)))
     if kind == "mod":
         inner = build_generalized(ctx, tuple((-c) % ctx.d for c in coeffs), "fanout")
         ops = [Operation(Gate.finv(), (q,)) for q in mains]
@@ -293,6 +284,24 @@ def build_generalized(ctx: DimensionContext, coeffs, kind: str = "fanout") -> Ci
 
 
 # -- commuting-unitary parallelization --------------------------------------------
+
+
+def _fanned(mains, layers: list, ancillas, d: int) -> list[Operation]:
+    """Commuting op layers on ``mains`` run side by side (Hoyer and Spalek,
+    "Quantum fan-out is powerful"): copy the register into one ancilla
+    register per layer after the first with parallel fan-outs, run layer i
+    on register i, then undo the copies with d-1 more fan-out layers.  One
+    layer is returned as it is; the ancillas end in |0>."""
+    if len(layers) == 1:
+        return list(layers[0])
+    k, fan = len(mains), Gate.fanout((1,) * (len(layers) - 1))
+    registers = [tuple(mains)] + [tuple(ancillas[i * k : (i + 1) * k]) for i in range(len(layers) - 1)]
+    copy = [Operation(fan, (q,) + tuple(r[pos] for r in registers[1:])) for pos, q in enumerate(mains)]
+    ops = list(copy)
+    for register, layer in zip(registers, layers):
+        ops += _relabel_ops(layer, dict(zip(mains, register)))
+    return ops + copy * (d - 1)
+
 
 _DIAG_DENSE_CHECK_LIMIT = 4096
 
@@ -325,42 +334,22 @@ def parallelize_commuting(
         if diag.ctx != ctx or set(diag.qudits) != set(mains):
             raise ValueError("diagonal blocks must act on the same register as the basis change")
         _check_diagonal(diag)
-    n = len(diagonals)
-    k = len(mains)
-    binv = inverse_circuit(b)
-    if n == 1:
-        ops = list(b.ops) + list(diagonals[0].ops) + list(binv.ops)
-        return Circuit(ctx, mains, mains, mains, tuple(ops))
-    total = k * (n - 1)
+    total = len(mains) * (len(diagonals) - 1)
     if ancilla_ids is None:
         start = max(mains, default=0) + 1
         ancilla_ids = list(range(start, start + total))
     if len(ancilla_ids) != total:
         raise ValueError(f"need exactly {total} ancilla ids")
-    registers = [mains]
-    for i in range(n - 1):
-        registers.append(tuple(ancilla_ids[i * k : (i + 1) * k]))
-    ops: list[Operation] = list(b.ops)
-    fan_targets = [tuple(registers[i][pos] for i in range(1, n)) for pos in range(k)]
-    for pos in range(k):
-        ops.append(Operation(Gate.fanout((1,) * (n - 1)), (mains[pos],) + fan_targets[pos]))
-    for i, diag in enumerate(diagonals):
-        mapping = dict(zip(mains, registers[i]))
-        ops += _relabel_ops(diag.ops, mapping)
-    for _ in range(ctx.d - 1):
-        for pos in range(k):
-            ops.append(Operation(Gate.fanout((1,) * (n - 1)), (mains[pos],) + fan_targets[pos]))
-    ops += list(binv.ops)
-    qudits = tuple(mains) + tuple(ancilla_ids)
-    return Circuit(ctx, qudits, mains, mains, tuple(ops))
+    ops = [*b.ops, *_fanned(mains, [diag.ops for diag in diagonals], ancilla_ids, ctx.d), *_inverse_ops(b.ops, ctx.d)]
+    return Circuit(ctx, tuple(mains) + tuple(ancilla_ids), mains, mains, tuple(ops))
 
 
 # -- constant-depth controlled-Pauli compiler --------------------------------------
 
 
-def _normalize_controlled_pauli(c: Circuit):
-    """Split a {CZ^k, CX^k, Z^k, X^k} circuit into a front diagonal phase
-    polynomial, a controlled-X middle, and a trailing local X layer.
+def _normalize_controlled_pauli(ops, qudits: tuple[int, ...], d: int):
+    """Split {CZ^k, CX^k, Z^k, X^k} ops on ``qudits`` into a front diagonal
+    phase polynomial, a controlled-X middle, and a trailing local X layer.
 
     Qudit j's running value is tracked as the affine form
     ``matrix[j] . x + shift[j]`` over the input digits x; diagonal gates
@@ -370,15 +359,14 @@ def _normalize_controlled_pauli(c: Circuit):
     linear terms (constants only shift the global phase).  ``cx_gates``
     lists the nonzero controlled-X powers as (control, target, k) indices.
     """
-    d = c.ctx.d
-    n = len(c.qudits)
-    index = {q: i for i, q in enumerate(c.qudits)}
+    n = len(qudits)
+    index = {q: i for i, q in enumerate(qudits)}
     matrix = np.eye(n, dtype=np.int64)
     shift = np.zeros(n, dtype=np.int64)
     quad = np.zeros((n, n), dtype=np.int64)
     lin = np.zeros(n, dtype=np.int64)
     cx_gates: list[tuple[int, int, int]] = []
-    for op in c.ops:
+    for op in ops:
         g = op.gate
         if g.name not in (GateName.X, GateName.Z, GateName.CX, GateName.CZ):
             raise ValueError(f"gate {g.name.value} outside the controlled-Pauli set")
@@ -415,24 +403,23 @@ def _cx_inverse(d: int, matrix: np.ndarray, cx_gates) -> np.ndarray:
     return inverse
 
 
-def _diagonal_layers(c: Circuit, quad: np.ndarray, lin: np.ndarray) -> list[Circuit]:
+def _diagonal_layers(qudits: tuple[int, ...], quad: np.ndarray, lin: np.ndarray, d: int) -> list[list[Operation]]:
     """Emit the phase polynomial as depth-1 diagonal layers on the full register."""
-    d = c.ctx.d
     # a proper edge coloring, first fit in sorted (row-major) edge order,
     # gives disjoint CZ layers; CZ^0 is the identity
     edges = [tuple(e) for e in np.argwhere(np.triu(quad, 1)).tolist()]
     by_color: dict[int, list[Operation]] = {}
     for (a, b), color in zip(edges, _greedy_coloring(edges)):
-        by_color.setdefault(color, []).append(Operation(Gate.cz(int(quad[a, b])), (c.qudits[a], c.qudits[b])))
+        by_color.setdefault(color, []).append(Operation(Gate.cz(int(quad[a, b])), (qudits[a], qudits[b])))
     layers = [by_color[color] for color in sorted(by_color)]
     local_ops = []
-    for q, cq, cl in zip(c.qudits, np.diag(quad).tolist(), lin.tolist()):
+    for q, cq, cl in zip(qudits, np.diag(quad).tolist(), lin.tolist()):
         if cq or cl:
             theta = tuple(2.0 * math.pi * ((cq * j * j + cl * j) % d) / d for j in range(d))
             local_ops.append(Operation(Gate.r(theta), (q,)))
     if local_ops:
         layers.append(local_ops)
-    return [Circuit(c.ctx, c.qudits, c.qudits, c.qudits, tuple(ops)) for ops in layers]
+    return layers
 
 
 def controlled_pauli_constant_depth(c: Circuit, ancilla_start: int | None = None) -> Circuit:
@@ -447,26 +434,28 @@ def controlled_pauli_constant_depth(c: Circuit, ancilla_start: int | None = None
     and swaps the registers back.  Size grows quadratically in the
     register width while depth stays fixed.
     """
-    mains = c.qudits
-    ctx = c.ctx
-    d = ctx.d
+    start = max(c.qudits, default=0) + 1 if ancilla_start is None else ancilla_start
+    ops, ancillas = _controlled_pauli_ops(c.ops, c.qudits, c.ctx.d, start)
+    return Circuit(c.ctx, c.qudits + ancillas, c.qudits, c.qudits, tuple(ops))
+
+
+def _controlled_pauli_ops(source, mains: tuple[int, ...], d: int, start: int) -> tuple[list[Operation], tuple[int, ...]]:
+    """The ops of ``controlled_pauli_constant_depth`` for the ops ``source``
+    on ``mains``, and the ancillas they use, numbered from ``start``."""
     n = len(mains)
-    quad, lin, matrix, cx_gates, shift = _normalize_controlled_pauli(c)
+    quad, lin, matrix, cx_gates, shift = _normalize_controlled_pauli(source, mains, d)
     # every stage returns its ancillas clean, so each reuses the ids from start
-    start = max(mains, default=0) + 1 if ancilla_start is None else ancilla_start
     used = 0
     ops: list[Operation] = []
 
-    layers = _diagonal_layers(c, quad, lin)
+    layers = _diagonal_layers(mains, quad, lin, d)
     if layers:
         # always run the parallel form so the layer schedule (and hence the
         # depth) is independent of how many diagonal layers the input needed
         if len(layers) == 1:
-            layers.append(Circuit(ctx, mains, mains, mains, ()))
-        empty = Circuit(ctx, mains, mains, mains, ())
+            layers.append([])
         used = n * (len(layers) - 1)
-        block = parallelize_commuting(empty, layers, ancilla_ids=list(range(start, start + used)))
-        ops += list(block.ops)
+        ops += _fanned(mains, layers, range(start, start + used), d)
 
     if cx_gates:
         inverse = _cx_inverse(d, matrix, cx_gates)
@@ -494,21 +483,19 @@ def controlled_pauli_constant_depth(c: Circuit, ancilla_start: int | None = None
         forward = compute_rows(list(mains), matrix.tolist())
         ops += forward
         ops += [Operation(Gate.cx(), (registers[kq][kq], result[kq])) for kq in range(n)]
-        ops += [Operation(g, s) for op in reversed(forward) for g, s in gate_inverse_ops(op.gate, op.sites, d)]
+        ops += _inverse_ops(forward, d)
 
         backward = compute_rows(list(result), inverse.tolist())
         ops += backward
         ops += [Operation(Gate.cx(d - 1), (registers[kq][kq], mains[kq])) for kq in range(n)]
-        ops += [Operation(g, s) for op in reversed(backward) for g, s in gate_inverse_ops(op.gate, op.sites, d)]
+        ops += _inverse_ops(backward, d)
 
         ops += [Operation(Gate.swap(), (mains[kq], result[kq])) for kq in range(n)]
 
     for q, k in zip(mains, shift.tolist()):
         if k:
             ops.append(Operation(Gate.x(k), (q,)))
-
-    qudits = tuple(mains) + tuple(range(start, start + used))
-    return Circuit(ctx, qudits, mains, mains, tuple(ops))
+    return ops, tuple(range(start, start + used))
 
 
 # -- pattern -> unbounded fan-out circuit -------------------------------------------
@@ -544,8 +531,7 @@ def pattern_to_fanout_circuit(p: Pattern) -> FanoutCompileResult:
 
     def compile_block(block: list[Operation], fresh: int):
         touched = tuple(dict.fromkeys(s for op in block for s in op.sites))
-        compiled = controlled_pauli_constant_depth(Circuit(p.ctx, touched, touched, touched, tuple(block)), fresh)
-        return compiled.ops, compiled.qudits[len(touched) :]
+        return _controlled_pauli_ops(block, touched, p.ctx.d, fresh)
 
     circuit = _coherent(p, _measurement_layers(p), compile_block)
     return FanoutCompileResult(circuit, depth_and_size(circuit), pattern_report)

@@ -804,9 +804,18 @@ def _signal_to_json(sig: Signal) -> dict:
 
 
 def _signal_from_json(d: int, doc: dict | None) -> Signal:
-    if not doc:
+    if doc is None:
         return Signal.zero(d)
+    if not isinstance(doc, dict):
+        raise ValueError(f"a signal must be an object {{qudit: coefficient}}, got {doc!r}")
     return Signal(d, tuple((int(q), int(c)) for q, c in doc.items()))
+
+
+def _qudit_ids(doc: dict, key: str) -> tuple[int, ...]:
+    ids = doc[key]
+    if not isinstance(ids, list) or not all(type(q) is int for q in ids):
+        raise ValueError(f"{key!r} must be a list of integer qudit ids, got {ids!r}")
+    return tuple(ids)
 
 
 def pattern_to_json(p: Pattern) -> str:
@@ -866,4 +875,4 @@ def pattern_from_json(text: str) -> Pattern:
             seq.append(CorrectX(sites[0], _signal_from_json(d, entry.get("s"))))
         else:
             seq.append(CorrectZ(sites[0], _signal_from_json(d, entry.get("t"))))
-    return Pattern(ctx, tuple(doc["qudits"]), tuple(doc["inputs"]), tuple(doc["outputs"]), tuple(seq))
+    return Pattern(ctx, _qudit_ids(doc, "qudits"), _qudit_ids(doc, "inputs"), _qudit_ids(doc, "outputs"), tuple(seq))

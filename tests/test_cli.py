@@ -386,3 +386,42 @@ def test_convert_takes_no_seed(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments: --seed 1" in err and "Traceback" not in err
+
+
+def _def7_pattern_doc(tmp_path) -> dict:
+    circuit, pattern = tmp_path / "c.json", tmp_path / "p.json"
+    run_cli("gen", "guni", "--d", "3", "--n", "2", "--gates", "4", "--seed", "1", "--out", str(circuit))
+    run_cli("convert", "def7", "--in", str(circuit), "--out", str(pattern))
+    return json.loads(pattern.read_text())
+
+
+def _assert_input_error(capsys, *argv):
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("key", ["s", "t"])
+def test_signal_that_is_not_an_object_is_input_error(tmp_path, capsys, key):
+    doc = _def7_pattern_doc(tmp_path)
+    next(cmd for cmd in doc["commands"] if cmd["kind"] == "M")[key] = [1]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    _assert_input_error(capsys, "analyze", "--in", str(bad))
+
+
+@pytest.mark.parametrize("key, value", [("inputs", [1]), ("outputs", {}), ("qudits", [])])
+def test_qudit_ids_that_are_not_integers_are_input_error(tmp_path, capsys, key, value):
+    doc = _def7_pattern_doc(tmp_path)
+    doc[key][-1] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    _assert_input_error(capsys, "verify", str(bad), str(bad))
+
+
+@pytest.mark.parametrize("outcomes", ["[1]", '{"1": [0]}', "3"])
+def test_forced_outcomes_that_are_not_an_object_are_input_error(tmp_path, capsys, outcomes):
+    pattern = tmp_path / "p.json"
+    pattern.write_text(json.dumps(_def7_pattern_doc(tmp_path)))
+    _assert_input_error(capsys, "run", "--in", str(pattern), "--mode", "forced", "--outcomes", outcomes)

@@ -454,7 +454,7 @@ class TestControlledPauliCompiler:
         gates = [(0, 1, 2), (1, 2, 1), (2, 0, 2)]
         ops = tuple(Operation(Gate.cx(k), (c, t)) for c, t, k in gates)
         src = Circuit(ctx_of(3), (0, 1, 2), (0, 1, 2), (0, 1, 2), ops)
-        _, _, m, cx_gates, _ = _normalize_controlled_pauli(src)
+        _, _, m, cx_gates, _ = _normalize_controlled_pauli(src.ops, src.qudits, 3)
         assert cx_gates == gates
         inv = _cx_inverse(3, m, cx_gates)
         assert (m @ inv % 3).tolist() == [[1 if i == j else 0 for i in range(3)] for j in range(3)]
