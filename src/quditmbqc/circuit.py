@@ -71,6 +71,8 @@ class Circuit:
             raise ValueError("duplicate qudit identifiers")
         if not set(self.inputs) <= qs or not set(self.outputs) <= qs:
             raise ValueError("inputs and outputs must be subsets of the qudit set")
+        if len(set(self.inputs)) != len(self.inputs) or len(set(self.outputs)) != len(self.outputs):
+            raise ValueError("inputs and outputs must not repeat a qudit")
         for op in self.ops:
             if len(op.sites) != op.gate.arity:
                 raise ValueError(f"{op.gate.name.value} expects {op.gate.arity} sites, got {len(op.sites)}")
@@ -373,17 +375,18 @@ def circuit_to_json(c: Circuit) -> str:
     return json.dumps(doc, indent=2) + "\n"
 
 
+def _qudit_ids(doc: dict, key: str) -> tuple[int, ...]:
+    ids = doc[key]
+    if not isinstance(ids, list) or not all(type(q) is int for q in ids):
+        raise ValueError(f"{key!r} must be a list of integer qudit ids, got {ids!r}")
+    return tuple(ids)
+
+
 def circuit_from_json(text: str) -> Circuit:
     doc = json.loads(text)
     ctx = DimensionContext.of(doc["d"])
     ops = tuple(
-        Operation(_gate_from_json(entry["gate"], entry.get("params", {})), tuple(entry["sites"]))
+        Operation(_gate_from_json(entry["gate"], entry.get("params", {})), _qudit_ids(entry, "sites"))
         for entry in doc["ops"]
     )
-    return Circuit(
-        ctx,
-        tuple(doc["qudits"]),
-        tuple(doc["inputs"]),
-        tuple(doc["outputs"]),
-        ops,
-    )
+    return Circuit(ctx, _qudit_ids(doc, "qudits"), _qudit_ids(doc, "inputs"), _qudit_ids(doc, "outputs"), ops)

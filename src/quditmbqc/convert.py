@@ -34,7 +34,6 @@ from .pattern import (
     Measure,
     Pattern,
     Signal,
-    _greedy_coloring,
     entanglement_depth,
     entanglement_graph,
     pattern_depth_and_size,
@@ -258,10 +257,10 @@ def build_generalized(ctx: DimensionContext, coeffs, kind: str = "fanout") -> Ci
     """Constant-depth fan-out-model circuits for the coefficient-vector
     fan-out and modulo gates.
 
-    fanout(v): copy the control into n-1 ancillas with one fan-out,
-    apply the per-target controlled-X powers in parallel, then undo the
-    copy with d-1 plain fan-outs.  mod(v): conjugate fanout(-v) by a
-    Fourier layer.
+    fanout(v): copy the control into one ancilla per nonzero coefficient
+    after the first with one fan-out, apply the per-target controlled-X
+    powers in parallel, then undo the copy with d-1 plain fan-outs.
+    mod(v): conjugate fanout(-v) by a Fourier layer.
     """
     coeffs = tuple(int(c) % ctx.d for c in coeffs)
     n = len(coeffs)
@@ -271,9 +270,9 @@ def build_generalized(ctx: DimensionContext, coeffs, kind: str = "fanout") -> Ci
     targets = tuple(range(1, n + 1))
     mains = (control,) + targets
     if kind == "fanout":
-        copies = tuple(range(n + 1, n + n))  # n - 1 ancillas
-        layers = [[Operation(Gate.cx(c), (control, t))] if c else [] for t, c in zip(targets, coeffs)]
-        return Circuit(ctx, mains + copies, mains, mains, tuple(_fanned((control,), layers, copies, ctx.d)))
+        units = [[Operation(Gate.cx(c), (control, t))] for t, c in zip(targets, coeffs) if c]
+        ops, copies = _fanned(units, n + 1, ctx.d)
+        return Circuit(ctx, mains + tuple(range(n + 1, n + 1 + copies)), mains, mains, tuple(ops))
     if kind == "mod":
         inner = build_generalized(ctx, tuple((-c) % ctx.d for c in coeffs), "fanout")
         ops = [Operation(Gate.finv(), (q,)) for q in mains]
@@ -286,21 +285,30 @@ def build_generalized(ctx: DimensionContext, coeffs, kind: str = "fanout") -> Ci
 # -- commuting-unitary parallelization --------------------------------------------
 
 
-def _fanned(mains, layers: list, ancillas, d: int) -> list[Operation]:
-    """Commuting op layers on ``mains`` run side by side (Hoyer and Spalek,
-    "Quantum fan-out is powerful"): copy the register into one ancilla
-    register per layer after the first with parallel fan-outs, run layer i
-    on register i, then undo the copies with d-1 more fan-out layers.  One
-    layer is returned as it is; the ancillas end in |0>."""
-    if len(layers) == 1:
-        return list(layers[0])
-    k, fan = len(mains), Gate.fanout((1,) * (len(layers) - 1))
-    registers = [tuple(mains)] + [tuple(ancillas[i * k : (i + 1) * k]) for i in range(len(layers) - 1)]
-    copy = [Operation(fan, (q,) + tuple(r[pos] for r in registers[1:])) for pos, q in enumerate(mains)]
-    ops = list(copy)
-    for register, layer in zip(registers, layers):
-        ops += _relabel_ops(layer, dict(zip(mains, register)))
-    return ops + copy * (d - 1)
+def _fanned(units: list, start: int, d: int) -> tuple[list[Operation], int]:
+    """Op units that share qudits run side by side (Hoyer and Spalek,
+    "Quantum fan-out is powerful"): a qudit stays with the first unit that
+    touches it, and one fan-out copies it into a fresh ancilla, numbered
+    from ``start``, for each later unit that touches it.  The units then
+    act on disjoint qudits, and d-1 more copy layers undo the copies.  A
+    qudit that two units touch must keep its value under both (a diagonal
+    unit, or a controlled shift that only reads it).  Returns the ops and
+    the number of ancillas, which end in |0>."""
+    copies: dict[int, list[int]] = {}
+    body: list[Operation] = []
+    fresh = start
+    for unit in units:
+        mapping = {}
+        for q in dict.fromkeys(s for op in unit for s in op.sites):
+            if q in copies:
+                mapping[q] = fresh
+                copies[q].append(fresh)
+                fresh += 1
+            else:
+                copies[q] = []
+        body += _relabel_ops(unit, mapping)
+    copy = [Operation(Gate.fanout((1,) * len(c)), (q, *c)) for q, c in copies.items() if c]
+    return copy + body + copy * (d - 1), fresh - start
 
 
 _DIAG_DENSE_CHECK_LIMIT = 4096
@@ -316,14 +324,12 @@ def _check_diagonal(c: Circuit) -> None:
         raise ValueError("block is not diagonal in the computational basis")
 
 
-def parallelize_commuting(
-    b: Circuit, diagonals: list[Circuit], ancilla_ids: list[int] | None = None
-) -> Circuit:
+def parallelize_commuting(b: Circuit, diagonals: list[Circuit]) -> Circuit:
     """Run n pairwise-commuting unitaries B^dagger D_i B in fan-out-parallel.
 
-    The output applies B once, copies the k-qudit register into n-1
-    ancilla registers with k parallel fan-outs, applies every D_i on its
-    own register simultaneously, undoes the copies with d-1 fan-out
+    The output applies B once, copies each qudit into one ancilla per
+    further D_i that touches it with one fan-out, applies every D_i on
+    its own qudits simultaneously, undoes the copies with d-1 fan-out
     layers and finishes with B^dagger.  Ancillas are returned in |0>.
     """
     if not diagonals:
@@ -334,14 +340,10 @@ def parallelize_commuting(
         if diag.ctx != ctx or set(diag.qudits) != set(mains):
             raise ValueError("diagonal blocks must act on the same register as the basis change")
         _check_diagonal(diag)
-    total = len(mains) * (len(diagonals) - 1)
-    if ancilla_ids is None:
-        start = max(mains, default=0) + 1
-        ancilla_ids = list(range(start, start + total))
-    if len(ancilla_ids) != total:
-        raise ValueError(f"need exactly {total} ancilla ids")
-    ops = [*b.ops, *_fanned(mains, [diag.ops for diag in diagonals], ancilla_ids, ctx.d), *_inverse_ops(b.ops, ctx.d)]
-    return Circuit(ctx, tuple(mains) + tuple(ancilla_ids), mains, mains, tuple(ops))
+    start = max(mains, default=0) + 1
+    fanned, copies = _fanned([diag.ops for diag in diagonals], start, ctx.d)
+    ops = [*b.ops, *fanned, *_inverse_ops(b.ops, ctx.d)]
+    return Circuit(ctx, tuple(mains) + tuple(range(start, start + copies)), mains, mains, tuple(ops))
 
 
 # -- constant-depth controlled-Pauli compiler --------------------------------------
@@ -403,36 +405,42 @@ def _cx_inverse(d: int, matrix: np.ndarray, cx_gates) -> np.ndarray:
     return inverse
 
 
-def _diagonal_layers(qudits: tuple[int, ...], quad: np.ndarray, lin: np.ndarray, d: int) -> list[list[Operation]]:
-    """Emit the phase polynomial as depth-1 diagonal layers on the full register."""
-    # a proper edge coloring, first fit in sorted (row-major) edge order,
-    # gives disjoint CZ layers; CZ^0 is the identity
-    edges = [tuple(e) for e in np.argwhere(np.triu(quad, 1)).tolist()]
-    by_color: dict[int, list[Operation]] = {}
-    for (a, b), color in zip(edges, _greedy_coloring(edges)):
-        by_color.setdefault(color, []).append(Operation(Gate.cz(int(quad[a, b])), (qudits[a], qudits[b])))
-    layers = [by_color[color] for color in sorted(by_color)]
-    local_ops = []
+def _diagonal_units(qudits: tuple[int, ...], quad: np.ndarray, lin: np.ndarray, d: int) -> list[list[Operation]]:
+    """The phase polynomial as one-op units: a CZ power per cross term, then
+    a phase rotation per qudit with a square or linear term."""
+    units = [
+        [Operation(Gate.cz(int(quad[a, b])), (qudits[a], qudits[b]))] for a, b in np.argwhere(np.triu(quad, 1)).tolist()
+    ]
     for q, cq, cl in zip(qudits, np.diag(quad).tolist(), lin.tolist()):
         if cq or cl:
             theta = tuple(2.0 * math.pi * ((cq * j * j + cl * j) % d) / d for j in range(d))
-            local_ops.append(Operation(Gate.r(theta), (q,)))
-    if local_ops:
-        layers.append(local_ops)
-    return layers
+            units.append([Operation(Gate.r(theta), (q,))])
+    return units
+
+
+def _mod_units(rows, targets, controls) -> list[list[Operation]]:
+    """One MOD per target adding its row's nonzero entries times the
+    controls; an entry on the target itself is left out."""
+    units = []
+    for t, row in zip(targets, rows):
+        terms = [(c, k) for c, k in zip(controls, row) if k and c != t]
+        if terms:
+            units.append([Operation(Gate.mod(k for _, k in terms), (t, *(c for c, _ in terms)))])
+    return units
 
 
 def controlled_pauli_constant_depth(c: Circuit, ancilla_start: int | None = None) -> Circuit:
     """Compile a {CZ^k, CX^k, Z^k, X^k} circuit to constant depth.
 
     The circuit is rearranged into a diagonal part followed by a
-    controlled-X part (plus local X shifts).  The diagonal part runs as
-    parallel depth-1 layers on fanned-out register copies; the
-    controlled-X part evaluates its Z(d) matrix row-per-register with
-    generalized modulo gates, writes the result register, uncomputes,
-    clears the original register through the replayed inverse matrix
-    and swaps the registers back.  Size grows quadratically in the
-    register width while depth stays fixed.
+    controlled-X part (plus local X shifts).  The diagonal part runs its
+    CZ and phase terms side by side on fan-out copies.  When no
+    controlled-X control is also a target, each target takes one MOD
+    over its controls, side by side on copies.  Otherwise the Z(d)
+    matrix M is evaluated into a fresh result register with one MOD per
+    row, the register is cleared by MODs of the rows of -M^-1 (replayed
+    from the gate list) and the two registers swap.  Ancillas grow with
+    the number of nonzero terms while depth stays fixed.
     """
     start = max(c.qudits, default=0) + 1 if ancilla_start is None else ancilla_start
     ops, ancillas = _controlled_pauli_ops(c.ops, c.qudits, c.ctx.d, start)
@@ -442,59 +450,24 @@ def controlled_pauli_constant_depth(c: Circuit, ancilla_start: int | None = None
 def _controlled_pauli_ops(source, mains: tuple[int, ...], d: int, start: int) -> tuple[list[Operation], tuple[int, ...]]:
     """The ops of ``controlled_pauli_constant_depth`` for the ops ``source``
     on ``mains``, and the ancillas they use, numbered from ``start``."""
-    n = len(mains)
     quad, lin, matrix, cx_gates, shift = _normalize_controlled_pauli(source, mains, d)
     # every stage returns its ancillas clean, so each reuses the ids from start
-    used = 0
-    ops: list[Operation] = []
-
-    layers = _diagonal_layers(mains, quad, lin, d)
-    if layers:
-        # always run the parallel form so the layer schedule (and hence the
-        # depth) is independent of how many diagonal layers the input needed
-        if len(layers) == 1:
-            layers.append([])
-        used = n * (len(layers) - 1)
-        ops += _fanned(mains, layers, range(start, start + used), d)
-
-    if cx_gates:
-        inverse = _cx_inverse(d, matrix, cx_gates)
-        used = max(used, n * n + n)
-        registers = [range(start + l * n, start + (l + 1) * n) for l in range(n)]
-        result = range(start + n * n, start + n * n + n)
-
-        def compute_rows(source: list[int], rows) -> list[Operation]:
-            """Copy ``source`` into the registers, evaluate row k on register
-            k's diagonal slot; emitted once forward, once backward.  Zero-power
-            placeholders are kept so the layer schedule never depends on the
-            matrix entries."""
-            forward: list[Operation] = []
-            for r in range(n):
-                targets = tuple(registers[l][r] for l in range(n) if l != r)
-                forward.append(Operation(Gate.fanout((1,) * (n - 1)), (source[r],) + targets))
-            for kq in range(n):
-                coeffs = tuple(rows[kq][j] for j in range(n) if j != kq)
-                controls = tuple(registers[kq][j] for j in range(n) if j != kq)
-                forward.append(Operation(Gate.mod(coeffs), (registers[kq][kq],) + controls))
-            for kq in range(n):
-                forward.append(Operation(Gate.cx(rows[kq][kq] % d), (source[kq], registers[kq][kq])))
-            return forward
-
-        forward = compute_rows(list(mains), matrix.tolist())
-        ops += forward
-        ops += [Operation(Gate.cx(), (registers[kq][kq], result[kq])) for kq in range(n)]
-        ops += _inverse_ops(forward, d)
-
-        backward = compute_rows(list(result), inverse.tolist())
-        ops += backward
-        ops += [Operation(Gate.cx(d - 1), (registers[kq][kq], mains[kq])) for kq in range(n)]
-        ops += _inverse_ops(backward, d)
-
-        ops += [Operation(Gate.swap(), (mains[kq], result[kq])) for kq in range(n)]
-
-    for q, k in zip(mains, shift.tolist()):
-        if k:
-            ops.append(Operation(Gate.x(k), (q,)))
+    ops, used = _fanned(_diagonal_units(mains, quad, lin, d), start, d)
+    if cx_gates and {i for i, _, _ in cx_gates}.isdisjoint(j for _, j, _ in cx_gates):
+        # no MOD changes a qudit another one reads, so each target updates in place
+        cx_ops, copies = _fanned(_mod_units(matrix.tolist(), mains, mains), start, d)
+        ops += cx_ops
+        used = max(used, copies)
+    elif cx_gates:
+        n = len(mains)
+        result = tuple(range(start, start + n))
+        inverse = (-_cx_inverse(d, matrix, cx_gates)) % d
+        for rows, targets, controls in ((matrix, result, mains), (inverse, mains, result)):
+            stage, copies = _fanned(_mod_units(rows.tolist(), targets, controls), start + n, d)
+            ops += stage
+            used = max(used, n + copies)
+        ops += [Operation(Gate.swap(), pair) for pair in zip(mains, result)]
+    ops += [Operation(Gate.x(k), (q,)) for q, k in zip(mains, shift.tolist()) if k]
     return ops, tuple(range(start, start + used))
 
 

@@ -21,7 +21,7 @@ from functools import reduce
 import numpy as np
 
 from .algebra import DimensionContext
-from .circuit import DepthReport, _wired, longest_chain
+from .circuit import DepthReport, _qudit_ids, _wired, longest_chain
 from .sim import (
     ZERO_BRANCH_TOL,
     Gate,
@@ -259,6 +259,8 @@ def validate(p: Pattern) -> Violation | None:
     qs = set(p.qudits)
     if not set(p.inputs) <= qs or not set(p.outputs) <= qs:
         return Violation(None, "inputs and outputs must be subsets of the qudit set")
+    if len(set(p.inputs)) != len(p.inputs) or len(set(p.outputs)) != len(p.outputs):
+        return Violation(None, "inputs and outputs must not repeat a qudit")
     outputs = set(p.outputs)
     measured: set[int] = set()
     for idx, cmd in enumerate(p.seq):
@@ -811,13 +813,6 @@ def _signal_from_json(d: int, doc: dict | None) -> Signal:
     return Signal(d, tuple((int(q), int(c)) for q, c in doc.items()))
 
 
-def _qudit_ids(doc: dict, key: str) -> tuple[int, ...]:
-    ids = doc[key]
-    if not isinstance(ids, list) or not all(type(q) is int for q in ids):
-        raise ValueError(f"{key!r} must be a list of integer qudit ids, got {ids!r}")
-    return tuple(ids)
-
-
 def pattern_to_json(p: Pattern) -> str:
     cmds = []
     for cmd in p.seq:
@@ -854,7 +849,7 @@ def pattern_from_json(text: str) -> Pattern:
     seq: list[Command] = []
     for entry in doc["commands"]:
         kind = entry["kind"]
-        sites = entry["sites"]
+        sites = _qudit_ids(entry, "sites")
         arity = _COMMAND_ARITY.get(kind)
         if arity is None:
             raise ValueError(f"unknown command kind {kind!r}")

@@ -34,10 +34,7 @@ __all__ = [
     "gate_matrix",
     "gate_inverse_ops",
     "basis_state",
-    "plus_state",
     "random_state",
-    "reduced_density_matrix",
-    "purity",
     "pauli_angles",
 ]
 
@@ -417,12 +414,6 @@ def basis_state(ctx: DimensionContext, sites, digits) -> StateVector:
     return StateVector(ctx, sites, amps)
 
 
-def plus_state(ctx: DimensionContext, site: int, n: int = 0) -> StateVector:
-    """The conjugate-basis state F|n> on a single site."""
-    amps = _fourier(ctx.d)[:, n % ctx.d].copy()
-    return StateVector(ctx, (site,), amps)
-
-
 def random_state(ctx: DimensionContext, sites, rng: np.random.Generator) -> StateVector:
     sites = tuple(sites)
     dim = ctx.d ** len(sites)
@@ -581,18 +572,3 @@ def fidelity_up_to_phase(a: StateVector, b: StateVector) -> float:
         raise ValueError(f"site sets differ: {sorted(a.sites)} vs {sorted(b.sites)}")
     b_aligned = b.with_sites_order(a.sites)
     return float(abs(np.vdot(a.amplitudes, b_aligned.amplitudes)))
-
-
-def reduced_density_matrix(state: StateVector, keep) -> np.ndarray:
-    """Partial trace onto the kept sites (in the order given)."""
-    keep = tuple(keep)
-    d = state.ctx.d
-    axes = [state.site_axis(s) for s in keep]
-    rest = [i for i in range(state.num_sites) if i not in axes]
-    tensor = np.transpose(state.tensor(), axes + rest)
-    mat = tensor.reshape(d ** len(keep), -1)
-    return mat @ mat.conj().T
-
-
-def purity(rho: np.ndarray) -> float:
-    return float(np.real(np.trace(rho @ rho)))

@@ -1,6 +1,7 @@
 """Shared test oracles, independent of the code paths they check.
 
 - brute-force longest dependent-path search for depth reports
+- single-site conjugate-basis states, partial traces and purity
 - global-phase-insensitive unitary comparison
 - a sparse phase-polynomial simulator for circuits built from basis
   permutations and Z(d)-integer diagonal phases (the controlled-Pauli
@@ -26,9 +27,32 @@ import numpy as np
 from quditmbqc.algebra import DimensionContext, PauliOperator, xi_p
 from quditmbqc.circuit import Circuit, Operation
 from quditmbqc.pattern import CorrectX, CorrectZ, Entangle, Measure, Pattern, RunResult, require_valid
-from quditmbqc.sim import Gate, GateName, StateVector, basis_state, gate_matrix, plus_state
+from quditmbqc.sim import Gate, GateName, StateVector, basis_state, gate_matrix
 
 CONST = "#const"
+
+
+# -- state inspection -------------------------------------------------------------
+
+
+def plus_state(ctx: DimensionContext, site: int, n: int = 0) -> StateVector:
+    """The conjugate-basis state F|n> on a single site."""
+    return StateVector(ctx, (site,), gate_matrix(Gate.f(), ctx)[:, n % ctx.d].copy())
+
+
+def reduced_density_matrix(state: StateVector, keep) -> np.ndarray:
+    """Partial trace onto the kept sites (in the order given)."""
+    keep = tuple(keep)
+    d = state.ctx.d
+    axes = [state.site_axis(s) for s in keep]
+    rest = [i for i in range(state.num_sites) if i not in axes]
+    tensor = np.transpose(state.tensor(), axes + rest)
+    mat = tensor.reshape(d ** len(keep), -1)
+    return mat @ mat.conj().T
+
+
+def purity(rho: np.ndarray) -> float:
+    return float(np.real(np.trace(rho @ rho)))
 
 
 # -- depth oracle ---------------------------------------------------------------

@@ -17,7 +17,9 @@ from helpers import (
     max_diff_up_to_phase,
     oracle_apply_gate,
     phase_poly_equivalent,
+    purity,
     random_controlled_pauli_circuit,
+    reduced_density_matrix,
     target_stabilizers,
 )
 
@@ -70,9 +72,7 @@ from quditmbqc.sim import (
     basis_state,
     fidelity_up_to_phase,
     gate_matrix,
-    purity,
     random_state,
-    reduced_density_matrix,
 )
 
 GOLDEN = Path(__file__).parent / "golden"

@@ -246,6 +246,15 @@ def test_convert_emits_report(tmp_path):
     assert doc["circuit"]["depth"] >= 1 and doc["ancillas_added"] >= 0
 
 
+def test_quick_start_fanout_artifact_verifies(tmp_path):
+    circuit, pattern, compiled = tmp_path / "circuit.json", tmp_path / "pattern.json", tmp_path / "fanout.json"
+    run_cli("gen", "guni", "--d", "3", "--n", "2", "--gates", "6", "--seed", "1", "--out", str(circuit))
+    run_cli("convert", "def7", "--in", str(circuit), "--out", str(pattern))
+    assert run_cli("convert", "fanout-compile", "--in", str(pattern), "--out", str(compiled)) == 0
+    assert len(json.loads(compiled.read_text())["qudits"]) <= 14  # 3**14 < 2**24, so densely verifiable
+    assert run_cli("verify", str(circuit), str(compiled)) == 0
+
+
 def test_sweep_accepts_range_spellings(tmp_path):
     out = tmp_path / "sweep.json"
     assert run_cli("analyze", "--sweep", "n=2..3", "--d", "2", "--seed", "0", "--out", str(out)) == 0
@@ -418,6 +427,39 @@ def test_qudit_ids_that_are_not_integers_are_input_error(tmp_path, capsys, key, 
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(doc))
     _assert_input_error(capsys, "verify", str(bad), str(bad))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["convert", "def7"], ["convert", "def8"], ["convert", "clifford-const"], ["analyze"], ["run"], ["verify"]],
+)
+def test_circuit_qudit_ids_that_are_not_integers_are_input_error(tmp_path, capsys, argv):
+    circuit = tmp_path / "c.json"
+    cz = {"gate": "CZ", "params": {"k": 1}, "sites": ["a", "b"]}
+    circuit.write_text(json.dumps({"d": 2, "qudits": ["a", "b"], "inputs": ["a", "b"], "outputs": ["a", "b"], "ops": [cz]}))
+    args = [str(circuit), str(circuit)] if argv == ["verify"] else ["--in", str(circuit)]
+    _assert_input_error(capsys, *argv, *args)
+
+
+@pytest.mark.parametrize(
+    "argv", [["convert", "def9"], ["convert", "fanout-compile"], ["rewrite", "complete"], ["run"], ["verify"]]
+)
+def test_pattern_with_a_repeated_input_is_input_error(tmp_path, capsys, argv):
+    doc = _def7_pattern_doc(tmp_path)
+    doc["inputs"] = [doc["inputs"][0]] * len(doc["inputs"])
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    args = [str(bad), str(bad)] if argv == ["verify"] else ["--in", str(bad)]
+    _assert_input_error(capsys, *argv, *args)
+
+
+def test_circuit_with_a_repeated_output_is_input_error(tmp_path, capsys):
+    circuit = tmp_path / "c.json"
+    run_cli("gen", "guni", "--d", "3", "--n", "2", "--gates", "4", "--seed", "1", "--out", str(circuit))
+    doc = json.loads(circuit.read_text())
+    doc["outputs"] = [2, 2]
+    circuit.write_text(json.dumps(doc))
+    _assert_input_error(capsys, "run", "--in", str(circuit))
 
 
 @pytest.mark.parametrize("outcomes", ["[1]", '{"1": [0]}', "3"])

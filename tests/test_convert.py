@@ -9,7 +9,9 @@ from helpers import (
     max_diff_up_to_phase,
     oracle_apply_gate,
     phase_poly_equivalent,
+    purity,
     random_controlled_pauli_circuit,
+    reduced_density_matrix,
 )
 
 from quditmbqc.algebra import DimensionContext
@@ -55,9 +57,7 @@ from quditmbqc.sim import (
     basis_state,
     fidelity_up_to_phase,
     gate_matrix,
-    purity,
     random_state,
-    reduced_density_matrix,
 )
 
 
@@ -474,6 +474,39 @@ class TestControlledPauliCompiler:
         ctx = ctx_of(2)
         with pytest.raises(ValueError):
             controlled_pauli_constant_depth(one_gate_circuit(ctx, Gate.f(), (1,), (1,)))
+
+    @pytest.mark.parametrize("d", [2, 3, 6])
+    def test_bipartite_block_compiles_in_place_beyond_dense_reach(self, d):
+        # the shape of every pipeline block: no controlled-X control is also
+        # a target, so each target takes one MOD and no result register is
+        # needed; 40 qudits put d**40 far past dense simulation
+        ctx, rng = ctx_of(d), np.random.default_rng(d)
+        controls, targets = tuple(range(1, 21)), tuple(range(21, 41))
+        ops = []
+        for kind in rng.choice(["CX", "CZ", "local"], size=80):
+            k = int(rng.integers(1, d))
+            if kind == "CX":
+                ops.append(Operation(Gate.cx(k), (int(rng.choice(controls)), int(rng.choice(targets)))))
+            elif kind == "CZ":
+                i, j = rng.choice(controls + targets, size=2, replace=False)
+                ops.append(Operation(Gate.cz(k), (int(i), int(j))))
+            else:
+                gate = Gate.x(k) if rng.integers(2) else Gate.z(k)
+                ops.append(Operation(gate, (int(rng.choice(controls + targets)),)))
+        mains = controls + targets
+        src = Circuit(ctx, mains, mains, mains, tuple(ops))
+        out = controlled_pauli_constant_depth(src)
+        assert phase_poly_equivalent(out, src)
+        assert not any(op.gate.name == GateName.SWAP for op in out.ops)
+        # every ancilla copies a qudit for one use by a term of the normal
+        # form: a CZ cross term uses two qudits, a phase or a CX entry one
+        quad, lin, matrix, _, _ = _normalize_controlled_pauli(src.ops, mains, d)
+        cz_uses = 2 * np.count_nonzero(np.triu(quad, 1))
+        local_uses = np.count_nonzero(np.diag(quad) | lin)
+        cx_uses = np.count_nonzero(matrix - np.eye(len(mains), dtype=np.int64))
+        assert len(out.qudits) - len(mains) <= max(cz_uses + local_uses, cx_uses)
+        # copy, diagonal units, d-1 uncopies; the same for the MODs; X shifts
+        assert depth_and_size(out).depth <= 2 * (d + 1) + 1
 
     def test_ancillas_end_clean(self):
         ctx = ctx_of(2)

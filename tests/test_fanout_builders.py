@@ -20,7 +20,6 @@ import sys
 from pathlib import Path
 
 import numpy as np
-import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 from helpers import random_controlled_pauli_circuit
@@ -55,7 +54,7 @@ def _diagonal(ctx: DimensionContext, mains: tuple[int, ...], rng) -> Circuit:
     return Circuit(ctx, mains, mains, mains, tuple(ops))
 
 
-def _parallelized(d: int, layers: int, ancilla_ids: list[int] | None) -> Circuit:
+def _parallelized(d: int, layers: int) -> Circuit:
     ctx, mains = DimensionContext.of(d), (1, 2, 3)
     rng = np.random.default_rng(10 * d + layers)
     b = Circuit(
@@ -65,7 +64,7 @@ def _parallelized(d: int, layers: int, ancilla_ids: list[int] | None) -> Circuit
         mains,
         (Operation(Gate.f(), (1,)), Operation(Gate.cx(), (1, 2)), Operation(Gate.v(tuple(rng.uniform(0, 6, size=d))), (3,))),
     )
-    return parallelize_commuting(b, [_diagonal(ctx, mains, rng) for _ in range(layers)], ancilla_ids)
+    return parallelize_commuting(b, [_diagonal(ctx, mains, rng) for _ in range(layers)])
 
 
 def fanout_builders_record() -> str:
@@ -79,12 +78,8 @@ def fanout_builders_record() -> str:
                 entries.append({"builder": "build_generalized", "d": d, "case": f"{kind} n={n}", "sha256": _digest(*built)})
         for layers in (1, 2, 3):
             entries.append(
-                {"builder": "parallelize_commuting", "d": d, "case": f"layers={layers}", "sha256": _digest(_parallelized(d, layers, None))}
+                {"builder": "parallelize_commuting", "d": d, "case": f"layers={layers}", "sha256": _digest(_parallelized(d, layers))}
             )
-        ids = list(range(46, 40, -1))  # two ancilla registers of three, in reverse order
-        entries.append(
-            {"builder": "parallelize_commuting", "d": d, "case": "layers=3 ids", "sha256": _digest(_parallelized(d, 3, ids))}
-        )
     for d in (2, 3, 4, 6):
         ctx = DimensionContext.of(d)
         for n, seed, locals_too in itertools.product((2, 3, 4), range(3), (False, True)):
@@ -120,14 +115,6 @@ def test_each_public_compiler_builds_one_circuit(monkeypatch):
         built.clear()
         compile_once()
         assert len(built) == 1
-
-
-def test_one_diagonal_takes_no_ancilla_ids():
-    ctx, mains = DimensionContext.of(2), (1,)
-    b = Circuit(ctx, mains, mains, mains, ())
-    diag = Circuit(ctx, mains, mains, mains, (Operation(Gate.z(), (1,)),))
-    with pytest.raises(ValueError, match="need exactly 0 ancilla ids"):
-        parallelize_commuting(b, [diag], ancilla_ids=[5])
 
 
 if __name__ == "__main__":

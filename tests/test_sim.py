@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
 
-from helpers import DIAGONAL_GATES, PERMUTATION_GATES, apply_matrix, oracle_apply_gate, oracle_measure_branches
+from helpers import (
+    DIAGONAL_GATES,
+    PERMUTATION_GATES,
+    apply_matrix,
+    oracle_apply_gate,
+    oracle_measure_branches,
+    plus_state,
+    purity,
+    reduced_density_matrix,
+)
 from quditmbqc.algebra import DimensionContext
 from quditmbqc.circuit import Circuit, Operation
 from quditmbqc.pattern import Measure, Pattern, Signal, run, run_branches
@@ -16,10 +25,7 @@ from quditmbqc.sim import (
     fidelity_up_to_phase,
     gate_inverse_ops,
     gate_matrix,
-    plus_state,
-    purity,
     random_state,
-    reduced_density_matrix,
 )
 
 
