@@ -8,8 +8,10 @@ to the universal two-gate set {CZ, v(theta)}.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, replace
 from itertools import count
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
@@ -340,12 +342,37 @@ def lower_to_guni(c: Circuit) -> Circuit:
 _JSON_PARAMS = {"k": ("k", int), "theta": ("theta", float), "coeffs": ("v", int), "angles": ("angles", float)}
 
 
-def _gate_to_json(gate: Gate) -> dict:
+def _json_num(x) -> str:
+    """A number as json.dumps writes it: plain ints and finite floats by repr,
+    NaN, infinities and bools by json.  The writers fill fixed templates with
+    the bytes of json.dumps(doc, indent=2), without its pure-Python encoder."""
+    if type(x) is int:
+        return int.__repr__(x)
+    if isinstance(x, float) and math.isfinite(x):
+        return float.__repr__(x)
+    return json.dumps(x)
+
+
+def _json_list(xs, indent: str) -> str:
+    """A list of numbers, one item per line at ``indent``."""
+    return "[\n" + indent + (",\n" + indent).join(map(_json_num, xs)) + "\n" + indent[:-2] + "]" if xs else "[]"
+
+
+def _json_document(a, key: str, items: list[str]) -> str:
+    """The document {d, qudits, inputs, outputs, ``key``: items} of a circuit
+    or pattern, given its items written at list depth."""
+    wires = (_json_list(ids, "    ") for ids in (a.qudits, a.inputs, a.outputs))
+    head = '{\n  "d": %s,\n  "qudits": %s,\n  "inputs": %s,\n  "outputs": %s,\n  "%s": ' % (_json_num(a.ctx.d), *wires, key)
+    return head + ("[\n" + ",\n".join(items) + "\n  ]" if items else "[]") + "\n}\n"
+
+
+def _gate_to_json(gate: Gate) -> str:
+    """The op's "params" object."""
     param = _KINDS[gate.name].param
     if param is None:
-        return {}
-    value = getattr(gate, param)
-    return {_JSON_PARAMS[param][0]: value if param == "k" else list(value)}
+        return "{}"
+    text = _json_num(gate.k) if param == "k" else _json_list(getattr(gate, param), " " * 10)
+    return '{\n        "%s": %s\n      }' % (_JSON_PARAMS[param][0], text)
 
 
 def _gate_from_json(name: str, params: dict) -> Gate:
@@ -361,18 +388,15 @@ def _gate_from_json(name: str, params: dict) -> Gate:
     return Gate(kind, **{param: cast(value) if param == "k" else tuple(cast(x) for x in value)})
 
 
+_OP_JSON = '    {\n      "gate": %s,\n      "params": %s,\n      "sites": %s\n    }'
+
+
 def circuit_to_json(c: Circuit) -> str:
-    doc = {
-        "d": c.ctx.d,
-        "qudits": list(c.qudits),
-        "inputs": list(c.inputs),
-        "outputs": list(c.outputs),
-        "ops": [
-            {"gate": op.gate.name.value, "params": _gate_to_json(op.gate), "sites": list(op.sites)}
-            for op in c.ops
-        ],
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    ops = [
+        _OP_JSON % (encode_basestring_ascii(op.gate.name.value), _gate_to_json(op.gate), _json_list(op.sites, " " * 8))
+        for op in c.ops
+    ]
+    return _json_document(c, "ops", ops)
 
 
 def _qudit_ids(doc: dict, key: str) -> tuple[int, ...]:
@@ -383,7 +407,10 @@ def _qudit_ids(doc: dict, key: str) -> tuple[int, ...]:
 
 
 def circuit_from_json(text: str) -> Circuit:
-    doc = json.loads(text)
+    return _circuit_from_doc(json.loads(text))
+
+
+def _circuit_from_doc(doc: dict) -> Circuit:
     ctx = DimensionContext.of(doc["d"])
     ops = tuple(
         Operation(_gate_from_json(entry["gate"], entry.get("params", {})), _qudit_ids(entry, "sites"))

@@ -25,7 +25,7 @@ import numpy as np
 from .algebra import DimensionContext
 from .circuit import (
     Circuit,
-    circuit_from_json,
+    _circuit_from_doc,
     circuit_to_json,
     depth_and_size,
     lower_to_guni,
@@ -47,10 +47,10 @@ from .generate import (
 )
 from .pattern import (
     Pattern,
+    _pattern_from_doc,
     entanglement_depth,
     entanglement_graph,
     pattern_depth_and_size,
-    pattern_from_json,
     pattern_to_json,
     peak_live_qudits,
     run,
@@ -87,9 +87,9 @@ def load_artifact(path: str) -> Circuit | Pattern:
         raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     try:
         if "ops" in doc:
-            return circuit_from_json(text)
+            return _circuit_from_doc(doc)
         if "commands" in doc:
-            return pattern_from_json(text)
+            return _pattern_from_doc(doc)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     raise InputError(f"{path}: neither a circuit ('ops') nor a pattern ('commands')")

@@ -17,11 +17,12 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from functools import reduce
+from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .algebra import DimensionContext
-from .circuit import DepthReport, _qudit_ids, _wired, longest_chain
+from .circuit import DepthReport, _json_document, _json_list, _json_num, _qudit_ids, _wired, longest_chain
 from .sim import (
     ZERO_BRANCH_TOL,
     Gate,
@@ -801,8 +802,10 @@ def compose_parallel(p1: Pattern, p0: Pattern) -> Pattern:
 # -- JSON format ---------------------------------------------------------------
 
 
-def _signal_to_json(sig: Signal) -> dict:
-    return {str(q): c for q, c in sig.coeffs}
+def _signal_to_json(sig: Signal) -> str:
+    """A signal object {"qudit": coefficient} at command depth."""
+    entries = ",\n        ".join("%s: %s" % (encode_basestring_ascii(str(q)), _json_num(c)) for q, c in sig.coeffs)
+    return "{\n        " + entries + "\n      }" if entries else "{}"
 
 
 def _signal_from_json(d: int, doc: dict | None) -> Signal:
@@ -813,37 +816,38 @@ def _signal_from_json(d: int, doc: dict | None) -> Signal:
     return Signal(d, tuple((int(q), int(c)) for q, c in doc.items()))
 
 
+# One template per command kind; an M's nonzero signals fill its last slot.
+_COMMAND_JSON = {
+    "E": '    {\n      "kind": "E",\n      "sites": [\n        %s,\n        %s\n      ]\n    }',
+    "M": '    {\n      "kind": "M",\n      "sites": [\n        %s\n      ],\n      "theta": %s%s\n    }',
+    "X": '    {\n      "kind": "X",\n      "sites": [\n        %s\n      ],\n      "s": %s\n    }',
+    "Z": '    {\n      "kind": "Z",\n      "sites": [\n        %s\n      ],\n      "t": %s\n    }',
+}
+
+
+def _command_to_json(cmd: Command) -> str:
+    if isinstance(cmd, Entangle):
+        return _COMMAND_JSON["E"] % (_json_num(cmd.i), _json_num(cmd.j))
+    site = _json_num(cmd.site)
+    if isinstance(cmd, Measure):
+        named = (("s", cmd.x_signal), ("t", cmd.z_signal))
+        signals = "".join(',\n      "%s": %s' % (k, _signal_to_json(s)) for k, s in named if not s.is_zero())
+        return _COMMAND_JSON["M"] % (site, _json_list(cmd.theta, " " * 8), signals)
+    return _COMMAND_JSON["X" if isinstance(cmd, CorrectX) else "Z"] % (site, _signal_to_json(cmd.signal))
+
+
 def pattern_to_json(p: Pattern) -> str:
-    cmds = []
-    for cmd in p.seq:
-        if isinstance(cmd, Entangle):
-            cmds.append({"kind": "E", "sites": [cmd.i, cmd.j]})
-        elif isinstance(cmd, Measure):
-            entry = {"kind": "M", "sites": [cmd.site], "theta": list(cmd.theta)}
-            if not cmd.x_signal.is_zero():
-                entry["s"] = _signal_to_json(cmd.x_signal)
-            if not cmd.z_signal.is_zero():
-                entry["t"] = _signal_to_json(cmd.z_signal)
-            cmds.append(entry)
-        elif isinstance(cmd, CorrectX):
-            cmds.append({"kind": "X", "sites": [cmd.site], "s": _signal_to_json(cmd.signal)})
-        else:
-            cmds.append({"kind": "Z", "sites": [cmd.site], "t": _signal_to_json(cmd.signal)})
-    doc = {
-        "d": p.ctx.d,
-        "qudits": list(p.qudits),
-        "inputs": list(p.inputs),
-        "outputs": list(p.outputs),
-        "commands": cmds,
-    }
-    return json.dumps(doc, indent=2) + "\n"
+    return _json_document(p, "commands", [_command_to_json(cmd) for cmd in p.seq])
 
 
 _COMMAND_ARITY = {"E": 2, "M": 1, "X": 1, "Z": 1}
 
 
 def pattern_from_json(text: str) -> Pattern:
-    doc = json.loads(text)
+    return _pattern_from_doc(json.loads(text))
+
+
+def _pattern_from_doc(doc: dict) -> Pattern:
     ctx = DimensionContext.of(doc["d"])
     d = ctx.d
     seq: list[Command] = []

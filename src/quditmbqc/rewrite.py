@@ -120,12 +120,13 @@ def standardise(p: Pattern) -> Pattern:
     d = p.ctx.d
     pending_x: dict[int, Signal] = {}
     pending_z: dict[int, Signal] = {}
+    zero = Signal.zero(d)
 
     def px(q):
-        return pending_x.get(q, Signal.zero(d))
+        return pending_x.get(q, zero)
 
     def pz(q):
-        return pending_z.get(q, Signal.zero(d))
+        return pending_z.get(q, zero)
 
     entangles: list[Entangle] = []
     measures: list[Measure] = []
@@ -192,13 +193,10 @@ def signal_shift(p: Pattern) -> Pattern:
     shifts: dict[int, Signal] = {}
 
     def substituted(sig: Signal) -> Signal:
-        # shift expressions are already fully resolved, so the corrections
-        # are computed from the argument's own coefficients in one shot
-        out = sig
-        for q, c in sig.coeffs:
-            if q in shifts:
-                out = out + shifts[q].scaled(-c)
-        return out
+        # shift expressions are already fully resolved, so every -c*shift
+        # term joins the argument's own terms in one Signal, summed mod d
+        terms = tuple((r, -c * e) for q, c in sig.coeffs if q in shifts for r, e in shifts[q].coeffs)
+        return Signal(d, sig.coeffs + terms) if terms else sig
 
     seq = []
     for cmd in p.seq:

@@ -15,6 +15,8 @@
   ``Generator.choice`` from the oracle's own probabilities) and the former
   quadratic lazy schedule, as the reference for the batched walk and the
   indexed schedule
+- the former term-by-term ``signal_shift`` substitution, and the artifact
+  documents the JSON writers once handed to ``json.dumps(doc, indent=2)``
 """
 
 from __future__ import annotations
@@ -25,9 +27,9 @@ from itertools import product
 import numpy as np
 
 from quditmbqc.algebra import DimensionContext, PauliOperator, xi_p
-from quditmbqc.circuit import Circuit, Operation
-from quditmbqc.pattern import CorrectX, CorrectZ, Entangle, Measure, Pattern, RunResult, require_valid
-from quditmbqc.sim import Gate, GateName, StateVector, basis_state, gate_matrix
+from quditmbqc.circuit import _JSON_PARAMS, Circuit, Operation
+from quditmbqc.pattern import CorrectX, CorrectZ, Entangle, Measure, Pattern, RunResult, Signal, require_valid
+from quditmbqc.sim import _KINDS, Gate, GateName, StateVector, basis_state, gate_matrix
 
 CONST = "#const"
 
@@ -732,3 +734,78 @@ def random_controlled_pauli_circuit(
 
 def all_digit_tuples(d: int, n: int):
     return product(range(d), repeat=n)
+
+
+# -- rewrite and serialisation references ------------------------------------------
+
+
+def oracle_signal_shift(p: Pattern) -> Pattern:
+    """``signal_shift`` by substituting one referenced shift at a time, each
+    term a new ``Signal``."""
+    d = p.ctx.d
+    shifts: dict[int, Signal] = {}
+
+    def substituted(sig: Signal) -> Signal:
+        out = sig
+        for q, c in sig.coeffs:
+            if q in shifts:
+                out = out + shifts[q].scaled(-c)
+        return out
+
+    seq = []
+    for cmd in p.seq:
+        if isinstance(cmd, Measure):
+            s = substituted(cmd.x_signal)
+            t = substituted(cmd.z_signal)
+            if not t.is_zero():
+                shifts[cmd.site] = t
+            seq.append(Measure(cmd.site, cmd.theta, s, Signal.zero(d)))
+        elif isinstance(cmd, CorrectX):
+            seq.append(CorrectX(cmd.site, substituted(cmd.signal)))
+        elif isinstance(cmd, CorrectZ):
+            seq.append(CorrectZ(cmd.site, substituted(cmd.signal)))
+        else:
+            seq.append(cmd)
+    return p.with_seq(seq)
+
+
+def _artifact_doc(a, key: str, items: list) -> dict:
+    return {"d": a.ctx.d, "qudits": list(a.qudits), "inputs": list(a.inputs), "outputs": list(a.outputs), key: items}
+
+
+def oracle_circuit_doc(c: Circuit) -> dict:
+    """The document whose ``json.dumps(doc, indent=2)`` is ``circuit_to_json(c)``."""
+
+    def params(gate: Gate) -> dict:
+        param = _KINDS[gate.name].param
+        if param is None:
+            return {}
+        value = getattr(gate, param)
+        return {_JSON_PARAMS[param][0]: value if param == "k" else list(value)}
+
+    ops = [{"gate": op.gate.name.value, "params": params(op.gate), "sites": list(op.sites)} for op in c.ops]
+    return _artifact_doc(c, "ops", ops)
+
+
+def oracle_pattern_doc(p: Pattern) -> dict:
+    """The document whose ``json.dumps(doc, indent=2)`` is ``pattern_to_json(p)``."""
+
+    def signal(sig: Signal) -> dict:
+        return {str(q): c for q, c in sig.coeffs}
+
+    cmds = []
+    for cmd in p.seq:
+        if isinstance(cmd, Entangle):
+            cmds.append({"kind": "E", "sites": [cmd.i, cmd.j]})
+        elif isinstance(cmd, Measure):
+            entry = {"kind": "M", "sites": [cmd.site], "theta": list(cmd.theta)}
+            if not cmd.x_signal.is_zero():
+                entry["s"] = signal(cmd.x_signal)
+            if not cmd.z_signal.is_zero():
+                entry["t"] = signal(cmd.z_signal)
+            cmds.append(entry)
+        elif isinstance(cmd, CorrectX):
+            cmds.append({"kind": "X", "sites": [cmd.site], "s": signal(cmd.signal)})
+        else:
+            cmds.append({"kind": "Z", "sites": [cmd.site], "t": signal(cmd.signal)})
+    return _artifact_doc(p, "commands", cmds)

@@ -7,7 +7,8 @@ input wires, multi-term signals and repeated entangling commands.
 standardise and pauli_simplify hold branch by branch (they never touch
 outcome meanings); signal_shift relabels outcomes, so the full pipeline
 is compared as a channel: same branch-probability multiset and the same
-output density operator.
+output density operator.  signal_shift's one-dict substitution is also
+compared command for command with the former term-by-term one.
 """
 
 import sys
@@ -17,6 +18,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
+from helpers import oracle_signal_shift
 
 from quditmbqc.algebra import DimensionContext
 from quditmbqc.pattern import (
@@ -149,3 +151,57 @@ def test_shift_alone_preserves_the_channel(d, seed):
     probs_b, rho_b = channel_summary(out, psi)
     assert np.allclose(probs_a, probs_b, atol=1e-8)
     assert np.max(np.abs(rho_a - rho_b)) < 1e-8
+
+
+def random_standard_pattern(d, seed):
+    """A standard pattern whose many-term X and Z signals reuse a few
+    outcomes with coefficients in [-d, 2d), so substitutions often cancel."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 9))
+    qudits = tuple(range(1, n + 1))
+    outputs = qudits[-2:]
+    seq = [Entangle(i, i + 1) for i in qudits[:-1]]
+    measured: list[int] = []
+
+    def random_signal():
+        picks = rng.choice(measured, size=int(rng.integers(0, 2 * len(measured) + 1))) if measured else ()
+        return Signal(d, tuple((int(q), int(rng.integers(-d, 2 * d))) for q in picks))
+
+    for q in qudits[:-2]:
+        seq.append(Measure(q, tuple(rng.uniform(0, 2 * np.pi, d)), random_signal(), random_signal()))
+        measured.append(q)
+    for q in outputs:
+        seq += [CorrectX(q, random_signal()), CorrectZ(q, random_signal())]
+    return Pattern(DimensionContext.of(d), qudits, qudits[:1], outputs, tuple(seq))
+
+
+def _cancellations(p) -> int:
+    """Substituted signals of ``p`` in which the terms of some outcome sum
+    to 0 mod d."""
+    d, shifts, count = p.ctx.d, {}, 0
+
+    def raw(sig):  # the substitution's integer sums, before reduction mod d
+        total = dict(sig.coeffs)
+        for q, c in sig.coeffs:
+            for r, e in shifts.get(q, {}).items():
+                total[r] = total.get(r, 0) - c * e
+        return total
+
+    for cmd in p.seq:
+        signals = (cmd.x_signal, cmd.z_signal) if isinstance(cmd, Measure) else (getattr(cmd, "signal", None),)
+        for sig in filter(None, signals):
+            count += any(q in shifts for q in sig.qudits()) and any(v % d == 0 for v in raw(sig).values())
+        if isinstance(cmd, Measure):
+            shifts[cmd.site] = {q: v % d for q, v in raw(cmd.z_signal).items() if v % d}
+    return count
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_signal_shift_matches_the_term_by_term_oracle(d):
+    cancelled = 0
+    for seed in range(25):
+        for p in (random_standard_pattern(d, seed), pauli_simplify(standardise(random_pattern(d, seed)))):
+            shifted = signal_shift(p)
+            assert shifted.seq == oracle_signal_shift(p).seq
+            cancelled += _cancellations(p)
+    assert cancelled > 0
