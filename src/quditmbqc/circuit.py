@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .algebra import DimensionContext
-from .sim import _KINDS, Gate, GateName, StateVector, _kernel, basis_state, gate_inverse_ops, row_parts
+from .sim import _KINDS, Gate, GateName, StateVector, _apply_single, _kernel, basis_state, gate_inverse_ops, gate_matrix, row_parts
 
 __all__ = [
     "Operation",
@@ -148,20 +148,42 @@ def depth_and_size(c: Circuit) -> DepthReport:
 
 def _run_sites(c: Circuit) -> tuple[int, ...]:
     """The site order of a simulation: the inputs, then the ancillas."""
-    return c.inputs + tuple(q for q in c.qudits if q not in set(c.inputs))
+    inputs = set(c.inputs)
+    return c.inputs + tuple(q for q in c.qudits if q not in inputs)
 
 
 def _simulate_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
     """Run the circuit on every row of ``inputs`` (amplitudes over
     ``c.inputs``, in that order) at once, with the ancillas in |0>; the
     final rows are over ``_run_sites(c)``.  The ops were validated when the
-    circuit was built."""
-    d, sites = c.ctx.d, _run_sites(c)
+    circuit was built.
+
+    Each site's single-site gates wait until a multi-site op touches the
+    site or the circuit ends; a run of several is then one pass with their
+    product matrix, a run of one keeps its own kernel."""
+    d, n, sites = c.ctx.d, len(c.qudits), _run_sites(c)
     axis = {q: a for a, q in enumerate(sites)}
-    amps = np.zeros((len(inputs), d ** len(c.inputs), d ** (len(sites) - len(c.inputs))), dtype=np.complex128)
+    amps = np.zeros((len(inputs), d ** len(c.inputs), d ** (n - len(c.inputs))), dtype=np.complex128)
     amps[:, :, 0] = inputs
+    held: dict[int, list[Gate]] = {}
+
+    def flush(q: int) -> None:
+        nonlocal amps
+        run = held.pop(q, ())
+        if len(run) == 1:
+            amps = _kernel(amps, d, n, run[0], (axis[q],))
+        elif run:
+            amps = _apply_single(amps, d, n, np.linalg.multi_dot([gate_matrix(g, c.ctx) for g in reversed(run)]), axis[q])
+
     for op in c.ops:
-        amps = _kernel(amps, d, len(sites), op.gate, tuple(axis[q] for q in op.sites))
+        if len(op.sites) == 1:
+            held.setdefault(op.sites[0], []).append(op.gate)
+            continue
+        for q in op.sites:
+            flush(q)
+        amps = _kernel(amps, d, n, op.gate, tuple(axis[q] for q in op.sites))
+    for q in list(held):
+        flush(q)
     return amps.reshape(len(inputs), -1)
 
 

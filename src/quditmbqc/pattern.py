@@ -33,6 +33,8 @@ from .sim import (
     _per_row,
     _rotate_rows,
     _sample_outcomes,
+    _split_view,
+    _z_phases,
     basis_state,
     row_parts,
 )
@@ -417,16 +419,27 @@ def _walk(p: Pattern, sites: tuple[int, ...], amps: np.ndarray, lazy: bool, choo
     done = [(np.zeros((0, d ** len(p.outputs)), dtype=np.complex128),) + tuple(c[:0] for c in batch[1:])]
     while stack:
         pos, sites, (amps, outcomes, prob, origin) = stack.pop()
+        joined = -1  # the E step already applied with its fresh qudit
         for i in range(pos, len(steps)):
             step, n = steps[i], len(sites)
+            if i == joined:
+                continue
             if isinstance(step, tuple):
                 parts = row_parts(len(amps), d ** (n + len(step)))
                 if len(parts) > 1:
                     for part in reversed(parts):
                         stack.append((i, sites, tuple(c[part] for c in (amps, outcomes, prob, origin))))
                     break
-                fresh = reduce(np.kron, (_fourier(d)[:, 0] for _ in step))
-                amps = (amps[:, :, np.newaxis] * fresh).reshape(len(amps), -1)
+                e = steps[i + 1] if i + 1 < len(steps) else None
+                if len(step) == 1 and isinstance(e, Entangle) and step[0] in (e.i, e.j):
+                    # prepared already entangled with the live qudit: omega^(jk) F|0>_k over its digit j
+                    view, _ = _split_view(amps, d, n, (sites.index(e.j if e.i == step[0] else e.i),))
+                    joint = _z_phases(1, d, 2) * _fourier(d)[:, 0]
+                    amps = (view[..., np.newaxis] * joint[:, np.newaxis]).reshape(len(amps), -1)
+                    joined = i + 1
+                else:
+                    fresh = reduce(np.kron, (_fourier(d)[:, 0] for _ in step))
+                    amps = (amps[:, :, np.newaxis] * fresh).reshape(len(amps), -1)
                 sites += step
             elif isinstance(step, Entangle):
                 axes = (sites.index(step.i), sites.index(step.j))

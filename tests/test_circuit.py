@@ -185,6 +185,92 @@ class TestSimulate:
             circuit_unitary(c)
 
 
+def runs_circuit(ctx, n, inputs, seed):
+    """Runs of one to four single-site gates of every kind on random sites,
+    each followed by a multi-site gate of every kind in turn, and a run of
+    two on every site at the end; a run waits on its site while other
+    sites take theirs."""
+    d, rng = ctx.d, np.random.default_rng(seed)
+
+    def angles():
+        return tuple(rng.uniform(0, 2 * np.pi, d))
+
+    singles = [
+        Gate.f, Gate.finv, Gate.p,
+        lambda: Gate.x(int(rng.integers(1, d))), lambda: Gate.z(int(rng.integers(1, d))),
+        lambda: Gate.r(angles()), lambda: Gate.v(angles()), lambda: Gate.diag(angles()),
+    ]
+    multis = [
+        lambda: Gate.cz(int(rng.integers(1, d))), lambda: Gate.cx(int(rng.integers(1, d))), Gate.swap,
+        lambda: Gate.fanout(rng.integers(1, d, size=2)), lambda: Gate.mod(rng.integers(1, d, size=2)),
+    ]
+    kinds = iter(np.concatenate([rng.permutation(len(singles)) for _ in range(8)]).tolist())
+    qudits = tuple(range(1, n + 1))
+    ops = []
+    for k in range(3 * len(multis)):
+        site = int(rng.choice(qudits))
+        ops += [Operation(singles[next(kinds)](), (site,)) for _ in range(rng.integers(1, 5))]
+        g = multis[k % len(multis)]()
+        ops.append(Operation(g, tuple(int(q) for q in rng.choice(qudits, size=g.arity, replace=False))))
+    ops += [Operation(g(), (q,)) for q in qudits for g in (Gate.f, Gate.p)]
+    return Circuit(ctx, qudits, qudits[:inputs], qudits[:inputs], tuple(ops))
+
+
+class TestSingleSiteRuns:
+    """Each site's single-site gates run as one pass when a multi-site op or
+    the end of the circuit reaches them, against one oracle gate per op."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_one_row_matches_one_oracle_gate_per_op(self, d):
+        ctx = ctx_of(d)
+        c = runs_circuit(ctx, 4, 3, seed=d)
+        psi = random_state(ctx, c.inputs, np.random.default_rng(d))
+        want = psi.extend(basis_state(ctx, c.qudits[3:], (0,)))
+        for op in c.ops:
+            want = oracle_apply_gate(want, op.gate, op.sites)
+        got = simulate_circuit(c, psi)
+        assert got.sites == want.sites
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_many_rows_match_one_oracle_gate_per_op(self, d):
+        ctx = ctx_of(d)
+        c = runs_circuit(ctx, 3, 3, seed=10 + d)
+        want = oracle_unitary(c)
+        assert np.max(np.abs(circuit_unitary(c) - want)) < 1e-12
+        rng = np.random.default_rng(d)
+        inputs = np.array([random_state(ctx, c.inputs, rng).amplitudes for _ in range(4)])
+        got, images = output_rows(c, inputs), inputs @ want.T
+        # each row is its image up to a phase of its own
+        phases = np.sum(images.conj() * got, axis=1)
+        assert np.max(np.abs(np.abs(phases) - 1)) < 1e-12
+        assert np.max(np.abs(got - phases[:, None] * images)) < 1e-12
+
+    def test_the_lowered_mixed_circuit_makes_nine_passes(self, monkeypatch):
+        import quditmbqc.circuit as circuit_module
+
+        # X CZ v Z CX F P v, the k-th gate from qudit k, lowers to 25 ops:
+        # CZ, CZ and 23 v gates in runs on qudits 1, 3, 4, 6, 6, 7 and 8
+        ctx, theta = ctx_of(3), (0.1, 0.7, 2.3)
+        gates = [Gate.x(), Gate.cz(), Gate.v(theta), Gate.z(2), Gate.cx(), Gate.f(), Gate.p(), Gate.v(theta)]
+        qudits = tuple(range(1, 10))
+        ops = [Operation(g, (k + 1, k + 2)[: g.arity]) for k, g in enumerate(gates)]
+        low = lower_to_guni(Circuit(ctx, qudits, qudits, qudits, ops))
+        psi = random_state(ctx, qudits, np.random.default_rng(0))
+        want = psi
+        for op in low.ops:
+            want = oracle_apply_gate(want, op.gate, op.sites)
+        # a pass is one kernel call made by the simulation; a dense gate's
+        # kernel reaches _apply_single from within sim, which is not counted
+        passes = []
+        for name in ("_kernel", "_apply_single"):
+            fn = getattr(circuit_module, name)
+            monkeypatch.setattr(circuit_module, name, lambda *args, fn=fn: passes.append(fn) or fn(*args))
+        got = simulate_circuit(low, psi)
+        assert len(low.ops) == 25 and len(passes) == 9
+        assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-12
+
+
 class TestCompose:
     def test_serial_same_wire_depth_adds(self):
         ctx = ctx_of(2)

@@ -425,6 +425,38 @@ class TestBatchedWalk:
         assert max(widths) == cap
 
 
+    @pytest.mark.parametrize("family", ["def7", "def8"])
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_fresh_qudits_are_prepared_entangled(self, d, family, monkeypatch):
+        # a lazy append (q,) followed at once by the E on q and a live qudit
+        # is one multiply, so those E commands run no CZ kernel of their own
+        import quditmbqc.pattern as pattern_module
+        import quditmbqc.sim as sim_module
+
+        p = families(d)[family]
+        steps = _schedule(p, lazy=True)
+        joined = sum(
+            isinstance(a, tuple) and len(a) == 1 and isinstance(b, Entangle) and a[0] in (b.i, b.j)
+            for a, b in zip(steps, steps[1:])
+        )
+        assert joined
+        psi = random_state(p.ctx, p.inputs, np.random.default_rng(40 + d))
+        want = oracle_run_branches(p, psi, lazy=True)
+        kernels, kernel = [], pattern_module._kernel
+        monkeypatch.setattr(pattern_module, "_kernel", lambda amps, *args: kernels.append(args[2]) or kernel(amps, *args))
+        same_results(run_branches(p, psi, lazy=True), want)
+        assert kernels.count(Gate.cz()) == sum(isinstance(step, Entangle) for step in steps) - joined
+        same_results(run_branches(p, psi, lazy=False), oracle_run_branches(p, psi, lazy=False))
+        # with the cap at the widest single row, an append after a measurement
+        # splits the batch of branches into one row per part
+        parts, split = [], pattern_module.row_parts
+        monkeypatch.setattr(pattern_module, "row_parts", lambda *args: parts.append(len(split(*args))) or split(*args))
+        monkeypatch.setattr(sim_module, "AMPLITUDE_CAP", d ** peak_live_qudits(p))
+        rows = run_rows(p, psi.amplitudes[np.newaxis])
+        assert max(parts) > 1
+        same_rows(rows, np.arange(len(rows.origin)), want)
+
+
 class TestSchedule:
     def test_indexed_schedule_matches_the_rescan(self):
         patterns = [p for d in (2, 3, 4) for p in families(d).values()]
