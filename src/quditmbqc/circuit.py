@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .algebra import DimensionContext
-from .sim import _KINDS, Gate, GateName, StateVector, _apply_single, _kernel, basis_state, gate_inverse_ops, gate_matrix, row_parts
+from .sim import _KINDS, Gate, GateName, StateVector, _apply_single, _kernel, _phase, basis_state, gate_inverse_ops, gate_matrix, row_parts
 
 __all__ = [
     "Operation",
@@ -159,31 +159,81 @@ def _simulate_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
     circuit was built.
 
     Each site's single-site gates wait until a multi-site op touches the
-    site or the circuit ends; a run of several is then one pass with their
-    product matrix, a run of one keeps its own kernel."""
+    site or the circuit ends; several are then one pass with their product
+    matrix.  Diagonal ops commute, so they wait in one run until a
+    non-diagonal op touches one of its sites; the run is then one pass with
+    the product of their phase tables over its sites, at most half of all
+    sites, so the table holds at most the square root of a row's
+    amplitudes.  A site's waiting gates join the run when all are diagonal
+    and a diagonal multi-site op or the circuit's end reaches them.  One
+    waiting op keeps its own kernel."""
     d, n, sites = c.ctx.d, len(c.qudits), _run_sites(c)
     axis = {q: a for a, q in enumerate(sites)}
     amps = np.zeros((len(inputs), d ** len(c.inputs), d ** (n - len(c.inputs))), dtype=np.complex128)
     amps[:, :, 0] = inputs
     held: dict[int, list[Gate]] = {}
+    run: list[Operation] = []  # the diagonal run, on no site in held
+    span: set[int] = set()  # its sites
+    bound = n // 2
 
     def flush(q: int) -> None:
         nonlocal amps
-        run = held.pop(q, ())
+        gates = held.pop(q, ())
+        if len(gates) == 1:
+            amps = _kernel(amps, d, n, gates[0], (axis[q],))
+        elif gates:
+            amps = _apply_single(amps, d, n, np.linalg.multi_dot([gate_matrix(g, c.ctx) for g in reversed(gates)]), axis[q])
+
+    def flush_run() -> None:
+        nonlocal amps
         if len(run) == 1:
-            amps = _kernel(amps, d, n, run[0], (axis[q],))
+            amps = _kernel(amps, d, n, run[0].gate, tuple(axis[q] for q in run[0].sites))
         elif run:
-            amps = _apply_single(amps, d, n, np.linalg.multi_dot([gate_matrix(g, c.ctx) for g in reversed(run)]), axis[q])
+            dims = {q: k for k, q in enumerate(span)}
+            table, every = np.ones((d,) * len(dims), dtype=np.complex128), list(dims.values())
+            for op in run:
+                table = np.einsum(table, every, _KINDS[op.gate.name].phases(op.gate, d), [dims[q] for q in op.sites], every)
+            amps = _phase(amps, d, n, table, tuple(axis[q] for q in dims))
+        run.clear()
+        span.clear()
+
+    def settle(q: int) -> None:
+        """Hand q's held gates to the diagonal run when all are diagonal, else apply them."""
+        gates = held.get(q)
+        if not gates or not bound or not all(_KINDS[g.name].phases for g in gates):
+            return flush(q)
+        if len(span) == bound:  # q is held, so not in span
+            flush_run()
+        run.extend(Operation(g, (q,)) for g in held.pop(q))
+        span.add(q)
 
     for op in c.ops:
+        diagonal = _KINDS[op.gate.name].phases is not None
         if len(op.sites) == 1:
-            held.setdefault(op.sites[0], []).append(op.gate)
+            q = op.sites[0]
+            if q in span and not diagonal:
+                flush_run()
+            if q in span:
+                run.append(op)
+            else:
+                held.setdefault(q, []).append(op.gate)
             continue
+        if diagonal and len(op.sites) <= bound:
+            if len(span.union(op.sites)) > bound:
+                flush_run()
+            for q in op.sites:
+                settle(q)
+            run.append(op)
+            span.update(op.sites)
+            continue
+        if not span.isdisjoint(op.sites):
+            flush_run()
         for q in op.sites:
             flush(q)
         amps = _kernel(amps, d, n, op.gate, tuple(axis[q] for q in op.sites))
     for q in list(held):
-        flush(q)
+        settle(q)
+    flush_run()
     return amps.reshape(len(inputs), -1)
 
 

@@ -33,7 +33,6 @@ from .sim import (
     _per_row,
     _rotate_rows,
     _sample_outcomes,
-    _split_view,
     _z_phases,
     basis_state,
     row_parts,
@@ -396,9 +395,10 @@ def _walk(p: Pattern, sites: tuple[int, ...], amps: np.ndarray, lazy: bool, choo
     """Run the schedule once for every input row of ``amps`` (amplitudes over
     ``sites``).  At each measurement ``choose(step, index, probs, origin)``
     gives the (row, outcome) pairs to follow, in row order and then outcome
-    order; ``index`` counts the measurements before this one.  A batch that
+    order; ``index`` counts the measurements before this one.  Appended
+    qudits take the leading axes, in front of the live sites.  A batch that
     would outgrow AMPLITUDE_CAP is split, and its parts run depth first, so
-    the rows come out in the same order."""
+    the rows come out in the same order, each over ``p.outputs``."""
     require_valid(p)
     if set(sites) != set(p.inputs):
         raise ValueError("input state must be defined exactly on the pattern inputs")
@@ -432,15 +432,16 @@ def _walk(p: Pattern, sites: tuple[int, ...], amps: np.ndarray, lazy: bool, choo
                     break
                 e = steps[i + 1] if i + 1 < len(steps) else None
                 if len(step) == 1 and isinstance(e, Entangle) and step[0] in (e.i, e.j):
-                    # prepared already entangled with the live qudit: omega^(jk) F|0>_k over its digit j
-                    view, _ = _split_view(amps, d, n, (sites.index(e.j if e.i == step[0] else e.i),))
-                    joint = _z_phases(1, d, 2) * _fourier(d)[:, 0]
-                    amps = (view[..., np.newaxis] * joint[:, np.newaxis]).reshape(len(amps), -1)
+                    # prepared already entangled with the live qudit: F|0>_k omega^(kj) over its digit j
+                    w = sites.index(e.j if e.i == step[0] else e.i)
+                    joint = _fourier(d)[:, :1] * _z_phases(1, d, 2)  # over (k, j)
+                    view = amps.reshape(len(amps), 1, d**w, d, -1)
+                    amps = (view * joint.reshape(1, d, 1, d, 1)).reshape(len(amps), -1)
                     joined = i + 1
                 else:
                     fresh = reduce(np.kron, (_fourier(d)[:, 0] for _ in step))
-                    amps = (amps[:, :, np.newaxis] * fresh).reshape(len(amps), -1)
-                sites += step
+                    amps = (fresh[:, np.newaxis] * amps[:, np.newaxis, :]).reshape(len(amps), -1)
+                sites = step + sites
             elif isinstance(step, Entangle):
                 axes = (sites.index(step.i), sites.index(step.j))
                 amps = _kernel(amps, d, n, Gate.cz(), axes).reshape(len(amps), -1)

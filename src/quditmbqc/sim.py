@@ -474,8 +474,9 @@ def _shift(amps: np.ndarray, d: int, n: int, target: int, k: int, control: int |
 
 def _phase(amps: np.ndarray, d: int, n: int, table: np.ndarray, axes) -> np.ndarray:
     """Diagonal gate: one broadcast multiply by its phase table, whose
-    dimensions follow the sorted target axes (CZ^k's table is symmetric)."""
+    dimensions follow the target axes in the order given."""
     view, _ = _split_view(amps, d, n, axes)
+    table = np.transpose(table, sorted(range(len(axes)), key=axes.__getitem__))
     return (view * table.reshape([x for size in table.shape for x in (size, 1)])).reshape(-1)
 
 
@@ -532,7 +533,8 @@ def _rotate_rows(amps: np.ndarray, ctx: DimensionContext, n: int, axis: int, the
     """Rotate the measured axis of each row by its own frame M = v(theta) X^s Z^t
     (``s_vals`` and ``t_vals`` hold one power per row), so that outcome j is
     digit j after M; one matmul per distinct frame.  Returns the rows as
-    (rows, d**axis, d, rest) and the (rows, d) outcome probabilities."""
+    (rows, d**axis, d, rest) and the (rows, d) outcome probabilities, read
+    in one contraction of the rows' real and imaginary parts."""
     d = ctx.d
     keys = np.asarray(s_vals) % d * d + np.asarray(t_vals) % d
     v = gate_matrix(Gate.v(theta), ctx)
@@ -542,8 +544,8 @@ def _rotate_rows(amps: np.ndarray, ctx: DimensionContext, n: int, axis: int, the
         return _apply_single(rows, d, n, frame, axis)
 
     view = _per_row(amps, keys, rotate).reshape(len(amps), d**axis, d, -1)
-    weights = np.abs(view)
-    return view, np.square(weights, out=weights).sum(axis=(1, 3))
+    floats = view.view(np.float64)  # real and imaginary parts side by side
+    return view, np.einsum("rajb,rajb->rj", floats, floats)
 
 
 def _sample_outcomes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -560,7 +562,7 @@ def _collapse_rows(view: np.ndarray, probs: np.ndarray, rows: np.ndarray, outcom
     renormalized, with the measured axis dropped; and its probability."""
     p = probs[rows, outcomes]
     kept = view[rows, :, outcomes, :]
-    kept /= np.sqrt(p)[:, None, None]
+    kept *= (1 / np.sqrt(p))[:, None, None]  # a real multiply, not a complex division
     return kept.reshape(len(p), view.shape[1] * view.shape[3]), p
 
 

@@ -8,8 +8,9 @@
   gate family), exact at any register width
 - a stabilizer-table tracker with group-membership tests, built on the
   matrix-verified symbolic Pauli conjugation (prime d)
-- the simulator's former index-arithmetic kernels and three-pass
-  measurement frame, as the reference for the axis-based kernels
+- the simulator's former index-arithmetic kernels, three-pass
+  measurement frame and abs-square-sum collapse, as the reference for the
+  axis-based kernels
 - a one-state pattern walk on those kernels (one state per branch, each
   measurement through the three-pass frame, each sampled outcome drawn by
   ``Generator.choice`` from the oracle's own probabilities) and the former
@@ -17,10 +18,13 @@
   indexed schedule
 - the former term-by-term ``signal_shift`` substitution, and the artifact
   documents the JSON writers once handed to ``json.dumps(doc, indent=2)``
+- a context manager that counts the kernel calls a module makes
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from contextlib import contextmanager
 from functools import reduce
 from itertools import product
 
@@ -616,6 +620,16 @@ def oracle_measure_branches(state: StateVector, site: int, theta, s_val: int, t_
     return out
 
 
+def oracle_collapse_rows(view: np.ndarray, rows: np.ndarray, outcomes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``sim._collapse_rows`` on the rotated (rows, d**axis, d, rest) ``view``
+    as it was: probabilities by abs, square and sum, then each kept slice
+    gathered and divided by the square root of its probability."""
+    probs = (np.abs(view) ** 2).sum(axis=(1, 3))
+    p = probs[rows, outcomes]
+    kept = view[rows, :, outcomes, :] / np.sqrt(p)[:, None, None]
+    return kept.reshape(len(p), -1), probs
+
+
 # -- the one-state pattern walk ---------------------------------------------------
 
 
@@ -708,6 +722,46 @@ def oracle_run(p: Pattern, input_state: StateVector | None = None, seed: int = 0
 def oracle_run_branches(p: Pattern, input_state: StateVector | None = None, lazy: bool = False) -> list[RunResult]:
     """Every branch of probability at least 1e-12, in outcome order."""
     return oracle_walk(p, input_state, lazy, lambda every, index: [b for b in every if b[1] >= 1e-12])
+
+
+# -- pass counting -------------------------------------------------------------------
+
+
+class Calls(Counter):
+    """Kernel calls counted by (name, kind), where kind is the GateName of the
+    call's Gate argument, or None when it has none; ``log`` holds each
+    call's (name, arguments) in call order."""
+
+    def __init__(self):
+        super().__init__()
+        self.log: list[tuple[str, tuple]] = []
+
+
+@contextmanager
+def counted_calls(module, names=("_kernel", "_phase", "_apply_single")):
+    """Count the calls ``module`` makes to its functions ``names`` while the
+    block runs, in a ``Calls``.  A call from one of these functions to
+    another inside the module that defines them (a dense gate's ``_kernel``
+    reaching ``_apply_single`` in ``sim``) is the same pass and is not
+    seen.  The functions are restored on exit."""
+    calls = Calls()
+    saved = {name: getattr(module, name) for name in names}
+
+    def counting(name, fn):
+        def call(*args):
+            calls[name, next((a.name for a in args if isinstance(a, Gate)), None)] += 1
+            calls.log.append((name, args))
+            return fn(*args)
+
+        return call
+
+    for name, fn in saved.items():
+        setattr(module, name, counting(name, fn))
+    try:
+        yield calls
+    finally:
+        for name, fn in saved.items():
+            setattr(module, name, fn)
 
 
 # -- misc generators -----------------------------------------------------------------

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from helpers import all_digit_tuples, circuit_items, longest_dependent_path, max_diff_up_to_phase, oracle_apply_gate
+from helpers import (
+    all_digit_tuples,
+    circuit_items,
+    counted_calls,
+    longest_dependent_path,
+    max_diff_up_to_phase,
+    oracle_apply_gate,
+)
 
 from quditmbqc.algebra import DimensionContext
 from quditmbqc.circuit import (
@@ -216,37 +223,50 @@ def runs_circuit(ctx, n, inputs, seed):
     return Circuit(ctx, qudits, qudits[:inputs], qudits[:inputs], tuple(ops))
 
 
+def oracle_final(c, psi):
+    """``psi`` on the inputs, the ancillas in |0>, then one oracle gate per op."""
+    ancillas = tuple(q for q in c.qudits if q not in c.inputs)
+    state = psi.extend(basis_state(c.ctx, ancillas, (0,) * len(ancillas))) if ancillas else psi
+    for op in c.ops:
+        state = oracle_apply_gate(state, op.gate, op.sites)
+    return state
+
+
+def check_one_row(c, seed):
+    """``simulate_circuit`` on a random input against one oracle gate per op."""
+    psi = random_state(c.ctx, c.inputs, np.random.default_rng(seed))
+    want, got = oracle_final(c, psi), simulate_circuit(c, psi)
+    assert got.sites == want.sites
+    assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-12
+
+
+def check_many_rows(c, seed):
+    """``circuit_unitary`` and ``output_rows`` of random inputs against the
+    oracle unitary, built one oracle gate per op."""
+    want = oracle_unitary(c)
+    assert np.max(np.abs(circuit_unitary(c) - want)) < 1e-12
+    rng = np.random.default_rng(seed)
+    inputs = np.array([random_state(c.ctx, c.inputs, rng).amplitudes for _ in range(4)])
+    got, images = output_rows(c, inputs), inputs @ want.T
+    # each row is its image up to a phase of its own
+    phases = np.sum(images.conj() * got, axis=1)
+    assert np.max(np.abs(np.abs(phases) - 1)) < 1e-12
+    assert np.max(np.abs(got - phases[:, None] * images)) < 1e-12
+
+
 class TestSingleSiteRuns:
     """Each site's single-site gates run as one pass when a multi-site op or
     the end of the circuit reaches them, against one oracle gate per op."""
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_one_row_matches_one_oracle_gate_per_op(self, d):
-        ctx = ctx_of(d)
-        c = runs_circuit(ctx, 4, 3, seed=d)
-        psi = random_state(ctx, c.inputs, np.random.default_rng(d))
-        want = psi.extend(basis_state(ctx, c.qudits[3:], (0,)))
-        for op in c.ops:
-            want = oracle_apply_gate(want, op.gate, op.sites)
-        got = simulate_circuit(c, psi)
-        assert got.sites == want.sites
-        assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-12
+        check_one_row(runs_circuit(ctx_of(d), 4, 3, seed=d), d)
 
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
     def test_many_rows_match_one_oracle_gate_per_op(self, d):
-        ctx = ctx_of(d)
-        c = runs_circuit(ctx, 3, 3, seed=10 + d)
-        want = oracle_unitary(c)
-        assert np.max(np.abs(circuit_unitary(c) - want)) < 1e-12
-        rng = np.random.default_rng(d)
-        inputs = np.array([random_state(ctx, c.inputs, rng).amplitudes for _ in range(4)])
-        got, images = output_rows(c, inputs), inputs @ want.T
-        # each row is its image up to a phase of its own
-        phases = np.sum(images.conj() * got, axis=1)
-        assert np.max(np.abs(np.abs(phases) - 1)) < 1e-12
-        assert np.max(np.abs(got - phases[:, None] * images)) < 1e-12
+        check_many_rows(runs_circuit(ctx_of(d), 3, 3, seed=10 + d), d)
 
-    def test_the_lowered_mixed_circuit_makes_nine_passes(self, monkeypatch):
+    def test_the_lowered_mixed_circuit_makes_nine_passes(self):
         import quditmbqc.circuit as circuit_module
 
         # X CZ v Z CX F P v, the k-th gate from qudit k, lowers to 25 ops:
@@ -260,15 +280,97 @@ class TestSingleSiteRuns:
         want = psi
         for op in low.ops:
             want = oracle_apply_gate(want, op.gate, op.sites)
-        # a pass is one kernel call made by the simulation; a dense gate's
-        # kernel reaches _apply_single from within sim, which is not counted
-        passes = []
-        for name in ("_kernel", "_apply_single"):
-            fn = getattr(circuit_module, name)
-            monkeypatch.setattr(circuit_module, name, lambda *args, fn=fn: passes.append(fn) or fn(*args))
-        got = simulate_circuit(low, psi)
-        assert len(low.ops) == 25 and len(passes) == 9
+        with counted_calls(circuit_module) as passes:
+            got = simulate_circuit(low, psi)
+        assert len(low.ops) == 25 and passes.total() == 9
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-12
+
+
+def diagonal_runs_circuit(ctx, n, inputs, seed, length=48):
+    """Random ops on random sites, two in three of them diagonal (CZ^k, Z^k,
+    P, R, DIAG) and the rest F, v, X, CX, FANOUT, MOD or SWAP, then a
+    diagonal layer: Z on every site and CZ on a ring over all of them.  The
+    qudit ids are shuffled, so a run's sites in id order are not in axis
+    order."""
+    d, rng = ctx.d, np.random.default_rng(seed)
+
+    def angles():
+        return tuple(rng.uniform(0, 2 * np.pi, d))
+
+    def power():
+        return int(rng.integers(1, d))
+
+    diagonals = [lambda: Gate.cz(power()), lambda: Gate.z(power()), Gate.p, lambda: Gate.r(angles()), lambda: Gate.diag(angles())]
+    others = [
+        Gate.f, lambda: Gate.v(angles()), lambda: Gate.x(power()), lambda: Gate.cx(power()), Gate.swap,
+        lambda: Gate.fanout(rng.integers(1, d, size=2)), lambda: Gate.mod(rng.integers(1, d, size=2)),
+    ]
+    qudits = tuple(int(q) for q in rng.permutation(np.arange(1, n + 1)))
+    ops = []
+    for _ in range(length):
+        pool = diagonals if rng.random() < 2 / 3 else others
+        g = pool[int(rng.integers(len(pool)))]()
+        ops.append(Operation(g, tuple(int(q) for q in rng.choice(qudits, size=g.arity, replace=False))))
+    ops += [Operation(Gate.z(power()), (q,)) for q in qudits]
+    ops += [Operation(Gate.cz(power()), (q, p)) for q, p in zip(qudits, qudits[1:] + qudits[:1])]
+    return Circuit(ctx, qudits, qudits[:inputs], qudits[:inputs], tuple(ops))
+
+
+class TestDiagonalRuns:
+    """Diagonal ops wait in one commuting run until a non-diagonal op touches
+    one of its sites, and the run is one pass with its product table, against
+    one oracle gate per op."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_one_row_matches_one_oracle_gate_per_op(self, d):
+        check_one_row(diagonal_runs_circuit(ctx_of(d), 6, 4, seed=d), d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_many_rows_match_one_oracle_gate_per_op(self, d):
+        n = 4 if d < 6 else 3  # 6**4 oracle columns take seconds
+        check_many_rows(diagonal_runs_circuit(ctx_of(d), n, n, seed=20 + d), d)
+
+    def test_a_clifford_circuit_makes_fewer_passes_than_ops(self):
+        import quditmbqc.circuit as circuit_module
+
+        # P on every site, CZ on the matching (1 2)(3 4)..., F on every odd
+        # site, then CZ on the matching (2 3)...(20 1): 50 ops on 20 sites.
+        # The P layer and the first CZ layer make two runs of 10 sites; the
+        # first F on a site of the second run flushes it.  In the last layer
+        # each CZ applies the F on its odd site (10 passes) and joins a run
+        # of at most 10 sites (two passes): 14 passes, against 50 with one
+        # per op (the reference) and 50 with single-site runs alone.
+        ctx, n = ctx_of(2), 20
+        qudits = tuple(range(1, n + 1))
+        ops = [Operation(Gate.p(), (q,)) for q in qudits]
+        ops += [Operation(Gate.cz(), (q, q + 1)) for q in qudits[::2]]
+        ops += [Operation(Gate.f(), (q,)) for q in qudits[::2]]
+        ops += [Operation(Gate.cz(), (q, q % n + 1)) for q in qudits[1::2]]
+        c = Circuit(ctx, qudits, qudits, qudits, tuple(ops))
+        psi = random_state(ctx, qudits, np.random.default_rng(7))
+        with counted_calls(circuit_module) as passes:
+            got = simulate_circuit(c, psi)
+        assert len(ops) == 50 and passes.total() == 14
+        want = psi.amplitudes[np.newaxis]
+        for op in ops:
+            want = _kernel(want, 2, n, op.gate, tuple(qudits.index(q) for q in op.sites))
+        assert np.max(np.abs(got.amplitudes - want.reshape(-1))) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_run_over_every_site_is_split(self, d):
+        import quditmbqc.circuit as circuit_module
+
+        ctx, n = ctx_of(d), 7
+        qudits = tuple(range(1, n + 1))
+        ops = [Operation(Gate.cz(), (q, q % n + 1)) for q in qudits] + [Operation(Gate.p(), (q,)) for q in qudits]
+        c = Circuit(ctx, qudits, qudits, qudits, tuple(ops))
+        psi = random_state(ctx, qudits, np.random.default_rng(d))
+        with counted_calls(circuit_module) as passes:
+            got = simulate_circuit(c, psi)
+        tables = [args[3] for name, args in passes.log if name == "_phase"]
+        assert len(tables) > 1 and max(t.size for t in tables) <= d ** (n // 2)
+        assert passes.total() < len(ops)
+        assert np.max(np.abs(got.amplitudes - oracle_final(c, psi).amplitudes)) < 1e-12
 
 
 class TestCompose:

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from itertools import product
 from pathlib import Path
 
@@ -6,7 +7,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from helpers import longest_dependent_path, oracle_run, oracle_run_branches, oracle_schedule, pattern_items
+from helpers import counted_calls, longest_dependent_path, oracle_run, oracle_run_branches, oracle_schedule, pattern_items
 
 from quditmbqc.algebra import DimensionContext
 from quditmbqc.circuit import lower_to_guni, simulate_circuit
@@ -43,6 +44,7 @@ from quditmbqc.pattern import (
 )
 from quditmbqc.sim import (
     Gate,
+    GateName,
     StateVector,
     basis_state,
     fidelity_up_to_phase,
@@ -425,11 +427,12 @@ class TestBatchedWalk:
         assert max(widths) == cap
 
 
-    @pytest.mark.parametrize("family", ["def7", "def8"])
+    @pytest.mark.parametrize("family", ["def7", "def8", "clifford-const"])
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_fresh_qudits_are_prepared_entangled(self, d, family, monkeypatch):
-        # a lazy append (q,) followed at once by the E on q and a live qudit
-        # is one multiply, so those E commands run no CZ kernel of their own
+        # each append puts its qudits on the leading axes; a lazy append (q,)
+        # followed at once by the E on q and a live qudit is one multiply, so
+        # those E commands run no CZ kernel of their own
         import quditmbqc.pattern as pattern_module
         import quditmbqc.sim as sim_module
 
@@ -442,11 +445,17 @@ class TestBatchedWalk:
         assert joined
         psi = random_state(p.ctx, p.inputs, np.random.default_rng(40 + d))
         want = oracle_run_branches(p, psi, lazy=True)
-        kernels, kernel = [], pattern_module._kernel
-        monkeypatch.setattr(pattern_module, "_kernel", lambda amps, *args: kernels.append(args[2]) or kernel(amps, *args))
-        same_results(run_branches(p, psi, lazy=True), want)
-        assert kernels.count(Gate.cz()) == sum(isinstance(step, Entangle) for step in steps) - joined
+        with counted_calls(pattern_module, ("_kernel",)) as calls:
+            same_results(run_branches(p, psi, lazy=True), want)
+        assert calls["_kernel", GateName.CZ] == sum(isinstance(step, Entangle) for step in steps) - joined
+        # the eager schedule appends every ancilla in one step
+        assert len(_schedule(p, lazy=False)[0]) > 1
         same_results(run_branches(p, psi, lazy=False), oracle_run_branches(p, psi, lazy=False))
+        # the rows stay ordered over p.outputs, whatever order that is
+        backwards = replace(p, outputs=p.outputs[::-1])
+        rows, back = run_rows(p, psi.amplitudes[np.newaxis]), run_rows(backwards, psi.amplitudes[np.newaxis])
+        flipped = rows.amplitudes.reshape((-1,) + (d,) * len(p.outputs))
+        assert np.array_equal(back.amplitudes, flipped.transpose([0] + list(range(len(p.outputs), 0, -1))).reshape(len(flipped), -1))
         # with the cap at the widest single row, an append after a measurement
         # splits the batch of branches into one row per part
         parts, split = [], pattern_module.row_parts

@@ -6,6 +6,7 @@ from helpers import (
     PERMUTATION_GATES,
     apply_matrix,
     oracle_apply_gate,
+    oracle_collapse_rows,
     oracle_measure_branches,
     plus_state,
     purity,
@@ -15,7 +16,9 @@ from quditmbqc.algebra import DimensionContext
 from quditmbqc.circuit import Circuit, Operation
 from quditmbqc.pattern import Measure, Pattern, Signal, run, run_branches
 from quditmbqc.sim import (
+    _collapse_rows,
     _kernel,
+    _phase,
     _rotate_rows,
     _sample_outcomes,
     Gate,
@@ -303,6 +306,43 @@ class TestKernelOracle:
             for j, p, amps in want:
                 assert abs(probs[r, j] - p) < 1e-12
                 assert np.max(np.abs(view[r, :, j, :].reshape(-1) / np.sqrt(p) - amps)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_phase_tables_follow_the_axes_in_the_order_given(self, d):
+        # DIAG on each target times CZ^k on the first two: an asymmetric table
+        # over the targets in the order given, descending or mixed in axis
+        ctx, rng, sites = oracle_case(d, 60 + d)
+        lo, mid, hi = sorted(int(a) for a in rng.choice(len(sites), size=3, replace=False))
+        for axes in [(hi, lo), (hi, mid, lo), (mid, lo, hi), (hi, lo, mid)]:
+            targets = tuple(sites[a] for a in axes)
+            k = int(rng.integers(1, d))
+            gates = [(Gate.diag(random_theta(rng, d)), (t,)) for t in targets] + [(Gate.cz(k), targets[:2])]
+            table = np.ones((d,) * len(axes), dtype=complex)
+            for g, on in gates:
+                shape = [d if t in on else 1 for t in targets]
+                table = table * gate_matrix(g, ctx).diagonal().reshape(shape)
+            assert not np.allclose(table, np.transpose(table, np.roll(range(len(axes)), 1)))
+            state = want = random_state(ctx, sites, rng)
+            for g, on in gates:
+                want = oracle_apply_gate(want, g, on)
+            got = _phase(state.amplitudes[np.newaxis], d, len(sites), table, axes)
+            assert np.max(np.abs(got - want.amplitudes)) < 1e-12, axes
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    def test_collapse_matches_the_abs_square_sum_at_every_axis(self, d):
+        # one row per frame (s, t), every outcome of every row kept
+        ctx, rng, sites = oracle_case(d, 50 + d)
+        s_vals, t_vals = np.divmod(np.arange(d * d), d)
+        theta = random_theta(rng, d)
+        for axis in range(len(sites)):
+            amps = np.array([random_state(ctx, sites, rng).amplitudes for _ in range(d * d)])
+            view, probs = _rotate_rows(amps, ctx, len(sites), axis, theta, s_vals, t_vals)
+            rows, outcomes = np.divmod(np.arange(d**3), d)
+            want, want_probs = oracle_collapse_rows(view, rows, outcomes)
+            assert np.max(np.abs(probs - want_probs)) < 1e-12
+            kept, p = _collapse_rows(view, probs, rows, outcomes)
+            assert np.array_equal(p, probs[rows, outcomes])
+            assert np.max(np.abs(kept - want)) < 1e-12, axis
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_mutating_results_leaves_tables_intact(self, d):
