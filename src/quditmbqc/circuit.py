@@ -276,13 +276,13 @@ def output_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
     return out
 
 
-def circuit_unitary(c: Circuit, residue_tol: float = ANCILLA_RESIDUE_TOL) -> np.ndarray:
+def circuit_unitary(c: Circuit) -> np.ndarray:
     """The d^|I| unitary implemented on the input -> output wires.
 
     Runs the basis inputs as rows, in parts of at most AMPLITUDE_CAP
     amplitudes; ancillas must return to |0> (checked within
-    ``residue_tol``), otherwise the circuit does not implement a unitary
-    on its declared wires.
+    ``ANCILLA_RESIDUE_TOL``), otherwise the circuit does not implement a
+    unitary on its declared wires.
     """
     if len(c.inputs) != len(c.outputs):
         raise ValueError("|inputs| must equal |outputs| for a unitary")
@@ -294,7 +294,7 @@ def circuit_unitary(c: Circuit, residue_tol: float = ANCILLA_RESIDUE_TOL) -> np.
         rows[np.arange(len(basis)), basis] = 1.0
         cols = _outputs_first(c, _simulate_rows(c, rows))[:, :, 0]
         residue = 1.0 - np.linalg.norm(cols, axis=1) ** 2
-        bad = np.flatnonzero(residue > residue_tol)
+        bad = np.flatnonzero(residue > ANCILLA_RESIDUE_TOL)
         if len(bad):
             raise ValueError(
                 f"ancillas do not return to |0> (residue {residue[bad[0]]:.3e}) on basis input {basis[bad[0]]}"

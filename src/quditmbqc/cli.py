@@ -67,6 +67,7 @@ EXIT_INPUT_ERROR = 2
 DEFAULT_TOL = 1e-9
 BRANCH_ENUMERATION_CAP = 256
 SAMPLED_RUNS = 4  # sampled runs per input when verify cannot enumerate the branches
+RANDOM_INPUTS = 4  # random input states verify checks after the basis inputs
 
 
 class InputError(Exception):
@@ -168,7 +169,7 @@ def _output_rows(artifact: Circuit | Pattern, inputs: np.ndarray, seed: int) -> 
     return rows.amplitudes, rows.origin // SAMPLED_RUNS
 
 
-def verify_equivalent(a: Circuit | Pattern, b: Circuit | Pattern, seed: int, random_inputs: int = 4) -> tuple[float, dict]:
+def verify_equivalent(a: Circuit | Pattern, b: Circuit | Pattern, seed: int) -> tuple[float, dict]:
     """Max infidelity over all basis inputs plus random input states,
     comparing outputs by position and every branch of one side with every
     branch of the other; and the coverage: the inputs checked and, per side,
@@ -187,11 +188,11 @@ def verify_equivalent(a: Circuit | Pattern, b: Circuit | Pattern, seed: int, ran
         raise InputError(f"dimensions differ: {a.ctx.d} vs {b.ctx.d}")
     n, dim = len(in_a), a.ctx.d ** len(in_a)
     rng = np.random.default_rng(seed)
-    randoms = np.array([random_state(a.ctx, range(n), rng).amplitudes for _ in range(random_inputs)]).reshape(-1, dim)
+    randoms = np.array([random_state(a.ctx, range(n), rng).amplitudes for _ in range(RANDOM_INPUTS)]).reshape(-1, dim)
     worst, counts = 0.0, np.zeros(2, dtype=np.int64)
-    for part in row_parts(dim + random_inputs, BRANCH_ENUMERATION_CAP * a.ctx.d ** len(a.outputs)):
+    for part in row_parts(dim + RANDOM_INPUTS, BRANCH_ENUMERATION_CAP * a.ctx.d ** len(a.outputs)):
         # input dim + k is the k-th random state
-        index = np.arange(dim + random_inputs)[part]
+        index = np.arange(dim + RANDOM_INPUTS)[part]
         basis = index < dim
         chunk = np.zeros((len(index), dim), dtype=np.complex128)
         chunk[basis, index[basis]] = 1
@@ -205,7 +206,7 @@ def verify_equivalent(a: Circuit | Pattern, b: Circuit | Pattern, seed: int, ran
         {"kind": "circuit" if isinstance(x, Circuit) else "pattern", "runs_sampled" if _samples(x) else "branches_exact": int(count)}
         for x, count in zip((a, b), counts)
     )
-    return worst, {"inputs": dim + random_inputs, "first": first, "second": second}
+    return worst, {"inputs": dim + RANDOM_INPUTS, "first": first, "second": second}
 
 
 # -- subcommand handlers ---------------------------------------------------------
@@ -229,41 +230,32 @@ def _cmd_gen(args) -> int:
 
 def _cmd_convert(args) -> int:
     artifact = load_artifact(args.input)
-    report: dict = {}
-    if args.kind == "def7":
-        if not isinstance(artifact, Circuit):
-            raise InputError("def7 expects a circuit")
-        result = circuit_to_pattern_standard(lower_to_guni(artifact))
-    elif args.kind == "def8":
-        if not isinstance(artifact, Circuit):
-            raise InputError("def8 expects a circuit")
-        result = circuit_to_pattern_cluster(artifact)
-    elif args.kind == "def9":
-        if not isinstance(artifact, Pattern):
-            raise InputError("def9 expects a pattern")
-        result = pattern_to_circuit_coherent(artifact)
-    elif args.kind == "fanout-compile":
-        if not isinstance(artifact, Pattern):
-            raise InputError("fanout-compile expects a pattern")
-        compiled = pattern_to_fanout_circuit(artifact)
-        result = compiled.circuit
+    # kind -> (input type, compiler); built per call, so a compiler wrapped after import is the one called
+    wanted, compile_ = {
+        "def7": (Circuit, lambda c: circuit_to_pattern_standard(lower_to_guni(c))),
+        "def8": (Circuit, circuit_to_pattern_cluster),
+        "def9": (Pattern, pattern_to_circuit_coherent),
+        "fanout-compile": (Pattern, pattern_to_fanout_circuit),
+        "clifford-const": (Circuit, clifford_constant_depth),
+    }[args.kind]
+    if not isinstance(artifact, wanted):
+        raise InputError(f"{args.kind} expects a {wanted.__name__.lower()}")
+    result = compile_(artifact)
+    if args.kind == "clifford-const" and args.target == "fanout-circuit":
+        result = pattern_to_fanout_circuit(result)
+    dump_artifact(result, args.out)
+    if not args.report:
+        return EXIT_OK
+    if args.kind == "fanout-compile":
+        pattern, circuit = pattern_depth_and_size(artifact), depth_and_size(result)
         report = {
-            "pattern": {"depth": compiled.pattern_report.depth, "size": compiled.pattern_report.size},
-            "circuit": {"depth": compiled.circuit_report.depth, "size": compiled.circuit_report.size},
+            "pattern": {"depth": pattern.depth, "size": pattern.size},
+            "circuit": {"depth": circuit.depth, "size": circuit.size},
             "ancillas_added": len(result.qudits) - len(artifact.qudits),
         }
-    elif args.kind == "clifford-const":
-        if not isinstance(artifact, Circuit):
-            raise InputError("clifford-const expects a circuit")
-        if args.target == "pattern":
-            result = clifford_constant_depth(artifact, "pattern")
-        else:
-            result = clifford_constant_depth(artifact, "fanout_circuit").circuit
     else:
-        raise InputError(f"unknown conversion {args.kind}")
-    dump_artifact(result, args.out)
-    if args.report:
-        emit(report or _analysis_doc(result), args.format, args.report)
+        report = _analysis_doc(result)
+    emit(report, args.format, args.report)
     return EXIT_OK
 
 
@@ -369,21 +361,21 @@ def _cmd_analyze(args) -> int:
         try:
             lo, hi = (int(x) for x in rng_text.split(":"))
         except ValueError:
-            raise InputError(f"bad sweep range {args.sweep!r}; use LO:HI or n=LO..HI") from None
+            lo = hi = None
+        if lo is None or lo > hi:
+            raise InputError(f"bad sweep range {args.sweep!r}; use LO:HI or n=LO..HI")
+        ctx = DimensionContext.of(args.d)
         rows = []
         for n in range(lo, hi + 1):
-            ctx = DimensionContext.of(args.d)
-            circuit = random_clifford_circuit(ctx, n, args.gates_per_n * n, args.seed + n)
-            pat = clifford_constant_depth(circuit, "pattern")
-            compiled = clifford_constant_depth(circuit, "fanout_circuit")
-            prep = pattern_depth_and_size(pat)
+            pat = clifford_constant_depth(random_clifford_circuit(ctx, n, args.gates_per_n * n, args.seed + n))
+            prep, crep = pattern_depth_and_size(pat), depth_and_size(pattern_to_fanout_circuit(pat))
             rows.append(
                 {
                     "n": n,
                     "pattern_depth": prep.depth,
                     "pattern_size": prep.size,
-                    "circuit_depth": compiled.circuit_report.depth,
-                    "circuit_size": compiled.circuit_report.size,
+                    "circuit_depth": crep.depth,
+                    "circuit_size": crep.size,
                 }
             )
         emit({"kind": "clifford-const-sweep", "d": args.d, "rows": rows}, args.format, args.out)

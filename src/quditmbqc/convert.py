@@ -11,19 +11,17 @@ from __future__ import annotations
 
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
 from .algebra import DimensionContext
 from .circuit import (
     Circuit,
-    DepthReport,
     Operation,
     circuit_unitary,
     _inverse_ops,
     _relabel_ops,
-    depth_and_size,
     longest_chain,
     lower_to_guni,
 )
@@ -36,7 +34,6 @@ from .pattern import (
     Signal,
     entanglement_depth,
     entanglement_graph,
-    pattern_depth_and_size,
     require_valid,
 )
 from .rewrite import completely_standardise, is_completely_standard
@@ -50,7 +47,6 @@ __all__ = [
     "insert_fourier_breaks",
     "pattern_to_circuit_coherent",
     "pattern_to_fanout_circuit",
-    "FanoutCompileResult",
     "build_fanout",
     "build_generalized",
     "parallelize_commuting",
@@ -474,13 +470,6 @@ def _controlled_pauli_ops(source, mains: tuple[int, ...], d: int, start: int) ->
 # -- pattern -> unbounded fan-out circuit -------------------------------------------
 
 
-@dataclass(frozen=True)
-class FanoutCompileResult:
-    circuit: Circuit
-    circuit_report: DepthReport
-    pattern_report: DepthReport
-
-
 def _measurement_layers(p: Pattern) -> list[list[Measure]]:
     """Measurements in written order, each one layer after its deepest X dependency."""
     measures = [cmd for cmd in p.seq if isinstance(cmd, Measure)]
@@ -491,14 +480,14 @@ def _measurement_layers(p: Pattern) -> list[list[Measure]]:
     return layers
 
 
-def pattern_to_fanout_circuit(p: Pattern) -> FanoutCompileResult:
+def pattern_to_fanout_circuit(p: Pattern) -> Circuit:
     """Compile a completely standard pattern to the unbounded fan-out model.
 
     The coherent translation over the dependency layers of measurements,
     with every controlled-Pauli block compiled to constant depth: each
     layer costs one such block plus a unit-depth layer of rotations.
     """
-    pattern_report = pattern_depth_and_size(p)  # validates p
+    require_valid(p)
     if not is_completely_standard(p):
         raise ValueError("fan-out compilation expects a completely standard pattern")
 
@@ -506,8 +495,7 @@ def pattern_to_fanout_circuit(p: Pattern) -> FanoutCompileResult:
         touched = tuple(dict.fromkeys(s for op in block for s in op.sites))
         return _controlled_pauli_ops(block, touched, p.ctx.d, fresh)
 
-    circuit = _coherent(p, _measurement_layers(p), compile_block)
-    return FanoutCompileResult(circuit, depth_and_size(circuit), pattern_report)
+    return _coherent(p, _measurement_layers(p), compile_block)
 
 
 # -- constant-depth Clifford pipeline ------------------------------------------------
@@ -529,9 +517,9 @@ def _sorted_entangling_prefix(p: Pattern) -> Pattern:
     return p.with_seq(tuple(ordered) + tuple(rest))
 
 
-def clifford_constant_depth(c: Circuit, target: str = "pattern"):
-    """Compile an {F, P, CZ} circuit to a constant-depth pattern, or further
-    to an unbounded fan-out circuit.
+def clifford_constant_depth(c: Circuit) -> Pattern:
+    """Compile an {F, P, CZ} circuit to a constant-depth pattern;
+    ``pattern_to_fanout_circuit`` takes it on to the fan-out model.
 
     The cluster-style pattern of a Clifford circuit is completely
     standard with every measurement independent, so the measurements
@@ -544,9 +532,4 @@ def clifford_constant_depth(c: Circuit, target: str = "pattern"):
     for cmd in pat.seq:
         if isinstance(cmd, Measure) and not cmd.is_independent():
             raise AssertionError("Clifford pattern kept a dependent measurement")
-    pat = _sorted_entangling_prefix(pat)
-    if target == "pattern":
-        return pat
-    if target == "fanout_circuit":
-        return pattern_to_fanout_circuit(pat)
-    raise ValueError(f"unknown target {target!r}")
+    return _sorted_entangling_prefix(pat)

@@ -41,6 +41,7 @@ from quditmbqc.convert import (
     clifford_constant_depth,
     controlled_pauli_constant_depth,
     pattern_to_circuit_coherent,
+    pattern_to_fanout_circuit,
 )
 from quditmbqc.generate import random_clifford_circuit, random_guni_circuit
 from quditmbqc.pattern import (
@@ -231,14 +232,14 @@ def test_criterion_05_clifford_constancy():
         for n in range(2, 7):
             pattern_depths, circuit_depths = [], []
             for k, circ in enumerate(_pick_clifford_instances(ctx, n, 100 * d + 10 * n)):
-                pat = clifford_constant_depth(circ, "pattern")
+                pat = clifford_constant_depth(circ)
                 # (a) no dependent measurements
                 assert all(m.is_independent() for m in pat.seq if isinstance(m, Measure))
                 # (b) bounded entanglement degree
                 assert entanglement_graph(pat).max_degree() <= 3
                 pattern_depths.append(pattern_depth_and_size(pat).depth)
-                compiled = clifford_constant_depth(circ, "fanout_circuit")
-                circuit_depths.append(compiled.circuit_report.depth)
+                compiled = pattern_to_fanout_circuit(pat)
+                circuit_depths.append(depth_and_size(compiled).depth)
                 if k == 0:
                     firsts[n] = (circ, pat, compiled)
             pattern_profile[n] = max(pattern_depths)
@@ -287,7 +288,7 @@ def test_criterion_05_clifford_constancy():
                         {relabel[s]: v for s, v in zs.items()},
                         ph,
                     )
-            _assert_fanout_compile_matches_coherent(ctx, pat, compiled.circuit, coh)
+            _assert_fanout_compile_matches_coherent(ctx, pat, compiled, coh)
     announce(5, "constant-depth Clifford pipeline", started, 600)
 
 
@@ -499,7 +500,7 @@ def test_criterion_10_entanglement_depth():
     for d in (2, 3):
         ctx = DimensionContext.of(d)
         circ = random_clifford_circuit(ctx, 3, 12, seed=29)
-        pat = clifford_constant_depth(circ, "pattern")
+        pat = clifford_constant_depth(circ)
         rep = entanglement_depth(entanglement_graph(pat))
         assert rep.achieved >= rep.lower_bound
         if rep.exact:

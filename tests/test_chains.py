@@ -46,12 +46,8 @@ def _patterns(ctx: DimensionContext) -> dict:
         "def7 guni n3": circuit_to_pattern_standard(lower_to_guni(wide)),
         "def7 unstandardised guni n3": circuit_to_pattern_standard(lower_to_guni(wide), standardise=False),
         "def8 guni n2": circuit_to_pattern_cluster(small),
-        "clifford-const clifford n3": clifford_constant_depth(random_clifford_circuit(ctx, 3, 9, 2), "pattern"),
+        "clifford-const clifford n3": clifford_constant_depth(random_clifford_circuit(ctx, 3, 9, 2)),
     }
-
-
-def _clifford_const(c: Circuit) -> Circuit:
-    return clifford_constant_depth(c, "fanout_circuit").circuit
 
 
 def _circuits(ctx: DimensionContext, patterns: dict) -> dict:
@@ -62,10 +58,10 @@ def _circuits(ctx: DimensionContext, patterns: dict) -> dict:
         "cascade n4": cascade_circuit(ctx, 4),
         "fanout n3": fanout_gate_circuit(ctx, 3),
         "lowered fanout n3": lower_to_guni(fanout_gate_circuit(ctx, 3)),
-        "clifford-const clifford n2": _clifford_const(random_clifford_circuit(ctx, 2, 6, 0)),
-        "clifford-const clifford n3": _clifford_const(random_clifford_circuit(ctx, 3, 9, 2)),
-        "fanout-compile def7 guni n2": pattern_to_fanout_circuit(patterns["def7 guni n2"]).circuit,
-        "fanout-compile def7 guni n3": pattern_to_fanout_circuit(patterns["def7 guni n3"]).circuit,
+        "clifford-const clifford n2": pattern_to_fanout_circuit(clifford_constant_depth(random_clifford_circuit(ctx, 2, 6, 0))),
+        "clifford-const clifford n3": pattern_to_fanout_circuit(patterns["clifford-const clifford n3"]),
+        "fanout-compile def7 guni n2": pattern_to_fanout_circuit(patterns["def7 guni n2"]),
+        "fanout-compile def7 guni n3": pattern_to_fanout_circuit(patterns["def7 guni n3"]),
     }
 
 

@@ -6,9 +6,15 @@ import pytest
 
 
 sys.path.insert(0, str(Path(__file__).parent))
+from helpers import counted_calls
 
+import quditmbqc.convert as convert_module
+from quditmbqc.algebra import DimensionContext
+from quditmbqc.circuit import circuit_from_json, circuit_to_json, depth_and_size
 from quditmbqc.cli import main
-from quditmbqc.pattern import run_rows
+from quditmbqc.convert import clifford_constant_depth, pattern_to_fanout_circuit
+from quditmbqc.generate import random_clifford_circuit
+from quditmbqc.pattern import pattern_depth_and_size, run_rows
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -100,6 +106,20 @@ def test_analyze_sweep_depth_is_flat(tmp_path):
     doc = json.loads(out.read_text())
     depths = {row["circuit_depth"] for row in doc["rows"]}
     assert len(depths) == 1
+
+
+def test_sweep_rows_compile_one_pattern_per_n(tmp_path):
+    out = tmp_path / "sweep.json"
+    with counted_calls(convert_module, ("circuit_to_pattern_cluster",)) as calls:
+        assert run_cli("analyze", "--sweep", "2:4", "--d", "3", "--seed", "5", "--out", str(out)) == 0
+    assert len(calls.log) == 3
+    ctx = DimensionContext.of(3)
+    rows = []
+    for n in (2, 3, 4):
+        pat = clifford_constant_depth(random_clifford_circuit(ctx, n, 5 * n, 5 + n))
+        prep, crep = pattern_depth_and_size(pat), depth_and_size(pattern_to_fanout_circuit(pat))
+        rows.append({"n": n, "pattern_depth": prep.depth, "pattern_size": prep.size, "circuit_depth": crep.depth, "circuit_size": crep.size})
+    assert json.loads(out.read_text()) == {"kind": "clifford-const-sweep", "d": 3, "rows": rows}
 
 
 def test_text_format_mirrors_json(tmp_path, capsys):
@@ -246,6 +266,17 @@ def test_convert_emits_report(tmp_path):
     assert doc["circuit"]["depth"] >= 1 and doc["ancillas_added"] >= 0
 
 
+def test_clifford_const_to_fanout_circuit_composes_the_library_compilers(tmp_path):
+    source, compiled, report = tmp_path / "cliff.json", tmp_path / "cliffcirc.json", tmp_path / "rep.json"
+    run_cli("gen", "clifford", "--d", "2", "--n", "4", "--gates", "20", "--seed", "3", "--out", str(source))
+    argv = ["convert", "clifford-const", "--in", str(source), "--target", "fanout-circuit", "--out", str(compiled)]
+    assert run_cli(*argv, "--report", str(report)) == 0
+    want = pattern_to_fanout_circuit(clifford_constant_depth(circuit_from_json(source.read_text())))
+    assert compiled.read_text() == circuit_to_json(want)
+    doc = json.loads(report.read_text())
+    assert doc == {"kind": "circuit", "qudits": len(want.qudits), "depth": depth_and_size(want).depth, "size": depth_and_size(want).size}
+
+
 def test_quick_start_fanout_artifact_verifies(tmp_path):
     circuit, pattern, compiled = tmp_path / "circuit.json", tmp_path / "pattern.json", tmp_path / "fanout.json"
     run_cli("gen", "guni", "--d", "3", "--n", "2", "--gates", "6", "--seed", "1", "--out", str(circuit))
@@ -260,6 +291,8 @@ def test_sweep_accepts_range_spellings(tmp_path):
     assert run_cli("analyze", "--sweep", "n=2..3", "--d", "2", "--seed", "0", "--out", str(out)) == 0
     assert len(json.loads(out.read_text())["rows"]) == 2
     assert run_cli("analyze", "--sweep", "oops") == 2
+    assert run_cli("analyze", "--sweep", "3:2") == 2
+    assert run_cli("analyze", "--sweep", "n=3..2") == 2
 
 
 def test_gen_fanout_instance(tmp_path):

@@ -546,9 +546,9 @@ class TestFanoutCompileAndCliffordPipeline:
             ctx = ctx_of(d)
             rng = np.random.default_rng(d)
             theta = tuple(rng.uniform(0, 2 * np.pi, d))
-            res = pattern_to_fanout_circuit(basic_v_pattern(ctx, 1, 2, theta))
+            compiled = pattern_to_fanout_circuit(basic_v_pattern(ctx, 1, 2, theta))
             psi = random_state(ctx, (1,), rng)
-            final = simulate_circuit(res.circuit, psi)
+            final = simulate_circuit(compiled, psi)
             rho = reduced_density_matrix(final, (2,))
             want = gate_matrix(Gate.v(theta), ctx) @ psi.amplitudes
             assert purity(rho) > 1 - 1e-8
@@ -563,16 +563,16 @@ class TestFanoutCompileAndCliffordPipeline:
         pat = completely_standardise(
             compose_serial(basic_v_pattern(ctx, 1, 2, thetas[1]), basic_v_pattern(ctx, 1, 2, thetas[0]))
         )
-        res = pattern_to_fanout_circuit(pat)
+        compiled = pattern_to_fanout_circuit(pat)
         single = pattern_to_fanout_circuit(basic_v_pattern(ctx, 1, 2, thetas[0]))
-        per_layer = single.circuit_report.depth
-        assert res.circuit_report.depth <= 2 * per_layer + 4
+        per_layer = depth_and_size(single).depth
+        assert depth_and_size(compiled).depth <= 2 * per_layer + 4
         # dense partial-trace check of the compiled circuit (two dependency
         # layers exercise the per-layer correction blocks)
         rng = np.random.default_rng(33)
         psi = random_state(ctx, (1,), rng)
         want = gate_matrix(Gate.v(thetas[1]), ctx) @ gate_matrix(Gate.v(thetas[0]), ctx) @ psi.amplitudes
-        final = simulate_circuit(res.circuit, psi)
+        final = simulate_circuit(compiled, psi)
         rho = reduced_density_matrix(final, pat.outputs)
         assert purity(rho) > 1 - 1e-8
         assert np.real(want.conj() @ rho @ want) > 1 - 1e-8
@@ -580,11 +580,11 @@ class TestFanoutCompileAndCliffordPipeline:
     def test_single_fourier_gate_gives_one_independent_measurement(self):
         ctx = ctx_of(2)
         c = one_gate_circuit(ctx, Gate.f(), (1,), (1,))
-        pat = clifford_constant_depth(c, "pattern")
+        pat = clifford_constant_depth(c)
         measures = [m for m in pat.seq if isinstance(m, Measure)]
         assert len(measures) == 1 and measures[0].is_independent()
 
     def test_rejects_non_clifford_gate(self):
         ctx = ctx_of(2)
         with pytest.raises(ValueError):
-            clifford_constant_depth(one_gate_circuit(ctx, Gate.x(1), (1,), (1,)), "pattern")
+            clifford_constant_depth(one_gate_circuit(ctx, Gate.x(1), (1,), (1,)))

@@ -71,7 +71,7 @@ def families(d: int) -> dict[str, Pattern]:
         "def7": circuit_to_pattern_standard(lowered),
         "raw7": circuit_to_pattern_standard(lowered, standardise=False),
         "def8": circuit_to_pattern_cluster(circuit),
-        "clifford-const": clifford_constant_depth(random_clifford_circuit(ctx, 2, 3, seed=1), "pattern"),
+        "clifford-const": clifford_constant_depth(random_clifford_circuit(ctx, 2, 3, seed=1)),
     }
 
 

@@ -26,7 +26,7 @@ from quditmbqc.convert import pattern_to_circuit_coherent, pattern_to_fanout_cir
 GOLDEN = Path(__file__).parent / "golden" / "translations.json"
 TRANSLATIONS = {
     "def9": pattern_to_circuit_coherent,
-    "fanout-compile": lambda p: pattern_to_fanout_circuit(p).circuit,
+    "fanout-compile": pattern_to_fanout_circuit,
 }
 
 
