@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import cmath
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -36,6 +36,7 @@ def _context_cached(d: int) -> "DimensionContext":
     return DimensionContext(d)
 
 
+@dataclass(frozen=True, slots=True)
 class DimensionContext:
     """Dimension d together with the derived constants D, delta_d, omega, omega_hat.
 
@@ -44,28 +45,20 @@ class DimensionContext:
     omega_hat = exp(2*pi*i/D) so that omega = omega_hat**(D // d).
     """
 
-    __slots__ = ("d", "D", "delta_d", "omega", "omega_hat")
+    d: int
+    D: int = field(init=False, repr=False, compare=False)
+    delta_d: int = field(init=False, repr=False, compare=False)
+    omega: complex = field(init=False, repr=False, compare=False)
+    omega_hat: complex = field(init=False, repr=False, compare=False)
 
-    def __init__(self, d: int):
+    def __post_init__(self):
+        d = self.d
         if not isinstance(d, int) or d < 2:
             raise ValueError(f"qudit dimension must be an integer >= 2, got {d!r}")
-        object.__setattr__(self, "d", d)
         object.__setattr__(self, "D", d if d % 2 else 2 * d)
         object.__setattr__(self, "delta_d", 1 if d % 2 else 0)
         object.__setattr__(self, "omega", cmath.exp(2j * cmath.pi / d))
         object.__setattr__(self, "omega_hat", cmath.exp(2j * cmath.pi / self.D))
-
-    def __setattr__(self, name, value):
-        raise AttributeError("DimensionContext is immutable")
-
-    def __eq__(self, other):
-        return isinstance(other, DimensionContext) and self.d == other.d
-
-    def __hash__(self):
-        return hash(("DimensionContext", self.d))
-
-    def __repr__(self):
-        return f"DimensionContext(d={self.d})"
 
     @staticmethod
     def of(d: int) -> "DimensionContext":

@@ -229,6 +229,8 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_convert(args) -> int:
+    if args.target == "fanout-circuit" and args.kind != "clifford-const":
+        raise InputError(f"--target fanout-circuit applies to clifford-const only; {args.kind} has one output")
     artifact = load_artifact(args.input)
     # kind -> (input type, compiler); built per call, so a compiler wrapped after import is the one called
     wanted, compile_ = {
@@ -241,7 +243,7 @@ def _cmd_convert(args) -> int:
     if not isinstance(artifact, wanted):
         raise InputError(f"{args.kind} expects a {wanted.__name__.lower()}")
     result = compile_(artifact)
-    if args.kind == "clifford-const" and args.target == "fanout-circuit":
+    if args.target == "fanout-circuit":
         result = pattern_to_fanout_circuit(result)
     dump_artifact(result, args.out)
     if not args.report:

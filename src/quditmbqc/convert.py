@@ -354,8 +354,7 @@ def _normalize_controlled_pauli(ops, qudits: tuple[int, ...], d: int):
     then contribute quadratic phase terms over the inputs and can all be
     emitted up front.  Every array is int64, reduced mod d: ``quad`` holds
     the squares on its diagonal and the cross terms above it, ``lin`` the
-    linear terms (constants only shift the global phase).  ``cx_gates``
-    lists the nonzero controlled-X powers as (control, target, k) indices.
+    linear terms (constants only shift the global phase).
     """
     n = len(qudits)
     index = {q: i for i, q in enumerate(qudits)}
@@ -363,14 +362,11 @@ def _normalize_controlled_pauli(ops, qudits: tuple[int, ...], d: int):
     shift = np.zeros(n, dtype=np.int64)
     quad = np.zeros((n, n), dtype=np.int64)
     lin = np.zeros(n, dtype=np.int64)
-    cx_gates: list[tuple[int, int, int]] = []
     for op in ops:
         g = op.gate
         if g.name not in (GateName.X, GateName.Z, GateName.CX, GateName.CZ):
             raise ValueError(f"gate {g.name.value} outside the controlled-Pauli set")
         k = g.k % d
-        if not k:
-            continue
         i = index[op.sites[0]]
         if g.name == GateName.X:
             shift[i] = (shift[i] + k) % d
@@ -381,24 +377,12 @@ def _normalize_controlled_pauli(ops, qudits: tuple[int, ...], d: int):
             if g.name == GateName.CX:
                 matrix[j] = (matrix[j] + k * matrix[i]) % d
                 shift[j] = (shift[j] + k * shift[i]) % d
-                cx_gates.append((i, j, k))
             else:
                 # phase += k * (row_i . x + shift_i) * (row_j . x + shift_j)
                 quad = (quad + k * np.outer(matrix[i], matrix[j])) % d
                 lin = (lin + k * (matrix[i] * shift[j] + matrix[j] * shift[i])) % d
     quad = (np.triu(quad) + np.tril(quad, -1).T) % d
-    return quad, lin, matrix, cx_gates, shift
-
-
-def _cx_inverse(d: int, matrix: np.ndarray, cx_gates) -> np.ndarray:
-    """Inverse of a controlled-X matrix: replay its gate list backwards
-    with negated powers (no division, so composite d works too)."""
-    inverse = np.eye(len(matrix), dtype=np.int64)
-    for ci, ti, k in reversed(cx_gates):
-        inverse[ti] = (inverse[ti] - k * inverse[ci]) % d
-    if not np.array_equal(inverse @ matrix % d, np.eye(len(matrix), dtype=np.int64)):
-        raise AssertionError("transvection replay did not invert the matrix")
-    return inverse
+    return quad, lin, matrix, shift
 
 
 def _diagonal_units(qudits: tuple[int, ...], quad: np.ndarray, lin: np.ndarray, d: int) -> list[list[Operation]]:
@@ -434,9 +418,10 @@ def controlled_pauli_constant_depth(c: Circuit, ancilla_start: int | None = None
     controlled-X control is also a target, each target takes one MOD
     over its controls, side by side on copies.  Otherwise the Z(d)
     matrix M is evaluated into a fresh result register with one MOD per
-    row, the register is cleared by MODs of the rows of -M^-1 (replayed
-    from the gate list) and the two registers swap.  Ancillas grow with
-    the number of nonzero terms while depth stays fixed.
+    row, the register is cleared by MODs of the rows of -M^-1 (the
+    matrix of the inverted CX gates) and the two registers swap.
+    Ancillas grow with the number of nonzero terms while depth stays
+    fixed.
     """
     start = max(c.qudits, default=0) + 1 if ancilla_start is None else ancilla_start
     ops, ancillas = _controlled_pauli_ops(c.ops, c.qudits, c.ctx.d, start)
@@ -446,18 +431,23 @@ def controlled_pauli_constant_depth(c: Circuit, ancilla_start: int | None = None
 def _controlled_pauli_ops(source, mains: tuple[int, ...], d: int, start: int) -> tuple[list[Operation], tuple[int, ...]]:
     """The ops of ``controlled_pauli_constant_depth`` for the ops ``source``
     on ``mains``, and the ancillas they use, numbered from ``start``."""
-    quad, lin, matrix, cx_gates, shift = _normalize_controlled_pauli(source, mains, d)
+    quad, lin, matrix, shift = _normalize_controlled_pauli(source, mains, d)
     # every stage returns its ancillas clean, so each reuses the ids from start
     ops, used = _fanned(_diagonal_units(mains, quad, lin, d), start, d)
-    if cx_gates and {i for i, _, _ in cx_gates}.isdisjoint(j for _, j, _ in cx_gates):
+    cx_ops = [op for op in source if op.gate.name == GateName.CX and op.gate.k % d]
+    if cx_ops and {op.sites[0] for op in cx_ops}.isdisjoint(op.sites[1] for op in cx_ops):
         # no MOD changes a qudit another one reads, so each target updates in place
-        cx_ops, copies = _fanned(_mod_units(matrix.tolist(), mains, mains), start, d)
-        ops += cx_ops
+        mod_ops, copies = _fanned(_mod_units(matrix.tolist(), mains, mains), start, d)
+        ops += mod_ops
         used = max(used, copies)
-    elif cx_gates:
+    elif cx_ops:
         n = len(mains)
         result = tuple(range(start, start + n))
-        inverse = (-_cx_inverse(d, matrix, cx_gates)) % d
+        # M^-1 is the matrix of the inverted CX gates (no division, so composite d works too)
+        inverse = _normalize_controlled_pauli(_inverse_ops(cx_ops, d), mains, d)[2]
+        if not np.array_equal(inverse @ matrix % d, np.eye(n, dtype=np.int64)):
+            raise AssertionError("the inverted CX gates did not invert the matrix")
+        inverse = -inverse % d
         for rows, targets, controls in ((matrix, result, mains), (inverse, mains, result)):
             stage, copies = _fanned(_mod_units(rows.tolist(), targets, controls), start + n, d)
             ops += stage

@@ -211,16 +211,6 @@ def _command_signals(cmd: Command) -> tuple[Signal, ...]:
     return ()
 
 
-def normalize_commands(cmds, d: int) -> tuple[Command, ...]:
-    """Drop corrections whose signal is statically zero."""
-    out = []
-    for cmd in cmds:
-        if isinstance(cmd, (CorrectX, CorrectZ)) and cmd.signal.is_zero():
-            continue
-        out.append(cmd)
-    return tuple(out)
-
-
 @dataclass(frozen=True)
 class Pattern:
     """A measurement pattern (V, I, O, command sequence)."""
@@ -235,7 +225,9 @@ class Pattern:
         object.__setattr__(self, "qudits", tuple(self.qudits))
         object.__setattr__(self, "inputs", tuple(self.inputs))
         object.__setattr__(self, "outputs", tuple(self.outputs))
-        object.__setattr__(self, "seq", normalize_commands(self.seq, self.ctx.d))
+        # a correction whose signal is statically zero does nothing
+        seq = tuple(cmd for cmd in self.seq if not (isinstance(cmd, (CorrectX, CorrectZ)) and cmd.signal.is_zero()))
+        object.__setattr__(self, "seq", seq)
         if len(set(self.qudits)) != len(self.qudits):
             raise ValueError("duplicate qudit identifiers")
 
@@ -467,9 +459,9 @@ def _walk(p: Pattern, sites: tuple[int, ...], amps: np.ndarray, lazy: bool, choo
     return Rows(measured, *(np.concatenate(columns) for columns in zip(*done)))
 
 
-def _every(min_probability: float):
-    """Follow every outcome of at least ``min_probability``."""
-    return lambda step, index, probs, origin: np.nonzero(probs >= min_probability)
+def _every(step, index, probs, origin):
+    """Follow every outcome of probability at least ZERO_BRANCH_TOL."""
+    return np.nonzero(probs >= ZERO_BRANCH_TOL)
 
 
 def _sampled(seeds):
@@ -516,15 +508,15 @@ def run_rows(p: Pattern, inputs: np.ndarray, seeds=None) -> Rows:
     order) in one walk of the lazy schedule.
 
     Without ``seeds`` every row is expanded into each of its branches of
-    probability at least 1e-12.  With one seed per row, each row follows one
-    sampled branch drawn as ``run`` draws it.
+    probability at least ZERO_BRANCH_TOL.  With one seed per row, each row
+    follows one sampled branch drawn as ``run`` draws it.
     """
     inputs = np.asarray(inputs, dtype=np.complex128)
     if inputs.ndim != 2 or inputs.shape[1] != p.ctx.d ** len(p.inputs):
         raise ValueError(f"inputs must be rows of {p.ctx.d ** len(p.inputs)} amplitudes")
     if seeds is not None and len(seeds) != len(inputs):
         raise ValueError(f"{len(seeds)} seeds for {len(inputs)} input rows")
-    choose = _every(1e-12) if seeds is None else _sampled(seeds)
+    choose = _every if seeds is None else _sampled(seeds)
     return _walk(p, p.inputs, inputs, True, choose)
 
 
@@ -552,11 +544,10 @@ def run(
 def run_branches(
     p: Pattern,
     input_state: StateVector | None = None,
-    min_probability: float = 1e-12,
     lazy: bool = False,
 ) -> list[RunResult]:
     """Full branch enumeration: every outcome assignment with its probability."""
-    return _results(p, _walk(p, *_one_input(p, input_state), lazy, _every(min_probability)))
+    return _results(p, _walk(p, *_one_input(p, input_state), lazy, _every))
 
 
 # -- metrics ------------------------------------------------------------------
@@ -643,11 +634,9 @@ def _greedy_coloring(edges: list[tuple[int, int]]) -> list[int]:
     return colors
 
 
-def _fan_rotation_coloring(edges: list[tuple[int, int]], max_degree: int) -> list[int] | None:
+def _fan_rotation_coloring(edges: list[tuple[int, int]], max_degree: int) -> list[int]:
     """Misra-Gries fan rotation: properly colors any simple graph with at
-    most max_degree + 1 colors.  Returns None for multigraphs."""
-    if len(set(tuple(sorted(e)) for e in edges)) != len(edges):
-        return None
+    most max_degree + 1 colors."""
     k = max_degree + 1
     color = [0] * len(edges)
     at: dict[int, dict[int, int]] = {}  # vertex -> color -> edge index
@@ -723,7 +712,7 @@ def _fan_rotation_coloring(edges: list[tuple[int, int]], max_degree: int) -> lis
                 w = end
                 break
         if w is None:
-            return None
+            raise AssertionError("no fan prefix ends with the path color free")
         for i in range(w - 1):
             ce = color[fan_e[i + 1]]
             set_color(fan_e[i + 1], 0)
@@ -732,10 +721,11 @@ def _fan_rotation_coloring(edges: list[tuple[int, int]], max_degree: int) -> lis
     return color
 
 
-def _exact_coloring(edges: list[tuple[int, int]], lower: int, upper: int) -> list[int] | None:
-    # iterative deepening: smallest k admitting a proper edge coloring
+def _exact_coloring(edges: list[tuple[int, int]], lower: int, fallback: list[int]) -> list[int]:
+    """The proper edge coloring with the fewest colors, by iterative
+    deepening from ``lower``; ``fallback`` when no k below its count works."""
     order = sorted(range(len(edges)), key=lambda e: (edges[e][0], edges[e][1], e))
-    for k in range(max(lower, 1), upper + 1):
+    for k in range(max(lower, 1), max(fallback)):
         assign = [0] * len(edges)
         used: dict[int, set[int]] = {}
 
@@ -757,7 +747,7 @@ def _exact_coloring(edges: list[tuple[int, int]], lower: int, upper: int) -> lis
 
         if backtrack(0):
             return assign
-    return None
+    return fallback
 
 
 def entanglement_depth(g: EntanglementGraph) -> EntanglementDepthReport:
@@ -765,9 +755,10 @@ def entanglement_depth(g: EntanglementGraph) -> EntanglementDepthReport:
 
     Parallel edges between one pair are necessarily sequential, so each
     unit edge is colored separately.  Exhaustive search runs when the
-    multigraph has at most EXACT_COLORING_EDGE_LIMIT unit edges, else a
-    greedy pass gives an upper bound.  The achieved count is always at
-    least the maximum degree.
+    multigraph has at most EXACT_COLORING_EDGE_LIMIT unit edges.  Above
+    that, fan rotation colors a simple graph within the maximum degree
+    plus one, and a first-fit pass colors a graph with parallel edges.
+    The achieved count is always at least the maximum degree.
     """
     edges = g.unit_edges()
     delta = g.max_degree()
@@ -775,14 +766,11 @@ def entanglement_depth(g: EntanglementGraph) -> EntanglementDepthReport:
         return EntanglementDepthReport(0, 0, True, True, ())
     exact = len(edges) <= EXACT_COLORING_EDGE_LIMIT
     if exact:
-        greedy = _greedy_coloring(edges)
-        coloring = _exact_coloring(edges, delta, max(greedy))
-        if coloring is None:  # greedy bound is always admissible
-            coloring = greedy
+        coloring = _exact_coloring(edges, delta, _greedy_coloring(edges))
+    elif len({tuple(sorted(e)) for e in edges}) < len(edges):
+        coloring = _greedy_coloring(edges)
     else:
         coloring = _fan_rotation_coloring(edges, delta)
-        if coloring is None:  # parallel edges: fall back to first-fit
-            coloring = _greedy_coloring(edges)
     achieved = max(coloring)
     if achieved < delta:
         raise AssertionError("edge coloring below the degree lower bound")

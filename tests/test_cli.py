@@ -130,6 +130,30 @@ def test_text_format_mirrors_json(tmp_path, capsys):
     assert "depth: 2" in text and "size: 4" in text
 
 
+def test_text_format_nests_sections_and_tables(tmp_path, capsys):
+    circuit, pattern, report = tmp_path / "c.json", tmp_path / "p.json", tmp_path / "rep.json"
+    run_cli("gen", "guni", "--d", "3", "--n", "2", "--gates", "6", "--seed", "1", "--out", str(circuit))
+    run_cli("convert", "def7", "--in", str(circuit), "--out", str(pattern))
+    run_cli("analyze", "--in", str(pattern), "--out", str(report))
+    doc = json.loads(report.read_text())
+    capsys.readouterr()
+    assert run_cli("analyze", "--in", str(pattern), "--format", "text") == 0
+    lines = capsys.readouterr().out.splitlines()
+    # a nested object is a heading with its keys indented under it
+    section = lines.index("entanglement:")
+    assert lines[section + 1 : section + 1 + len(doc["entanglement"])] == [f"  {k}: {v}" for k, v in doc["entanglement"].items()]
+    assert f"depth: {doc['depth']}" in lines[:section]
+
+    run_cli("analyze", "--sweep", "2:3", "--d", "2", "--seed", "0", "--out", str(report))
+    rows = json.loads(report.read_text())["rows"]
+    assert run_cli("analyze", "--sweep", "2:3", "--d", "2", "--seed", "0", "--format", "text") == 0
+    lines = capsys.readouterr().out.splitlines()
+    # a list of objects is a table: one header of its keys, one line per row
+    table = lines.index("rows:")
+    assert lines[table + 1].split() == list(rows[0])
+    assert [line.split() for line in lines[table + 2 :]] == [[str(v) for v in row.values()] for row in rows]
+
+
 def test_malformed_json_is_input_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{broken")
@@ -428,6 +452,19 @@ def test_convert_takes_no_seed(tmp_path, capsys):
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert "unrecognized arguments: --seed 1" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("kind", ["def7", "def8", "def9", "fanout-compile"])
+def test_fanout_target_outside_clifford_const_is_input_error(tmp_path, capsys, kind):
+    circuit, pattern, out = tmp_path / "c.json", tmp_path / "p.json", tmp_path / "out.json"
+    run_cli("gen", "guni", "--d", "2", "--n", "2", "--gates", "4", "--seed", "1", "--out", str(circuit))
+    run_cli("convert", "def7", "--in", str(circuit), "--out", str(pattern))
+    source = circuit if kind in ("def7", "def8") else pattern
+    capsys.readouterr()
+    assert run_cli("convert", kind, "--in", str(source), "--target", "fanout-circuit", "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
 
 
 def _def7_pattern_doc(tmp_path) -> dict:

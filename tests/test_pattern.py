@@ -10,7 +10,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from helpers import counted_calls, longest_dependent_path, oracle_run, oracle_run_branches, oracle_schedule, pattern_items
 
 from quditmbqc.algebra import DimensionContext
-from quditmbqc.circuit import lower_to_guni, simulate_circuit
+from quditmbqc.circuit import Circuit, Operation, lower_to_guni, simulate_circuit
 from quditmbqc.convert import (
     basic_cz_pattern,
     basic_v_pattern,
@@ -21,6 +21,7 @@ from quditmbqc.convert import (
 )
 from quditmbqc.generate import random_clifford_circuit, random_guni_circuit
 from quditmbqc.pattern import (
+    EXACT_COLORING_EDGE_LIMIT,
     CorrectX,
     CorrectZ,
     Entangle,
@@ -36,6 +37,7 @@ from quditmbqc.pattern import (
     pattern_from_json,
     pattern_to_json,
     peak_live_qudits,
+    _greedy_coloring,
     _schedule,
     run,
     run_branches,
@@ -608,14 +610,13 @@ class TestEntanglement:
             degree[j] = degree.get(j, 0) + 1
         delta = max(degree.values())
         rotation = _fan_rotation_coloring(list(edges), delta)
-        assert rotation is not None
         used = {}
         for (i, j), color in zip(edges, rotation):
             assert 1 <= color <= delta + 1
             for v in (i, j):
                 assert color not in used.setdefault(v, set())
                 used[v].add(color)
-        exact = _exact_coloring(list(edges), delta, delta + 1)
+        exact = _exact_coloring(list(edges), delta, rotation)
         assert max(rotation) <= max(exact) + 1
 
     @pytest.mark.parametrize("seed", range(8))
@@ -636,6 +637,25 @@ class TestEntanglement:
         # proper coloring: no two incident edges share a color
         by_node = {}
         for (i, j), color in zip(g.unit_edges(), rep.coloring):
+            for v in (i, j):
+                assert color not in by_node.setdefault(v, set())
+                by_node[v].add(color)
+
+    def test_multigraph_above_the_exhaustive_limit_colors_first_fit(self):
+        # a repeated CZ gives a def7 pattern a doubled edge among 13 unit edges,
+        # past both the exhaustive search and the simple-graph fan rotation
+        ctx, wires, theta = ctx_of(3), (1, 2, 3), (0.1, 0.2, 0.3)
+        layer = [Operation(Gate.v(theta), (q,)) for q in wires]
+        cz = [Operation(Gate.cz(), pair) for pair in ((1, 2), (1, 2), (2, 3), (1, 3))]
+        ops = layer + cz[:2] + layer + cz[2:] + layer
+        g = entanglement_graph(circuit_to_pattern_standard(Circuit(ctx, wires, wires, wires, tuple(ops))))
+        edges = g.unit_edges()
+        assert len(edges) > EXACT_COLORING_EDGE_LIMIT and len(set(edges)) < len(edges)
+        rep = entanglement_depth(g)
+        assert not rep.exact and rep.achieved >= g.max_degree() == rep.lower_bound
+        assert list(rep.coloring) == _greedy_coloring(edges)
+        by_node = {}
+        for (i, j), color in zip(edges, rep.coloring):
             for v in (i, j):
                 assert color not in by_node.setdefault(v, set())
                 by_node[v].add(color)
