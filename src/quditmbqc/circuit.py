@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .algebra import DimensionContext
-from .sim import _KINDS, Gate, GateName, StateVector, _apply_single, _kernel, _phase, basis_state, gate_inverse_ops, gate_matrix, row_parts
+from .sim import _KINDS, Gate, GateName, StateVector, _apply_single, _kernel, _permute, _phase, basis_state, gate_inverse_ops, gate_matrix, row_parts
 
 __all__ = [
     "Operation",
@@ -165,8 +165,17 @@ def _simulate_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
     the product of their phase tables over its sites, at most half of all
     sites, so the table holds at most the square root of a row's
     amplitudes.  A site's waiting gates join the run when all are diagonal
-    and a diagonal multi-site op or the circuit's end reaches them.  One
-    waiting op keeps its own kernel."""
+    and a diagonal multi-site op or the circuit's end reaches them.  Basis
+    permutations (every kind with shifts or a swap) wait in a third run,
+    which a single-site X on one of its sites joins; the run is then one
+    gather by the index of its composed affine map.  A permutation op first
+    applies the diagonal run when they share a site, and the waiting gates
+    on its own sites, unless all are X: those join the run ahead of it.
+    Any other op on the permutation run's sites applies that run first.
+    The three waiting structures keep to disjoint sites, so their order at
+    the end does not matter.  One waiting op (for the permutation run: one
+    op on at most two sites, a single shift or a swap) keeps its own
+    kernel."""
     d, n, sites = c.ctx.d, len(c.qudits), _run_sites(c)
     axis = {q: a for a, q in enumerate(sites)}
     amps = np.zeros((len(inputs), d ** len(c.inputs), d ** (n - len(c.inputs))), dtype=np.complex128)
@@ -175,6 +184,8 @@ def _simulate_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
     run: list[Operation] = []  # the diagonal run, on no site in held
     span: set[int] = set()  # its sites
     bound = n // 2
+    perm: list[Operation] = []  # the permutation run, on no site in held or span
+    moved: set[int] = set()  # its sites
 
     def flush(q: int) -> None:
         nonlocal amps
@@ -197,6 +208,16 @@ def _simulate_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
         run.clear()
         span.clear()
 
+    def flush_perm() -> None:
+        nonlocal amps
+        steps = [(op.gate, tuple(axis[q] for q in op.sites)) for op in perm]
+        if len(steps) == 1 and len(steps[0][1]) <= 2:  # one shift or a swap
+            amps = _kernel(amps, d, n, *steps[0])
+        elif steps:
+            amps = _permute(amps, d, n, steps)
+        perm.clear()
+        moved.clear()
+
     def settle(q: int) -> None:
         """Hand q's held gates to the diagonal run when all are diagonal, else apply them."""
         gates = held.get(q)
@@ -208,7 +229,20 @@ def _simulate_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
         span.add(q)
 
     for op in c.ops:
-        diagonal = _KINDS[op.gate.name].phases is not None
+        kind = _KINDS[op.gate.name]
+        if (kind.shifts or kind.swap) and (len(op.sites) > 1 or op.sites[0] in moved):
+            if not span.isdisjoint(op.sites):
+                flush_run()
+            for q in op.sites:
+                if all(_KINDS[g.name].shifts for g in held.get(q, ())):
+                    perm.extend(Operation(g, (q,)) for g in held.pop(q, ()))
+                flush(q)
+            perm.append(op)
+            moved.update(op.sites)
+            continue
+        if not moved.isdisjoint(op.sites):
+            flush_perm()
+        diagonal = kind.phases is not None
         if len(op.sites) == 1:
             q = op.sites[0]
             if q in span and not diagonal:
@@ -234,6 +268,7 @@ def _simulate_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
     for q in list(held):
         settle(q)
     flush_run()
+    flush_perm()
     return amps.reshape(len(inputs), -1)
 
 
@@ -267,11 +302,17 @@ def output_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
     on ``c.outputs``: the leading left singular vector of the final (outputs
     x other wires) amplitude matrix, scaled by its singular value.  It is
     exact when the outputs end in a pure state whatever the other wires
-    hold, and subnormalized when they stay entangled with them.  The rows
-    run in parts of at most AMPLITUDE_CAP amplitudes."""
+    hold, and subnormalized when they stay entangled with them.  With no
+    other wire the matrix is one column, the final row itself, which is
+    returned as it is.  The rows run in parts of at most AMPLITUDE_CAP
+    amplitudes."""
     out = np.empty((len(inputs), c.ctx.d ** len(c.outputs)), dtype=np.complex128)
     for part in row_parts(len(inputs), c.ctx.d ** len(_run_sites(c))):
-        u, singular, _ = np.linalg.svd(_outputs_first(c, _simulate_rows(c, inputs[part])), full_matrices=False)
+        block = _outputs_first(c, _simulate_rows(c, inputs[part]))
+        if block.shape[2] == 1:
+            out[part] = block[:, :, 0]
+            continue
+        u, singular, _ = np.linalg.svd(block, full_matrices=False)
         out[part] = u[:, :, 0] * singular[:, :1]
     return out
 

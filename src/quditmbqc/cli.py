@@ -130,7 +130,7 @@ def _as_table(doc: dict, prefix: str = "") -> str:
     for key, value in doc.items():
         if isinstance(value, dict):
             lines.append(f"{prefix}{key}:")
-            lines.append(_as_table(value, prefix + "  "))
+            lines += _as_table(value, prefix + "  ").splitlines()
         elif isinstance(value, list) and value and isinstance(value[0], dict):
             keys = list(value[0].keys())
             lines.append(f"{prefix}{key}:")
@@ -139,7 +139,7 @@ def _as_table(doc: dict, prefix: str = "") -> str:
                 lines.append(prefix + "  " + "  ".join(f"{row.get(k, ''):>10}" for k in keys))
         else:
             lines.append(f"{prefix}{key}: {value}")
-    return "\n".join(lines) + "\n"
+    return "".join(line + "\n" for line in lines)
 
 
 # -- equivalence verification ---------------------------------------------------

@@ -10,8 +10,9 @@ walk and the circuit simulation are their callers, and the walk chooses
 the measurement outcomes.
 
 Kernels act on the target axes of the amplitudes reshaped around them:
-basis permutations are slice copies, diagonal gates one broadcast
-multiply by a phase table, dense single-site gates one matmul.
+a lone basis permutation is slice copies, a run of them one gather by the
+index of their composed affine map, diagonal gates one broadcast multiply
+by a phase table, dense single-site gates one matmul.
 """
 
 from __future__ import annotations
@@ -470,6 +471,40 @@ def _shift(amps: np.ndarray, d: int, n: int, target: int, k: int, control: int |
             at = (slice(None),) * c + (m,)
             _roll_into(out[at], view[at], k * m % d, t - (t > c))  # fixing m drops the control dimension
     return out.reshape(-1)
+
+
+def _permute(amps: np.ndarray, d: int, n: int, steps) -> np.ndarray:
+    """A run of basis permutations [(gate, target axes)], in order, as one
+    gather of every row.
+
+    The run is an affine map y = M.x + s (mod d) of the digits.  Its inverse
+    x = A.y + b is composed from each kind's shifts and swap by column
+    operations on A, and output word y reads input word A.y + b.  The index
+    holds one entry per amplitude of a row: each digit that A.y + b moves
+    adds its change, one table over the axes its row of A reads, broadcast
+    over the view around those axes."""
+    inverse, offset = np.eye(n, dtype=np.int64), np.zeros(n, dtype=np.int64)
+    for gate, axes in steps:
+        kind = _KINDS[gate.name]
+        if kind.swap:
+            inverse[:, axes] = inverse[:, axes[::-1]]
+        for target, k, control in kind.shifts(gate, d) if kind.shifts else ():
+            # reduced at every step: entries grown past int64 would wrap out of Z(d)
+            column = k % d * inverse[:, axes[target]]
+            if control is None:
+                offset = (offset - column) % d
+            else:
+                inverse[:, axes[control]] = (inverse[:, axes[control]] - column) % d
+    index = np.arange(d**n)
+    for j, row in enumerate(inverse.tolist()):
+        reads = [i for i, k in enumerate(row) if k or i == j]
+        if reads == [j] and row[j] == 1 and not offset[j]:
+            continue  # digit j stays
+        view, _ = _split_view(index, d, n, reads)
+        digits = np.ix_(*[np.arange(d)] * len(reads))
+        change = (sum(row[i] * g for i, g in zip(reads, digits)) + offset[j]) % d - digits[reads.index(j)]
+        view += (change * d ** (n - 1 - j)).reshape([x for size in change.shape for x in (size, 1)])
+    return np.take(amps.reshape(-1, d**n), index, axis=1).reshape(-1)
 
 
 def _phase(amps: np.ndarray, d: int, n: int, table: np.ndarray, axes) -> np.ndarray:

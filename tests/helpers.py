@@ -738,7 +738,7 @@ class Calls(Counter):
 
 
 @contextmanager
-def counted_calls(module, names=("_kernel", "_phase", "_apply_single")):
+def counted_calls(module, names=("_kernel", "_phase", "_apply_single", "_permute")):
     """Count the calls ``module`` makes to its functions ``names`` while the
     block runs, in a ``Calls``.  A call from one of these functions to
     another inside the module that defines them (a dense gate's ``_kernel``

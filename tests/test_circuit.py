@@ -99,14 +99,9 @@ class TestSimulate:
         ctx = ctx_of(d)
         c = build_generalized(ctx, [1, d - 1, 1], "fanout")
         psi = random_state(ctx, tuple(reversed(c.inputs)), np.random.default_rng(d))
-        ancillas = tuple(q for q in c.qudits if q not in set(c.inputs))
-        sites = c.inputs + ancillas
-        want = psi.with_sites_order(c.inputs).extend(basis_state(ctx, ancillas, [0] * len(ancillas))).amplitudes
-        for op in c.ops:
-            want = _kernel(want[np.newaxis], d, len(sites), op.gate, tuple(sites.index(q) for q in op.sites))
         got = simulate_circuit(c, psi)
-        assert got.sites == sites
-        assert np.array_equal(got.amplitudes, want)
+        assert got.sites == c.inputs + tuple(q for q in c.qudits if q not in set(c.inputs))
+        assert np.array_equal(got.amplitudes, kernel_final(c, psi))
 
     def test_output_rows_split_at_the_cap_match_one_batch(self, monkeypatch):
         import quditmbqc.sim as sim_module
@@ -122,6 +117,28 @@ class TestSimulate:
         # one row per part
         monkeypatch.setattr(sim_module, "AMPLITUDE_CAP", 3 ** len(c.qudits))
         assert np.max(np.abs(output_rows(c, inputs) - whole)) < 1e-12
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_output_rows_without_other_wires_are_the_final_rows(self, d, monkeypatch):
+        import quditmbqc.circuit as circuit_module
+        import quditmbqc.sim as sim_module
+
+        ctx = ctx_of(d)
+        c = random_guni_circuit(ctx, 3, 12, seed=d)
+        # an idle ancilla is one more wire, so this twin takes the SVD
+        idle = replace(c, qudits=c.qudits + (max(c.qudits) + 1,))
+        rng = np.random.default_rng(d)
+        inputs = np.array([random_state(ctx, c.inputs, rng).amplitudes for _ in range(5)])
+        final = circuit_module._simulate_rows(c, inputs)
+        assert np.array_equal(output_rows(c, inputs), final)
+        # the whole batch, then parts of one row (the twin) and of d rows
+        for cap in (sim_module.AMPLITUDE_CAP, d ** len(idle.qudits)):
+            monkeypatch.setattr(sim_module, "AMPLITUDE_CAP", cap)
+            direct, svd = output_rows(c, inputs), output_rows(idle, inputs)
+            assert np.max(np.abs(direct - final)) < 1e-12
+            phases = np.sum(svd.conj() * direct, axis=1)
+            assert np.max(np.abs(np.abs(phases) - 1)) < 1e-12
+            assert np.max(np.abs(direct - phases[:, None] * svd)) < 1e-12
 
     def test_empty_circuit_is_identity(self):
         ctx = ctx_of(3)
@@ -371,6 +388,142 @@ class TestDiagonalRuns:
         assert len(tables) > 1 and max(t.size for t in tables) <= d ** (n // 2)
         assert passes.total() < len(ops)
         assert np.max(np.abs(got.amplitudes - oracle_final(c, psi).amplitudes)) < 1e-12
+
+
+def permutation_runs_circuit(ctx, n, inputs, seed, length=48, others=True):
+    """Random ops on random sites, two in three of them basis permutations
+    (X^k, CX^k, SWAP, FANOUT and MOD on two or more targets) and the rest
+    single-site gates of every kind and CZ^k, then an X on every site and a
+    CX ring over all of them; ``others=False`` keeps the permutations
+    alone.  The qudit ids are shuffled, so a run's sites in id order are
+    not in axis order."""
+    d, rng = ctx.d, np.random.default_rng(seed)
+
+    def angles():
+        return tuple(rng.uniform(0, 2 * np.pi, d))
+
+    def power():
+        return int(rng.integers(1, d))
+
+    def coeffs():
+        return rng.integers(0, d, size=int(rng.integers(2, n)))
+
+    permutations = [
+        lambda: Gate.x(power()), lambda: Gate.cx(power()), Gate.swap,
+        lambda: Gate.fanout(coeffs()), lambda: Gate.mod(coeffs()),
+    ]
+    rest = [
+        Gate.f, Gate.p, lambda: Gate.v(angles()), lambda: Gate.z(power()),
+        lambda: Gate.r(angles()), lambda: Gate.diag(angles()), lambda: Gate.cz(power()),
+    ]
+    qudits = tuple(int(q) for q in rng.permutation(np.arange(1, n + 1)))
+    ops = []
+    for _ in range(length):
+        pool = permutations if not others or rng.random() < 2 / 3 else rest
+        g = pool[int(rng.integers(len(pool)))]()
+        ops.append(Operation(g, tuple(int(q) for q in rng.choice(qudits, size=g.arity, replace=False))))
+    ops += [Operation(Gate.x(power()), (q,)) for q in qudits]
+    ops += [Operation(Gate.cx(power()), (q, p)) for q, p in zip(qudits, qudits[1:] + qudits[:1])]
+    return Circuit(ctx, qudits, qudits[:inputs], qudits[:inputs], tuple(ops))
+
+
+def kernel_final(c, psi):
+    """``psi`` on the inputs, the ancillas in |0>, then one ``_kernel`` call per op."""
+    sites = c.inputs + tuple(q for q in c.qudits if q not in c.inputs)
+    ancillas = basis_state(c.ctx, sites[len(c.inputs):], (0,) * (len(sites) - len(c.inputs)))
+    amps = psi.with_sites_order(c.inputs).extend(ancillas).amplitudes[np.newaxis]
+    for op in c.ops:
+        amps = _kernel(amps, c.ctx.d, len(sites), op.gate, tuple(sites.index(q) for q in op.sites))
+    return amps.reshape(-1)
+
+
+class TestPermutationRuns:
+    """Basis permutations wait in one run, which a single-site X on one of
+    its sites joins, and the run is one gather by its composed affine map,
+    against one oracle gate per op."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_one_row_matches_one_oracle_gate_per_op(self, d):
+        check_one_row(permutation_runs_circuit(ctx_of(d), 6, 4, seed=d), d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_many_rows_match_one_oracle_gate_per_op(self, d):
+        n = 4 if d < 6 else 3  # 6**4 oracle columns take seconds
+        check_many_rows(permutation_runs_circuit(ctx_of(d), n, n, seed=30 + d), d)
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_shift_only_circuits_are_bit_equal_to_one_kernel_per_op(self, d):
+        import quditmbqc.circuit as circuit_module
+
+        c = permutation_runs_circuit(ctx_of(d), 5, 3, seed=40 + d, length=24, others=False)
+        psi = random_state(c.ctx, c.inputs, np.random.default_rng(d))
+        with counted_calls(circuit_module) as passes:
+            got = simulate_circuit(c, psi)
+        assert dict(passes) == {("_permute", None): 1}
+        assert np.array_equal(got.amplitudes, kernel_final(c, psi))
+
+    def test_a_long_run_and_large_powers_stay_in_z_d(self):
+        import quditmbqc.circuit as circuit_module
+
+        # 120 alternating CXs compose to entries that grow like Fibonacci
+        # numbers, past int64 unless reduced mod d as they go
+        ctx, qudits = ctx_of(3), (1, 2, 3)
+        ops = [Operation(Gate.cx(), (1, 2)), Operation(Gate.cx(), (2, 1))] * 60
+        ops += [Operation(Gate.cx(10**20), (1, 3)), Operation(Gate.x(-(10**20)), (3,))]
+        c = Circuit(ctx, qudits, qudits, qudits, tuple(ops))
+        psi = random_state(ctx, qudits, np.random.default_rng(1))
+        with counted_calls(circuit_module) as passes:
+            got = simulate_circuit(c, psi)
+        assert dict(passes) == {("_permute", None): 1}
+        assert np.array_equal(got.amplitudes, kernel_final(c, psi))
+
+    @pytest.mark.parametrize("kind", ["fanout", "mod"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_fanout_construction_makes_one_permutation_pass(self, d, kind):
+        import quditmbqc.circuit as circuit_module
+
+        # copy layer, parallel CX powers, d-1 uncopy layers; mod(v) also
+        # takes a Fourier layer on each side, one pass per site each
+        ctx = ctx_of(d)
+        coeffs = [1, d - 1, 1, 1]
+        c = build_generalized(ctx, coeffs, kind)
+        psi = random_state(ctx, c.inputs, np.random.default_rng(d))
+        with counted_calls(circuit_module) as passes:
+            got = simulate_circuit(c, psi)
+        assert passes["_permute", None] == 1
+        assert passes.total() == 1 + (2 * len(c.inputs) if kind == "mod" else 0)
+        assert np.max(np.abs(got.amplitudes - oracle_final(c, psi).amplitudes)) < 1e-12
+
+    def test_a_lone_shift_keeps_its_kernel_and_an_x_joins_the_run(self):
+        import quditmbqc.circuit as circuit_module
+
+        ctx = ctx_of(3)
+        qudits = (1, 2, 3)
+        psi = random_state(ctx, qudits, np.random.default_rng(0))
+        runs = {
+            # a lone CX and a lone X: one slice-copy pass each
+            (Operation(Gate.cx(2), (1, 2)),): {("_kernel", GateName.CX): 1},
+            (Operation(Gate.x(), (3,)),): {("_kernel", GateName.X): 1},
+            # an X on a site of the run joins it; F on a site of the run applies it first
+            (Operation(Gate.cx(), (1, 2)), Operation(Gate.x(2), (2,)), Operation(Gate.f(), (1,))): {
+                ("_permute", None): 1, ("_kernel", GateName.F): 1,
+            },
+            # held X gates join the run ahead of a permutation on their site;
+            # held gates that are not all X are applied first
+            (Operation(Gate.x(), (2,)), Operation(Gate.x(2), (2,)), Operation(Gate.swap(), (2, 3))): {("_permute", None): 1},
+            (Operation(Gate.x(), (2,)), Operation(Gate.f(), (2,)), Operation(Gate.swap(), (2, 3)), Operation(Gate.cx(), (1, 3))): {
+                ("_apply_single", None): 1, ("_permute", None): 1,
+            },
+            # a CZ on a site of the run applies it first; a CX on the diagonal run applies that
+            (Operation(Gate.cx(), (1, 2)), Operation(Gate.swap(), (2, 3)), Operation(Gate.cz(), (3, 1)),
+             Operation(Gate.cx(), (1, 2))): {("_permute", None): 1, ("_kernel", GateName.CZ): 1, ("_kernel", GateName.CX): 1},
+        }
+        for ops, want in runs.items():
+            c = Circuit(ctx, qudits, qudits, qudits, ops)
+            with counted_calls(circuit_module) as passes:
+                got = simulate_circuit(c, psi)
+            assert dict(passes) == want, ops
+            assert np.max(np.abs(got.amplitudes - oracle_final(c, psi).amplitudes)) < 1e-12
 
 
 class TestCompose:

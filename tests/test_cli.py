@@ -139,6 +139,7 @@ def test_text_format_nests_sections_and_tables(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("analyze", "--in", str(pattern), "--format", "text") == 0
     lines = capsys.readouterr().out.splitlines()
+    assert "" not in lines
     # a nested object is a heading with its keys indented under it
     section = lines.index("entanglement:")
     assert lines[section + 1 : section + 1 + len(doc["entanglement"])] == [f"  {k}: {v}" for k, v in doc["entanglement"].items()]
@@ -148,6 +149,7 @@ def test_text_format_nests_sections_and_tables(tmp_path, capsys):
     rows = json.loads(report.read_text())["rows"]
     assert run_cli("analyze", "--sweep", "2:3", "--d", "2", "--seed", "0", "--format", "text") == 0
     lines = capsys.readouterr().out.splitlines()
+    assert "" not in lines
     # a list of objects is a table: one header of its keys, one line per row
     table = lines.index("rows:")
     assert lines[table + 1].split() == list(rows[0])
