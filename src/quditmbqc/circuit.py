@@ -16,7 +16,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .algebra import DimensionContext
-from .sim import _KINDS, Gate, GateName, StateVector, _apply_single, _kernel, _permute, _phase, basis_state, gate_inverse_ops, gate_matrix, row_parts
+from .sim import _KINDS, AMPLITUDE_CAP, Gate, GateName, StateVector, _apply_single, _kernel, _permute, _phase, basis_state, gate_inverse_ops, gate_matrix, row_parts
 
 __all__ = [
     "Operation",
@@ -48,6 +48,21 @@ class Operation:
         object.__setattr__(self, "sites", tuple(self.sites))
 
 
+def _check_wires(a) -> set[int]:
+    """Store a circuit's or pattern's qudits, inputs and outputs as tuples
+    and reject repeated ids and stray or repeated wires; returns the qudit set."""
+    for key in ("qudits", "inputs", "outputs"):
+        object.__setattr__(a, key, tuple(getattr(a, key)))
+    qs = set(a.qudits)
+    if len(qs) != len(a.qudits):
+        raise ValueError("duplicate qudit identifiers")
+    if not set(a.inputs) <= qs or not set(a.outputs) <= qs:
+        raise ValueError("inputs and outputs must be subsets of the qudit set")
+    if len(set(a.inputs)) != len(a.inputs) or len(set(a.outputs)) != len(a.outputs):
+        raise ValueError("inputs and outputs must not repeat a qudit")
+    return qs
+
+
 @dataclass(frozen=True)
 class Circuit:
     """A computation: qudit set, ordered input/output wires, op sequence.
@@ -64,17 +79,8 @@ class Circuit:
     ops: tuple[Operation, ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "qudits", tuple(self.qudits))
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+        qs = _check_wires(self)
         object.__setattr__(self, "ops", tuple(self.ops))
-        qs = set(self.qudits)
-        if len(qs) != len(self.qudits):
-            raise ValueError("duplicate qudit identifiers")
-        if not set(self.inputs) <= qs or not set(self.outputs) <= qs:
-            raise ValueError("inputs and outputs must be subsets of the qudit set")
-        if len(set(self.inputs)) != len(self.inputs) or len(set(self.outputs)) != len(self.outputs):
-            raise ValueError("inputs and outputs must not repeat a qudit")
         for op in self.ops:
             if len(op.sites) != op.gate.arity:
                 raise ValueError(f"{op.gate.name.value} expects {op.gate.arity} sites, got {len(op.sites)}")
@@ -211,7 +217,11 @@ def _simulate_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
     def flush_perm() -> None:
         nonlocal amps
         steps = [(op.gate, tuple(axis[q] for q in op.sites)) for op in perm]
-        if len(steps) == 1 and len(steps[0][1]) <= 2:  # one shift or a swap
+        # a lone shift or swap keeps its slice-copy kernel: through _permute
+        # it would build an 8-byte index per amplitude (peak RSS of a lone CX
+        # on 2^20 amplitudes 156 -> 170 MB) and run 1.3-2.4x slower there,
+        # 2-16x slower on states of at most 256 amplitudes
+        if len(steps) == 1 and len(steps[0][1]) <= 2:
             amps = _kernel(amps, d, n, *steps[0])
         elif steps:
             amps = _permute(amps, d, n, steps)
@@ -323,11 +333,14 @@ def circuit_unitary(c: Circuit) -> np.ndarray:
     Runs the basis inputs as rows, in parts of at most AMPLITUDE_CAP
     amplitudes; ancillas must return to |0> (checked within
     ``ANCILLA_RESIDUE_TOL``), otherwise the circuit does not implement a
-    unitary on its declared wires.
+    unitary on its declared wires.  The matrix itself must fit
+    AMPLITUDE_CAP entries.
     """
     if len(c.inputs) != len(c.outputs):
         raise ValueError("|inputs| must equal |outputs| for a unitary")
     dim = c.ctx.d ** len(c.inputs)
+    if dim * dim > AMPLITUDE_CAP:
+        raise ValueError(f"a {c.ctx.d}^{len(c.inputs)}-dimensional unitary exceeds the cap of {AMPLITUDE_CAP} entries")
     u = np.empty((dim, dim), dtype=np.complex128)
     for part in row_parts(dim, c.ctx.d ** len(_run_sites(c))):
         basis = np.arange(dim)[part]

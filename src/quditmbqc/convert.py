@@ -34,7 +34,6 @@ from .pattern import (
     Signal,
     entanglement_depth,
     entanglement_graph,
-    require_valid,
 )
 from .rewrite import completely_standardise, is_completely_standard
 from .sim import _KINDS, Gate, GateName
@@ -122,10 +121,7 @@ def circuit_to_pattern_standard(c: Circuit, standardise: bool = True) -> Pattern
             seq.append(CorrectX(new, Signal.unit(d, wire[i])))
             wire[i] = new
     pat = Pattern(c.ctx, tuple(qudits), c.inputs, tuple(wire[q] for q in c.outputs), tuple(seq))
-    if standardise:
-        return completely_standardise(pat)  # validates pat and the result once each
-    require_valid(pat)
-    return pat
+    return completely_standardise(pat) if standardise else pat
 
 
 def insert_fourier_breaks(c: Circuit) -> Circuit:
@@ -210,7 +206,6 @@ def pattern_to_circuit_coherent(p: Pattern) -> Circuit:
     outputs disentangle from the other wires and carry the pattern's
     unitary.
     """
-    require_valid(p)
     if not is_completely_standard(p):
         raise ValueError("coherent conversion expects a completely standard pattern")
     measures = [[cmd] for cmd in p.seq if isinstance(cmd, Measure)]
@@ -477,7 +472,6 @@ def pattern_to_fanout_circuit(p: Pattern) -> Circuit:
     with every controlled-Pauli block compiled to constant depth: each
     layer costs one such block plus a unit-depth layer of rotations.
     """
-    require_valid(p)
     if not is_completely_standard(p):
         raise ValueError("fan-out compilation expects a completely standard pattern")
 

@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .algebra import DimensionContext
-from .circuit import DepthReport, _json_document, _json_list, _json_num, _qudit_ids, _wired, longest_chain
+from .circuit import DepthReport, _check_wires, _json_document, _json_list, _json_num, _qudit_ids, _wired, longest_chain
 from .sim import (
     ZERO_BRANCH_TOL,
     Gate,
@@ -213,7 +213,9 @@ def _command_signals(cmd: Command) -> tuple[Signal, ...]:
 
 @dataclass(frozen=True)
 class Pattern:
-    """A measurement pattern (V, I, O, command sequence)."""
+    """A measurement pattern (V, I, O, command sequence), wellformed by
+    construction: building one that breaks a rule of ``validate`` raises
+    ValueError naming the first violation."""
 
     ctx: DimensionContext
     qudits: tuple[int, ...]
@@ -222,14 +224,13 @@ class Pattern:
     seq: tuple[Command, ...] = field(default=())
 
     def __post_init__(self):
-        object.__setattr__(self, "qudits", tuple(self.qudits))
-        object.__setattr__(self, "inputs", tuple(self.inputs))
-        object.__setattr__(self, "outputs", tuple(self.outputs))
+        _check_wires(self)
         # a correction whose signal is statically zero does nothing
         seq = tuple(cmd for cmd in self.seq if not (isinstance(cmd, (CorrectX, CorrectZ)) and cmd.signal.is_zero()))
         object.__setattr__(self, "seq", seq)
-        if len(set(self.qudits)) != len(self.qudits):
-            raise ValueError("duplicate qudit identifiers")
+        bad = validate(self)
+        if bad is not None:
+            raise ValueError(f"pattern is not wellformed: {bad}")
 
     def measured_qudits(self) -> tuple[int, ...]:
         return tuple(cmd.site for cmd in self.seq if isinstance(cmd, Measure))
@@ -249,12 +250,10 @@ class Violation:
 
 
 def validate(p: Pattern) -> Violation | None:
-    """First violated wellformedness invariant, or None when the pattern is ok."""
+    """First violated definiteness condition of the measurement calculus, or
+    None.  ``Pattern`` runs it when built, after its wire checks, so on a
+    built pattern it returns None."""
     qs = set(p.qudits)
-    if not set(p.inputs) <= qs or not set(p.outputs) <= qs:
-        return Violation(None, "inputs and outputs must be subsets of the qudit set")
-    if len(set(p.inputs)) != len(p.inputs) or len(set(p.outputs)) != len(p.outputs):
-        return Violation(None, "inputs and outputs must not repeat a qudit")
     outputs = set(p.outputs)
     measured: set[int] = set()
     for idx, cmd in enumerate(p.seq):
@@ -266,7 +265,7 @@ def validate(p: Pattern) -> Violation | None:
         for sig in _command_signals(cmd):
             if sig.d != p.ctx.d:
                 return Violation(idx, "signal modulus differs from the pattern dimension")
-            for q in sig.qudits():
+            for q, _ in sig.coeffs:
                 if q not in measured:
                     return Violation(idx, f"signal depends on qudit {q} not yet measured")
         if isinstance(cmd, Measure):
@@ -281,12 +280,6 @@ def validate(p: Pattern) -> Violation | None:
     if unmeasured:
         return Violation(None, f"non-output qudit(s) {sorted(unmeasured)} never measured")
     return None
-
-
-def require_valid(p: Pattern) -> None:
-    bad = validate(p)
-    if bad is not None:
-        raise ValueError(f"pattern is not wellformed: {bad}")
 
 
 # -- execution ----------------------------------------------------------------
@@ -391,7 +384,6 @@ def _walk(p: Pattern, sites: tuple[int, ...], amps: np.ndarray, lazy: bool, choo
     qudits take the leading axes, in front of the live sites.  A batch that
     would outgrow AMPLITUDE_CAP is split, and its parts run depth first, so
     the rows come out in the same order, each over ``p.outputs``."""
-    require_valid(p)
     if set(sites) != set(p.inputs):
         raise ValueError("input state must be defined exactly on the pattern inputs")
     ctx, d = p.ctx, p.ctx.d
@@ -558,7 +550,6 @@ def pattern_depth_and_size(p: Pattern) -> DepthReport:
     qudit or reference an earlier measurement's outcome.  Sizes: E
     counts 2, measurements and corrections count 1 (classical control
     adds no quantum size)."""
-    require_valid(p)
     return longest_chain(map(_chain_item, p.seq))[0]
 
 

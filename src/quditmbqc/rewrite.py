@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 
-from .circuit import longest_chain
 from .pattern import (
     CorrectX,
     CorrectZ,
@@ -22,9 +21,7 @@ from .pattern import (
     Measure,
     Pattern,
     Signal,
-    _chain_item,
     pattern_depth_and_size,
-    require_valid,
 )
 from .sim import pauli_angles
 
@@ -116,7 +113,6 @@ def standardise(p: Pattern) -> Pattern:
     pending pair into its signals; whatever remains at the end lands on
     the output qudits as one X then one Z correction each.
     """
-    require_valid(p)
     d = p.ctx.d
     pending_x: dict[int, Signal] = {}
     pending_z: dict[int, Signal] = {}
@@ -225,9 +221,9 @@ def completely_standardise(p: Pattern) -> Pattern:
     correction this is a new command (smallest case: the composite of
     one teleportation step followed by one entangling command).
     """
-    out = signal_shift(pauli_simplify(standardise(p)))  # standardise validates p
-    before = longest_chain(map(_chain_item, p.seq))[0]
-    after = pattern_depth_and_size(out)  # validates the result
+    out = signal_shift(pauli_simplify(standardise(p)))
+    before = pattern_depth_and_size(p)
+    after = pattern_depth_and_size(out)
     if after.depth > before.depth:
         raise AssertionError(
             f"standardisation increased depth: {before.depth} -> {after.depth}"

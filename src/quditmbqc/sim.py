@@ -323,6 +323,7 @@ def gate_matrix(gate: Gate, ctx: DimensionContext) -> np.ndarray:
     def new_digits(g):
         g = list(g)
         for target, k, control in shifts:
+            k %= d  # a power past int64 must not reach the index arrays
             g[target] = g[target] + (k if control is None else k * g[control])
         return g
 

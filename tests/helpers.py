@@ -32,7 +32,7 @@ import numpy as np
 
 from quditmbqc.algebra import DimensionContext, PauliOperator, xi_p
 from quditmbqc.circuit import _JSON_PARAMS, Circuit, Operation
-from quditmbqc.pattern import CorrectX, CorrectZ, Entangle, Measure, Pattern, RunResult, Signal, require_valid
+from quditmbqc.pattern import CorrectX, CorrectZ, Entangle, Measure, Pattern, RunResult, Signal
 from quditmbqc.sim import _KINDS, Gate, GateName, StateVector, basis_state, gate_matrix
 
 CONST = "#const"
@@ -675,7 +675,6 @@ def oracle_walk(p: Pattern, input_state: StateVector | None, lazy: bool, branche
     ``branches(every, index)`` picks, from the (outcome, probability,
     amplitudes) triple of every outcome, the ones to follow; ``index``
     counts the measurements before this one."""
-    require_valid(p)
     if input_state is None:
         input_state = basis_state(p.ctx, p.inputs, [0] * len(p.inputs))
     steps = oracle_schedule(p, lazy)
@@ -863,3 +862,15 @@ def oracle_pattern_doc(p: Pattern) -> dict:
         else:
             cmds.append({"kind": "Z", "sites": [cmd.site], "t": signal(cmd.signal)})
     return _artifact_doc(p, "commands", cmds)
+
+
+def pattern_checks(monkeypatch) -> tuple[list, list]:
+    """Lists that record, for the rest of the test, every ``Pattern`` built
+    (once its construction succeeds) and every ``validate`` call."""
+    import quditmbqc.pattern as pattern_module
+
+    built, checked = [], []
+    validate, post_init = pattern_module.validate, Pattern.__post_init__
+    monkeypatch.setattr(pattern_module, "validate", lambda p: checked.append(p) or validate(p))
+    monkeypatch.setattr(Pattern, "__post_init__", lambda self: post_init(self) or built.append(self))
+    return built, checked

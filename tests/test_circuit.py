@@ -169,6 +169,15 @@ class TestSimulate:
             u = m @ u
         assert max_diff_up_to_phase(u, circuit_unitary(c)) < 1e-9
 
+    def test_unitary_above_the_amplitude_cap_is_refused_before_allocating(self, monkeypatch):
+        import quditmbqc.circuit as circuit_module
+
+        # 13 inputs at d=2: a 2^13 x 2^13 matrix, 2^26 entries against the cap of 2^24
+        c = Circuit(ctx_of(2), tuple(range(13)), tuple(range(13)), tuple(range(13)))
+        monkeypatch.setattr(circuit_module.np, "empty", None)  # any allocation would fail with a TypeError
+        with pytest.raises(ValueError, match="exceeds the cap of 16777216 entries"):
+            circuit_unitary(c)
+
     def test_unitary_rejects_dirty_ancillas(self):
         ctx = ctx_of(2)
         c = Circuit(ctx, (1, 2), (1,), (1,), (Operation(Gate.cx(), (1, 2)),))

@@ -539,3 +539,55 @@ def test_forced_outcomes_that_are_not_an_object_are_input_error(tmp_path, capsys
     pattern = tmp_path / "p.json"
     pattern.write_text(json.dumps(_def7_pattern_doc(tmp_path)))
     _assert_input_error(capsys, "run", "--in", str(pattern), "--mode", "forced", "--outcomes", outcomes)
+
+
+def _malformed_pattern(tmp_path, fault: str) -> Path:
+    """The def7 pattern with every M moved after the corrections (a signal
+    reads an outcome before its measurement), or with an output repeated."""
+    doc = _def7_pattern_doc(tmp_path)
+    if fault == "forward-signal":
+        measures = [cmd for cmd in doc["commands"] if cmd["kind"] == "M"]
+        assert any(cmd["kind"] in "XZ" for cmd in doc["commands"])
+        doc["commands"] = [cmd for cmd in doc["commands"] if cmd["kind"] != "M"] + measures
+    else:
+        doc["outputs"] = [doc["outputs"][0]] * len(doc["outputs"])
+    bad = tmp_path / f"{fault}.json"
+    bad.write_text(json.dumps(doc))
+    return bad
+
+
+@pytest.mark.parametrize("fault", ["forward-signal", "repeated-output"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rewrite", "standardise"],
+        ["rewrite", "pauli"],
+        ["rewrite", "shift"],
+        ["rewrite", "complete"],
+        ["run"],
+        ["analyze"],
+        ["convert", "def9"],
+        ["convert", "fanout-compile"],
+        ["verify"],
+    ],
+)
+def test_every_subcommand_refuses_a_malformed_pattern_at_load(tmp_path, capsys, argv, fault):
+    bad = _malformed_pattern(tmp_path, fault)
+    out = tmp_path / "out.json"
+    args = [str(bad), str(bad)] if argv == ["verify"] else ["--in", str(bad), "--out", str(out)]
+    capsys.readouterr()
+    assert run_cli(*argv, *args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1 and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_verify_reduces_a_gate_power_past_int64(tmp_path):
+    # X^(10^20) then F, held together as one product of gate matrices, against X^(10^20 mod 3) then F
+    paths = []
+    for k in (10**20, 10**20 % 3):
+        x, f = {"gate": "X", "params": {"k": k}, "sites": [0]}, {"gate": "F", "params": {}, "sites": [0]}
+        path = tmp_path / f"x{k}.json"
+        path.write_text(json.dumps({"d": 3, "qudits": [0], "inputs": [0], "outputs": [0], "ops": [x, f]}))
+        paths.append(str(path))
+    assert run_cli("verify", *paths) == 0

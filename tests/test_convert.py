@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from helpers import (
     max_diff_up_to_phase,
     oracle_apply_gate,
+    pattern_checks,
     phase_poly_equivalent,
     purity,
     random_controlled_pauli_circuit,
@@ -44,8 +45,8 @@ from quditmbqc.pattern import (
     CorrectX,
     Entangle,
     Measure,
-    Pattern,
     Signal,
+    compose_serial,
     entanglement_graph,
     run_branches,
 )
@@ -125,19 +126,19 @@ class TestCircuitToPattern:
 
 
     def test_conversions_validate_the_pattern_and_the_result_once(self, monkeypatch):
-        import quditmbqc.pattern as pattern_module
-
-        validate = pattern_module.validate
-        calls = []
-        monkeypatch.setattr(pattern_module, "validate", lambda p: calls.append(p) or validate(p))
+        # one check per pattern built: the raw pattern, then the output of
+        # standardise, pauli_simplify and signal_shift, the last the result
+        built, checked = pattern_checks(monkeypatch)
         circ = lower_to_guni(random_guni_circuit(ctx_of(2), 2, 4, 0))
         for convert in (circuit_to_pattern_standard, circuit_to_pattern_cluster):
-            calls.clear()
+            built.clear()
+            checked.clear()
             pat = convert(circ)
-            assert len(calls) == 2 and calls[-1] == pat
-        calls.clear()
-        circuit_to_pattern_standard(circ, standardise=False)
-        assert len(calls) == 1
+            assert len(built) == 4 and checked == built and built[-1] is pat
+        built.clear()
+        checked.clear()
+        pat = circuit_to_pattern_standard(circ, standardise=False)
+        assert checked == built == [pat]
 
 
 class TestClusterConversion:
@@ -231,18 +232,11 @@ class TestCoherentConversion:
         assert np.real(want.conj() @ rho @ want) > 1 - 1e-8
 
     def test_rejects_non_standard_input(self):
+        # two teleportation steps in a row: wellformed, but an E follows an M
         ctx = ctx_of(2)
-        theta = (0.3, 0.6)
-        raw = basic_v_pattern(ctx, 1, 2, theta).with_seq(
-            (
-                Entangle(1, 2),
-                Measure(1, theta, Signal.zero(2), Signal.unit(2, 1) - Signal.unit(2, 1)),
-                CorrectX(2, Signal.unit(2, 1)),
-            )
-        )
-        shuffled = raw.with_seq((raw.seq[1], raw.seq[0], raw.seq[2]))
-        with pytest.raises(ValueError):
-            pattern_to_circuit_coherent(shuffled)
+        step = basic_v_pattern(ctx, 1, 2, (0.3, 0.6))
+        with pytest.raises(ValueError, match="expects a completely standard pattern"):
+            pattern_to_circuit_coherent(compose_serial(step, step))
 
 
 class TestFanoutBuilders:
@@ -528,17 +522,11 @@ def _embed3(ctx, gate, pair):
 
 class TestFanoutCompileAndCliffordPipeline:
     def test_validates_once(self, monkeypatch):
-        import quditmbqc.pattern as pattern_module
-
-        validate = pattern_module.validate
-        calls = []
-        monkeypatch.setattr(pattern_module, "validate", lambda p: calls.append(p) or validate(p))
-        pattern_to_fanout_circuit(basic_v_pattern(ctx_of(2), 1, 2, (0.1, 0.2)))
-        assert len(calls) == 1
-        zero = Signal.zero(2)
-        bad = Pattern(ctx_of(2), (1,), (1,), (1,), (Measure(1, (0.0, 0.0), zero, zero),))
-        with pytest.raises(ValueError, match="not wellformed"):
-            pattern_to_fanout_circuit(bad)
+        # checked once, when built: compiling it checks nothing again
+        built, checked = pattern_checks(monkeypatch)
+        pat = basic_v_pattern(ctx_of(2), 1, 2, (0.1, 0.2))
+        pattern_to_fanout_circuit(pat)
+        assert checked == built == [pat]
 
     def test_teleport_pattern_compiles_small(self):
         for d in (2, 3):

@@ -55,6 +55,17 @@ def same_as_dumps_pattern(p: Pattern) -> str:
     return text
 
 
+def holding(ctx: DimensionContext, qudits, inputs, outputs, seq) -> Pattern:
+    """A pattern on these wires that holds ``seq`` as written, wellformed or
+    not: built with every non-output measured, then given ``seq`` past the
+    construction check, so the writer sees commands no built pattern has."""
+    zero = Signal.zero(ctx.d)
+    measures = tuple(Measure(q, (0.0,) * ctx.d, zero, zero) for q in qudits if q not in outputs)
+    p = Pattern(ctx, qudits, inputs, outputs, measures)
+    object.__setattr__(p, "seq", tuple(seq))
+    return p
+
+
 def test_every_artifact_behind_the_golden_records(monkeypatch):
     """Each golden record is rebuilt with every writer call checked against
     json.dumps, and must still match its file."""
@@ -133,13 +144,11 @@ def test_signals_zero_and_multi_term():
         CorrectX(3, two),
         CorrectZ(3, Signal.unit(d, 2)),
     )
-    p = Pattern(ctx, (1, 2, 3), (1,), (3,), seq)
     # Pattern drops zero corrections; put them back to reach the "{}" signal
-    object.__setattr__(p, "seq", seq)
-    text = same_as_dumps_pattern(p)
+    text = same_as_dumps_pattern(holding(ctx, (1, 2, 3), (1,), (3,), seq))
     assert '"s": {}' in text and '"t": {}' in text
     m = Measure(3, (0.1, 0.2, 0.3), Signal.unit(d, 1), two)
-    same_as_dumps_pattern(Pattern(ctx, (1, 2, 3), (1,), (3,), (Measure(1, (0.0,) * d, zero, zero), m)))
+    same_as_dumps_pattern(holding(ctx, (1, 2, 3), (1,), (3,), (Measure(1, (0.0,) * d, zero, zero), m)))
 
 
 def test_float_and_id_edge_cases():
@@ -151,19 +160,19 @@ def test_float_and_id_edge_cases():
     for k in range(0, len(EDGE_FLOATS), d):
         seq.append(Measure(ids[k // d], EDGE_FLOATS[k : k + d], zero, Signal.of(d, {ids[2]: 3, ids[3]: -1})))
     seq.append(CorrectX(ids[3], Signal.of(d, {ids[0]: 1, ids[1]: 2})))
-    same_as_dumps_pattern(Pattern(ctx, ids, ids[:2], ids[2:], tuple(seq)))
+    same_as_dumps_pattern(holding(ctx, ids, ids[:2], ids[2:], seq))
     mains = ids[2:]
     ops = (Operation(Gate.cz(3), mains), Operation(Gate.r(EDGE_FLOATS[4:]), (ids[3],)))
     same_as_dumps_circuit(Circuit(ctx, ids, ids[:2], mains, ops))
 
 
 def test_non_finite_angles_keep_the_json_spelling():
-    """A Measure built directly is never validated: its NaN and infinite
-    angles are written as json writes them."""
+    """A built pattern never holds NaN or infinite angles; a Measure that
+    does, held past the construction check, is written as json writes it."""
     d = 3
     ctx = DimensionContext.of(d)
     theta = (math.nan, math.inf, -math.inf)
-    p = Pattern(ctx, (1, 2), (1,), (2,), (Entangle(1, 2), Measure(1, theta, Signal.zero(d), Signal.zero(d))))
+    p = holding(ctx, (1, 2), (1,), (2,), (Entangle(1, 2), Measure(1, theta, Signal.zero(d), Signal.zero(d))))
     text = same_as_dumps_pattern(p)
     assert "NaN" in text and "-Infinity" in text
 

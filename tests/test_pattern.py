@@ -1,3 +1,4 @@
+import math
 import sys
 from dataclasses import replace
 from itertools import product
@@ -7,7 +8,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from helpers import counted_calls, longest_dependent_path, oracle_run, oracle_run_branches, oracle_schedule, pattern_items
+from helpers import counted_calls, longest_dependent_path, oracle_run, oracle_run_branches, oracle_schedule, pattern_checks, pattern_items
 
 from quditmbqc.algebra import DimensionContext
 from quditmbqc.circuit import Circuit, Operation, lower_to_guni, simulate_circuit
@@ -124,47 +125,46 @@ class TestValidate:
 
     def test_measuring_output_flagged(self):
         ctx = ctx_of(2)
-        p = Pattern(ctx, (1,), (1,), (1,), (Measure(1, (0.0, 0.0), zero(2), zero(2)),))
-        bad = validate(p)
-        assert bad is not None and bad.index == 0
+        with pytest.raises(ValueError, match="^pattern is not wellformed: command 0: output qudit 1 must not be measured$"):
+            Pattern(ctx, (1,), (1,), (1,), (Measure(1, (0.0, 0.0), zero(2), zero(2)),))
 
     def test_forward_signal_reference_flagged(self):
         ctx = ctx_of(2)
-        p = Pattern(
-            ctx,
-            (1, 2, 3),
-            (1,),
-            (3,),
-            (
-                Entangle(1, 3),
-                Entangle(2, 3),
-                Measure(1, (0.0, 0.0), Signal.unit(2, 2), zero(2)),
-                Measure(2, (0.0, 0.0), zero(2), zero(2)),
-            ),
+        seq = (
+            Entangle(1, 3),
+            Entangle(2, 3),
+            Measure(1, (0.0, 0.0), Signal.unit(2, 2), zero(2)),
+            Measure(2, (0.0, 0.0), zero(2), zero(2)),
         )
-        bad = validate(p)
-        assert bad is not None and "not yet measured" in bad.message
+        with pytest.raises(ValueError, match="command 2: signal depends on qudit 2 not yet measured"):
+            Pattern(ctx, (1, 2, 3), (1,), (3,), seq)
 
     def test_unmeasured_non_output_flagged(self):
         ctx = ctx_of(2)
-        p = Pattern(ctx, (1, 2), (1,), (1,), ())
-        bad = validate(p)
-        assert bad is not None and "never measured" in bad.message
+        with pytest.raises(ValueError, match=r"pattern: non-output qudit\(s\) \[2\] never measured"):
+            Pattern(ctx, (1, 2), (1,), (1,), ())
 
     def test_command_after_measurement_flagged(self):
         ctx = ctx_of(2)
-        p = Pattern(
-            ctx,
-            (1, 2),
-            (1, 2),
-            (2,),
-            (
-                Measure(1, (0.0, 0.0), zero(2), zero(2)),
-                Entangle(1, 2),
-            ),
-        )
-        bad = validate(p)
-        assert bad is not None and "already measured" in bad.message
+        seq = (Measure(1, (0.0, 0.0), zero(2), zero(2)), Entangle(1, 2))
+        with pytest.raises(ValueError, match="command 1: qudit 1 was already measured"):
+            Pattern(ctx, (1, 2), (1, 2), (2,), seq)
+
+    @pytest.mark.parametrize(
+        "wires, seq, message",
+        [
+            (((1, 1), (1,), (1,)), (), "duplicate qudit identifiers"),
+            (((1,), (2,), (1,)), (), "inputs and outputs must be subsets of the qudit set"),
+            (((1,), (1,), (1, 1)), (), "inputs and outputs must not repeat a qudit"),
+            (((1,), (1,), (1,)), (CorrectX(2, Signal.unit(2, 1)),), "command 0: unknown qudit 2"),
+            (((1, 2), (1,), (2,)), (Measure(1, (0.0, 0.0), Signal.unit(3, 1), zero(2)),), "signal modulus differs"),
+            (((1, 2), (1,), (2,)), (Measure(1, (0.0,), zero(2), zero(2)),), "angle vector must have length 2"),
+            (((1, 2), (1,), (2,)), (Measure(1, (0.0, math.inf), zero(2), zero(2)),), r"angle vector must be finite, got \[0.0, inf\]"),
+        ],
+    )
+    def test_every_other_rule_refused_at_construction(self, wires, seq, message):
+        with pytest.raises(ValueError, match=message):
+            Pattern(ctx_of(2), *wires, seq)
 
     def test_zero_signal_corrections_normalized_away(self):
         ctx = ctx_of(2)
@@ -174,15 +174,11 @@ class TestValidate:
 
 class TestRun:
     def test_run_branches_validates_once(self, monkeypatch):
-        import quditmbqc.pattern as pattern_module
-
-        calls = []
-        monkeypatch.setattr(pattern_module, "validate", lambda p: calls.append(p) or validate(p))
-        run_branches(basic_v_pattern(ctx_of(2), 1, 2, (0.1, 0.2)))
-        assert len(calls) == 1
-        bad = Pattern(ctx_of(2), (1,), (1,), (1,), (Measure(1, (0.0, 0.0), zero(2), zero(2)),))
-        with pytest.raises(ValueError, match="not wellformed"):
-            run_branches(bad)
+        # checked once, when built: running it checks nothing again
+        built, checked = pattern_checks(monkeypatch)
+        pat = basic_v_pattern(ctx_of(2), 1, 2, (0.1, 0.2))
+        run_branches(pat)
+        assert checked == built == [pat]
 
     def test_run_branches_follows_a_long_deterministic_chain(self):
         # F|0> measured at theta = 0 gives outcome 0 with certainty, 1,200 times;

@@ -128,16 +128,17 @@ class TestStandardise:
                 assert fidelity_up_to_phase(b.state, reference) > 1 - 1e-9
 
 
-def _chain(*order, x2=None, z2=None, theta2=(0.1, 0.2, 0.3)):
+def _chain(*order, x2=None, z2=None, theta2=(0.1, 0.2, 0.3), s3=None):
     """E E M M X on wires 1 -> 2 -> 3 at d=3, the commands in ``order``
-    (by letter: a b are the E, c d the M, e the correction)."""
+    (by letter: a b are the E, c d the M, e the correction, which reads
+    ``s3``, by default the outcome of qudit 2)."""
     d = 3
     cmds = {
         "a": Entangle(1, 2),
         "b": Entangle(2, 3),
         "c": Measure(1, (0.1, 0.2, 0.3), sig(d, {}), sig(d, {})),
         "d": Measure(2, theta2, sig(d, x2 or {}), sig(d, z2 or {})),
-        "e": CorrectX(3, sig(d, {2: 1})),
+        "e": CorrectX(3, sig(d, s3 or {2: 1})),
     }
     return Pattern(ctx_of(d), (1, 2, 3), (1,), (3,), tuple(cmds[k] for k in order))
 
@@ -147,7 +148,7 @@ def _chain(*order, x2=None, z2=None, theta2=(0.1, 0.2, 0.3)):
     [
         (_chain(*"abcde", x2={1: 1}), True, True),
         (_chain(*"acbde"), False, False),  # E after an M
-        (_chain(*"abced"), False, False),  # M after a correction
+        (_chain(*"abced", s3={1: 1}), False, False),  # M after a correction
         (_chain(*"abcde", z2={1: 1}), True, False),  # Z-dependent M
         (_chain(*"abcde", x2={1: 1}, theta2=zero_angles(3)), True, False),  # X signal on a Fourier-direction M
     ],

@@ -123,6 +123,12 @@ class TestGateMatrices:
         dim = d ** (len(coeffs) + 1)
         assert np.max(np.abs(np.linalg.matrix_power(u, d) - np.eye(dim))) < 1e-10
 
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_powers_past_int64_are_reduced_mod_d(self, d):
+        ctx, huge = ctx_of(d), 10**20
+        for build in (Gate.x, Gate.cx, lambda k: Gate.fanout((k, 1)), lambda k: Gate.mod((1, k))):
+            assert np.array_equal(gate_matrix(build(huge), ctx), gate_matrix(build(huge % d), ctx))
+
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_inverse_ops(self, d):
         ctx = ctx_of(d)
