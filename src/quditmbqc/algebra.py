@@ -237,15 +237,15 @@ def _single_site_matrix(ctx: DimensionContext, a: int, b: int) -> np.ndarray:
     return m
 
 
-def pauli_to_matrix(p: PauliOperator, max_dim: int = 1 << 22) -> np.ndarray:
+def pauli_to_matrix(p: PauliOperator) -> np.ndarray:
     """Dense matrix omega_hat^phase * tensor_k X^{x_k} Z^{z_k}.
 
     Site 0 is the most significant tensor factor, matching the
     statevector amplitude layout.
     """
     dim = p.ctx.d ** p.n
-    if dim > max_dim:
-        raise MemoryError(f"matrix dimension {dim} exceeds budget {max_dim}")
+    if dim > 1 << 22:
+        raise MemoryError(f"matrix dimension {dim} exceeds budget {1 << 22}")
     out = np.array([[p.ctx.phase(p.phase_exp)]], dtype=np.complex128)
     for a, b in zip(p.x_exp, p.z_exp):
         out = np.kron(out, _single_site_matrix(p.ctx, a, b))

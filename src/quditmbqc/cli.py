@@ -87,10 +87,9 @@ def load_artifact(path: str) -> Circuit | Pattern:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     try:
-        if "ops" in doc:
-            return _circuit_from_doc(doc)
-        if "commands" in doc:
-            return _pattern_from_doc(doc)
+        if "ops" in doc or "commands" in doc:
+            _context(doc["d"])
+            return (_circuit_from_doc if "ops" in doc else _pattern_from_doc)(doc)
     except (KeyError, ValueError, TypeError) as exc:
         raise InputError(f"{path}: {exc}") from exc
     raise InputError(f"{path}: neither a circuit ('ops') nor a pattern ('commands')")
@@ -106,23 +105,27 @@ def load_runnable(path: str) -> Circuit | Pattern:
     return artifact
 
 
-def dump_artifact(artifact: Circuit | Pattern, out: str | None) -> None:
-    text = circuit_to_json(artifact) if isinstance(artifact, Circuit) else pattern_to_json(artifact)
+def _context(d) -> DimensionContext:
+    """DimensionContext.of(d), refused unless a d x d frame or Fourier matrix fits one capped state."""
+    ctx = DimensionContext.of(d)
+    if ctx.d * ctx.d > AMPLITUDE_CAP:
+        raise ValueError(f"dimension {ctx.d}: {ctx.d}^2 amplitudes exceed the cap of {AMPLITUDE_CAP}")
+    return ctx
+
+
+def _write(text: str, out: str | None) -> None:
     if out:
         Path(out).write_text(text)
     else:
         sys.stdout.write(text)
+
+
+def dump_artifact(artifact: Circuit | Pattern, out: str | None) -> None:
+    _write(circuit_to_json(artifact) if isinstance(artifact, Circuit) else pattern_to_json(artifact), out)
 
 
 def emit(doc: dict, fmt: str, out: str | None) -> None:
-    if fmt == "json":
-        text = json.dumps(doc, indent=2) + "\n"
-    else:
-        text = _as_table(doc)
-    if out:
-        Path(out).write_text(text)
-    else:
-        sys.stdout.write(text)
+    _write(json.dumps(doc, indent=2) + "\n" if fmt == "json" else _as_table(doc), out)
 
 
 def _as_table(doc: dict, prefix: str = "") -> str:
@@ -212,19 +215,16 @@ def verify_equivalent(a: Circuit | Pattern, b: Circuit | Pattern, seed: int) -> 
 # -- subcommand handlers ---------------------------------------------------------
 
 
+_FAMILIES = {
+    "guni": lambda ctx, a: random_guni_circuit(ctx, a.n, a.gates, a.seed),
+    "clifford": lambda ctx, a: random_clifford_circuit(ctx, a.n, a.gates, a.seed),
+    "cascade": lambda ctx, a: cascade_circuit(ctx, a.n),
+    "fanout": lambda ctx, a: fanout_gate_circuit(ctx, a.n),
+}
+
+
 def _cmd_gen(args) -> int:
-    ctx = DimensionContext.of(args.d)
-    if args.family == "guni":
-        artifact = random_guni_circuit(ctx, args.n, args.gates, args.seed)
-    elif args.family == "clifford":
-        artifact = random_clifford_circuit(ctx, args.n, args.gates, args.seed)
-    elif args.family == "cascade":
-        artifact = cascade_circuit(ctx, args.n)
-    elif args.family == "fanout":
-        artifact = fanout_gate_circuit(ctx, args.n)
-    else:
-        raise InputError(f"unknown family {args.family}")
-    dump_artifact(artifact, args.out)
+    dump_artifact(_FAMILIES[args.family](_context(args.d), args), args.out)
     return EXIT_OK
 
 
@@ -366,7 +366,7 @@ def _cmd_analyze(args) -> int:
             lo = hi = None
         if lo is None or lo > hi:
             raise InputError(f"bad sweep range {args.sweep!r}; use LO:HI or n=LO..HI")
-        ctx = DimensionContext.of(args.d)
+        ctx = _context(args.d)
         rows = []
         for n in range(lo, hi + 1):
             pat = clifford_constant_depth(random_clifford_circuit(ctx, n, args.gates_per_n * n, args.seed + n))
@@ -399,7 +399,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate an example circuit")
-    p.add_argument("family", choices=["guni", "clifford", "cascade", "fanout"])
+    p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--n", type=int, default=2)
     p.add_argument("--gates", type=int, default=10)
@@ -458,10 +458,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except InputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (ValueError, KeyError, json.JSONDecodeError) as exc:
+    except (InputError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
 

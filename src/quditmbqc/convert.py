@@ -82,13 +82,12 @@ def basic_v_pattern(ctx: DimensionContext, src: int, dst: int, theta) -> Pattern
 # -- circuit -> pattern ---------------------------------------------------------
 
 
-def _require_guni(c: Circuit) -> None:
-    for op in c.ops:
-        ok = (op.gate.name == GateName.CZ and op.gate.k % c.ctx.d == 1) or op.gate.name == GateName.V
-        if not ok:
-            raise ValueError(
-                f"unsupported gate {op.gate.name.value} (lower to the {{CZ, v}} set first)"
-            )
+def _require_gates(ops, names, d: int, unit_cz: bool, message: str) -> None:
+    """Raise ``message``, naming the gate, at the first op outside ``names`` (or a CZ power not 1, with ``unit_cz``)."""
+    for op in ops:
+        g = op.gate
+        if g.name not in names or (unit_cz and g.name == GateName.CZ and g.k % d != 1):
+            raise ValueError(message.format(g.name.value))
 
 
 def circuit_to_pattern_standard(c: Circuit, standardise: bool = True) -> Pattern:
@@ -99,7 +98,7 @@ def circuit_to_pattern_standard(c: Circuit, standardise: bool = True) -> Pattern
     With ``standardise`` (the default) the composite is completely
     standardised.
     """
-    _require_guni(c)
+    _require_gates(c.ops, {GateName.CZ, GateName.V}, c.ctx.d, True, "unsupported gate {} (lower to the {{CZ, v}} set first)")
     if set(c.inputs) != set(c.qudits) or set(c.outputs) != set(c.qudits):
         raise ValueError("conversion expects a circuit acting in place (inputs = outputs = qudits)")
     d = c.ctx.d
@@ -231,7 +230,7 @@ def build_fanout(ctx: DimensionContext, n: int, variant: str = "logdepth") -> Ci
     qudits = tuple(range(n + 1))
     ops: list[Operation] = []
     if variant == "naive":
-        ops = [Operation(Gate.cx(), (0, t)) for t in range(1, n + 1)]
+        ops = [Operation(g, sites) for g, sites in _KINDS[GateName.FANOUT].define(Gate.fanout((1,) * n), ctx.d)]
     elif variant == "logdepth":
         levels = math.ceil(math.log2(n + 1))
         for level in range(levels):
@@ -250,27 +249,23 @@ def build_generalized(ctx: DimensionContext, coeffs, kind: str = "fanout") -> Ci
 
     fanout(v): copy the control into one ancilla per nonzero coefficient
     after the first with one fan-out, apply the per-target controlled-X
-    powers in parallel, then undo the copy with d-1 plain fan-outs.
-    mod(v): conjugate fanout(-v) by a Fourier layer.
+    powers of the FANOUT definition in parallel, then undo the copy with
+    d-1 plain fan-outs.  mod(v): the MOD definition, fanout(-v) built so.
     """
     coeffs = tuple(int(c) % ctx.d for c in coeffs)
     n = len(coeffs)
     if n < 1:
         raise ValueError("need at least one coefficient")
-    control = 0
-    targets = tuple(range(1, n + 1))
-    mains = (control,) + targets
-    if kind == "fanout":
-        units = [[Operation(Gate.cx(c), (control, t))] for t, c in zip(targets, coeffs) if c]
-        ops, copies = _fanned(units, n + 1, ctx.d)
-        return Circuit(ctx, mains + tuple(range(n + 1, n + 1 + copies)), mains, mains, tuple(ops))
-    if kind == "mod":
-        inner = build_generalized(ctx, tuple((-c) % ctx.d for c in coeffs), "fanout")
-        ops = [Operation(Gate.finv(), (q,)) for q in mains]
-        ops += list(inner.ops)
-        ops += [Operation(Gate.f(), (q,)) for q in mains]
-        return Circuit(ctx, inner.qudits, mains, mains, tuple(ops))
-    raise ValueError(f"unknown kind {kind!r}")
+    if kind not in ("fanout", "mod"):
+        raise ValueError(f"unknown kind {kind!r}")
+    mains = tuple(range(n + 1))
+    steps = [(Gate.fanout(coeffs), mains)] if kind == "fanout" else _KINDS[GateName.MOD].define(Gate.mod(coeffs), ctx.d)
+    fanout = next(g for g, _ in steps if g.name == GateName.FANOUT)
+    # the gate acts on 0..n, so positions are qudits; zero powers are identities
+    units = [[Operation(cx, sites)] for cx, sites in _KINDS[GateName.FANOUT].define(fanout, ctx.d) if cx.k]
+    body, copies = _fanned(units, n + 1, ctx.d)
+    ops = [op for g, sites in steps for op in (body if g is fanout else [Operation(g, sites)])]
+    return Circuit(ctx, mains + tuple(range(n + 1, n + 1 + copies)), mains, mains, tuple(ops))
 
 
 # -- commuting-unitary parallelization --------------------------------------------
@@ -351,6 +346,7 @@ def _normalize_controlled_pauli(ops, qudits: tuple[int, ...], d: int):
     the squares on its diagonal and the cross terms above it, ``lin`` the
     linear terms (constants only shift the global phase).
     """
+    _require_gates(ops, {GateName.X, GateName.Z, GateName.CX, GateName.CZ}, d, False, "gate {} outside the controlled-Pauli set")
     n = len(qudits)
     index = {q: i for i, q in enumerate(qudits)}
     matrix = np.eye(n, dtype=np.int64)
@@ -359,8 +355,6 @@ def _normalize_controlled_pauli(ops, qudits: tuple[int, ...], d: int):
     lin = np.zeros(n, dtype=np.int64)
     for op in ops:
         g = op.gate
-        if g.name not in (GateName.X, GateName.Z, GateName.CX, GateName.CZ):
-            raise ValueError(f"gate {g.name.value} outside the controlled-Pauli set")
         k = g.k % d
         i = index[op.sites[0]]
         if g.name == GateName.X:
@@ -484,8 +478,6 @@ def pattern_to_fanout_circuit(p: Pattern) -> Circuit:
 
 # -- constant-depth Clifford pipeline ------------------------------------------------
 
-_CLIFFORD_GATES = {GateName.F, GateName.P, GateName.CZ}
-
 
 def _sorted_entangling_prefix(p: Pattern) -> Pattern:
     """Reorder the entangling block by edge-coloring layers; entangling
@@ -509,10 +501,8 @@ def clifford_constant_depth(c: Circuit) -> Pattern:
     standard with every measurement independent, so the measurements
     form one layer and the entangling block runs in edge-coloring depth.
     """
-    for op in c.ops:
-        if op.gate.name not in _CLIFFORD_GATES or (op.gate.name == GateName.CZ and op.gate.k % c.ctx.d != 1):
-            raise ValueError(f"gate {op.gate.name.value} is not in the {{F, P, CZ}} set")
-    pat = circuit_to_pattern_cluster(lower_to_guni(c))
+    _require_gates(c.ops, {GateName.F, GateName.P, GateName.CZ}, c.ctx.d, True, "gate {} is not in the {{F, P, CZ}} set")
+    pat = circuit_to_pattern_cluster(c)
     for cmd in pat.seq:
         if isinstance(cmd, Measure) and not cmd.is_independent():
             raise AssertionError("Clifford pattern kept a dependent measurement")

@@ -16,15 +16,14 @@ __all__ = [
 ]
 
 
-def random_guni_circuit(
-    ctx: DimensionContext, n: int, gates: int, seed: int, cz_probability: float = 0.4
-) -> Circuit:
-    """Random circuit over the universal set {CZ, v(theta)} on n qudits."""
+def random_guni_circuit(ctx: DimensionContext, n: int, gates: int, seed: int) -> Circuit:
+    """Random circuit over the universal set {CZ, v(theta)} on n qudits;
+    each gate is a CZ with probability 0.4 (when n >= 2)."""
     rng = np.random.default_rng(seed)
     qudits = tuple(range(1, n + 1))
     ops = []
     for _ in range(gates):
-        if n >= 2 and rng.random() < cz_probability:
+        if n >= 2 and rng.random() < 0.4:
             i, j = rng.choice(n, size=2, replace=False)
             ops.append(Operation(Gate.cz(), (qudits[i], qudits[j])))
         else:

@@ -47,14 +47,14 @@ def zero_angles(d: int) -> tuple[float, ...]:
     return (0.0,) * d
 
 
-def angles_match(theta, reference, tol: float = ANGLE_TOL) -> bool:
+def angles_match(theta, reference) -> bool:
     """Exact match for canonically constructed vectors, small-tolerance
     comparison modulo 2*pi otherwise."""
     if tuple(theta) == tuple(reference):
         return True
     for a, b in zip(theta, reference):
         diff = (a - b) % (2.0 * math.pi)
-        if min(diff, 2.0 * math.pi - diff) > tol:
+        if min(diff, 2.0 * math.pi - diff) > ANGLE_TOL:
             return False
     return len(tuple(theta)) == len(tuple(reference))
 
@@ -149,14 +149,9 @@ def standardise(p: Pattern) -> Pattern:
             pending_x[cmd.site] = px(cmd.site) + cmd.signal
         else:
             pending_z[cmd.site] = pz(cmd.site) + cmd.signal
-    tail = []
-    for q in sorted(set(pending_x) | set(pending_z)):
-        sx, sz = px(q), pz(q)
-        if not sx.is_zero():
-            tail.append(CorrectX(q, sx))
-        if not sz.is_zero():
-            tail.append(CorrectZ(q, sz))
-    return p.with_seq(tuple(entangles) + tuple(measures) + tuple(tail))
+    # the pattern drops the corrections whose signal is zero
+    tail = [cmd for q in sorted(set(pending_x) | set(pending_z)) for cmd in (CorrectX(q, px(q)), CorrectZ(q, pz(q)))]
+    return p.with_seq(entangles + measures + tail)
 
 
 def pauli_simplify(p: Pattern) -> Pattern:

@@ -209,7 +209,7 @@ class TestMatrices:
 
     def test_size_budget(self):
         with pytest.raises(MemoryError):
-            pauli_to_matrix(PauliOperator.identity(ctx_of(5), 12), max_dim=1000)
+            pauli_to_matrix(PauliOperator.identity(ctx_of(5), 12))
 
     @pytest.mark.parametrize("d", DIMS)
     def test_fourier_gate_has_order_four(self, d):

@@ -1,4 +1,5 @@
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -8,6 +9,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from helpers import counted_calls
 
+import quditmbqc.cli as cli_module
 import quditmbqc.convert as convert_module
 from quditmbqc.algebra import DimensionContext
 from quditmbqc.circuit import circuit_from_json, circuit_to_json, depth_and_size
@@ -15,6 +17,7 @@ from quditmbqc.cli import main
 from quditmbqc.convert import clifford_constant_depth, pattern_to_fanout_circuit
 from quditmbqc.generate import random_clifford_circuit
 from quditmbqc.pattern import pattern_depth_and_size, run_rows
+from quditmbqc.sim import AMPLITUDE_CAP
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -591,3 +594,56 @@ def test_verify_reduces_a_gate_power_past_int64(tmp_path):
         path.write_text(json.dumps({"d": 3, "qudits": [0], "inputs": [0], "outputs": [0], "ops": [x, f]}))
         paths.append(str(path))
     assert run_cli("verify", *paths) == 0
+
+
+def test_clifford_const_refuses_a_guni_circuit_by_its_gate_set_message(tmp_path, capsys):
+    circuit = tmp_path / "c.json"
+    run_cli("gen", "guni", "--d", "3", "--n", "2", "--gates", "6", "--seed", "1", "--out", str(circuit))
+    capsys.readouterr()
+    assert run_cli("convert", "clifford-const", "--in", str(circuit)) == 2
+    assert capsys.readouterr().err == "error: gate v is not in the {F, P, CZ} set\n"
+
+
+# 4096: the largest d whose d x d frame or Fourier matrix fits one capped state
+EDGE = math.isqrt(AMPLITUDE_CAP)
+
+
+def _refusing_builders(monkeypatch):
+    """Make every builder a refused d would reach raise, so a refusal must come first."""
+    def built(*args):
+        raise AssertionError("built an artifact for a refused dimension")
+
+    for name in ("random_guni_circuit", "random_clifford_circuit", "cascade_circuit", "_circuit_from_doc", "_pattern_from_doc"):
+        monkeypatch.setattr(cli_module, name, built)
+
+
+@pytest.mark.parametrize("argv", [["gen", "guni"], ["gen", "cascade"], ["analyze", "--sweep", "2:3"]])
+def test_dimension_past_the_cap_is_refused_before_building(capsys, monkeypatch, argv):
+    _refusing_builders(monkeypatch)
+    capsys.readouterr()
+    assert run_cli(*argv, "--d", str(EDGE + 1)) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: dimension {EDGE + 1}: {EDGE + 1}^2 amplitudes exceed the cap of {AMPLITUDE_CAP}\n"
+
+
+@pytest.mark.parametrize("argv", [["convert", "def7"], ["analyze"], ["verify"]])
+@pytest.mark.parametrize("key", ["ops", "commands"])
+def test_artifact_dimension_past_the_cap_is_refused_at_load(tmp_path, capsys, monkeypatch, argv, key):
+    # one F gate (or one E command): lowering F alone would build a d-long angle vector
+    bad = tmp_path / "big.json"
+    entry = {"gate": "F", "params": {}, "sites": [0]} if key == "ops" else {"kind": "E", "sites": [0, 1]}
+    bad.write_text(json.dumps({"d": EDGE + 1, "qudits": [0, 1], "inputs": [0, 1], "outputs": [0, 1], key: [entry]}))
+    _refusing_builders(monkeypatch)
+    capsys.readouterr()
+    assert run_cli(*argv, *([str(bad)] * 2 if argv == ["verify"] else ["--in", str(bad)])) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {bad}: dimension {EDGE + 1}: {EDGE + 1}^2 amplitudes exceed the cap of {AMPLITUDE_CAP}\n"
+
+
+def test_dimension_at_the_cap_is_accepted(tmp_path, capsys):
+    cascade = tmp_path / "cascade.json"
+    assert run_cli("gen", "cascade", "--d", str(EDGE), "--n", "3", "--out", str(cascade)) == 0
+    assert json.loads(cascade.read_text())["d"] == EDGE
+    capsys.readouterr()
+    assert run_cli("analyze", "--in", str(cascade)) == 0
+    assert json.loads(capsys.readouterr().out) == {"kind": "circuit", "qudits": 3, "depth": 2, "size": 4}

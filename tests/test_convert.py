@@ -15,6 +15,7 @@ from helpers import (
     reduced_density_matrix,
 )
 
+import quditmbqc.convert as convert_module
 from quditmbqc.algebra import DimensionContext
 from quditmbqc.circuit import (
     Circuit,
@@ -106,9 +107,10 @@ class TestCircuitToPattern:
         )
 
     def test_rejects_foreign_gates(self):
-        ctx = ctx_of(2)
-        with pytest.raises(ValueError):
-            circuit_to_pattern_standard(one_gate_circuit(ctx, Gate.f(), (1,), (1,)))
+        # an unlowered circuit: a gate outside {CZ, v}, or a CZ power other than 1
+        for gate, sites in [(Gate.f(), (1,)), (Gate.cz(2), (1, 2))]:
+            with pytest.raises(ValueError, match=rf"^unsupported gate {gate.name.value} \(lower to the \{{CZ, v\}} set first\)$"):
+                circuit_to_pattern_standard(one_gate_circuit(ctx_of(3), gate, sites, sites))
 
     @pytest.mark.parametrize("d,seed", [(2, 0), (3, 1)])
     def test_run_equivalent_on_random_circuits(self, d, seed):
@@ -465,7 +467,7 @@ class TestControlledPauliCompiler:
 
     def test_rejects_foreign_gates(self):
         ctx = ctx_of(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^gate F outside the controlled-Pauli set$"):
             controlled_pauli_constant_depth(one_gate_circuit(ctx, Gate.f(), (1,), (1,)))
 
     @pytest.mark.parametrize("d", [2, 3, 6])
@@ -528,6 +530,26 @@ class TestFanoutCompileAndCliffordPipeline:
         pattern_to_fanout_circuit(pat)
         assert checked == built == [pat]
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    def test_def7_blocks_take_the_disjoint_branch(self, d, monkeypatch):
+        # X-signal controls were measured in an earlier layer and correction
+        # targets are outputs, never measured, so no block of a pattern is
+        # chained: no result register, no -M^-1 stage, no SWAP
+        def chained(*args):
+            raise AssertionError("a pattern block took the chained branch")
+
+        monkeypatch.setattr(convert_module, "_inverse_ops", chained)
+        ctx = ctx_of(d)
+        for n, seed in [(2, 0), (2, 1), (3, 2), (3, 3), (4, 4)]:
+            pattern = circuit_to_pattern_standard(lower_to_guni(random_guni_circuit(ctx, n, 4 * n, seed)))
+            compiled = pattern_to_fanout_circuit(pattern)
+            assert any(op.gate.name == GateName.MOD for op in compiled.ops)
+            assert not any(op.gate.name == GateName.SWAP for op in compiled.ops)
+        # the patch reaches the chained branch: a CX whose control is also a target
+        chain = Circuit(ctx, (1, 2, 3), (1, 2, 3), (1, 2, 3), (Operation(Gate.cx(), (1, 2)), Operation(Gate.cx(), (2, 3))))
+        with pytest.raises(AssertionError, match="chained branch"):
+            controlled_pauli_constant_depth(chain)
+
     def test_teleport_pattern_compiles_small(self):
         for d in (2, 3):
             ctx = ctx_of(d)
@@ -573,5 +595,5 @@ class TestFanoutCompileAndCliffordPipeline:
 
     def test_rejects_non_clifford_gate(self):
         ctx = ctx_of(2)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^gate X is not in the \{F, P, CZ\} set$"):
             clifford_constant_depth(one_gate_circuit(ctx, Gate.x(1), (1,), (1,)))

@@ -111,7 +111,7 @@ class TestStandardise:
     @pytest.mark.parametrize("d,seed", [(2, 0), (2, 1), (3, 2)])
     def test_run_equivalent_over_all_branches(self, d, seed):
         ctx = ctx_of(d)
-        circ = random_guni_circuit(ctx, 2, 3, seed, cz_probability=0.5)
+        circ = random_guni_circuit(ctx, 2, 3, seed)
         raw = circuit_to_pattern_standard(lower_to_guni(circ), standardise=False)
         std = standardise(raw)
         assert validate(std) is None
