@@ -392,6 +392,18 @@ def _cmd_analyze(args) -> int:
 # -- argument parsing -------------------------------------------------------------
 
 
+def _at_least(low: int):
+    """An argparse ``type=`` for integers of at least ``low``; argparse names the flag it refuses."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        return value
+
+    return integer
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of every ``main`` call; each parse gets a fresh namespace."""
@@ -401,8 +413,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate an example circuit")
     p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n", type=int, default=2)
-    p.add_argument("--gates", type=int, default=10)
+    p.add_argument("--n", type=_at_least(1), default=2)
+    p.add_argument("--gates", type=_at_least(0), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen)
@@ -444,7 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", default=None)
     p.add_argument("--sweep", default=None, help="n range LO:HI for a clifford-const sweep")
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--gates-per-n", type=int, default=5)
+    p.add_argument("--gates-per-n", type=_at_least(0), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "text"], default="json")

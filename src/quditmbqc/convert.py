@@ -339,20 +339,20 @@ def _normalize_controlled_pauli(ops, qudits: tuple[int, ...], d: int):
     """Split {CZ^k, CX^k, Z^k, X^k} ops on ``qudits`` into a front diagonal
     phase polynomial, a controlled-X middle, and a trailing local X layer.
 
-    Qudit j's running value is tracked as the affine form
-    ``matrix[j] . x + shift[j]`` over the input digits x; diagonal gates
-    then contribute quadratic phase terms over the inputs and can all be
-    emitted up front.  Every array is int64, reduced mod d: ``quad`` holds
-    the squares on its diagonal and the cross terms above it, ``lin`` the
-    linear terms (constants only shift the global phase).
+    Qudit ``qudits[j]``'s running value is tracked as the affine form
+    ``matrix[j] . x + shift[j]`` over the input digits x, each row a
+    ``Signal`` over positions in ``qudits``; diagonal gates then add
+    quadratic phase terms over the inputs, all emitted up front.
+    ``quad`` maps position pairs (a, b), a <= b, to their nonzero
+    coefficients mod d (squares at a == b), and the ``Signal`` ``lin``
+    holds the linear terms (constants only shift the global phase).
     """
     _require_gates(ops, {GateName.X, GateName.Z, GateName.CX, GateName.CZ}, d, False, "gate {} outside the controlled-Pauli set")
-    n = len(qudits)
     index = {q: i for i, q in enumerate(qudits)}
-    matrix = np.eye(n, dtype=np.int64)
-    shift = np.zeros(n, dtype=np.int64)
-    quad = np.zeros((n, n), dtype=np.int64)
-    lin = np.zeros(n, dtype=np.int64)
+    matrix = [Signal.unit(d, i) for i in range(len(qudits))]
+    shift = [0] * len(qudits)
+    quad: dict[tuple[int, int], int] = {}
+    lin = Signal.zero(d)
     for op in ops:
         g = op.gate
         k = g.k % d
@@ -360,45 +360,46 @@ def _normalize_controlled_pauli(ops, qudits: tuple[int, ...], d: int):
         if g.name == GateName.X:
             shift[i] = (shift[i] + k) % d
         elif g.name == GateName.Z:
-            lin = (lin + k * matrix[i]) % d
+            lin += matrix[i].scaled(k)
         else:
             j = index[op.sites[1]]
             if g.name == GateName.CX:
-                matrix[j] = (matrix[j] + k * matrix[i]) % d
+                matrix[j] += matrix[i].scaled(k)
                 shift[j] = (shift[j] + k * shift[i]) % d
             else:
                 # phase += k * (row_i . x + shift_i) * (row_j . x + shift_j)
-                quad = (quad + k * np.outer(matrix[i], matrix[j])) % d
-                lin = (lin + k * (matrix[i] * shift[j] + matrix[j] * shift[i])) % d
-    quad = (np.triu(quad) + np.tril(quad, -1).T) % d
-    return quad, lin, matrix, shift
+                for a, u in matrix[i].coeffs:
+                    for b, v in matrix[j].coeffs:
+                        pair = (min(a, b), max(a, b))
+                        quad[pair] = (quad.get(pair, 0) + k * u * v) % d
+                lin += matrix[i].scaled(k * shift[j]) + matrix[j].scaled(k * shift[i])
+    return {pair: c for pair, c in quad.items() if c}, lin, matrix, shift
 
 
-def _diagonal_units(qudits: tuple[int, ...], quad: np.ndarray, lin: np.ndarray, d: int) -> list[list[Operation]]:
+def _diagonal_units(qudits: tuple[int, ...], quad: dict, lin: Signal, d: int) -> list[list[Operation]]:
     """The phase polynomial as one-op units: a CZ power per cross term, then
     a phase rotation per qudit with a square or linear term."""
-    units = [
-        [Operation(Gate.cz(int(quad[a, b])), (qudits[a], qudits[b]))] for a, b in np.argwhere(np.triu(quad, 1)).tolist()
-    ]
-    for q, cq, cl in zip(qudits, np.diag(quad).tolist(), lin.tolist()):
-        if cq or cl:
-            theta = tuple(2.0 * math.pi * ((cq * j * j + cl * j) % d) / d for j in range(d))
-            units.append([Operation(Gate.r(theta), (q,))])
+    units = [[Operation(Gate.cz(c), (qudits[a], qudits[b]))] for (a, b), c in sorted(quad.items()) if a != b]
+    linear = lin.to_mapping()
+    for a in sorted({a for a, b in quad if a == b} | linear.keys()):
+        cq, cl = quad.get((a, a), 0), linear.get(a, 0)
+        theta = tuple(2.0 * math.pi * ((cq * j * j + cl * j) % d) / d for j in range(d))
+        units.append([Operation(Gate.r(theta), (qudits[a],))])
     return units
 
 
 def _mod_units(rows, targets, controls) -> list[list[Operation]]:
-    """One MOD per target adding its row's nonzero entries times the
-    controls; an entry on the target itself is left out."""
+    """One MOD per target adding its row's terms times the controls at
+    their positions; an entry on the target itself is left out."""
     units = []
     for t, row in zip(targets, rows):
-        terms = [(c, k) for c, k in zip(controls, row) if k and c != t]
+        terms = [(controls[a], k) for a, k in row.coeffs if controls[a] != t]
         if terms:
             units.append([Operation(Gate.mod(k for _, k in terms), (t, *(c for c, _ in terms)))])
     return units
 
 
-def controlled_pauli_constant_depth(c: Circuit, ancilla_start: int | None = None) -> Circuit:
+def controlled_pauli_constant_depth(c: Circuit) -> Circuit:
     """Compile a {CZ^k, CX^k, Z^k, X^k} circuit to constant depth.
 
     The circuit is rearranged into a diagonal part followed by a
@@ -412,8 +413,7 @@ def controlled_pauli_constant_depth(c: Circuit, ancilla_start: int | None = None
     Ancillas grow with the number of nonzero terms while depth stays
     fixed.
     """
-    start = max(c.qudits, default=0) + 1 if ancilla_start is None else ancilla_start
-    ops, ancillas = _controlled_pauli_ops(c.ops, c.qudits, c.ctx.d, start)
+    ops, ancillas = _controlled_pauli_ops(c.ops, c.qudits, c.ctx.d, max(c.qudits, default=0) + 1)
     return Circuit(c.ctx, c.qudits + ancillas, c.qudits, c.qudits, tuple(ops))
 
 
@@ -426,7 +426,7 @@ def _controlled_pauli_ops(source, mains: tuple[int, ...], d: int, start: int) ->
     cx_ops = [op for op in source if op.gate.name == GateName.CX and op.gate.k % d]
     if cx_ops and {op.sites[0] for op in cx_ops}.isdisjoint(op.sites[1] for op in cx_ops):
         # no MOD changes a qudit another one reads, so each target updates in place
-        mod_ops, copies = _fanned(_mod_units(matrix.tolist(), mains, mains), start, d)
+        mod_ops, copies = _fanned(_mod_units(matrix, mains, mains), start, d)
         ops += mod_ops
         used = max(used, copies)
     elif cx_ops:
@@ -434,15 +434,15 @@ def _controlled_pauli_ops(source, mains: tuple[int, ...], d: int, start: int) ->
         result = tuple(range(start, start + n))
         # M^-1 is the matrix of the inverted CX gates (no division, so composite d works too)
         inverse = _normalize_controlled_pauli(_inverse_ops(cx_ops, d), mains, d)[2]
-        if not np.array_equal(inverse @ matrix % d, np.eye(n, dtype=np.int64)):
+        if any(sum((matrix[a].scaled(k) for a, k in row.coeffs), Signal.zero(d)) != Signal.unit(d, i) for i, row in enumerate(inverse)):
             raise AssertionError("the inverted CX gates did not invert the matrix")
-        inverse = -inverse % d
+        inverse = [row.scaled(-1) for row in inverse]
         for rows, targets, controls in ((matrix, result, mains), (inverse, mains, result)):
-            stage, copies = _fanned(_mod_units(rows.tolist(), targets, controls), start + n, d)
+            stage, copies = _fanned(_mod_units(rows, targets, controls), start + n, d)
             ops += stage
             used = max(used, n + copies)
         ops += [Operation(Gate.swap(), pair) for pair in zip(mains, result)]
-    ops += [Operation(Gate.x(k), (q,)) for q, k in zip(mains, shift.tolist()) if k]
+    ops += [Operation(Gate.x(k), (q,)) for q, k in zip(mains, shift) if k]
     return ops, tuple(range(start, start + used))
 
 

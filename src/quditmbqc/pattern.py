@@ -69,7 +69,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Signal:
-    """A formal Z(d)-linear combination of measurement-outcome dits.
+    """A formal Z(d)-linear combination over integer labels: measurement
+    outcomes, or digit positions in the controlled-Pauli normal form.
 
     Coefficients are stored reduced mod d with zero entries removed;
     the empty signal is the constant zero.  Signals are pure linear

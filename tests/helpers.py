@@ -6,6 +6,8 @@
 - a sparse phase-polynomial simulator for circuits built from basis
   permutations and Z(d)-integer diagonal phases (the controlled-Pauli
   gate family), exact at any register width
+- the former dense int64 controlled-Pauli normal form, as the reference for
+  the sparse ``Signal``-row form
 - a stabilizer-table tracker with group-membership tests, built on the
   matrix-verified symbolic Pauli conjugation (prime d)
 - the simulator's former index-arithmetic kernels, three-pass
@@ -263,6 +265,37 @@ def phase_poly_equivalent(compiled: Circuit, source: Circuit) -> bool:
         if rows_a[q]:  # ancilla must come back to zero
             return False
     return cross_a == cross_b and diag_a == diag_b
+
+
+def oracle_normal_form(ops, qudits: tuple[int, ...], d: int):
+    """The controlled-Pauli normal form as the compiler once kept it: dense
+    int64 arrays over positions in ``qudits``, reduced mod d.  ``quad``
+    holds the squares on its diagonal and the cross terms above it, ``lin``
+    the linear terms, and qudit j's value is ``matrix[j] . x + shift[j]``."""
+    n = len(qudits)
+    index = {q: i for i, q in enumerate(qudits)}
+    matrix = np.eye(n, dtype=np.int64)
+    shift = np.zeros(n, dtype=np.int64)
+    quad = np.zeros((n, n), dtype=np.int64)
+    lin = np.zeros(n, dtype=np.int64)
+    for op in ops:
+        g = op.gate
+        k = g.k % d
+        i = index[op.sites[0]]
+        if g.name == GateName.X:
+            shift[i] = (shift[i] + k) % d
+        elif g.name == GateName.Z:
+            lin = (lin + k * matrix[i]) % d
+        else:
+            j = index[op.sites[1]]
+            if g.name == GateName.CX:
+                matrix[j] = (matrix[j] + k * matrix[i]) % d
+                shift[j] = (shift[j] + k * shift[i]) % d
+            else:
+                quad = (quad + k * np.outer(matrix[i], matrix[j])) % d
+                lin = (lin + k * (matrix[i] * shift[j] + matrix[j] * shift[i])) % d
+    quad = (np.triu(quad) + np.tril(quad, -1).T) % d
+    return quad, lin, matrix, shift
 
 
 # -- stabilizer-table oracle ---------------------------------------------------------

@@ -647,3 +647,27 @@ def test_dimension_at_the_cap_is_accepted(tmp_path, capsys):
     capsys.readouterr()
     assert run_cli("analyze", "--in", str(cascade)) == 0
     assert json.loads(capsys.readouterr().out) == {"kind": "circuit", "qudits": 3, "depth": 2, "size": 4}
+
+
+@pytest.mark.parametrize(
+    "argv, refusal",
+    [
+        (["gen", "guni", "--n", "0"], "argument --n: must be at least 1, got 0"),
+        (["gen", "clifford", "--n", "0"], "argument --n: must be at least 1, got 0"),
+        (["gen", "cascade", "--n", "-3"], "argument --n: must be at least 1, got -3"),
+        (["gen", "guni", "--gates", "-1"], "argument --gates: must be at least 0, got -1"),
+        (["gen", "clifford", "--gates", "-1"], "argument --gates: must be at least 0, got -1"),
+        (["analyze", "--sweep", "2:3", "--gates-per-n", "-1"], "argument --gates-per-n: must be at least 0, got -1"),
+        (["gen", "guni", "--n", "1", "--gates", "0"], None),
+        (["analyze", "--sweep", "2:2", "--gates-per-n", "0"], None),
+    ],
+)
+def test_counts_below_their_floor_are_refused_by_flag(capsys, monkeypatch, argv, refusal):
+    if refusal is None:
+        assert run_cli(*argv) == 0
+        return
+    _refusing_builders(monkeypatch)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"quditmbqc {argv[0]}: error: {refusal}"

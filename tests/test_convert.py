@@ -8,6 +8,7 @@ sys.path.insert(0, str(Path(__file__).parent))
 from helpers import (
     max_diff_up_to_phase,
     oracle_apply_gate,
+    oracle_normal_form,
     pattern_checks,
     phase_poly_equivalent,
     purity,
@@ -452,7 +453,26 @@ class TestControlledPauliCompiler:
         src = Circuit(ctx_of(3), (0, 1, 2), (0, 1, 2), (0, 1, 2), ops)
         _, _, m, _ = _normalize_controlled_pauli(src.ops, src.qudits, 3)
         _, _, inv, _ = _normalize_controlled_pauli(_inverse_ops(src.ops, 3), src.qudits, 3)
-        assert (m @ inv % 3).tolist() == [[1 if i == j else 0 for i in range(3)] for j in range(3)]
+        # row i of m @ inv is sum over a of m[i, a] * inv[a]
+        product = [sum((inv[a].scaled(k) for a, k in row.coeffs), Signal.zero(3)) for row in m]
+        assert product == [Signal.unit(3, i) for i in range(3)]
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_sparse_normal_form_matches_the_dense_replay(self, d, n):
+        ctx = ctx_of(d)
+        chained = False
+        for seed in range(3):
+            src = random_controlled_pauli_circuit(ctx, n, 5 * n, seed, locals_too=True)
+            cx = [op.sites for op in src.ops if op.gate.name == GateName.CX]
+            chained |= not {c for c, _ in cx}.isdisjoint(t for _, t in cx)
+            quad, lin, matrix, shift = _normalize_controlled_pauli(src.ops, src.qudits, d)
+            dense_quad, dense_lin, dense_matrix, dense_shift = oracle_normal_form(src.ops, src.qudits, d)
+            assert quad == {(a, b): dense_quad[a, b] for a, b in np.argwhere(dense_quad).tolist()}
+            assert lin.to_mapping() == {a: c for a, c in enumerate(dense_lin.tolist()) if c}
+            assert [row.to_mapping() for row in matrix] == [{a: c for a, c in enumerate(r) if c} for r in dense_matrix.tolist()]
+            assert shift == dense_shift.tolist()
+        assert chained
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])
     @pytest.mark.parametrize("n", range(2, 9))
@@ -496,9 +516,9 @@ class TestControlledPauliCompiler:
         # every ancilla copies a qudit for one use by a term of the normal
         # form: a CZ cross term uses two qudits, a phase or a CX entry one
         quad, lin, matrix, _ = _normalize_controlled_pauli(src.ops, mains, d)
-        cz_uses = 2 * np.count_nonzero(np.triu(quad, 1))
-        local_uses = np.count_nonzero(np.diag(quad) | lin)
-        cx_uses = np.count_nonzero(matrix - np.eye(len(mains), dtype=np.int64))
+        cz_uses = 2 * sum(a != b for a, b in quad)
+        local_uses = len({a for a, b in quad if a == b} | set(lin.qudits()))
+        cx_uses = sum(a != i for i, row in enumerate(matrix) for a, _ in row.coeffs)
         assert len(out.qudits) - len(mains) <= max(cz_uses + local_uses, cx_uses)
         # copy, diagonal units, d-1 uncopies; the same for the MODs; X shifts
         assert depth_and_size(out).depth <= 2 * (d + 1) + 1

@@ -86,10 +86,6 @@ def fanout_builders_record() -> str:
             src = random_controlled_pauli_circuit(ctx, n, 4 * n, seed, locals_too=locals_too)
             case = f"n={n} seed={seed} locals={locals_too}"
             entries.append({"builder": "controlled_pauli_constant_depth", "d": d, "case": case, "sha256": _digest(controlled_pauli_constant_depth(src))})
-        src = random_controlled_pauli_circuit(ctx, 3, 12, 7, locals_too=True)
-        entries.append(
-            {"builder": "controlled_pauli_constant_depth", "d": d, "case": "n=3 start=20", "sha256": _digest(controlled_pauli_constant_depth(src, 20))}
-        )
     return "[\n" + ",\n".join(json.dumps(entry) for entry in entries) + "\n]\n"
 
 
