@@ -364,7 +364,7 @@ def _cmd_analyze(args) -> int:
             lo, hi = (int(x) for x in rng_text.split(":"))
         except ValueError:
             lo = hi = None
-        if lo is None or lo > hi:
+        if lo is None or not 1 <= lo <= hi:
             raise InputError(f"bad sweep range {args.sweep!r}; use LO:HI or n=LO..HI")
         ctx = _context(args.d)
         rows = []

@@ -67,27 +67,39 @@ __all__ = [
 
 
 
+def _canonical(d: int, raw: dict[int, int]) -> tuple[tuple[int, int], ...]:
+    """The reduced, sorted ``coeffs`` of a dict of raw per-label sums."""
+    return tuple(sorted((q, r) for q, c in raw.items() if (r := c % d)))
+
+
 @dataclass(frozen=True)
 class Signal:
     """A formal Z(d)-linear combination over integer labels: measurement
     outcomes, or digit positions in the controlled-Pauli normal form.
 
-    Coefficients are stored reduced mod d with zero entries removed;
-    the empty signal is the constant zero.  Signals are pure linear
-    forms: there is no constant term.
+    Coefficients are stored summed per label, reduced mod d, with zero
+    entries removed and sorted by label; the empty signal is the constant
+    zero.  Signals are pure linear forms: there is no constant term.
+    ``_canonical`` is the one rule, applied to a term list by ``__init__``
+    and to a dict of per-label sums by ``_of_raw``.
     """
 
     d: int
     coeffs: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        reduced = {}
+        raw: dict[int, int] = {}
         for q, c in self.coeffs:
-            c = c % self.d
-            if c:
-                reduced[q] = (reduced.get(q, 0) + c) % self.d
-        items = tuple(sorted((q, c) for q, c in reduced.items() if c))
-        object.__setattr__(self, "coeffs", items)
+            raw[q] = raw.get(q, 0) + c
+        object.__setattr__(self, "coeffs", _canonical(self.d, raw))
+
+    @classmethod
+    def _of_raw(cls, d: int, raw: dict[int, int]) -> "Signal":
+        """The signal whose coefficient on each label of ``raw`` is its value mod d."""
+        sig = object.__new__(cls)
+        object.__setattr__(sig, "d", d)
+        object.__setattr__(sig, "coeffs", _canonical(d, raw))
+        return sig
 
     @classmethod
     def zero(cls, d: int) -> "Signal":
@@ -110,13 +122,18 @@ class Signal:
     def __add__(self, other: "Signal") -> "Signal":
         if other.d != self.d:
             raise ValueError("signal moduli differ")
-        return Signal(self.d, self.coeffs + other.coeffs)
+        if not (self.coeffs and other.coeffs):
+            return self if self.coeffs else other
+        raw = dict(self.coeffs)
+        for q, c in other.coeffs:
+            raw[q] = raw.get(q, 0) + c
+        return Signal._of_raw(self.d, raw)
 
     def __sub__(self, other: "Signal") -> "Signal":
         return self + other.scaled(-1)
 
     def scaled(self, factor: int) -> "Signal":
-        return Signal(self.d, tuple((q, c * factor) for q, c in self.coeffs))
+        return Signal._of_raw(self.d, {q: c * factor for q, c in self.coeffs})
 
     def relabel(self, mapping: dict[int, int]) -> "Signal":
         return Signal(self.d, tuple((mapping.get(q, q), c) for q, c in self.coeffs))
@@ -807,7 +824,10 @@ def _signal_from_json(d: int, doc: dict | None) -> Signal:
         return Signal.zero(d)
     if not isinstance(doc, dict):
         raise ValueError(f"a signal must be an object {{qudit: coefficient}}, got {doc!r}")
-    return Signal(d, tuple((int(q), int(c)) for q, c in doc.items()))
+    raw: dict[int, int] = {}
+    for q, c in doc.items():
+        raw[int(q)] = raw.get(int(q), 0) + int(c)
+    return Signal._of_raw(d, raw)
 
 
 # One template per command kind; an M's nonzero signals fill its last slot.

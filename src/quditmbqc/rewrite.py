@@ -8,6 +8,10 @@ distinguished measurement directions (the Fourier direction theta = 0
 and the phase-gate direction theta = p).  ``signal_shift`` removes all
 Z-type dependencies by classical post-processing.  Running the three
 passes in that order yields a completely standard pattern.
+
+Each pass body maps a command list to a command list, reusing every
+command whose signals do not change; ``completely_standardise`` composes
+the three and builds one ``Pattern``, which drops the zero corrections.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from __future__ import annotations
 import math
 
 from .pattern import (
+    Command,
     CorrectX,
     CorrectZ,
     Entangle,
@@ -103,9 +108,22 @@ def is_completely_standard(p: Pattern) -> bool:
 
 
 def standardise(p: Pattern) -> Pattern:
-    """Rewrite into standard form: all E first, then M, then output corrections.
+    """Rewrite into standard form: all E first, then M, then output corrections."""
+    return p.with_seq(_standardise(p.ctx.d, p.seq))
 
-    A single left-to-right pass accumulates, per qudit, the net pending
+
+def pauli_simplify(p: Pattern) -> Pattern:
+    """Drop dependencies that the two Clifford measurement directions ignore."""
+    return p.with_seq(_pauli_simplify(p.ctx.d, p.seq))
+
+
+def signal_shift(p: Pattern) -> Pattern:
+    """Remove every Z dependency, re-pointing later signal references."""
+    return p.with_seq(_signal_shift(p.ctx.d, p.seq))
+
+
+def _standardise(d: int, seq) -> list[Command]:
+    """A single left-to-right pass accumulates, per qudit, the net pending
     correction X^sx Z^sz floating at the current position (the X/Z
     order inside a pending pair only affects a global phase).  An
     entangling command jumps over the pending pair at the cost of a
@@ -113,7 +131,6 @@ def standardise(p: Pattern) -> Pattern:
     pending pair into its signals; whatever remains at the end lands on
     the output qudits as one X then one Z correction each.
     """
-    d = p.ctx.d
     pending_x: dict[int, Signal] = {}
     pending_z: dict[int, Signal] = {}
     zero = Signal.zero(d)
@@ -124,9 +141,9 @@ def standardise(p: Pattern) -> Pattern:
     def pz(q):
         return pending_z.get(q, zero)
 
-    entangles: list[Entangle] = []
-    measures: list[Measure] = []
-    for cmd in p.seq:
+    entangles: list[Command] = []
+    measures: list[Command] = []
+    for cmd in seq:
         if isinstance(cmd, Entangle):
             sx_i, sx_j = px(cmd.i), px(cmd.j)
             if not sx_i.is_zero():
@@ -135,75 +152,67 @@ def standardise(p: Pattern) -> Pattern:
                 pending_z[cmd.i] = pz(cmd.i) + sx_j
             entangles.append(cmd)
         elif isinstance(cmd, Measure):
-            measures.append(
-                Measure(
-                    cmd.site,
-                    cmd.theta,
-                    cmd.x_signal + px(cmd.site),
-                    cmd.z_signal + pz(cmd.site),
-                )
-            )
-            pending_x.pop(cmd.site, None)
-            pending_z.pop(cmd.site, None)
+            sx, sz = pending_x.pop(cmd.site, zero), pending_z.pop(cmd.site, zero)
+            if sx is not zero or sz is not zero:
+                cmd = Measure(cmd.site, cmd.theta, cmd.x_signal + sx, cmd.z_signal + sz)
+            measures.append(cmd)
         elif isinstance(cmd, CorrectX):
             pending_x[cmd.site] = px(cmd.site) + cmd.signal
         else:
             pending_z[cmd.site] = pz(cmd.site) + cmd.signal
-    # the pattern drops the corrections whose signal is zero
+    # zero corrections pass through the later passes; the pattern drops them
     tail = [cmd for q in sorted(set(pending_x) | set(pending_z)) for cmd in (CorrectX(q, px(q)), CorrectZ(q, pz(q)))]
-    return p.with_seq(entangles + measures + tail)
+    return entangles + measures + tail
 
 
-def pauli_simplify(p: Pattern) -> Pattern:
-    """Drop dependencies that the two Clifford measurement directions ignore.
-
-    Fourier-direction measurements lose their X dependency; phase-
+def _pauli_simplify(d: int, seq) -> list[Command]:
+    """Fourier-direction measurements lose their X dependency; phase-
     direction measurements convert the X dependency into an extra Z
-    dependency.
-    """
-    d = p.ctx.d
-    seq = []
-    for cmd in p.seq:
-        if isinstance(cmd, Measure):
+    dependency."""
+    out = []
+    for cmd in seq:
+        if isinstance(cmd, Measure) and not cmd.x_signal.is_zero():
             if is_fourier_direction(cmd.theta, d):
                 cmd = Measure(cmd.site, cmd.theta, Signal.zero(d), cmd.z_signal)
             elif is_phase_direction(cmd.theta, d):
                 cmd = Measure(cmd.site, cmd.theta, Signal.zero(d), cmd.x_signal + cmd.z_signal)
-        seq.append(cmd)
-    return p.with_seq(seq)
+        out.append(cmd)
+    return out
 
 
-def signal_shift(p: Pattern) -> Pattern:
-    """Remove every Z dependency, re-pointing later signal references.
-
-    Processing measurements in execution order, each measurement's Z
+def _signal_shift(d: int, seq) -> list[Command]:
+    """Processing measurements in execution order, each measurement's Z
     signal t is dropped and every later reference to that outcome s_i
-    is replaced by s_i - t (classical post-processing mod d).
-    """
-    d = p.ctx.d
+    is replaced by s_i - t (classical post-processing mod d)."""
     shifts: dict[int, Signal] = {}
 
     def substituted(sig: Signal) -> Signal:
         # shift expressions are already fully resolved, so every -c*shift
-        # term joins the argument's own terms in one Signal, summed mod d
-        terms = tuple((r, -c * e) for q, c in sig.coeffs if q in shifts for r, e in shifts[q].coeffs)
-        return Signal(d, sig.coeffs + terms) if terms else sig
+        # term joins the argument's own terms in one dict, summed mod d
+        if not any(q in shifts for q, _ in sig.coeffs):
+            return sig
+        raw = dict(sig.coeffs)
+        for q, c in sig.coeffs:
+            if q in shifts:
+                for r, e in shifts[q].coeffs:
+                    raw[r] = raw.get(r, 0) - c * e
+        return Signal._of_raw(d, raw)
 
-    seq = []
-    for cmd in p.seq:
+    out = []
+    for cmd in seq:
         if isinstance(cmd, Measure):
             s = substituted(cmd.x_signal)
-            t = substituted(cmd.z_signal)
-            if not t.is_zero():
-                shifts[cmd.site] = t
-            seq.append(Measure(cmd.site, cmd.theta, s, Signal.zero(d)))
-        elif isinstance(cmd, CorrectX):
-            seq.append(CorrectX(cmd.site, substituted(cmd.signal)))
-        elif isinstance(cmd, CorrectZ):
-            seq.append(CorrectZ(cmd.site, substituted(cmd.signal)))
-        else:
-            seq.append(cmd)
-    return p.with_seq(seq)
+            if not cmd.z_signal.is_zero():
+                t = substituted(cmd.z_signal)
+                if not t.is_zero():
+                    shifts[cmd.site] = t
+                cmd = Measure(cmd.site, cmd.theta, s, Signal.zero(d))
+            elif s is not cmd.x_signal:
+                cmd = Measure(cmd.site, cmd.theta, s, cmd.z_signal)
+        elif not isinstance(cmd, Entangle):
+            cmd = type(cmd)(cmd.site, substituted(cmd.signal))
+        out.append(cmd)
+    return out
 
 
 def completely_standardise(p: Pattern) -> Pattern:
@@ -216,7 +225,8 @@ def completely_standardise(p: Pattern) -> Pattern:
     correction this is a new command (smallest case: the composite of
     one teleportation step followed by one entangling command).
     """
-    out = signal_shift(pauli_simplify(standardise(p)))
+    d = p.ctx.d
+    out = p.with_seq(_signal_shift(d, _pauli_simplify(d, _standardise(d, p.seq))))
     before = pattern_depth_and_size(p)
     after = pattern_depth_and_size(out)
     if after.depth > before.depth:

@@ -18,7 +18,8 @@
   ``Generator.choice`` from the oracle's own probabilities) and the former
   quadratic lazy schedule, as the reference for the batched walk and the
   indexed schedule
-- the former term-by-term ``signal_shift`` substitution, and the artifact
+- the former ``Signal`` canonicaliser, the former term-by-term
+  ``signal_shift`` substitution built on it, and the artifact
   documents the JSON writers once handed to ``json.dumps(doc, indent=2)``
 - a context manager that counts the kernel calls a module makes
 """
@@ -825,17 +826,33 @@ def all_digit_tuples(d: int, n: int):
 # -- rewrite and serialisation references ------------------------------------------
 
 
+def oracle_signal(d: int, terms) -> Signal:
+    """The canonical ``Signal`` of a term list by the former ``__post_init__``
+    rule: reduce each term mod d, sum per label mod d, drop zeros, sort.
+    The instance is filled in directly, past ``Signal``'s own canonicaliser."""
+    reduced = {}
+    for q, c in terms:
+        c = c % d
+        if c:
+            reduced[q] = (reduced.get(q, 0) + c) % d
+    sig = object.__new__(Signal)
+    object.__setattr__(sig, "d", d)
+    object.__setattr__(sig, "coeffs", tuple(sorted((q, c) for q, c in reduced.items() if c)))
+    return sig
+
+
 def oracle_signal_shift(p: Pattern) -> Pattern:
     """``signal_shift`` by substituting one referenced shift at a time, each
-    term a new ``Signal``."""
+    step a new ``oracle_signal``."""
     d = p.ctx.d
+    zero = oracle_signal(d, ())
     shifts: dict[int, Signal] = {}
 
     def substituted(sig: Signal) -> Signal:
         out = sig
         for q, c in sig.coeffs:
             if q in shifts:
-                out = out + shifts[q].scaled(-c)
+                out = oracle_signal(d, out.coeffs + tuple((r, -c * e) for r, e in shifts[q].coeffs))
         return out
 
     seq = []
@@ -845,7 +862,7 @@ def oracle_signal_shift(p: Pattern) -> Pattern:
             t = substituted(cmd.z_signal)
             if not t.is_zero():
                 shifts[cmd.site] = t
-            seq.append(Measure(cmd.site, cmd.theta, s, Signal.zero(d)))
+            seq.append(Measure(cmd.site, cmd.theta, s, zero))
         elif isinstance(cmd, CorrectX):
             seq.append(CorrectX(cmd.site, substituted(cmd.signal)))
         elif isinstance(cmd, CorrectZ):

@@ -649,6 +649,14 @@ def test_dimension_at_the_cap_is_accepted(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out) == {"kind": "circuit", "qudits": 3, "depth": 2, "size": 4}
 
 
+@pytest.mark.parametrize("sweep", ["0:0", "-2:0", "n=0..1"])
+def test_sweep_below_one_qudit_is_refused(capsys, monkeypatch, sweep):
+    _refusing_builders(monkeypatch)
+    capsys.readouterr()
+    assert run_cli("analyze", f"--sweep={sweep}", "--d", "2") == 2
+    assert capsys.readouterr().err == f"error: bad sweep range {sweep!r}; use LO:HI or n=LO..HI\n"
+
+
 @pytest.mark.parametrize(
     "argv, refusal",
     [

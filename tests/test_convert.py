@@ -129,15 +129,15 @@ class TestCircuitToPattern:
 
 
     def test_conversions_validate_the_pattern_and_the_result_once(self, monkeypatch):
-        # one check per pattern built: the raw pattern, then the output of
-        # standardise, pauli_simplify and signal_shift, the last the result
+        # one check per pattern built: the raw pattern, then the result;
+        # completely_standardise builds no intermediate pattern
         built, checked = pattern_checks(monkeypatch)
         circ = lower_to_guni(random_guni_circuit(ctx_of(2), 2, 4, 0))
         for convert in (circuit_to_pattern_standard, circuit_to_pattern_cluster):
             built.clear()
             checked.clear()
             pat = convert(circ)
-            assert len(built) == 4 and checked == built and built[-1] is pat
+            assert len(built) == 2 and checked == built and built[-1] is pat
         built.clear()
         checked.clear()
         pat = circuit_to_pattern_standard(circ, standardise=False)

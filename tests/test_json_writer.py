@@ -151,6 +151,27 @@ def test_signals_zero_and_multi_term():
     same_as_dumps_pattern(holding(ctx, (1, 2, 3), (1,), (3,), (Measure(1, (0.0,) * d, zero, zero), m)))
 
 
+def test_non_canonical_signal_reads_to_the_canonical_signal():
+    """An ``M`` signal with unsorted keys, one label spelt "1" and "01", a
+    coefficient >= d, a negative one and terms that cancel loads to the
+    canonical ``Signal`` and writes back as json.dumps bytes."""
+    d = 3
+    measure = {"kind": "M", "sites": [0], "theta": [0.0] * d}
+    s = {"2": 7, "1": 1, "01": 4, "0": -1, "3": 2**64, "03": -(2**64)}
+    doc = {
+        "d": d,
+        "qudits": [0, 1, 2, 3, 4, 5],
+        "inputs": [],
+        "outputs": [5],
+        "commands": [{**measure, "sites": [q]} for q in range(4)] + [{**measure, "sites": [4], "s": s}],
+    }
+    p = pattern_from_json(json.dumps(doc))
+    assert p.seq[-1].x_signal == Signal.of(d, {0: 2, 1: 2, 2: 1})
+    assert p.seq[-1].x_signal.coeffs == ((0, 2), (1, 2), (2, 1))
+    doc["commands"][-1]["s"] = {"0": 2, "1": 2, "2": 1}
+    assert same_as_dumps_pattern(p) == dumped(doc)
+
+
 def test_float_and_id_edge_cases():
     d = 4
     ctx = DimensionContext.of(d)

@@ -6,9 +6,20 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, str(Path(__file__).parent))
-from helpers import counted_calls, longest_dependent_path, oracle_run, oracle_run_branches, oracle_schedule, pattern_checks, pattern_items
+from helpers import (
+    counted_calls,
+    longest_dependent_path,
+    oracle_run,
+    oracle_run_branches,
+    oracle_schedule,
+    oracle_signal,
+    pattern_checks,
+    pattern_items,
+)
 
 from quditmbqc.algebra import DimensionContext
 from quditmbqc.circuit import Circuit, Operation, lower_to_guni, simulate_circuit
@@ -40,6 +51,7 @@ from quditmbqc.pattern import (
     peak_live_qudits,
     _greedy_coloring,
     _schedule,
+    _signal_from_json,
     run,
     run_branches,
     run_rows,
@@ -114,6 +126,36 @@ class TestSignal:
     def test_modulus_mismatch(self):
         with pytest.raises(ValueError):
             Signal.unit(2, 1) + Signal.unit(3, 1)
+
+    # few labels, so terms repeat; coefficients small, negative, >= d and past 2^63
+    _COEFFS = st.one_of(st.integers(-20, 20), st.integers(2**63 - 3, 2**70), st.integers(-(2**70), -(2**63) + 3))
+    _TERMS = st.lists(st.tuples(st.integers(0, 6), _COEFFS), max_size=10)
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        d=st.integers(2, 7),
+        a=_TERMS,
+        b=_TERMS,
+        cancel=st.lists(st.tuples(st.integers(0, 6), _COEFFS), max_size=3),
+        factor=_COEFFS,
+        mapping=st.dictionaries(st.integers(0, 6), st.integers(0, 6)),
+    )
+    def test_every_constructor_matches_the_oracle(self, d, a, b, cancel, factor, mapping):
+        a = a + cancel + [(q, -c) for q, c in cancel]  # these terms sum to zero
+        sa, sb = Signal(d, tuple(a)), Signal(d, tuple(b))
+        # a JSON object spells a repeated label with leading zeros: "1", "01", ...
+        doc = {"0" * k + str(q): c for k, (q, c) in enumerate(a)}
+        cases = [
+            (sa, a),
+            (sa + sb, a + b),
+            (sa - sb, a + [(q, -c) for q, c in b]),
+            (sa.scaled(factor), [(q, c * factor) for q, c in a]),
+            (sa.relabel(mapping), [(mapping.get(q, q), c) for q, c in a]),
+            (_signal_from_json(d, doc), a),
+        ]
+        for got, terms in cases:
+            want = oracle_signal(d, terms)
+            assert got == want and got.coeffs == want.coeffs and hash(got) == hash(want)
 
 
 class TestValidate:

@@ -140,6 +140,13 @@ def test_full_pipeline_preserves_the_channel(d, seed):
     assert np.max(np.abs(rho_a - rho_b)) < 1e-8
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_complete_is_the_three_passes_composed(d):
+    for seed in range(25):
+        for p in (random_pattern(d, seed), random_standard_pattern(d, seed)):
+            assert completely_standardise(p).seq == signal_shift(pauli_simplify(standardise(p))).seq
+
+
 @pytest.mark.parametrize("d,seed", [(2, 3), (3, 4)])
 def test_shift_alone_preserves_the_channel(d, seed):
     pat = standardise(random_pattern(d, seed))
