@@ -241,11 +241,14 @@ def pauli_to_matrix(p: PauliOperator) -> np.ndarray:
     """Dense matrix omega_hat^phase * tensor_k X^{x_k} Z^{z_k}.
 
     Site 0 is the most significant tensor factor, matching the
-    statevector amplitude layout.
+    statevector amplitude layout.  The matrix must fit AMPLITUDE_CAP
+    entries.
     """
+    from . import sim  # sim imports this module
+
     dim = p.ctx.d ** p.n
-    if dim > 1 << 22:
-        raise MemoryError(f"matrix dimension {dim} exceeds budget {1 << 22}")
+    if dim * dim > sim.AMPLITUDE_CAP:
+        raise ValueError(f"a {p.ctx.d}^{p.n}-dimensional Pauli matrix exceeds the cap of {sim.AMPLITUDE_CAP} entries")
     out = np.array([[p.ctx.phase(p.phase_exp)]], dtype=np.complex128)
     for a, b in zip(p.x_exp, p.z_exp):
         out = np.kron(out, _single_site_matrix(p.ctx, a, b))

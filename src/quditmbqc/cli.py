@@ -66,6 +66,7 @@ EXIT_INPUT_ERROR = 2
 
 DEFAULT_TOL = 1e-9
 BRANCH_ENUMERATION_CAP = 256
+BUILD_CAP = 1 << 20  # most qudits or gates gen and analyze --sweep build: about 1 GB at ~1 KB each
 SAMPLED_RUNS = 4  # sampled runs per input when verify cannot enumerate the branches
 RANDOM_INPUTS = 4  # random input states verify checks after the basis inputs
 
@@ -97,7 +98,7 @@ def load_artifact(path: str) -> Circuit | Pattern:
 
 def load_runnable(path: str) -> Circuit | Pattern:
     """An artifact whose dense state fits AMPLITUDE_CAP, checked before any allocation:
-    a circuit holds every qudit, a pattern the peak of its lazy schedule."""
+    a circuit holds every qudit, a pattern the peak of its schedule."""
     artifact = load_artifact(path)
     width = len(artifact.qudits) if isinstance(artifact, Circuit) else peak_live_qudits(artifact)
     if artifact.ctx.d**width > AMPLITUDE_CAP:
@@ -149,7 +150,8 @@ def _as_table(doc: dict, prefix: str = "") -> str:
 
 
 def _samples(artifact: Circuit | Pattern) -> bool:
-    """Whether verify samples a pattern's branches instead of enumerating them."""
+    """Whether a pattern has more branches than BRANCH_ENUMERATION_CAP, so that
+    verify samples them and ``run --mode all-branches`` refuses."""
     return isinstance(artifact, Pattern) and artifact.ctx.d ** len(artifact.measured_qudits()) > BRANCH_ENUMERATION_CAP
 
 
@@ -288,10 +290,9 @@ def _cmd_run(args) -> int:
         emit(doc, args.format, args.out)
         return EXIT_OK
     if args.mode == "all-branches":
-        measured = len(artifact.measured_qudits())
-        if artifact.ctx.d**measured > BRANCH_ENUMERATION_CAP:
-            raise InputError(f"{artifact.ctx.d}^{measured} branches exceed the cap of {BRANCH_ENUMERATION_CAP}; use --mode sampled")
-        branches = run_branches(artifact, lazy=True)
+        if _samples(artifact):
+            raise InputError(f"{artifact.ctx.d}^{len(artifact.measured_qudits())} branches exceed the cap of {BRANCH_ENUMERATION_CAP}; use --mode sampled")
+        branches = run_branches(artifact)
         doc = {
             "kind": "pattern-branches",
             "branches": [
@@ -310,7 +311,7 @@ def _cmd_run(args) -> int:
         if not isinstance(outcomes, dict) or not all(type(v) is int for v in outcomes.values()):
             raise InputError("forced mode requires --outcomes as a JSON object {qudit: dit}, e.g. '{\"1\": 0}'")
         forced = {int(k): v for k, v in outcomes.items()}
-    res = run(artifact, mode=args.mode, seed=args.seed, forced_outcomes=forced, lazy=True)
+    res = run(artifact, mode=args.mode, seed=args.seed, forced_outcomes=forced)
     doc = {
         "kind": "pattern-run",
         "outcomes": {str(k): v for k, v in sorted(res.outcomes.items())},
@@ -366,6 +367,8 @@ def _cmd_analyze(args) -> int:
             lo = hi = None
         if lo is None or not 1 <= lo <= hi:
             raise InputError(f"bad sweep range {args.sweep!r}; use LO:HI or n=LO..HI")
+        if max(hi, args.gates_per_n * hi) > BUILD_CAP:
+            raise InputError(f"a sweep to n={hi} with {args.gates_per_n} gates per n exceeds the cap of {BUILD_CAP} qudits or gates")
         ctx = _context(args.d)
         rows = []
         for n in range(lo, hi + 1):
@@ -392,13 +395,15 @@ def _cmd_analyze(args) -> int:
 # -- argument parsing -------------------------------------------------------------
 
 
-def _at_least(low: int):
-    """An argparse ``type=`` for integers of at least ``low``; argparse names the flag it refuses."""
+def _count(low: int):
+    """An argparse ``type=`` for integers from ``low`` to BUILD_CAP; argparse names the flag it refuses."""
 
     def integer(text: str) -> int:
         value = int(text)
         if value < low:
             raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
+        if value > BUILD_CAP:
+            raise argparse.ArgumentTypeError(f"must be at most {BUILD_CAP}, got {value}")
         return value
 
     return integer
@@ -413,8 +418,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate an example circuit")
     p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--n", type=_at_least(1), default=2)
-    p.add_argument("--gates", type=_at_least(0), default=10)
+    p.add_argument("--n", type=_count(1), default=2)
+    p.add_argument("--gates", type=_count(0), default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.set_defaults(func=_cmd_gen)
@@ -456,7 +461,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in", dest="input", default=None)
     p.add_argument("--sweep", default=None, help="n range LO:HI for a clifford-const sweep")
     p.add_argument("--d", type=int, default=2)
-    p.add_argument("--gates-per-n", type=_at_least(0), default=5)
+    p.add_argument("--gates-per-n", type=_count(0), default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "text"], default="json")

@@ -16,7 +16,6 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
-from functools import reduce
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -330,39 +329,38 @@ def _rng_for_measurement(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(ss)
 
 
-def _schedule(p: Pattern, lazy: bool) -> list:
-    """The fixed steps of a run: a tuple of qudits to append in F|0>, or a
-    command to apply.
+def _schedule(p: Pattern) -> list:
+    """The fixed steps of a run: a qudit q to append in F|0>, a pair (q, e)
+    to append q already entangled by the E command e with its live
+    partner, or a command to apply.
 
-    Eager mode appends every ancilla first and keeps the commands
-    verbatim.  Lazy mode defers each E command until a later command
-    touches one of its qudits, and appends a qudit only when first
-    needed, which keeps the live state small for chain-like patterns.
-    This is sound because E commands mutually commute and commute with
-    any command on disjoint qudits.  Which qudits are live and which E
-    commands wait depends only on the command position, never on the
-    outcomes, so one schedule serves every branch.  The deferred E
-    commands are indexed by qudit, so building the schedule is linear in
-    the pattern.
+    Each E command waits until a later command touches one of its qudits,
+    and each qudit is appended only when first needed, which keeps the live
+    state small for chain-like patterns.  This is sound because E commands
+    mutually commute and commute with any command on disjoint qudits.
+    Which qudits are live and which E commands wait depends only on the
+    command position, never on the outcomes, so one schedule serves every
+    branch.  The deferred E commands are indexed by qudit, so building the
+    schedule is linear in the pattern.
     """
     steps: list = []
     appended = set(p.inputs)
-    if not lazy:
-        ancillas = tuple(q for q in p.qudits if q not in appended)
-        return ([ancillas] if ancillas else []) + list(p.seq)
     pending: dict[int, Entangle] = {}  # by sequence position, in insertion order
     waiting: dict[int, list[int]] = {}  # qudit -> positions of its pending E commands
 
     def touch(q: int) -> None:
         if q not in appended:
             appended.add(q)
-            steps.append((q,))
+            steps.append(q)
 
     def emit(pos: int) -> None:
         e = pending.pop(pos)
         touch(e.i)
         touch(e.j)
-        steps.append(e)
+        if steps and not isinstance(steps[-1], Command) and steps[-1] in (e.i, e.j):
+            steps[-1] = (steps[-1], e)
+        else:
+            steps.append(e)
 
     for pos, cmd in enumerate(p.seq):
         if isinstance(cmd, Entangle):
@@ -383,29 +381,27 @@ def _schedule(p: Pattern, lazy: bool) -> list:
 
 
 def peak_live_qudits(p: Pattern) -> int:
-    """Most qudits the lazy schedule holds at once, read before any allocation."""
+    """Most qudits the schedule holds at once, read before any allocation."""
     width = peak = len(p.inputs)
-    for step in _schedule(p, lazy=True):
-        if isinstance(step, tuple):
-            width += len(step)
+    for step in _schedule(p):
+        if not isinstance(step, Command):  # an append
+            width += 1
             peak = max(peak, width)
         elif isinstance(step, Measure):
             width -= 1
     return peak
 
 
-def _walk(p: Pattern, sites: tuple[int, ...], amps: np.ndarray, lazy: bool, choose) -> Rows:
+def _walk(p: Pattern, amps: np.ndarray, choose) -> Rows:
     """Run the schedule once for every input row of ``amps`` (amplitudes over
-    ``sites``).  At each measurement ``choose(step, index, probs, origin)``
+    ``p.inputs``).  At each measurement ``choose(step, index, probs, origin)``
     gives the (row, outcome) pairs to follow, in row order and then outcome
     order; ``index`` counts the measurements before this one.  Appended
     qudits take the leading axes, in front of the live sites.  A batch that
     would outgrow AMPLITUDE_CAP is split, and its parts run depth first, so
     the rows come out in the same order, each over ``p.outputs``."""
-    if set(sites) != set(p.inputs):
-        raise ValueError("input state must be defined exactly on the pattern inputs")
     ctx, d = p.ctx, p.ctx.d
-    steps = _schedule(p, lazy)
+    steps = _schedule(p)
     measured = p.measured_qudits()
     column = {q: k for k, q in enumerate(measured)}
 
@@ -417,34 +413,13 @@ def _walk(p: Pattern, sites: tuple[int, ...], amps: np.ndarray, lazy: bool, choo
     count = len(amps)
     # a batch: (amplitudes, outcomes, probability, origin), one row each
     batch = (amps, np.zeros((count, len(measured)), dtype=np.int64), np.ones(count), np.arange(count))
-    stack = [(0, tuple(sites), batch)] if count else []
+    stack = [(0, p.inputs, batch)] if count else []
     done = [(np.zeros((0, d ** len(p.outputs)), dtype=np.complex128),) + tuple(c[:0] for c in batch[1:])]
     while stack:
         pos, sites, (amps, outcomes, prob, origin) = stack.pop()
-        joined = -1  # the E step already applied with its fresh qudit
         for i in range(pos, len(steps)):
             step, n = steps[i], len(sites)
-            if i == joined:
-                continue
-            if isinstance(step, tuple):
-                parts = row_parts(len(amps), d ** (n + len(step)))
-                if len(parts) > 1:
-                    for part in reversed(parts):
-                        stack.append((i, sites, tuple(c[part] for c in (amps, outcomes, prob, origin))))
-                    break
-                e = steps[i + 1] if i + 1 < len(steps) else None
-                if len(step) == 1 and isinstance(e, Entangle) and step[0] in (e.i, e.j):
-                    # prepared already entangled with the live qudit: F|0>_k omega^(kj) over its digit j
-                    w = sites.index(e.j if e.i == step[0] else e.i)
-                    joint = _fourier(d)[:, :1] * _z_phases(1, d, 2)  # over (k, j)
-                    view = amps.reshape(len(amps), 1, d**w, d, -1)
-                    amps = (view * joint.reshape(1, d, 1, d, 1)).reshape(len(amps), -1)
-                    joined = i + 1
-                else:
-                    fresh = reduce(np.kron, (_fourier(d)[:, 0] for _ in step))
-                    amps = (fresh[:, np.newaxis] * amps[:, np.newaxis, :]).reshape(len(amps), -1)
-                sites = step + sites
-            elif isinstance(step, Entangle):
+            if isinstance(step, Entangle):
                 axes = (sites.index(step.i), sites.index(step.j))
                 amps = _kernel(amps, d, n, Gate.cz(), axes).reshape(len(amps), -1)
             elif isinstance(step, Measure):
@@ -458,9 +433,26 @@ def _walk(p: Pattern, sites: tuple[int, ...], amps: np.ndarray, lazy: bool, choo
                 sites = sites[:axis] + sites[axis + 1 :]
                 if not len(amps):
                     break
-            else:
+            elif isinstance(step, (CorrectX, CorrectZ)):
                 axis, make = sites.index(step.site), (Gate.x if isinstance(step, CorrectX) else Gate.z)
                 amps = _per_row(amps, value(step.signal, outcomes), lambda k, r: _kernel(r, d, n, make(k), (axis,)) if k else r)
+            else:  # an append
+                parts = row_parts(len(amps), d ** (n + 1))
+                if len(parts) > 1:
+                    for part in reversed(parts):
+                        stack.append((i, sites, tuple(c[part] for c in (amps, outcomes, prob, origin))))
+                    break
+                if isinstance(step, tuple):
+                    # prepared already entangled with the live qudit: F|0>_k omega^(kj) over its digit j
+                    q, e = step
+                    w = sites.index(e.j if e.i == q else e.i)
+                    joint = _fourier(d)[:, :1] * _z_phases(1, d, 2)  # over (k, j)
+                    view = amps.reshape(len(amps), 1, d**w, d, -1)
+                    amps = (view * joint.reshape(1, d, 1, d, 1)).reshape(len(amps), -1)
+                else:
+                    q = step
+                    amps = (_fourier(d)[:, :1] * amps[:, np.newaxis, :]).reshape(len(amps), -1)
+                sites = (q,) + sites
         else:  # no step left: the batch is complete
             order = [1 + sites.index(q) for q in p.outputs]
             tensor = amps.reshape((len(amps),) + (d,) * len(sites))
@@ -500,10 +492,12 @@ def _forced(forced_outcomes: dict[int, int] | None):
     return choose
 
 
-def _one_input(p: Pattern, input_state: StateVector | None) -> tuple[tuple[int, ...], np.ndarray]:
+def _one_input(p: Pattern, input_state: StateVector | None) -> np.ndarray:
     if input_state is None:
         input_state = basis_state(p.ctx, p.inputs, [0] * len(p.inputs))
-    return input_state.sites, input_state.amplitudes[np.newaxis]
+    if set(input_state.sites) != set(p.inputs):
+        raise ValueError("input state must be defined exactly on the pattern inputs")
+    return input_state.with_sites_order(p.inputs).amplitudes[np.newaxis]
 
 
 def _results(p: Pattern, rows: Rows) -> list[RunResult]:
@@ -515,7 +509,7 @@ def _results(p: Pattern, rows: Rows) -> list[RunResult]:
 
 def run_rows(p: Pattern, inputs: np.ndarray, seeds=None) -> Rows:
     """Run every row of ``inputs`` (amplitudes over ``p.inputs``, in that
-    order) in one walk of the lazy schedule.
+    order) in one walk of the schedule.
 
     Without ``seeds`` every row is expanded into each of its branches of
     probability at least ZERO_BRANCH_TOL.  With one seed per row, each row
@@ -527,7 +521,7 @@ def run_rows(p: Pattern, inputs: np.ndarray, seeds=None) -> Rows:
     if seeds is not None and len(seeds) != len(inputs):
         raise ValueError(f"{len(seeds)} seeds for {len(inputs)} input rows")
     choose = _every if seeds is None else _sampled(seeds)
-    return _walk(p, p.inputs, inputs, True, choose)
+    return _walk(p, inputs, choose)
 
 
 def run(
@@ -536,7 +530,7 @@ def run(
     mode: str = "sampled",
     seed: int = 0,
     forced_outcomes: dict[int, int] | None = None,
-    lazy: bool = False,
+    lazy: bool = True,
 ) -> RunResult:
     """Execute a pattern in ``sampled`` or ``forced`` mode.
 
@@ -544,20 +538,21 @@ def run(
     root seed (stream k for the k-th measurement in execution order),
     so runs are bit-reproducible.  Forced mode takes an outcome per
     measured qudit and fails on zero-probability branches.
+
+    ``lazy`` must be True, as every pattern runs on one schedule; the
+    keyword goes once the ``perfbench`` workloads stop passing it.
     """
+    if not lazy:
+        raise ValueError("every pattern runs on the lazy schedule")
     if mode not in ("sampled", "forced"):
         raise ValueError(f"unknown run mode {mode!r}")
     choose = _sampled([seed]) if mode == "sampled" else _forced(forced_outcomes)
-    return _results(p, _walk(p, *_one_input(p, input_state), lazy, choose))[0]
+    return _results(p, _walk(p, _one_input(p, input_state), choose))[0]
 
 
-def run_branches(
-    p: Pattern,
-    input_state: StateVector | None = None,
-    lazy: bool = False,
-) -> list[RunResult]:
+def run_branches(p: Pattern, input_state: StateVector | None = None) -> list[RunResult]:
     """Full branch enumeration: every outcome assignment with its probability."""
-    return _results(p, _walk(p, *_one_input(p, input_state), lazy, _every))
+    return _results(p, _walk(p, _one_input(p, input_state), _every))
 
 
 # -- metrics ------------------------------------------------------------------

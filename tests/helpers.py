@@ -15,9 +15,10 @@
   axis-based kernels
 - a one-state pattern walk on those kernels (one state per branch, each
   measurement through the three-pass frame, each sampled outcome drawn by
-  ``Generator.choice`` from the oracle's own probabilities) and the former
-  quadratic lazy schedule, as the reference for the batched walk and the
-  indexed schedule
+  ``Generator.choice`` from the oracle's own probabilities), the former
+  quadratic lazy schedule and the former eager schedule (every ancilla
+  appended first), as the reference for the batched walk and the indexed
+  schedule
 - the former ``Signal`` canonicaliser, the former term-by-term
   ``signal_shift`` substitution built on it, and the artifact
   documents the JSON writers once handed to ``json.dumps(doc, indent=2)``
@@ -668,7 +669,9 @@ def oracle_collapse_rows(view: np.ndarray, rows: np.ndarray, outcomes: np.ndarra
 
 
 def oracle_schedule(p: Pattern, lazy: bool) -> list:
-    """The schedule by rescanning every deferred E command at each other command."""
+    """The lazy schedule by rescanning every deferred E command at each other
+    command, with each append a tuple of qudits; or the eager schedule, every
+    ancilla appended in one step and the commands verbatim."""
     steps: list = []
     appended, pending = set(p.inputs), []
     if not lazy:

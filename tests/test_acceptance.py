@@ -259,7 +259,7 @@ def test_criterion_05_clifford_constancy():
                 want = u @ psi.amplitudes
                 runs = 3 if n <= 3 else 2
                 for seed in range(runs):
-                    res = run(pat, psi, mode="sampled", seed=seed, lazy=True)
+                    res = run(pat, psi, mode="sampled", seed=seed)
                     got = res.state.with_sites_order(pat.outputs).amplitudes
                     assert abs(abs(np.vdot(want, got)) - 1) < STATE_TOL
             if n <= 3:
@@ -267,13 +267,13 @@ def test_criterion_05_clifford_constancy():
                 for idx in range(d**n):
                     digits = np.unravel_index(idx, (d,) * n)
                     psi = basis_state(ctx, circ.inputs, digits)
-                    res = run(pat, psi, mode="sampled", seed=7, lazy=True)
+                    res = run(pat, psi, mode="sampled", seed=7)
                     got = res.state.with_sites_order(pat.outputs).amplitudes
                     assert abs(abs(np.vdot(u[:, idx], got)) - 1) < STATE_TOL
                 rng = np.random.default_rng(n)
                 psi = random_state(ctx, circ.inputs, rng)
                 want = u @ psi.with_sites_order(circ.inputs).amplitudes
-                res = run(pat, psi, mode="sampled", seed=11, lazy=True)
+                res = run(pat, psi, mode="sampled", seed=11)
                 got = res.state.with_sites_order(pat.outputs).amplitudes
                 assert abs(abs(np.vdot(want, got)) - 1) < STATE_TOL
 

@@ -208,8 +208,26 @@ class TestMatrices:
         assert np.max(np.abs(m @ m.conj().T - np.eye(d * d))) < 1e-12
 
     def test_size_budget(self):
-        with pytest.raises(MemoryError):
+        with pytest.raises(ValueError, match="exceeds the cap"):
             pauli_to_matrix(PauliOperator.identity(ctx_of(5), 12))
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_matrix_past_the_cap_is_refused_before_building(self, n, monkeypatch):
+        # d=2: 4096^2 = 2^24 entries at n = 12 fit the cap, 8192^2 at n = 13 do
+        # not; a factor built means the check let the matrix through
+        import quditmbqc.algebra as algebra_module
+
+        def built(*args):
+            raise AssertionError("built a factor")
+
+        monkeypatch.setattr(algebra_module, "_single_site_matrix", built)
+        p = PauliOperator.identity(ctx_of(2), n)
+        if n == 12:
+            with pytest.raises(AssertionError, match="built a factor"):
+                pauli_to_matrix(p)
+        else:
+            with pytest.raises(ValueError, match=f"a 2\\^13-dimensional Pauli matrix exceeds the cap of {1 << 24} entries"):
+                pauli_to_matrix(p)
 
     @pytest.mark.parametrize("d", DIMS)
     def test_fourier_gate_has_order_four(self, d):

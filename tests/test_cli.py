@@ -234,7 +234,9 @@ def test_all_branches_above_the_enumeration_cap_is_input_error(tmp_path, capsys)
         run_cli("gen", "guni", "--d", "3", "--n", "1", "--gates", str(gates), "--seed", "1", "--out", str(circuit))
         run_cli("convert", "def7", "--in", str(circuit), "--out", str(pattern))
         assert run_cli("run", "--in", str(pattern), "--mode", "all-branches", "--out", str(tmp_path / "r.json")) == code
-    assert "--mode sampled" in capsys.readouterr().err
+        # one rule: run refuses to enumerate exactly the patterns verify samples
+        assert cli_module._samples(cli_module.load_artifact(str(pattern))) == bool(code)
+    assert capsys.readouterr().err == "error: 3^6 branches exceed the cap of 256; use --mode sampled\n"
 
 
 def test_verify_accepts_coherent_circuit_with_unreset_wires(tmp_path):
@@ -348,7 +350,7 @@ def test_input_free_chain_runs_in_its_live_width(tmp_path):
 
 
 def test_state_above_the_amplitude_cap_is_input_error(tmp_path, capsys):
-    # 2^34 amplitudes for the circuit; 2^25 for the star pattern, whose lazy
+    # 2^34 amplitudes for the circuit; 2^25 for the star pattern, whose
     # schedule appends every leaf when the centre is measured
     circuit, star, small = tmp_path / "c.json", tmp_path / "star.json", tmp_path / "s.json"
     qudits = list(range(34))
@@ -609,7 +611,7 @@ EDGE = math.isqrt(AMPLITUDE_CAP)
 
 
 def _refusing_builders(monkeypatch):
-    """Make every builder a refused d would reach raise, so a refusal must come first."""
+    """Make every builder a refused input would reach raise, so a refusal must come first."""
     def built(*args):
         raise AssertionError("built an artifact for a refused dimension")
 
@@ -655,6 +657,55 @@ def test_sweep_below_one_qudit_is_refused(capsys, monkeypatch, sweep):
     capsys.readouterr()
     assert run_cli("analyze", f"--sweep={sweep}", "--d", "2") == 2
     assert capsys.readouterr().err == f"error: bad sweep range {sweep!r}; use LO:HI or n=LO..HI\n"
+
+
+CAP = cli_module.BUILD_CAP
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "guni", "--n", "{}"],
+        ["gen", "clifford", "--gates", "{}"],
+        ["gen", "cascade", "--n", "{}"],
+        ["analyze", "--sweep", "1:1", "--gates-per-n", "{}"],
+    ],
+)
+def test_counts_past_the_build_cap_are_refused_by_flag(capsys, monkeypatch, argv):
+    # at the cap the builder is reached (and raises here); one past, the flag refuses
+    _refusing_builders(monkeypatch)
+    at_cap = [a.format(CAP) for a in argv]
+    with pytest.raises(AssertionError, match="built an artifact"):
+        run_cli(*at_cap)
+    with pytest.raises(SystemExit) as exc:
+        run_cli(*[a.format(CAP + 1) for a in argv])
+    assert exc.value.code == 2
+    flag = argv[argv.index("{}") - 1]
+    assert capsys.readouterr().err.splitlines()[-1] == f"quditmbqc {argv[0]}: error: argument {flag}: must be at most {CAP}, got {CAP + 1}"
+
+
+@pytest.mark.parametrize(
+    "sweep, gates_per_n, refused",
+    [
+        (f"1:{CAP}", 1, False),
+        (f"1:{CAP + 1}", 0, True),
+        (f"n=1..{CAP + 1}", 1, True),
+        ("2:2", CAP // 2, False),
+        ("2:2", CAP // 2 + 1, True),
+    ],
+)
+def test_sweep_past_the_build_cap_is_refused(capsys, monkeypatch, sweep, gates_per_n, refused):
+    # the sweep's largest register and its largest gate count share the cap
+    _refusing_builders(monkeypatch)
+    argv = ("analyze", "--sweep", sweep, "--gates-per-n", str(gates_per_n))
+    if not refused:
+        with pytest.raises(AssertionError, match="built an artifact"):
+            run_cli(*argv)
+        return
+    capsys.readouterr()
+    assert run_cli(*argv) == 2
+    hi = int(sweep.replace("..", ":").split(":")[1])
+    assert capsys.readouterr().err == f"error: a sweep to n={hi} with {gates_per_n} gates per n exceeds the cap of {CAP} qudits or gates\n"
 
 
 @pytest.mark.parametrize(

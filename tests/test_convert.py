@@ -186,7 +186,7 @@ class TestClusterConversion:
             psi = basis_state(ctx, circ.inputs, digits)
             want = u @ psi.amplitudes
             for seed in range(3):  # deterministic pattern: any branch agrees
-                b = run(pat, psi, mode="sampled", seed=seed, lazy=True)
+                b = run(pat, psi, mode="sampled", seed=seed)
                 got = b.state.with_sites_order(pat.outputs).amplitudes
                 assert abs(abs(np.vdot(want, got)) - 1) < 1e-9
 
@@ -390,6 +390,27 @@ class TestParallelize:
         bad = Circuit(ctx, mains, mains, mains, (Operation(Gate.f(), (1,)),))
         with pytest.raises(ValueError):
             parallelize_commuting(b, [bad, bad])
+
+    @pytest.mark.parametrize("n", [12, 13])
+    def test_block_of_non_diagonal_kinds_past_the_cap_is_refused_before_simulating(self, n, monkeypatch):
+        # X X is diagonal, but only its 2^n x 2^n unitary shows it: 2^24
+        # entries at n = 12 fit the cap, 2^26 at n = 13 do not
+        import quditmbqc.circuit as circuit_module
+
+        def simulated(*args):
+            raise AssertionError("simulated the block")
+
+        monkeypatch.setattr(circuit_module, "_simulate_rows", simulated)
+        ctx = ctx_of(2)
+        mains = tuple(range(n))
+        b = Circuit(ctx, mains, mains, mains, ())
+        diag = Circuit(ctx, mains, mains, mains, (Operation(Gate.x(1), (0,)), Operation(Gate.x(1), (0,))))
+        if n == 12:
+            with pytest.raises(AssertionError, match="simulated the block"):
+                parallelize_commuting(b, [diag, diag])
+        else:
+            with pytest.raises(ValueError, match=f"a 2\\^13-dimensional unitary exceeds the cap of {1 << 24} entries"):
+                parallelize_commuting(b, [diag, diag])
 
 
 class TestControlledPauliCompiler:

@@ -229,7 +229,7 @@ class TestRun:
         n = 1200
         seq = tuple(Measure(q, (0.0, 0.0), zero(2), zero(2)) for q in range(n))
         pat = Pattern(ctx, tuple(range(n + 1)), (n,), (n,), seq)
-        (branch,) = run_branches(pat, lazy=True)
+        (branch,) = run_branches(pat)
         assert branch.outcomes == {q: 0 for q in range(n)}
         assert abs(branch.probability - 1) < 1e-9
 
@@ -242,7 +242,7 @@ class TestRun:
             seq += [Entangle(q, q + 1), Measure(q, (0.0, 0.3), zero(2), zero(2)), CorrectX(q + 1, Signal.unit(2, q))]
         pat = Pattern(ctx, tuple(range(n)), (), (n - 1,), tuple(seq))
         assert peak_live_qudits(pat) == 2
-        res = run(pat, mode="sampled", seed=3, lazy=True)
+        res = run(pat, mode="sampled", seed=3)
         assert res.state.sites == (n - 1,) and abs(res.state.norm() - 1) < 1e-9
 
     @pytest.mark.parametrize("d", [2, 3])
@@ -262,14 +262,13 @@ class TestRun:
         final = simulate_circuit(pattern_to_circuit_coherent(pat), psi).with_sites_order(measured + pat.outputs)
         slices = final.amplitudes.reshape((d,) * len(measured) + (-1,))
         kept = sum(np.linalg.norm(slices[m]) ** 2 >= 1e-12 for m in np.ndindex(slices.shape[:-1]))
-        for lazy in (False, True):
-            branches = run_branches(pat, psi, lazy=lazy)
-            assert len(branches) == kept
-            for b in branches:
-                block = slices[tuple(b.outcomes[q] for q in measured)]
-                assert abs(b.probability - np.linalg.norm(block) ** 2) < 1e-9
-                got = b.state.with_sites_order(pat.outputs).amplitudes
-                assert np.allclose(got, block / np.linalg.norm(block), atol=1e-9)
+        branches = run_branches(pat, psi)
+        assert len(branches) == kept
+        for b in branches:
+            block = slices[tuple(b.outcomes[q] for q in measured)]
+            assert abs(b.probability - np.linalg.norm(block) ** 2) < 1e-9
+            got = b.state.with_sites_order(pat.outputs).amplitudes
+            assert np.allclose(got, block / np.linalg.norm(block), atol=1e-9)
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_teleport_implements_rotation_on_every_branch(self, d):
@@ -347,18 +346,38 @@ class TestRun:
         assert len(seen) > 1
 
     def test_lazy_matches_eager_on_all_branches(self):
+        # the one (lazy) schedule against the oracle walk on the eager
+        # schedule, which appends every ancilla first, and on the lazy one
         ctx = ctx_of(2)
         rng = np.random.default_rng(16)
         pats = [basic_v_pattern(ctx, 1, 2, tuple(rng.uniform(0, 2 * np.pi, 2))) for _ in range(3)]
         composite = compose_serial(pats[2], compose_serial(pats[1], pats[0]))
         psi = random_state(ctx, (1,), rng)
-        eager = run_branches(composite, psi)
-        lazy = run_branches(composite, psi, lazy=True)
-        assert len(eager) == len(lazy)
-        for a, b in zip(eager, lazy):
-            assert a.outcomes == b.outcomes
-            assert abs(a.probability - b.probability) < 1e-12
-            assert fidelity_up_to_phase(a.state, b.state) > 1 - 1e-9
+        got = run_branches(composite, psi)
+        for lazy in (False, True):
+            want = oracle_run_branches(composite, psi, lazy=lazy)
+            assert len(got) == len(want) == 8
+            for a, b in zip(got, want):
+                assert a.outcomes == b.outcomes
+                assert abs(a.probability - b.probability) < 1e-12
+                assert fidelity_up_to_phase(a.state, b.state) > 1 - 1e-9
+
+    def test_run_takes_only_the_lazy_schedule(self):
+        p = families(3)["def7"]
+        with pytest.raises(ValueError, match="every pattern runs on the lazy schedule"):
+            run(p, lazy=False)
+        same_results([run(p, seed=4, lazy=True)], [run(p, seed=4)])
+
+    def test_input_state_in_any_site_order(self):
+        # the input rows are laid out over p.inputs, whatever the state's order
+        p = families(2)["def8"]
+        psi = random_state(p.ctx, p.inputs, np.random.default_rng(17))
+        backwards = psi.with_sites_order(p.inputs[::-1])
+        assert len(p.inputs) > 1 and backwards.sites != psi.sites
+        same_results(run_branches(p, backwards), run_branches(p, psi))
+        same_results([run(p, backwards, seed=2)], [run(p, psi, seed=2)])
+        with pytest.raises(ValueError, match="defined exactly on the pattern inputs"):
+            run_branches(p, random_state(p.ctx, p.inputs[:1], np.random.default_rng(17)))
 
     def test_dependency_absorption_identity(self):
         # prefixing X^s' Z^t' equals adding (s', t') to the measurement signals:
@@ -421,11 +440,12 @@ class TestBatchedWalk:
         rows = run_rows(p, np.repeat(inputs, len(seeds), axis=0), seeds=np.tile(seeds, len(states)))
         for k, (psi, seed) in enumerate(product(states, seeds)):
             same_rows(rows, [k], [oracle_run(p, psi, seed=seed, lazy=True)])
+        # the one schedule against the oracle walk on the eager and the lazy schedule
         for lazy, psi in product((False, True), states):
             if exact:
-                same_results(run_branches(p, psi, lazy=lazy), oracle_run_branches(p, psi, lazy=lazy))
+                same_results(run_branches(p, psi), oracle_run_branches(p, psi, lazy=lazy))
             for seed in seeds:
-                same_results([run(p, psi, mode="sampled", seed=seed, lazy=lazy)], [oracle_run(p, psi, seed=seed, lazy=lazy)])
+                same_results([run(p, psi, mode="sampled", seed=seed)], [oracle_run(p, psi, seed=seed, lazy=lazy)])
 
     def test_run_rows_checks_its_seeds_and_takes_no_rows(self):
         p = families(3)["def7"]
@@ -450,7 +470,7 @@ class TestBatchedWalk:
         rng = np.random.default_rng(30 + d)
         inputs = np.array([random_state(p.ctx, p.inputs, rng).amplitudes for _ in range(5)])
         psi = StateVector(p.ctx, p.inputs, inputs[0])
-        whole, one = run_rows(p, inputs), run_branches(p, psi, lazy=True)
+        whole, one = run_rows(p, inputs), run_branches(p, psi)
         cap = d ** peak_live_qudits(p)
         widths = []
         kernel = pattern_module._kernel
@@ -463,34 +483,32 @@ class TestBatchedWalk:
         assert np.max(np.abs(split.amplitudes - whole.amplitudes)) < 1e-12
         same_rows(split, np.flatnonzero(split.origin == 0), one)
         widths.clear()
-        same_results(run_branches(p, psi, lazy=True), one)
+        same_results(run_branches(p, psi), one)
         assert max(widths) == cap
 
 
     @pytest.mark.parametrize("family", ["def7", "def8", "clifford-const"])
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_fresh_qudits_are_prepared_entangled(self, d, family, monkeypatch):
-        # each append puts its qudits on the leading axes; a lazy append (q,)
-        # followed at once by the E on q and a live qudit is one multiply, so
-        # those E commands run no CZ kernel of their own
+        # each append puts its qudit on the leading axis; an append (q, e),
+        # q prepared already entangled by e with a live qudit, is one
+        # multiply, so those E commands run no CZ kernel of their own
         import quditmbqc.pattern as pattern_module
         import quditmbqc.sim as sim_module
 
         p = families(d)[family]
-        steps = _schedule(p, lazy=True)
-        joined = sum(
-            isinstance(a, tuple) and len(a) == 1 and isinstance(b, Entangle) and a[0] in (b.i, b.j)
-            for a, b in zip(steps, steps[1:])
-        )
-        assert joined
+        steps = _schedule(p)
+        joined = [step for step in steps if isinstance(step, tuple)]
+        assert joined and all(q in (e.i, e.j) for q, e in joined)
+        total = sum(isinstance(step, Entangle) for step in oracle_schedule(p, lazy=True))
         psi = random_state(p.ctx, p.inputs, np.random.default_rng(40 + d))
         want = oracle_run_branches(p, psi, lazy=True)
         with counted_calls(pattern_module, ("_kernel",)) as calls:
-            same_results(run_branches(p, psi, lazy=True), want)
-        assert calls["_kernel", GateName.CZ] == sum(isinstance(step, Entangle) for step in steps) - joined
-        # the eager schedule appends every ancilla in one step
-        assert len(_schedule(p, lazy=False)[0]) > 1
-        same_results(run_branches(p, psi, lazy=False), oracle_run_branches(p, psi, lazy=False))
+            same_results(run_branches(p, psi), want)
+        assert calls["_kernel", GateName.CZ] == total - len(joined)
+        # the oracle's eager schedule appends every ancilla in one step
+        assert len(oracle_schedule(p, lazy=False)[0]) > 1
+        same_results(run_branches(p, psi), oracle_run_branches(p, psi, lazy=False))
         # the rows stay ordered over p.outputs, whatever order that is
         backwards = replace(p, outputs=p.outputs[::-1])
         rows, back = run_rows(p, psi.amplitudes[np.newaxis]), run_rows(backwards, psi.amplitudes[np.newaxis])
@@ -519,8 +537,23 @@ class TestSchedule:
         patterns.append(circuit_to_pattern_cluster(random_guni_circuit(ctx_of(3), 16, 800, seed=1)))
         assert len(patterns[-1].seq) == 4379
         for p in patterns:
-            for lazy in (False, True):
-                assert _schedule(p, lazy) == oracle_schedule(p, lazy)
+            # the oracle appends (q,) and then applies e where the schedule has
+            # one step (q, e), and the schedule fuses every such pair
+            steps, expanded = _schedule(p), []
+            for step in steps:
+                if isinstance(step, tuple):
+                    expanded += [(step[0],), step[1]]
+                else:
+                    expanded.append(step if isinstance(step, (Entangle, Measure, CorrectX, CorrectZ)) else (step,))
+            want = oracle_schedule(p, lazy=True)
+            assert expanded == want
+            fusable = sum(isinstance(a, tuple) and isinstance(b, Entangle) and a[0] in (b.i, b.j) for a, b in zip(want, want[1:]))
+            assert sum(isinstance(step, tuple) for step in steps) == fusable
+            width = peak = len(p.inputs)
+            for step in want:
+                width += isinstance(step, tuple) - isinstance(step, Measure)
+                peak = max(peak, width)
+            assert peak_live_qudits(p) == peak
 
 
 class TestDepthAndSize:
