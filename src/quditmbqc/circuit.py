@@ -10,13 +10,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field, replace
+from functools import reduce
 from itertools import count
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .algebra import DimensionContext
-from .sim import _KINDS, AMPLITUDE_CAP, Gate, GateName, StateVector, _apply_single, _kernel, _permute, _phase, basis_state, gate_inverse_ops, gate_matrix, row_parts
+from .sim import _BLOCK_ROW, _KINDS, AMPLITUDE_CAP, Gate, GateName, StateVector, _apply_single, _kernel, _permute, _phase, basis_state, gate_inverse_ops, gate_matrix, row_parts
 
 __all__ = [
     "Operation",
@@ -158,6 +159,13 @@ def _run_sites(c: Circuit) -> tuple[int, ...]:
     return c.inputs + tuple(q for q in c.qudits if q not in inputs)
 
 
+def _run_matrix(gates: list[Gate], ctx: DimensionContext) -> np.ndarray:
+    """The product matrix of one wire's run of single-site gates, in order."""
+    if len(gates) == 1:
+        return gate_matrix(gates[0], ctx)
+    return np.linalg.multi_dot([gate_matrix(g, ctx) for g in reversed(gates)])
+
+
 def _simulate_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
     """Run the circuit on every row of ``inputs`` (amplitudes over
     ``c.inputs``, in that order) at once, with the ancillas in |0>; the
@@ -165,23 +173,27 @@ def _simulate_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
     circuit was built.
 
     Each site's single-site gates wait until a multi-site op touches the
-    site or the circuit ends; several are then one pass with their product
-    matrix.  Diagonal ops commute, so they wait in one run until a
-    non-diagonal op touches one of its sites; the run is then one pass with
-    the product of their phase tables over its sites, at most half of all
-    sites, so the table holds at most the square root of a row's
-    amplitudes.  A site's waiting gates join the run when all are diagonal
-    and a diagonal multi-site op or the circuit's end reaches them.  Basis
-    permutations (every kind with shifts or a swap) wait in a third run,
-    which a single-site X on one of its sites joins; the run is then one
-    gather by the index of its composed affine map.  A permutation op first
-    applies the diagonal run when they share a site, and the waiting gates
-    on its own sites, unless all are X: those join the run ahead of it.
-    Any other op on the permutation run's sites applies that run first.
-    The three waiting structures keep to disjoint sites, so their order at
-    the end does not matter.  One waiting op (for the permutation run: one
-    op on at most two sites, a single shift or a swap) keeps its own
-    kernel."""
+    site or the circuit ends.  Held gates act on their own site only, so
+    they may be applied early: the site's run is one pass together with
+    the waiting runs of the adjacent axes around it, by the Kronecker
+    product of each run's product matrix, while the k sites have d**k at
+    most ``_BLOCK_ROW``.  Diagonal ops commute, so they wait in one run
+    until a non-diagonal op touches one of its sites; the run is then
+    one pass with the product of their phase tables over its sites, at
+    most half of all sites, so the table holds at most the square root
+    of a row's amplitudes.  A site's waiting gates join the run when all
+    are diagonal and a diagonal multi-site op or the circuit's end
+    reaches them.  Basis permutations (every kind with shifts or a swap)
+    wait in a third run, which a single-site X on one of its sites
+    joins; the run is then one gather by the index of its composed
+    affine map.  A permutation op first applies the diagonal run when
+    they share a site, and the waiting gates on its own sites, unless
+    all are X: those join the run ahead of it.  Any other op on the
+    permutation run's sites applies that run first.  The three waiting
+    structures keep to disjoint sites, so their order at the end does
+    not matter.  A lone waiting op (one gate with no waiting neighbour;
+    for the permutation run, one op on at most two sites, a single shift
+    or a swap) keeps its own kernel."""
     d, n, sites = c.ctx.d, len(c.qudits), _run_sites(c)
     axis = {q: a for a, q in enumerate(sites)}
     amps = np.zeros((len(inputs), d ** len(c.inputs), d ** (n - len(c.inputs))), dtype=np.complex128)
@@ -195,11 +207,18 @@ def _simulate_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
 
     def flush(q: int) -> None:
         nonlocal amps
-        gates = held.pop(q, ())
-        if len(gates) == 1:
-            amps = _kernel(amps, d, n, gates[0], (axis[q],))
-        elif gates:
-            amps = _apply_single(amps, d, n, np.linalg.multi_dot([gate_matrix(g, c.ctx) for g in reversed(gates)]), axis[q])
+        if q not in held:
+            return
+        lo = hi = axis[q]
+        while lo and sites[lo - 1] in held and d ** (hi - lo + 2) <= _BLOCK_ROW:
+            lo -= 1
+        while hi + 1 < n and sites[hi + 1] in held and d ** (hi - lo + 2) <= _BLOCK_ROW:
+            hi += 1
+        runs = [held.pop(sites[a]) for a in range(lo, hi + 1)]
+        if len(runs) == len(runs[0]) == 1:
+            amps = _kernel(amps, d, n, runs[0][0], (lo,))
+        else:
+            amps = _apply_single(amps, d, n, reduce(np.kron, [_run_matrix(r, c.ctx) for r in runs]), lo)
 
     def flush_run() -> None:
         nonlocal amps
@@ -279,7 +298,7 @@ def _simulate_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
         settle(q)
     flush_run()
     flush_perm()
-    return amps.reshape(len(inputs), -1)
+    return amps.reshape(len(inputs), d**n)
 
 
 def simulate_circuit(c: Circuit, input_state: StateVector | None = None) -> StateVector:

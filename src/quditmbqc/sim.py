@@ -12,7 +12,8 @@ the measurement outcomes.
 Kernels act on the target axes of the amplitudes reshaped around them:
 a lone basis permutation is slice copies, a run of them one gather by the
 index of their composed affine map, diagonal gates one broadcast multiply
-by a phase table, dense single-site gates one matmul.
+by a phase table, dense gates one matmul: a single-site gate, or the
+Kronecker product of gates on k adjacent sites, d**k at most ``_BLOCK_ROW``.
 """
 
 from __future__ import annotations
@@ -524,14 +525,17 @@ _BLOCK_ROW = 64
 
 
 def _apply_single(amps: np.ndarray, d: int, n: int, matrix: np.ndarray, axis: int) -> np.ndarray:
-    """Dense single-site gate: one matmul on the (d**axis, d, rest) view, or
-    on its rows of d * rest amplitudes when rest is short."""
-    view, _ = _split_view(amps, d, n, (axis,))
+    """Dense gate on the k adjacent axes from ``axis``, k read off the
+    d**k x d**k matrix (k = 1 for a single-site gate): one matmul on the
+    (d**axis, d**k, rest) view, or on its rows of d**k * rest amplitudes
+    when rest is short."""
+    size = len(matrix)
+    view = amps.reshape(-1, size, d ** (n - axis) // size)
     before, _, rest = view.shape
-    if d * rest > _BLOCK_ROW:
+    if size * rest > _BLOCK_ROW:
         return np.matmul(matrix, view).reshape(-1)
-    block = (matrix.T[:, None, :, None] * np.eye(rest)[None, :, None, :]).reshape(d * rest, d * rest)
-    return (view.reshape(before, d * rest) @ block).reshape(-1)
+    block = (matrix.T[:, None, :, None] * np.eye(rest)[None, :, None, :]).reshape(size * rest, size * rest)
+    return (view.reshape(before, size * rest) @ block).reshape(-1)
 
 
 def _kernel(amps: np.ndarray, d: int, n: int, gate: Gate, axes: tuple[int, ...]) -> np.ndarray:

@@ -19,6 +19,7 @@ from quditmbqc.algebra import DimensionContext
 from quditmbqc.circuit import (
     Circuit,
     Operation,
+    _simulate_rows,
     circuit_from_json,
     circuit_to_json,
     circuit_unitary,
@@ -33,7 +34,7 @@ from quditmbqc.circuit import (
 )
 from quditmbqc.convert import build_generalized
 from quditmbqc.generate import cascade_circuit, random_guni_circuit
-from quditmbqc.sim import Gate, GateName, _kernel, basis_state, fidelity_up_to_phase, gate_matrix, random_state
+from quditmbqc.sim import _BLOCK_ROW, Gate, GateName, _kernel, basis_state, fidelity_up_to_phase, gate_matrix, random_state
 
 
 def ctx_of(d):
@@ -292,11 +293,13 @@ class TestSingleSiteRuns:
     def test_many_rows_match_one_oracle_gate_per_op(self, d):
         check_many_rows(runs_circuit(ctx_of(d), 3, 3, seed=10 + d), d)
 
-    def test_the_lowered_mixed_circuit_makes_nine_passes(self):
+    def test_the_lowered_mixed_circuit_makes_six_passes(self):
         import quditmbqc.circuit as circuit_module
 
         # X CZ v Z CX F P v, the k-th gate from qudit k, lowers to 25 ops:
-        # CZ, CZ and 23 v gates in runs on qudits 1, 3, 4, 6, 6, 7 and 8
+        # CZ, CZ and 23 v gates in runs on qudits 1, 3, 4, 6, 6, 7 and 8.
+        # Qudit 6's first run is flushed alone by the second CZ; at the end
+        # the runs make blocks on qudits 1, 3-4 and 6-8: six passes
         ctx, theta = ctx_of(3), (0.1, 0.7, 2.3)
         gates = [Gate.x(), Gate.cz(), Gate.v(theta), Gate.z(2), Gate.cx(), Gate.f(), Gate.p(), Gate.v(theta)]
         qudits = tuple(range(1, 10))
@@ -308,8 +311,95 @@ class TestSingleSiteRuns:
             want = oracle_apply_gate(want, op.gate, op.sites)
         with counted_calls(circuit_module) as passes:
             got = simulate_circuit(low, psi)
-        assert len(low.ops) == 25 and passes.total() == 9
+        assert len(low.ops) == 25 and passes.total() == 6
         assert np.max(np.abs(got.amplitudes - want.amplitudes)) < 1e-12
+
+
+def block_runs_circuit(ctx, n, inputs, seed, rounds=6):
+    """Rounds of single-site runs of one to three gates on a window of
+    adjacent wires, each wire's run all diagonal, all X or of any kind, then
+    a basis permutation (CX, SWAP or FANOUT) and a CZ on random wires; the
+    window starts on the first wire, ends on the last or lies anywhere, in
+    turn.  A layer of v on every wire ends the circuit, so the last blocks
+    cover the first and the last axis.  The qudit ids are in axis order."""
+    d, rng = ctx.d, np.random.default_rng(seed)
+
+    def angles():
+        return tuple(rng.uniform(0, 2 * np.pi, d))
+
+    def power():
+        return int(rng.integers(1, d))
+
+    families = [
+        [lambda: Gate.z(power()), Gate.p, lambda: Gate.r(angles()), lambda: Gate.diag(angles())],
+        [lambda: Gate.x(power())],
+        [Gate.f, Gate.finv, Gate.p, lambda: Gate.x(power()), lambda: Gate.v(angles())],
+    ]
+    permutations = [lambda: Gate.cx(power()), Gate.swap, lambda: Gate.fanout(rng.integers(1, d, size=2))]
+    qudits = tuple(range(1, n + 1))
+    ops = []
+    for r in range(rounds):
+        width = int(rng.integers(2, n + 1))
+        start = (0, n - width, int(rng.integers(n - width + 1)))[r % 3]
+        for q in qudits[start : start + width]:
+            family = families[int(rng.integers(len(families)))]
+            ops += [Operation(family[int(rng.integers(len(family)))](), (q,)) for _ in range(rng.integers(1, 4))]
+        for g in (permutations[int(rng.integers(len(permutations)))](), Gate.cz(power())):
+            ops.append(Operation(g, tuple(int(q) for q in rng.choice(qudits, size=g.arity, replace=False))))
+    ops += [Operation(Gate.v(angles()), (q,)) for q in qudits]
+    return Circuit(ctx, qudits, qudits[:inputs], qudits[:inputs], tuple(ops))
+
+
+def block_shapes(passes, d, n):
+    """(d**k, rest) of every ``_apply_single`` matrix in a ``counted_calls`` log."""
+    return [(len(args[3]), d ** (n - args[4]) // len(args[3])) for name, args in passes.log if name == "_apply_single"]
+
+
+class TestBlockRuns:
+    """Held runs on adjacent axes are flushed as one block, one matmul by the
+    Kronecker product of their matrices with d**k <= _BLOCK_ROW, against one
+    oracle gate per op."""
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_one_row_matches_one_oracle_gate_per_op(self, d):
+        import quditmbqc.circuit as circuit_module
+
+        # (wires, inputs): the first block of the last layer is one matmul,
+        # its last block a block-row product
+        n, inputs = {2: (8, 4), 3: (6, 3), 4: (5, 3), 6: (4, 2)}[d]
+        for seed in range(3):
+            with counted_calls(circuit_module) as passes:
+                check_one_row(block_runs_circuit(ctx_of(d), n, inputs, seed=50 + seed), d)
+            shapes = block_shapes(passes, d, n)
+            assert all(size <= _BLOCK_ROW for size, _ in shapes)
+            blocks = [size * rest for size, rest in shapes if size > d]
+            assert max(blocks) > _BLOCK_ROW and min(blocks) <= _BLOCK_ROW
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_many_rows_match_one_oracle_gate_per_op(self, d):
+        import quditmbqc.circuit as circuit_module
+
+        n = {2: 5, 3: 4, 4: 3, 6: 3}[d]  # every wire an input: one oracle column each
+        with counted_calls(circuit_module) as passes:
+            check_many_rows(block_runs_circuit(ctx_of(d), n, n, seed=60 + d), d)
+        shapes = block_shapes(passes, d, n)
+        assert all(size <= _BLOCK_ROW for size, _ in shapes) and max(shapes)[0] > d
+
+    @pytest.mark.parametrize("d, want", [(2, 2), (3, 4), (5, 6), (9, 12)])
+    def test_a_layer_makes_one_pass_per_widest_block(self, d, want):
+        import quditmbqc.circuit as circuit_module
+
+        # v on each of 12 wires in wire order: blocks of the largest k with
+        # d**k <= 64, run on no rows so that no amplitude is allocated
+        ctx, n = ctx_of(d), 12
+        qudits = tuple(range(1, n + 1))
+        ops = [Operation(Gate.v(np.linspace(0, 1, d)), (q,)) for q in qudits]
+        c = Circuit(ctx, qudits, (), (), tuple(ops))
+        with counted_calls(circuit_module) as passes:
+            _simulate_rows(c, np.empty((0, 1), dtype=np.complex128))
+        k = max(k for k in range(1, n) if d**k <= _BLOCK_ROW)
+        assert passes.total() == want == -(-n // k)
+        assert all(size <= _BLOCK_ROW for size, _ in block_shapes(passes, d, n))
 
 
 def diagonal_runs_circuit(ctx, n, inputs, seed, length=48):
@@ -492,7 +582,8 @@ class TestPermutationRuns:
         import quditmbqc.circuit as circuit_module
 
         # copy layer, parallel CX powers, d-1 uncopy layers; mod(v) also
-        # takes a Fourier layer on each side, one pass per site each
+        # takes a Fourier layer on each side of its 5 inputs, in blocks of
+        # up to 6 adjacent sites at d=2 (one pass per layer) and 3 at d=3 (two)
         ctx = ctx_of(d)
         coeffs = [1, d - 1, 1, 1]
         c = build_generalized(ctx, coeffs, kind)
@@ -500,7 +591,8 @@ class TestPermutationRuns:
         with counted_calls(circuit_module) as passes:
             got = simulate_circuit(c, psi)
         assert passes["_permute", None] == 1
-        assert passes.total() == 1 + (2 * len(c.inputs) if kind == "mod" else 0)
+        assert len(c.inputs) == 5
+        assert passes.total() == ({2: 3, 3: 5}[d] if kind == "mod" else 1)
         assert np.max(np.abs(got.amplitudes - oracle_final(c, psi).amplitudes)) < 1e-12
 
     def test_a_lone_shift_keeps_its_kernel_and_an_x_joins_the_run(self):
