@@ -166,44 +166,51 @@ def _run_matrix(gates: list[Gate], ctx: DimensionContext) -> np.ndarray:
     return np.linalg.multi_dot([gate_matrix(g, ctx) for g in reversed(gates)])
 
 
+@dataclass
+class _Run:
+    """Ops waiting to be applied in one pass, on at most ``bound`` sites."""
+
+    bound: int
+    ops: list[Operation] = field(default_factory=list)
+    sites: set[int] = field(default_factory=set)
+
+
 def _simulate_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
     """Run the circuit on every row of ``inputs`` (amplitudes over
     ``c.inputs``, in that order) at once, with the ancillas in |0>; the
     final rows are over ``_run_sites(c)``.  The ops were validated when the
     circuit was built.
 
-    Each site's single-site gates wait until a multi-site op touches the
-    site or the circuit ends.  Held gates act on their own site only, so
-    they may be applied early: the site's run is one pass together with
-    the waiting runs of the adjacent axes around it, by the Kronecker
-    product of each run's product matrix, while the k sites have d**k at
-    most ``_BLOCK_ROW``.  Diagonal ops commute, so they wait in one run
-    until a non-diagonal op touches one of its sites; the run is then
-    one pass with the product of their phase tables over its sites, at
-    most half of all sites, so the table holds at most the square root
-    of a row's amplitudes.  A site's waiting gates join the run when all
-    are diagonal and a diagonal multi-site op or the circuit's end
-    reaches them.  Basis permutations (every kind with shifts or a swap)
-    wait in a third run, which a single-site X on one of its sites
-    joins; the run is then one gather by the index of its composed
-    affine map.  A permutation op first applies the diagonal run when
-    they share a site, and the waiting gates on its own sites, unless
-    all are X: those join the run ahead of it.  Any other op on the
-    permutation run's sites applies that run first.  The three waiting
-    structures keep to disjoint sites, so their order at the end does
-    not matter.  A lone waiting op (one gate with no waiting neighbour;
-    for the permutation run, one op on at most two sites, a single shift
-    or a swap) keeps its own kernel."""
+    Ops wait, so that several are applied in one pass.  Two runs collect
+    them: the diagonal run takes the kinds with ``phases``, on at most
+    n // 2 sites, so that its table holds at most the square root of a
+    row's amplitudes; the permutation run takes the kinds with ``shifts``
+    or a ``swap``, on any number of sites.  One rule serves both:
+
+    - an op of a run's class joins the run when it has several sites
+      within the bound (the run is applied first if the union would pass
+      it), or one site already in the run;
+    - as it joins, the run takes over the held gates of each of its sites
+      when it takes all of them; otherwise those are applied;
+    - any other op on a run's sites applies that run first;
+    - a single-site op that joins no run is held;
+    - at the end, the held all-diagonal wires join the diagonal run.
+
+    A site's held gates are applied when a multi-site op touches the site
+    or the circuit ends, in one pass with the held gates of the adjacent
+    axes around it, by the Kronecker product of each site's product
+    matrix, while the k sites have d**k at most ``_BLOCK_ROW``.  The runs
+    and the held gates keep to disjoint sites.  A run of one op on at most
+    two sites is that op's own kernel; a larger run is one ``_phase`` by
+    the product of its tables, or one ``_permute`` gather by the index of
+    its composed affine map."""
     d, n, sites = c.ctx.d, len(c.qudits), _run_sites(c)
     axis = {q: a for a, q in enumerate(sites)}
     amps = np.zeros((len(inputs), d ** len(c.inputs), d ** (n - len(c.inputs))), dtype=np.complex128)
     amps[:, :, 0] = inputs
     held: dict[int, list[Gate]] = {}
-    run: list[Operation] = []  # the diagonal run, on no site in held
-    span: set[int] = set()  # its sites
-    bound = n // 2
-    perm: list[Operation] = []  # the permutation run, on no site in held or span
-    moved: set[int] = set()  # its sites
+    runs = perm, diag = _Run(n), _Run(n // 2)
+    run_of = {name: diag if k.phases else perm if k.shifts or k.swap else None for name, k in _KINDS.items()}
 
     def flush(q: int) -> None:
         nonlocal amps
@@ -214,90 +221,69 @@ def _simulate_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
             lo -= 1
         while hi + 1 < n and sites[hi + 1] in held and d ** (hi - lo + 2) <= _BLOCK_ROW:
             hi += 1
-        runs = [held.pop(sites[a]) for a in range(lo, hi + 1)]
-        if len(runs) == len(runs[0]) == 1:
-            amps = _kernel(amps, d, n, runs[0][0], (lo,))
+        block = [held.pop(sites[a]) for a in range(lo, hi + 1)]
+        if len(block) == len(block[0]) == 1:
+            amps = _kernel(amps, d, n, block[0][0], (lo,))
         else:
-            amps = _apply_single(amps, d, n, reduce(np.kron, [_run_matrix(r, c.ctx) for r in runs]), lo)
+            amps = _apply_single(amps, d, n, reduce(np.kron, [_run_matrix(g, c.ctx) for g in block]), lo)
 
-    def flush_run() -> None:
+    def apply(r: _Run) -> None:
         nonlocal amps
-        if len(run) == 1:
-            amps = _kernel(amps, d, n, run[0].gate, tuple(axis[q] for q in run[0].sites))
-        elif run:
-            dims = {q: k for k, q in enumerate(span)}
+        if len(r.ops) == 1 and len(r.ops[0].sites) <= 2:
+            # a lone shift or swap keeps its slice-copy kernel: through _permute
+            # it would build an 8-byte index per amplitude (peak RSS of a lone CX
+            # on 2^20 amplitudes 156 -> 170 MB) and run 1.3-2.4x slower there,
+            # 2-16x slower on states of at most 256 amplitudes
+            amps = _kernel(amps, d, n, r.ops[0].gate, tuple(axis[q] for q in r.ops[0].sites))
+        elif r.ops and r is perm:
+            amps = _permute(amps, d, n, [(op.gate, tuple(axis[q] for q in op.sites)) for op in r.ops])
+        elif r.ops:
+            dims = {q: k for k, q in enumerate(r.sites)}
             table, every = np.ones((d,) * len(dims), dtype=np.complex128), list(dims.values())
-            for op in run:
+            for op in r.ops:
                 table = np.einsum(table, every, _KINDS[op.gate.name].phases(op.gate, d), [dims[q] for q in op.sites], every)
             amps = _phase(amps, d, n, table, tuple(axis[q] for q in dims))
-        run.clear()
-        span.clear()
+        r.ops.clear()
+        r.sites.clear()
 
-    def flush_perm() -> None:
-        nonlocal amps
-        steps = [(op.gate, tuple(axis[q] for q in op.sites)) for op in perm]
-        # a lone shift or swap keeps its slice-copy kernel: through _permute
-        # it would build an 8-byte index per amplitude (peak RSS of a lone CX
-        # on 2^20 amplitudes 156 -> 170 MB) and run 1.3-2.4x slower there,
-        # 2-16x slower on states of at most 256 amplitudes
-        if len(steps) == 1 and len(steps[0][1]) <= 2:
-            amps = _kernel(amps, d, n, *steps[0])
-        elif steps:
-            amps = _permute(amps, d, n, steps)
-        perm.clear()
-        moved.clear()
+    def takes(r: _Run, q: int) -> bool:
+        """Whether q holds gates and r takes every one of them."""
+        return q in held and all(run_of[g.name] is r for g in held[q])
 
-    def settle(q: int) -> None:
-        """Hand q's held gates to the diagonal run when all are diagonal, else apply them."""
-        gates = held.get(q)
-        if not gates or not bound or not all(_KINDS[g.name].phases for g in gates):
-            return flush(q)
-        if len(span) == bound:  # q is held, so not in span
-            flush_run()
-        run.extend(Operation(g, (q,)) for g in held.pop(q))
-        span.add(q)
+    def join(r: _Run, new: tuple[int, ...]) -> None:
+        """Make room in r for the sites ``new``, then hand it each one's held
+        gates when it takes them all, else apply them."""
+        if len(r.sites.union(new)) > r.bound:
+            apply(r)
+        for q in new:
+            if takes(r, q):
+                r.ops.extend(Operation(g, (q,)) for g in held.pop(q))
+                r.sites.add(q)
+            flush(q)
 
     for op in c.ops:
-        kind = _KINDS[op.gate.name]
-        if (kind.shifts or kind.swap) and (len(op.sites) > 1 or op.sites[0] in moved):
-            if not span.isdisjoint(op.sites):
-                flush_run()
+        r = run_of[op.gate.name]
+        if r is not None and not (op.sites[0] in r.sites if len(op.sites) == 1 else len(op.sites) <= r.bound):
+            r = None  # the op joins no run
+        for other in runs:
+            if other is not r and not other.sites.isdisjoint(op.sites):
+                apply(other)
+        if r is not None:
+            join(r, op.sites)
+            r.ops.append(op)
+            r.sites.update(op.sites)
+        elif len(op.sites) == 1:
+            held.setdefault(op.sites[0], []).append(op.gate)
+        else:
             for q in op.sites:
-                if all(_KINDS[g.name].shifts for g in held.get(q, ())):
-                    perm.extend(Operation(g, (q,)) for g in held.pop(q, ()))
                 flush(q)
-            perm.append(op)
-            moved.update(op.sites)
-            continue
-        if not moved.isdisjoint(op.sites):
-            flush_perm()
-        diagonal = kind.phases is not None
-        if len(op.sites) == 1:
-            q = op.sites[0]
-            if q in span and not diagonal:
-                flush_run()
-            if q in span:
-                run.append(op)
-            else:
-                held.setdefault(q, []).append(op.gate)
-            continue
-        if diagonal and len(op.sites) <= bound:
-            if len(span.union(op.sites)) > bound:
-                flush_run()
-            for q in op.sites:
-                settle(q)
-            run.append(op)
-            span.update(op.sites)
-            continue
-        if not span.isdisjoint(op.sites):
-            flush_run()
-        for q in op.sites:
-            flush(q)
-        amps = _kernel(amps, d, n, op.gate, tuple(axis[q] for q in op.sites))
+            amps = _kernel(amps, d, n, op.gate, tuple(axis[q] for q in op.sites))
     for q in list(held):
-        settle(q)
-    flush_run()
-    flush_perm()
+        if diag.bound and takes(diag, q):
+            join(diag, (q,))
+        flush(q)
+    apply(diag)
+    apply(perm)
     return amps.reshape(len(inputs), d**n)
 
 
@@ -438,23 +424,22 @@ def inverse_circuit(c: Circuit) -> Circuit:
 # -- gate-set validation ----------------------------------------------------
 
 
-def validate_gate_set(c: Circuit, model: str = "standard", max_arity: int = 2) -> list[str]:
+def validate_gate_set(c: Circuit, model: str = "standard") -> list[str]:
     """Check ops against a circuit model; returns diagnostics (empty = ok).
 
-    ``standard`` admits only gates acting on at most ``max_arity``
-    qudits.  ``fanout`` additionally admits the fan-out/modulo family
-    at any arity.
+    ``standard`` admits only gates acting on at most two qudits.
+    ``fanout`` additionally admits the fan-out/modulo family at any arity.
     """
     if model not in ("standard", "fanout"):
         raise ValueError(f"unknown model {model!r}")
     problems = []
     for idx, op in enumerate(c.ops):
-        if len(op.sites) <= max_arity:
+        if len(op.sites) <= 2:
             continue
         if model == "fanout" and _KINDS[op.gate.name].arity is None:
             continue
         problems.append(
-            f"op {idx}: {op.gate.name.value} on {len(op.sites)} qudits exceeds arity {max_arity}"
+            f"op {idx}: {op.gate.name.value} on {len(op.sites)} qudits exceeds arity 2"
         )
     return problems
 

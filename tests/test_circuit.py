@@ -488,6 +488,27 @@ class TestDiagonalRuns:
         assert passes.total() < len(ops)
         assert np.max(np.abs(got.amplitudes - oracle_final(c, psi).amplitudes)) < 1e-12
 
+    @pytest.mark.parametrize("n", [4, 5])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_held_diagonal_wires_join_the_run_at_the_end(self, d, n):
+        import quditmbqc.circuit as circuit_module
+
+        # a FANOUT over every wire, then P and Z on each: the P on its first
+        # site applies the FANOUT, and at the end each wire's held P and Z join
+        # the diagonal run, at most n // 2 = 2 wires to a run, rather than
+        # making block passes
+        ctx = ctx_of(d)
+        qudits = tuple(range(1, n + 1))
+        ops = [Operation(Gate.fanout((1,) * (n - 1)), qudits)]
+        ops += [Operation(g, (q,)) for q in qudits for g in (Gate.p(), Gate.z(d - 1))]
+        c = Circuit(ctx, qudits, qudits, qudits, tuple(ops))
+        psi = random_state(ctx, qudits, np.random.default_rng(d + n))
+        with counted_calls(circuit_module) as passes:
+            got = simulate_circuit(c, psi)
+        assert dict(passes) == {("_permute", None): 1, ("_phase", None): -(-n // 2)}
+        assert sorted(a for name, args in passes.log if name == "_phase" for a in args[4]) == list(range(n))
+        assert np.max(np.abs(got.amplitudes - oracle_final(c, psi).amplitudes)) < 1e-12
+
 
 def permutation_runs_circuit(ctx, n, inputs, seed, length=48, others=True):
     """Random ops on random sites, two in three of them basis permutations
@@ -594,6 +615,29 @@ class TestPermutationRuns:
         assert len(c.inputs) == 5
         assert passes.total() == ({2: 3, 3: 5}[d] if kind == "mod" else 1)
         assert np.max(np.abs(got.amplitudes - oracle_final(c, psi).amplitudes)) < 1e-12
+
+    @pytest.mark.parametrize("kind", ["fanout", "mod"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_lone_op_on_three_or_more_sites_is_one_gather(self, d, kind):
+        import quditmbqc.circuit as circuit_module
+
+        # the lone-kernel fork takes a run of one op on at most two sites;
+        # a lone FANOUT or MOD over more is one gather, whether the end of
+        # the circuit or an F on one of its sites applies it
+        ctx, qudits = ctx_of(d), (1, 2, 3, 4)
+        psi = random_state(ctx, qudits, np.random.default_rng(d))
+        for coeffs in ((1, d - 1), (d - 1, 1, 1)):
+            gate = Gate.fanout(coeffs) if kind == "fanout" else Gate.mod(coeffs)
+            lone = Operation(gate, qudits[: len(coeffs) + 1])
+            for ops, want in (
+                ((lone,), {("_permute", None): 1}),
+                ((lone, Operation(Gate.f(), (2,))), {("_permute", None): 1, ("_kernel", GateName.F): 1}),
+            ):
+                c = Circuit(ctx, qudits, qudits, qudits, ops)
+                with counted_calls(circuit_module) as passes:
+                    got = simulate_circuit(c, psi)
+                assert dict(passes) == want, ops
+                assert np.max(np.abs(got.amplitudes - oracle_final(c, psi).amplitudes)) < 1e-12
 
     def test_a_lone_shift_keeps_its_kernel_and_an_x_joins_the_run(self):
         import quditmbqc.circuit as circuit_module
@@ -726,11 +770,11 @@ class TestGateSetValidation:
         assert validate_gate_set(c, "standard")
         assert not validate_gate_set(c, "fanout")
 
-    def test_fanout_model_still_bounds_other_gates(self):
+    def test_a_two_qudit_cascade_passes_both_models(self):
         ctx = ctx_of(2)
         c = cascade_circuit(ctx, 3)
         assert not validate_gate_set(c, "standard")
-        assert not validate_gate_set(c, "fanout", max_arity=1) == []
+        assert not validate_gate_set(c, "fanout")
 
 
 class TestJson:
