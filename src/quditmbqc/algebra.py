@@ -116,9 +116,9 @@ class PauliOperator:
         if self.n < 1 or len(self.x_exp) != self.n or len(self.z_exp) != self.n:
             raise ValueError("exponent vectors must have length n >= 1")
         d, D = self.ctx.d, self.ctx.D
-        object.__setattr__(self, "phase_exp", self.phase_exp % D)
-        object.__setattr__(self, "x_exp", tuple(a % d for a in self.x_exp))
-        object.__setattr__(self, "z_exp", tuple(b % d for b in self.z_exp))
+        object.__setattr__(self, "phase_exp", operator.index(self.phase_exp) % D)
+        object.__setattr__(self, "x_exp", tuple(operator.index(a) % d for a in self.x_exp))
+        object.__setattr__(self, "z_exp", tuple(operator.index(b) % d for b in self.z_exp))
 
     @classmethod
     def identity(cls, ctx: DimensionContext, n: int) -> "PauliOperator":
@@ -186,47 +186,50 @@ def pauli_multiply(p: PauliOperator, q: PauliOperator) -> PauliOperator:
 
 
 def pauli_conjugate(generator: tuple, p: PauliOperator) -> PauliOperator:
-    """Conjugate p by a Clifford generator: U p U^dagger.
+    """Conjugate p by a Clifford gate: U p U^dagger.
 
-    ``generator`` is one of ``("F", site)``, ``("P", site)`` or
-    ``("CZ", i, j)``.  The exponent maps are
-
-        F:  (a, b) -> (-b, a),        phase += xi_f(a*b)
-        P:  (a, b) -> (a, a + b),     phase += xi_p(a)
-        CZ: z_i += x_j, z_j += x_i,   phase += (D/d) * x_i * x_j
+    ``generator`` is ``(gate, *sites)``, the gate a ``sim.Gate`` or a kind
+    name, as in ``("F", 0)`` or ``("CZ", 0, 1)``.  F sends (a, b) to (-b, a)
+    and adds xi_f(a*b) to the phase.  Any other kind acts by its ``_KINDS``
+    shifts (y_t += k*y_c sends x_t += k*x_c, z_c -= k*z_t) or diagonal form
+    f (adding f(y + x) - f(y) over the digits y), else by its ``define``;
+    V, R and DIAG are refused.  Z exponents are kept as exponents of
+    omega_hat, and site -1 is the digit 1 of a term with no second site.
     """
-    kind = generator[0]
-    sites = generator[1:]
-    for s in sites:
-        if not 0 <= s < p.n:
-            raise ValueError(f"site {s} out of range for a {p.n}-site Pauli")
-    ctx = p.ctx
-    d = ctx.d
-    xs, zs = list(p.x_exp), list(p.z_exp)
-    xi = p.phase_exp
-    if kind == "F":
-        (k,) = sites
-        a, b = xs[k], zs[k]
-        xi += xi_f(ctx, a * b)
-        xs[k], zs[k] = (-b) % d, a
-    elif kind == "P":
-        (k,) = sites
-        a = xs[k]
-        xi += xi_p(ctx, a)
-        zs[k] = (a + zs[k]) % d
-    elif kind == "CZ":
-        i, j = sites
-        if i == j:
-            raise ValueError("CZ requires two distinct sites")
-        # the cross term: normal-ordering X^{a_i} (x) X^{a_j} through the
-        # controlled phase leaves a residual omega^{a_i a_j}
-        xi += (ctx.D // d) * xs[i] * xs[j]
-        zi = (zs[i] + xs[j]) % d
-        zj = (zs[j] + xs[i]) % d
-        zs[i], zs[j] = zi, zj
-    else:
-        raise ValueError(f"unknown Clifford generator {kind!r}")
-    return PauliOperator(ctx, p.n, xi % ctx.D, tuple(xs), tuple(zs))
+    from .sim import _KINDS, Gate, GateName  # sim imports this module
+
+    ctx, (gate, *sites) = p.ctx, generator
+    gate = gate if isinstance(gate, Gate) else Gate(GateName(gate))
+    gate.validate(ctx)
+    if len(sites) != gate.arity or len(set(sites) & set(range(p.n))) < len(sites):
+        raise ValueError(f"{gate.name.value} needs {gate.arity} distinct sites of a {p.n}-site Pauli, got {tuple(sites)}")
+    d, unit = ctx.d, ctx.D // ctx.d
+    xs, zs, phase = [*p.x_exp, 0], [unit * b for b in p.z_exp] + [0], p.phase_exp
+    stack = [(gate, sites)]
+    while stack:
+        g, at = stack.pop()
+        kind, at = _KINDS[g.name], [*at, -1]
+        if g.name == GateName.F:
+            s = at[0]
+            phase += xi_f(ctx, xs[s] * zs[s] // unit)
+            xs[s], zs[s] = -zs[s] // unit, unit * xs[s]
+        elif kind.shifts:
+            for t, k, c in kind.shifts(g, d):
+                t, c = at[t], at[-1 if c is None else c]
+                xs[t] += k * xs[c]
+                zs[c] -= k * zs[t]
+        elif kind.form:
+            for c, i, j in kind.form(g, d):
+                i, j = at[i], at[-1 if j is None else j]
+                phase += c * xs[i] * xs[j]
+                zs[i] += c * xs[j]
+                zs[j] += c * xs[i]
+        elif kind.define(g, d) is not None:
+            stack += [(part, [at[q] for q in positions]) for part, positions in reversed(kind.define(g, d))]
+        else:
+            raise ValueError(f"{gate.name.value} is not a Clifford gate")
+    # a Clifford leaves every z a multiple of D/d
+    return PauliOperator(ctx, p.n, phase + zs.pop(), xs[:-1], [z // unit for z in zs])
 
 
 def _single_site_matrix(ctx: DimensionContext, a: int, b: int) -> np.ndarray:

@@ -343,32 +343,28 @@ def _normalize_controlled_pauli(ops, qudits: tuple[int, ...], d: int):
     holds the linear terms (constants only shift the global phase).
     """
     _require_gates(ops, {GateName.X, GateName.Z, GateName.CX, GateName.CZ}, d, False, "gate {} outside the controlled-Pauli set")
+    n = len(qudits)
     index = {q: i for i, q in enumerate(qudits)}
-    matrix = [Signal.unit(d, i) for i in range(len(qudits))]
-    shift = [0] * len(qudits)
+    # position n is the constant 1, which a form term reads as its j = None
+    matrix = [Signal.unit(d, i) for i in range(n)] + [Signal.zero(d)]
+    shift = [0] * n + [1]
     quad: dict[tuple[int, int], int] = {}
     lin = Signal.zero(d)
     for op in ops:
-        g = op.gate
-        k = g.k % d
-        i = index[op.sites[0]]
-        if g.name == GateName.X:
-            shift[i] = (shift[i] + k) % d
-        elif g.name == GateName.Z:
-            lin += matrix[i].scaled(k)
-        else:
-            j = index[op.sites[1]]
-            if g.name == GateName.CX:
-                matrix[j] += matrix[i].scaled(k)
-                shift[j] = (shift[j] + k * shift[i]) % d
-            else:
-                # phase += k * (row_i . x + shift_i) * (row_j . x + shift_j)
-                for a, u in matrix[i].coeffs:
-                    for b, v in matrix[j].coeffs:
-                        pair = (min(a, b), max(a, b))
-                        quad[pair] = (quad.get(pair, 0) + k * u * v) % d
-                lin += matrix[i].scaled(k * shift[j]) + matrix[j].scaled(k * shift[i])
-    return {pair: c for pair, c in quad.items() if c}, lin, matrix, shift
+        kind, at = _KINDS[op.gate.name], [index[q] for q in op.sites] + [n]
+        for t, k, c in kind.shifts(op.gate, d) if kind.shifts else ():
+            t, c = at[t], at[-1 if c is None else c]
+            matrix[t] += matrix[c].scaled(k)
+            shift[t] = (shift[t] + k * shift[c]) % d
+        for c, i, j in kind.form(op.gate, d) if kind.form else ():
+            # omega phase += c/(D/d) * (row_i . x + shift_i) * (row_j . x + shift_j), D/d = 2 - d % 2
+            i, j, k = at[i], at[-1 if j is None else j], c // (2 - d % 2)
+            for a, u in matrix[i].coeffs:
+                for b, v in matrix[j].coeffs:
+                    pair = (min(a, b), max(a, b))
+                    quad[pair] = (quad.get(pair, 0) + k * u * v) % d
+            lin += matrix[i].scaled(k * shift[j]) + matrix[j].scaled(k * shift[i])
+    return {pair: c for pair, c in quad.items() if c}, lin, matrix[:n], shift[:n]
 
 
 def _diagonal_units(qudits: tuple[int, ...], quad: dict, lin: Signal, d: int) -> list[list[Operation]]:

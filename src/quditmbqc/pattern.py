@@ -132,7 +132,7 @@ class Signal:
         return self + other.scaled(-1)
 
     def scaled(self, factor: int) -> "Signal":
-        return Signal._of_raw(self.d, {q: c * factor for q, c in self.coeffs})
+        return Signal._of_raw(self.d, {q: c * factor for q, c in self.coeffs}) if self.coeffs else self
 
     def relabel(self, mapping: dict[int, int]) -> "Signal":
         return Signal(self.d, tuple((mapping.get(q, q), c) for q, c in self.coeffs))

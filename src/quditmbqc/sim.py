@@ -222,7 +222,9 @@ class _Kind:
     of ``shifts`` [(target, k, control)] by site position, each adding k
     times the control digit (k alone without a control) to the target
     digit; ``swap`` of two sites; ``phases``, a diagonal's phase table with
-    one dimension per site; ``matrix``, a single-site d x d matrix.
+    one dimension per site, whose exponent of omega_hat a Clifford diagonal
+    states in Z(D) as its ``form``, terms [(c, i, j)] each adding c * x_i * x_j
+    (x_j = 1 when j is None); ``matrix``, a single-site d x d matrix.
     ``inverse`` lists gates on the same sites, replacing the default of the
     same kind with its parameter negated.  ``define`` expands the gate one
     step into [(gate, site positions)], or gives None for a primitive of the
@@ -234,6 +236,7 @@ class _Kind:
     shifts: Callable | None = None
     swap: bool = False
     phases: Callable | None = None
+    form: Callable | None = None
     matrix: Callable | None = None
     inverse: Callable | None = None
     define: Callable = lambda g, d: None
@@ -256,11 +259,12 @@ _KINDS: dict[GateName, _Kind] = {
         define=lambda g, d: [(Gate.f(), (0,)), (Gate.z(g.k), (0,)), (Gate.finv(), (0,))] if g.k % d else [],
     ),
     GateName.Z: _Kind(
-        "k", 1, phases=lambda g, d: _z_phases(g.k % d, d),
+        "k", 1, phases=lambda g, d: _z_phases(g.k % d, d), form=lambda g, d: [((2 - d % 2) * g.k, 0, None)],
         define=lambda g, d: [(Gate.r(2.0 * math.pi * ((g.k * j) % d) / d for j in range(d)), (0,))] if g.k % d else [],
     ),
     GateName.P: _Kind(
         None, 1, phases=lambda g, d: _p_phases(d),
+        form=lambda g, d: [(1, 0, 0)] if d % 2 == 0 else [((d + 1) // 2, 0, j) for j in (0, None)],  # xi_p
         inverse=lambda g, d: [Gate.diag(-a for a in pauli_angles(d))],
         define=lambda g, d: [(Gate.r(pauli_angles(d)), (0,))],
     ),
@@ -278,7 +282,7 @@ _KINDS: dict[GateName, _Kind] = {
         inverse=lambda g, d: [Gate.finv(), Gate.r(-t for t in g.theta)],
     ),
     GateName.CZ: _Kind(
-        "k", 2, phases=lambda g, d: _z_phases(g.k % d, d, 2),
+        "k", 2, phases=lambda g, d: _z_phases(g.k % d, d, 2), form=lambda g, d: [((2 - d % 2) * g.k, 0, 1)],
         define=lambda g, d: None if g.k == 1 else [(Gate.cz(), (0, 1))] * (g.k % d),
     ),
     GateName.CX: _Kind(

@@ -70,7 +70,9 @@ from quditmbqc.rewrite import (
     standardise,
 )
 from quditmbqc.sim import (
+    _KINDS,
     Gate,
+    GateName,
     StateVector,
     basis_state,
     fidelity_up_to_phase,
@@ -112,6 +114,22 @@ def test_criterion_01_algebra_exactness():
                         got = pauli_to_matrix(pauli_conjugate(("CZ", 0, 1), p))
                         want = czm @ pauli_to_matrix(p) @ czm.conj().T
                         assert np.max(np.abs(got - want)) < ALGEBRA_TOL
+        # every Clifford kind, as a Gate on sites of a 3-site Pauli in any
+        # order, at powers up to past int64
+        rng = np.random.default_rng(d)
+        gates = [Gate.f(), Gate.finv(), Gate.p(), Gate.swap(), Gate.fanout((1, d - 1)), Gate.mod((d + 1, -(10**20)))]
+        gates += [make(k) for make in (Gate.x, Gate.z, Gate.cx, Gate.cz) for k in (0, 1, -1, d - 1, d + 1, 10**20, -(10**20))]
+        clifford = {name for name, kind in _KINDS.items() if kind.shifts or kind.swap or kind.form}
+        assert {g.name for g in gates} == clifford | {GateName.F, GateName.FINV}
+        for gate in gates:
+            sites = tuple(int(s) for s in rng.permutation(3)[: gate.arity])
+            u = circuit_unitary(Circuit(ctx, (0, 1, 2), (0, 1, 2), (0, 1, 2), (Operation(gate, sites),)))
+            for _ in range(6):
+                x, z = tuple(rng.integers(d, size=3)), tuple(rng.integers(d, size=3))
+                p = PauliOperator(ctx, 3, int(rng.integers(ctx.D)), x, z)
+                got = pauli_to_matrix(pauli_conjugate((gate, *sites), p))
+                want = u @ pauli_to_matrix(p) @ u.conj().T
+                assert np.max(np.abs(got - want)) < ALGEBRA_TOL, (gate, sites)
     announce(1, "algebra exactness", started, 10)
 
 

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,7 +14,7 @@ from quditmbqc.algebra import (
     xi_f,
     xi_p,
 )
-from quditmbqc.sim import Gate, gate_matrix
+from quditmbqc.sim import _KINDS, Gate, GateName, gate_matrix, pauli_angles
 
 DIMS = [2, 3, 4, 5]
 
@@ -177,6 +179,52 @@ class TestConjugate:
         p = PauliOperator.identity(ctx_of(3), 2)
         with pytest.raises(ValueError):
             pauli_conjugate(("F", 2), p)
+
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize(
+        "gate", [Gate.x(2), Gate.cx(-1), Gate.fanout((1, 2)), Gate.mod((2, 1))], ids=lambda g: g.name.value
+    )
+    def test_a_kind_conjugates_alike_through_its_define(self, monkeypatch, gate, d):
+        # with its declared action taken away, a kind conjugates part by part
+        # through its one-step definition, in order, to the same Pauli
+        ctx, rng = ctx_of(d), np.random.default_rng(d)
+        sites = (2, 0, 1)[: gate.arity]
+        paulis = [
+            PauliOperator(ctx, 3, int(rng.integers(ctx.D)), tuple(rng.integers(d, size=3)), tuple(rng.integers(d, size=3)))
+            for _ in range(10)
+        ]
+        want = [pauli_conjugate((gate, *sites), p) for p in paulis]
+        monkeypatch.setitem(_KINDS, gate.name, replace(_KINDS[gate.name], shifts=None, swap=False))
+        assert [pauli_conjugate((gate, *sites), p) for p in paulis] == want
+
+    @pytest.mark.parametrize(
+        "generator,message",
+        [
+            (("CZ", 0), r"^CZ needs 2 distinct sites of a 3-site Pauli, got \(0,\)$"),
+            (("P", 0, 1), r"^P needs 1 distinct sites"),
+            (("CX", 1, 1), r"^CX needs 2 distinct sites"),
+            (("SWAP", 0, 3), r"^SWAP needs 2 distinct sites"),
+            ((Gate.fanout((1, 1)), 0, 1), r"^FANOUT needs 3 distinct sites"),
+            (("FANOUT", 0, 1), r"^FANOUT needs a nonempty coefficient vector$"),
+            (("R", 0), r"^R needs a length-3 angle vector$"),
+            ((Gate(GateName.P, k=2), 0), r"^P takes no 'k' parameter$"),
+            (("bogus", 0), r"bogus"),
+        ],
+    )
+    def test_refuses_a_malformed_generator(self, generator, message):
+        with pytest.raises(ValueError, match=message):
+            pauli_conjugate(generator, PauliOperator.identity(ctx_of(3), 3))
+
+    @pytest.mark.parametrize("d", DIMS)
+    @pytest.mark.parametrize("name", [GateName.V, GateName.R, GateName.DIAG])
+    def test_refuses_non_clifford_kinds_at_any_angles(self, name, d):
+        # even angles that make a Clifford: v(pauli_angles) is F.P and
+        # R(pauli_angles) is P, yet the kinds are refused as such
+        param = _KINDS[name].param
+        rng = np.random.default_rng(d)
+        for angles in [(0.0,) * d, pauli_angles(d), tuple(rng.uniform(0, 2 * np.pi, d))]:
+            with pytest.raises(ValueError, match=rf"^{name.value} is not a Clifford gate$"):
+                pauli_conjugate((Gate(name, **{param: angles}), 1), PauliOperator.identity(ctx_of(d), 2))
 
 
 class TestMatrices:

@@ -1,4 +1,5 @@
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -487,12 +488,17 @@ class TestControlledPauliCompiler:
             src = random_controlled_pauli_circuit(ctx, n, 5 * n, seed, locals_too=True)
             cx = [op.sites for op in src.ops if op.gate.name == GateName.CX]
             chained |= not {c for c, _ in cx}.isdisjoint(t for _, t in cx)
-            quad, lin, matrix, shift = _normalize_controlled_pauli(src.ops, src.qudits, d)
-            dense_quad, dense_lin, dense_matrix, dense_shift = oracle_normal_form(src.ops, src.qudits, d)
-            assert quad == {(a, b): dense_quad[a, b] for a, b in np.argwhere(dense_quad).tolist()}
-            assert lin.to_mapping() == {a: c for a, c in enumerate(dense_lin.tolist()) if c}
-            assert [row.to_mapping() for row in matrix] == [{a: c for a, c in enumerate(r) if c} for r in dense_matrix.tolist()]
-            assert shift == dense_shift.tolist()
+            # the same block again at powers outside [1, d), which the normal
+            # form reads unreduced from the kinds' shifts and form
+            powers = [0, -1, d, d + 1, 10**20, -(10**20)]
+            at_powers = tuple(replace(op, gate=replace(op.gate, k=powers[i % len(powers)])) for i, op in enumerate(src.ops))
+            for ops in (src.ops, at_powers):
+                quad, lin, matrix, shift = _normalize_controlled_pauli(ops, src.qudits, d)
+                dense_quad, dense_lin, dense_matrix, dense_shift = oracle_normal_form(ops, src.qudits, d)
+                assert quad == {(a, b): dense_quad[a, b] for a, b in np.argwhere(dense_quad).tolist()}
+                assert lin.to_mapping() == {a: c for a, c in enumerate(dense_lin.tolist()) if c}
+                assert [row.to_mapping() for row in matrix] == [{a: c for a, c in enumerate(r) if c} for r in dense_matrix.tolist()]
+                assert shift == dense_shift.tolist()
         assert chained
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7])

@@ -12,10 +12,11 @@ from helpers import (
     purity,
     reduced_density_matrix,
 )
-from quditmbqc.algebra import DimensionContext
+from quditmbqc.algebra import DimensionContext, xi_p
 from quditmbqc.circuit import Circuit, Operation
 from quditmbqc.pattern import Measure, Pattern, Signal, run, run_branches
 from quditmbqc.sim import (
+    _KINDS,
     _collapse_rows,
     _kernel,
     _phase,
@@ -140,6 +141,29 @@ class TestGateMatrices:
             for ig, _ in gate_inverse_ops(g, (0,) * g.arity, d):
                 inv = gate_matrix(ig, ctx) @ inv
             assert np.max(np.abs(inv @ u - np.eye(u.shape[0]))) < 1e-10, g
+
+
+class TestCliffordForms:
+    """Each Clifford diagonal's exact phase form against its phase table."""
+
+    @pytest.mark.parametrize("d", range(2, 10))
+    def test_form_gives_the_phase_table(self, d):
+        ctx = ctx_of(d)
+        gates = [Gate.p()] + [make(k) for make in (Gate.z, Gate.cz) for k in range(-d - 1, 2 * d + 1)]
+        assert {g.name for g in gates} == {name for name, kind in _KINDS.items() if kind.form}
+        for g in gates:
+            kind = _KINDS[g.name]
+            table = kind.phases(g, d)
+            x = np.indices(table.shape)
+            exponent = sum(c * x[i] * (1 if j is None else x[j]) for c, i, j in kind.form(g, d))
+            assert np.max(np.abs(np.exp(2j * np.pi * (exponent % ctx.D) / ctx.D) - table)) < 1e-12, g
+
+    def test_phase_gate_form_is_xi_p(self):
+        for d in range(2, 40):
+            ctx = ctx_of(d)
+            form = _KINDS[GateName.P].form(Gate.p(), d)
+            for n in range(-5 * d, 5 * d):
+                assert sum(c * n * (1 if j is None else n) for c, _, j in form) % ctx.D == xi_p(ctx, n), (d, n)
 
 
 class TestApplyGate:
