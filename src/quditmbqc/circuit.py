@@ -515,6 +515,8 @@ def _gate_from_json(name: str, params: dict) -> Gate:
     if key not in params:
         return Gate(kind)
     value = params[key]
+    if cast is int and not all(type(x) is int for x in ([value] if param == "k" else value)):
+        raise ValueError(f"{name} parameter {key!r} must be integer(s), got {value!r}")
     return Gate(kind, **{param: cast(value) if param == "k" else tuple(cast(x) for x in value)})
 
 

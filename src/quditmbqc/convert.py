@@ -161,13 +161,9 @@ def circuit_to_pattern_cluster(c: Circuit) -> Pattern:
 
 
 def _controlled_gates(cmd: Measure | CorrectX | CorrectZ) -> list[Operation]:
-    """The coherent form of a command's classical control: one controlled
-    Pauli per signal term (the X signal for a measurement)."""
-    if isinstance(cmd, Measure):
-        signal, controlled = cmd.x_signal, Gate.cx
-    else:
-        signal, controlled = cmd.signal, Gate.cx if isinstance(cmd, CorrectX) else Gate.cz
-    return [Operation(controlled(coeff), (q, cmd.site)) for q, coeff in signal.coeffs]
+    """The coherent form of a command's classical control: one controlled X per
+    ``s`` signal term, one controlled Z per ``t`` term (none on an M here)."""
+    return [Operation((Gate.cx if key == "s" else Gate.cz)(c), (q, cmd.site)) for key, sig in cmd.signals() for q, c in sig.coeffs]
 
 
 def _coherent(p: Pattern, layers: list[list[Measure]], compile_block: Callable) -> Circuit:

@@ -16,6 +16,7 @@ import json
 import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
+from typing import ClassVar, get_args
 from json.encoder import encode_basestring_ascii
 
 import numpy as np
@@ -152,8 +153,29 @@ class Signal:
         return "+".join(f"{c}*s[{q}]" if c != 1 else f"s[{q}]" for q, c in self.coeffs)
 
 
+class _Command:
+    """A command's one description: its class line states its JSON ``kind``,
+    its number of sites and the JSON ``keys`` of its signals; ``sites()``,
+    and ``signals()`` as (key, Signal) pairs in ``keys`` order.  Generic code
+    reads only these, and an M's theta and measured site by name."""
+
+    kind: ClassVar[str]
+    arity: ClassVar[int] = 1
+    keys: ClassVar[tuple[str, ...]] = ()
+
+    def __init_subclass__(cls, **description):
+        for name, value in description.items():
+            setattr(cls, name, value)
+
+    def sites(self) -> tuple[int, ...]:
+        return (self.site,)
+
+    def signals(self) -> tuple[tuple[str, Signal], ...]:
+        return ()
+
+
 @dataclass(frozen=True)
-class Entangle:
+class Entangle(_Command, kind="E", arity=2):
     """E(i,j): a controlled-Z between two distinct qudits; symmetric."""
 
     i: int
@@ -172,7 +194,7 @@ class Entangle:
 
 
 @dataclass(frozen=True)
-class Measure:
+class Measure(_Command, kind="M", keys=("s", "t")):
     """Destructive measurement of one qudit with angle vector theta.
 
     ``x_signal`` adapts the measured observable by an X power and
@@ -188,44 +210,38 @@ class Measure:
     def __post_init__(self):
         object.__setattr__(self, "theta", tuple(float(t) for t in self.theta))
 
-    def sites(self) -> tuple[int, ...]:
-        return (self.site,)
+    def signals(self) -> tuple[tuple[str, Signal], ...]:
+        return (("s", self.x_signal), ("t", self.z_signal))
 
     def is_independent(self) -> bool:
         return self.x_signal.is_zero() and self.z_signal.is_zero()
 
 
 @dataclass(frozen=True)
-class CorrectX:
+class _Correction(_Command):
+    """A Pauli correction raised to its signal; the subclass names the Pauli.
+    The kind joins the hash, as the class already joins equality."""
+
+    site: int
+    signal: Signal
+
+    def __hash__(self):
+        return hash((self.kind, self.site, self.signal))
+
+    def signals(self) -> tuple[tuple[str, Signal], ...]:
+        return ((self.keys[0], self.signal),)
+
+
+class CorrectX(_Correction, kind="X", keys=("s",)):
     """Classically controlled X^signal correction."""
 
-    site: int
-    signal: Signal
 
-    def sites(self) -> tuple[int, ...]:
-        return (self.site,)
-
-
-@dataclass(frozen=True)
-class CorrectZ:
+class CorrectZ(_Correction, kind="Z", keys=("t",)):
     """Classically controlled Z^signal correction."""
-
-    site: int
-    signal: Signal
-
-    def sites(self) -> tuple[int, ...]:
-        return (self.site,)
 
 
 Command = Entangle | Measure | CorrectX | CorrectZ
-
-
-def _command_signals(cmd: Command) -> tuple[Signal, ...]:
-    if isinstance(cmd, Measure):
-        return (cmd.x_signal, cmd.z_signal)
-    if isinstance(cmd, (CorrectX, CorrectZ)):
-        return (cmd.signal,)
-    return ()
+_COMMANDS = {cls.kind: cls for cls in get_args(Command)}
 
 
 @dataclass(frozen=True)
@@ -243,7 +259,7 @@ class Pattern:
     def __post_init__(self):
         _check_wires(self)
         # a correction whose signal is statically zero does nothing
-        seq = tuple(cmd for cmd in self.seq if not (isinstance(cmd, (CorrectX, CorrectZ)) and cmd.signal.is_zero()))
+        seq = tuple(cmd for cmd in self.seq if not (isinstance(cmd, _Correction) and cmd.signal.is_zero()))
         object.__setattr__(self, "seq", seq)
         bad = validate(self)
         if bad is not None:
@@ -279,7 +295,7 @@ def validate(p: Pattern) -> Violation | None:
                 return Violation(idx, f"unknown qudit {s}")
             if s in measured:
                 return Violation(idx, f"qudit {s} was already measured")
-        for sig in _command_signals(cmd):
+        for _, sig in cmd.signals():
             if sig.d != p.ctx.d:
                 return Violation(idx, "signal modulus differs from the pattern dimension")
             for q, _ in sig.coeffs:
@@ -568,11 +584,7 @@ def pattern_depth_and_size(p: Pattern) -> DepthReport:
 
 def _chain_item(cmd: Command) -> tuple:
     """(sites, referenced outcome qudits, measured qudit or None) of a command."""
-    if isinstance(cmd, Entangle):
-        return (cmd.i, cmd.j), (), None
-    if isinstance(cmd, Measure):
-        return (cmd.site,), cmd.x_signal.qudits() + cmd.z_signal.qudits(), cmd.site
-    return (cmd.site,), cmd.signal.qudits(), None
+    return cmd.sites(), [q for _, sig in cmd.signals() for q, _ in sig.coeffs], cmd.site if cmd.kind == "M" else None
 
 
 # -- entanglement graph and entanglement depth --------------------------------
@@ -787,12 +799,8 @@ def entanglement_depth(g: EntanglementGraph) -> EntanglementDepthReport:
 def _relabel_commands(seq, mapping: dict[int, int]) -> tuple[Command, ...]:
     out = []
     for cmd in seq:
-        if isinstance(cmd, Entangle):
-            out.append(Entangle(mapping[cmd.i], mapping[cmd.j]))
-        elif isinstance(cmd, Measure):
-            out.append(Measure(mapping[cmd.site], cmd.theta, cmd.x_signal.relabel(mapping), cmd.z_signal.relabel(mapping)))
-        else:
-            out.append(type(cmd)(mapping[cmd.site], cmd.signal.relabel(mapping)))
+        theta = (cmd.theta,) if cmd.kind == "M" else ()
+        out.append(type(cmd)(*(mapping[q] for q in cmd.sites()), *theta, *(sig.relabel(mapping) for _, sig in cmd.signals())))
     return tuple(out)
 
 
@@ -819,37 +827,21 @@ def _signal_from_json(d: int, doc: dict | None) -> Signal:
         return Signal.zero(d)
     if not isinstance(doc, dict):
         raise ValueError(f"a signal must be an object {{qudit: coefficient}}, got {doc!r}")
-    raw: dict[int, int] = {}
-    for q, c in doc.items():
-        raw[int(q)] = raw.get(int(q), 0) + int(c)
-    return Signal._of_raw(d, raw)
-
-
-# One template per command kind; an M's nonzero signals fill its last slot.
-_COMMAND_JSON = {
-    "E": '    {\n      "kind": "E",\n      "sites": [\n        %s,\n        %s\n      ]\n    }',
-    "M": '    {\n      "kind": "M",\n      "sites": [\n        %s\n      ],\n      "theta": %s%s\n    }',
-    "X": '    {\n      "kind": "X",\n      "sites": [\n        %s\n      ],\n      "s": %s\n    }',
-    "Z": '    {\n      "kind": "Z",\n      "sites": [\n        %s\n      ],\n      "t": %s\n    }',
-}
+    if not all(type(c) is int for c in doc.values()):
+        raise ValueError(f"signal coefficients must be integers, got {doc!r}")
+    return Signal(d, tuple((int(q), c) for q, c in doc.items()))
 
 
 def _command_to_json(cmd: Command) -> str:
-    if isinstance(cmd, Entangle):
-        return _COMMAND_JSON["E"] % (_json_num(cmd.i), _json_num(cmd.j))
-    site = _json_num(cmd.site)
-    if isinstance(cmd, Measure):
-        named = (("s", cmd.x_signal), ("t", cmd.z_signal))
-        signals = "".join(',\n      "%s": %s' % (k, _signal_to_json(s)) for k, s in named if not s.is_zero())
-        return _COMMAND_JSON["M"] % (site, _json_list(cmd.theta, " " * 8), signals)
-    return _COMMAND_JSON["X" if isinstance(cmd, CorrectX) else "Z"] % (site, _signal_to_json(cmd.signal))
+    """Kind, sites, an M's theta, then each signal; of several, only the nonzero ones."""
+    sites = ",\n        ".join([_json_num(q) for q in cmd.sites()])
+    theta = ',\n      "theta": ' + _json_list(cmd.theta, " " * 8) if cmd.kind == "M" else ""
+    signals = "".join([',\n      "%s": %s' % (key, _signal_to_json(sig)) for key, sig in cmd.signals() if len(cmd.keys) == 1 or not sig.is_zero()])
+    return '    {\n      "kind": "%s",\n      "sites": [\n        %s\n      ]%s%s\n    }' % (cmd.kind, sites, theta, signals)
 
 
 def pattern_to_json(p: Pattern) -> str:
     return _json_document(p, "commands", [_command_to_json(cmd) for cmd in p.seq])
-
-
-_COMMAND_ARITY = {"E": 2, "M": 1, "X": 1, "Z": 1}
 
 
 def pattern_from_json(text: str) -> Pattern:
@@ -858,29 +850,18 @@ def pattern_from_json(text: str) -> Pattern:
 
 def _pattern_from_doc(doc: dict) -> Pattern:
     ctx = DimensionContext.of(doc["d"])
-    d = ctx.d
     seq: list[Command] = []
     for entry in doc["commands"]:
         kind = entry["kind"]
         sites = _qudit_ids(entry, "sites")
-        arity = _COMMAND_ARITY.get(kind)
-        if arity is None:
+        cls = _COMMANDS.get(kind)
+        if cls is None:
             raise ValueError(f"unknown command kind {kind!r}")
-        if len(sites) != arity or len(set(sites)) != arity:
-            raise ValueError(f"{kind} command needs exactly {arity} distinct site(s), got {sites!r}")
-        if kind == "E":
-            seq.append(Entangle(sites[0], sites[1]))
-        elif kind == "M":
-            seq.append(
-                Measure(
-                    sites[0],
-                    tuple(float(t) for t in entry["theta"]),
-                    _signal_from_json(d, entry.get("s")),
-                    _signal_from_json(d, entry.get("t")),
-                )
-            )
-        elif kind == "X":
-            seq.append(CorrectX(sites[0], _signal_from_json(d, entry.get("s"))))
-        else:
-            seq.append(CorrectZ(sites[0], _signal_from_json(d, entry.get("t"))))
+        if len(sites) != cls.arity or len(set(sites)) != cls.arity:
+            raise ValueError(f"{kind} command needs exactly {cls.arity} distinct site(s), got {sites!r}")
+        theta = ("theta",) if kind == "M" else ()
+        unread = entry.keys() - {"kind", "sites", *theta, *cls.keys}
+        if unread:
+            raise ValueError(f"{kind} command takes no key(s) {sorted(unread)}")
+        seq.append(cls(*sites, *[entry[k] for k in theta], *[_signal_from_json(ctx.d, entry.get(k)) for k in cls.keys]))
     return Pattern(ctx, _qudit_ids(doc, "qudits"), _qudit_ids(doc, "inputs"), _qudit_ids(doc, "outputs"), tuple(seq))

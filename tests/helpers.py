@@ -22,6 +22,8 @@
 - the former ``Signal`` canonicaliser, the former term-by-term
   ``signal_shift`` substitution built on it, and the artifact
   documents the JSON writers once handed to ``json.dumps(doc, indent=2)``
+- the former per-kind depth items and relabelling of pattern commands, as
+  the reference for the commands' one description
 - a context manager that counts the kernel calls a module makes
 """
 
@@ -93,17 +95,20 @@ def circuit_items(c: Circuit):
     return [(op.sites, (), None) for op in c.ops]
 
 
+def oracle_chain_item(cmd) -> tuple:
+    """The former per-kind ``pattern._chain_item``: (sites, referenced
+    outcome qudits, measured qudit or None) of a command."""
+    if isinstance(cmd, Entangle):
+        return (cmd.i, cmd.j), (), None
+    if isinstance(cmd, Measure):
+        return (cmd.site,), cmd.x_signal.qudits() + cmd.z_signal.qudits(), cmd.site
+    if isinstance(cmd, (CorrectX, CorrectZ)):
+        return (cmd.site,), cmd.signal.qudits(), None
+    raise TypeError(cmd)
+
+
 def pattern_items(p: Pattern):
-    items = []
-    for cmd in p.seq:
-        if isinstance(cmd, Entangle):
-            items.append(((cmd.i, cmd.j), (), None))
-        elif isinstance(cmd, Measure):
-            refs = tuple(cmd.x_signal.qudits()) + tuple(cmd.z_signal.qudits())
-            items.append(((cmd.site,), refs, cmd.site))
-        elif isinstance(cmd, (CorrectX, CorrectZ)):
-            items.append(((cmd.site,), tuple(cmd.signal.qudits()), None))
-    return items
+    return [oracle_chain_item(cmd) for cmd in p.seq]
 
 
 # -- unitary comparison -----------------------------------------------------------
@@ -873,6 +878,22 @@ def oracle_signal_shift(p: Pattern) -> Pattern:
         else:
             seq.append(cmd)
     return p.with_seq(seq)
+
+
+def oracle_relabel_commands(seq, mapping: dict[int, int]) -> tuple:
+    """The former per-kind ``pattern._relabel_commands``: each command's sites
+    moved by ``mapping``, and its signals relabelled by it."""
+    out = []
+    for cmd in seq:
+        if isinstance(cmd, Entangle):
+            out.append(Entangle(mapping[cmd.i], mapping[cmd.j]))
+        elif isinstance(cmd, Measure):
+            out.append(Measure(mapping[cmd.site], cmd.theta, cmd.x_signal.relabel(mapping), cmd.z_signal.relabel(mapping)))
+        elif isinstance(cmd, CorrectX):
+            out.append(CorrectX(mapping[cmd.site], cmd.signal.relabel(mapping)))
+        else:
+            out.append(CorrectZ(mapping[cmd.site], cmd.signal.relabel(mapping)))
+    return tuple(out)
 
 
 def _artifact_doc(a, key: str, items: list) -> dict:

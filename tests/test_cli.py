@@ -227,6 +227,62 @@ def test_parameter_the_gate_does_not_read_is_input_error(tmp_path, capsys, gate,
     assert capsys.readouterr().err.startswith("error:")
 
 
+@pytest.mark.parametrize(
+    "gate, params",
+    [
+        ("X", {"k": 1.7}),
+        ("X", {"k": 1.0}),
+        ("CZ", {"k": True}),
+        ("Z", {"k": "1"}),
+        ("FANOUT", {"v": [1.9, True]}),
+        ("MOD", {"v": [1, 2.0]}),
+        ("FANOUT", {"v": [False, 1]}),
+    ],
+)
+def test_integer_gate_parameter_that_is_not_a_json_integer_is_input_error(tmp_path, capsys, gate, params):
+    """A gate power or coefficient is refused unless it is a JSON integer;
+    each was once truncated (1.7 read as 1, true as 1)."""
+    arity = {"X": 1, "Z": 1, "CZ": 2, "FANOUT": 3, "MOD": 3}[gate]
+    paths = []
+    for name, value in (("bad", params), ("good", {key: 1 if key == "k" else [1] * (arity - 1) for key in params})):
+        op = {"gate": gate, "params": value, "sites": list(range(arity))}
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps({"d": 3, "qudits": [0, 1, 2], "inputs": [0, 1, 2], "outputs": [0, 1, 2], "ops": [op]}))
+    assert run_cli("verify", str(paths[1]), str(paths[1])) == 0
+    capsys.readouterr()
+    assert run_cli("verify", str(paths[0]), str(paths[1])) == 2
+    key = next(iter(params))
+    assert capsys.readouterr().err == f"error: {paths[0]}: {gate} parameter {key!r} must be integer(s), got {params[key]!r}\n"
+
+
+def _teleport_doc(correction: dict) -> dict:
+    """One teleportation step whose correction command is ``correction``."""
+    commands = [{"kind": "E", "sites": [0, 1]}, {"kind": "M", "sites": [0], "theta": [0.0, 0.5, 1.0]}, correction]
+    return {"d": 3, "qudits": [0, 1], "inputs": [0], "outputs": [1], "commands": commands}
+
+
+@pytest.mark.parametrize(
+    "correction, refusal",
+    [
+        # read as no signal once, so the correction was dropped and rewrite complete exited 0
+        ({"kind": "Z", "sites": [1], "s": {"0": 1}}, "Z command takes no key(s) ['s']"),
+        ({"kind": "X", "sites": [1], "s": {"0": 1}, "t": {"0": 1}}, "X command takes no key(s) ['t']"),
+        ({"kind": "X", "sites": [1], "s": {"0": 1.5}}, "signal coefficients must be integers, got {'0': 1.5}"),
+        ({"kind": "Z", "sites": [1], "t": {"0": True}}, "signal coefficients must be integers, got {'0': True}"),
+    ],
+)
+def test_malformed_command_key_or_signal_is_input_error(tmp_path, capsys, correction, refusal):
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps(_teleport_doc({"kind": correction["kind"], "sites": [1], "s" if correction["kind"] == "X" else "t": {"0": 1}})))
+    assert run_cli("rewrite", "complete", "--in", str(good), "--out", str(tmp_path / "out.json")) == 0
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(_teleport_doc(correction)))
+    capsys.readouterr()
+    assert run_cli("rewrite", "complete", "--in", str(bad), "--out", str(tmp_path / "bad-out.json")) == 2
+    assert capsys.readouterr().err == f"error: {bad}: {refusal}\n"
+    assert not (tmp_path / "bad-out.json").exists()
+
+
 def test_all_branches_above_the_enumeration_cap_is_input_error(tmp_path, capsys):
     # one qutrit through 5 v gates gives 3^5 = 243 branches, through 6 gives 729
     for gates, code in ((5, 0), (6, 2)):

@@ -1,4 +1,6 @@
+import json
 import math
+import re
 import sys
 from dataclasses import replace
 from itertools import product
@@ -13,6 +15,9 @@ sys.path.insert(0, str(Path(__file__).parent))
 from helpers import (
     counted_calls,
     longest_dependent_path,
+    oracle_chain_item,
+    oracle_pattern_doc,
+    oracle_relabel_commands,
     oracle_run,
     oracle_run_branches,
     oracle_schedule,
@@ -49,7 +54,10 @@ from quditmbqc.pattern import (
     pattern_from_json,
     pattern_to_json,
     peak_live_qudits,
+    _COMMANDS,
+    _chain_item,
     _greedy_coloring,
+    _relabel_commands,
     _schedule,
     _signal_from_json,
     run,
@@ -756,3 +764,117 @@ class TestComposeAndJson:
         again = pattern_from_json(pattern_to_json(composite))
         assert again == composite
         assert pattern_to_json(again) == pattern_to_json(composite)
+
+
+def random_commands(d: int, rng, count: int = 40) -> list:
+    """Commands on qudits 0..7, wellformed as a sequence or not: repeated
+    labels, coefficients outside [0, d), and in about half the signals a
+    label repeated d times, whose terms cancel."""
+
+    def signal() -> Signal:
+        terms = [(int(q), int(c)) for q, c in zip(rng.integers(0, 8, 3), rng.integers(-2 * d, 2 * d, 3))]
+        terms = terms[: int(rng.integers(0, 4))]
+        if rng.random() < 0.5:
+            terms += [(int(rng.integers(0, 8)), int(rng.integers(1, d)))] * d
+        return Signal(d, tuple(terms))
+
+    seq = []
+    for _ in range(count):
+        kind = "EMXZ"[int(rng.integers(4))]
+        q = int(rng.integers(0, 8))
+        if kind == "E":
+            seq.append(Entangle(q, (q + int(rng.integers(1, 8))) % 8))
+        elif kind == "M":
+            seq.append(Measure(q, tuple(rng.uniform(0, 2 * np.pi, d)), signal(), signal()))
+        else:
+            seq.append((CorrectX if kind == "X" else CorrectZ)(q, signal()))
+    return seq
+
+
+class TestCommandDescription:
+    def test_each_class_states_its_kind_sites_and_signal_keys(self):
+        s, t = Signal.unit(3, 0), Signal.of(3, {0: 2, 1: 1})
+        commands = (Entangle(4, 2), Measure(2, (0.0,) * 3, s, t), CorrectX(4, s), CorrectZ(4, t))
+        assert _COMMANDS == {"E": Entangle, "M": Measure, "X": CorrectX, "Z": CorrectZ}
+        assert [cmd.kind for cmd in commands] == list("EMXZ")
+        assert [cmd.sites() for cmd in commands] == [(4, 2), (2,), (4,), (4,)]
+        assert [cmd.signals() for cmd in commands] == [(), (("s", s), ("t", t)), (("s", s),), (("t", t),)]
+        for cmd in commands:
+            assert tuple(key for key, _ in cmd.signals()) == cmd.keys
+            assert len(cmd.sites()) == cmd.arity
+
+    def test_corrections_of_the_two_kinds_differ(self):
+        s = Signal.unit(3, 0)
+        x, z = CorrectX(1, s), CorrectZ(1, s)
+        assert x != z and hash(x) != hash(z) and len({x, z}) == 2
+        assert x == CorrectX(1, Signal.unit(3, 0)) and hash(x) == hash(CorrectX(1, Signal.unit(3, 0)))
+        assert repr(x) == "CorrectX(site=1, signal=s[0])" and repr(z) == "CorrectZ(site=1, signal=s[0])"
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_depth_items_and_relabelling_match_the_per_kind_oracles(self, d):
+        rng = np.random.default_rng(100 + d)
+        cancelled = 0
+        for _ in range(25):
+            seq = random_commands(d, rng)
+            for cmd in seq:
+                sites, refs, measured = _chain_item(cmd)
+                assert (sites, tuple(refs), measured) == oracle_chain_item(cmd)
+            mapping = dict(zip(range(8), rng.permutation(np.arange(20, 40))[:8].tolist()))
+            got = _relabel_commands(seq, mapping)
+            assert got == oracle_relabel_commands(seq, mapping)
+            assert [type(cmd) for cmd in got] == [type(cmd) for cmd in seq]
+            cancelled += sum(sig.is_zero() for cmd in seq for _, sig in cmd.signals())
+        assert cancelled  # zero signals, some of them from terms that cancel, were among the inputs
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_random_commands_write_as_the_reference_document(self, d):
+        rng = np.random.default_rng(200 + d)
+        ctx = ctx_of(d)
+        for _ in range(10):
+            p = Pattern(ctx, tuple(range(8)), (), tuple(range(8)))
+            object.__setattr__(p, "seq", tuple(random_commands(d, rng)))
+            assert pattern_to_json(p) == json.dumps(oracle_pattern_doc(p), indent=2) + "\n"
+
+
+def _command_doc(d: int, correction: dict) -> dict:
+    """A wellformed pattern document whose last command is ``correction``."""
+    commands = [{"kind": "E", "sites": [0, 1]}, {"kind": "M", "sites": [0], "theta": [0.0] * d}, correction]
+    return {"d": d, "qudits": [0, 1], "inputs": [0], "outputs": [1], "commands": commands}
+
+
+class TestJsonReader:
+    def test_control_documents_load(self):
+        for kind, key in (("X", "s"), ("Z", "t")):
+            p = pattern_from_json(json.dumps(_command_doc(3, {"kind": kind, "sites": [1], key: {"0": 2}})))
+            assert len(p.seq) == 3 and p.seq[-1].kind == kind and p.seq[-1].signal == Signal.of(3, {0: 2})
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [
+            # the Z correction's signal keyed as an X correction's: read as no signal at the parent, so dropped
+            ({"kind": "Z", "sites": [1], "s": {"0": 1}}, "Z command takes no key(s) ['s']"),
+            ({"kind": "X", "sites": [1], "s": {"0": 1}, "t": {"0": 1}}, "X command takes no key(s) ['t']"),
+            ({"kind": "X", "sites": [1], "s": {"0": 1}, "theta": [0.0] * 3}, "X command takes no key(s) ['theta']"),
+            ({"kind": "E", "sites": [0, 1], "theta": [0.0] * 3}, "E command takes no key(s) ['theta']"),
+            ({"kind": "M", "sites": [1], "theta": [0.0] * 3, "u": {}, "p": 1}, "M command takes no key(s) ['p', 'u']"),
+        ],
+    )
+    def test_refuses_a_key_the_kind_does_not_read(self, command, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pattern_from_json(json.dumps(_command_doc(3, command)))
+
+    @pytest.mark.parametrize("coeff", [1.5, 1.0, True, False, "1", None, [1]])
+    def test_refuses_a_signal_coefficient_that_is_not_an_integer(self, coeff):
+        doc = _command_doc(3, {"kind": "X", "sites": [1], "s": {"0": coeff}})
+        with pytest.raises(ValueError, match="^signal coefficients must be integers, got "):
+            pattern_from_json(json.dumps(doc))
+        doc["commands"][1]["s"] = {"0": coeff}  # a measurement's signal too
+        doc["commands"][2]["s"] = {"0": 1}
+        with pytest.raises(ValueError, match="^signal coefficients must be integers, got "):
+            pattern_from_json(json.dumps(doc))
+
+    def test_signal_errors_keep_their_messages(self):
+        with pytest.raises(ValueError, match=r"^a signal must be an object \{qudit: coefficient\}, got \[1\]$"):
+            _signal_from_json(3, [1])
+        assert _signal_from_json(3, None) == Signal.zero(3)
+        assert _signal_from_json(3, {"0": 4, "00": -1, "1": 3}) == Signal.zero(3)
