@@ -515,9 +515,22 @@ def _gate_from_json(name: str, params: dict) -> Gate:
     if key not in params:
         return Gate(kind)
     value = params[key]
-    if cast is int and not all(type(x) is int for x in ([value] if param == "k" else value)):
+    if cast is float:
+        return Gate(kind, **{param: _angles(value, f"{name} parameter {key!r}")})
+    if not all(type(x) is int for x in ([value] if param == "k" else value)):
         raise ValueError(f"{name} parameter {key!r} must be integer(s), got {value!r}")
-    return Gate(kind, **{param: cast(value) if param == "k" else tuple(cast(x) for x in value)})
+    return Gate(kind, **{param: value if param == "k" else tuple(value)})
+
+
+def _angles(value, what: str) -> tuple[float, ...]:
+    """An angle vector from a JSON list of numbers; a bool, a string, any
+    other container, or an integer past the float range is refused."""
+    if not isinstance(value, list) or not {int, float}.issuperset(map(type, value)):
+        raise ValueError(f"{what} must be a list of numbers, got {value!r}")
+    try:
+        return tuple(map(float, value))
+    except OverflowError:
+        raise ValueError(f"{what} must be finite, got {value!r}") from None
 
 
 _OP_JSON = '    {\n      "gate": %s,\n      "params": %s,\n      "sites": %s\n    }'
@@ -544,8 +557,11 @@ def circuit_from_json(text: str) -> Circuit:
 
 def _circuit_from_doc(doc: dict) -> Circuit:
     ctx = DimensionContext.of(doc["d"])
-    ops = tuple(
-        Operation(_gate_from_json(entry["gate"], entry.get("params", {})), _qudit_ids(entry, "sites"))
-        for entry in doc["ops"]
-    )
-    return Circuit(ctx, _qudit_ids(doc, "qudits"), _qudit_ids(doc, "inputs"), _qudit_ids(doc, "outputs"), ops)
+    ops = []
+    for entry in doc["ops"]:
+        name = entry["gate"]
+        unread = entry.keys() - {"gate", "params", "sites"}
+        if unread:
+            raise ValueError(f"{name} op takes no key(s) {sorted(unread)}")
+        ops.append(Operation(_gate_from_json(name, entry.get("params", {})), _qudit_ids(entry, "sites")))
+    return Circuit(ctx, _qudit_ids(doc, "qudits"), _qudit_ids(doc, "inputs"), _qudit_ids(doc, "outputs"), tuple(ops))

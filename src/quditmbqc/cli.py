@@ -88,6 +88,8 @@ def load_artifact(path: str) -> Circuit | Pattern:
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
     try:
+        if "ops" in doc and "commands" in doc:
+            raise ValueError("both a circuit ('ops') and a pattern ('commands')")
         if "ops" in doc or "commands" in doc:
             _context(doc["d"])
             return (_circuit_from_doc if "ops" in doc else _pattern_from_doc)(doc)

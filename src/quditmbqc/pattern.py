@@ -22,7 +22,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .algebra import DimensionContext
-from .circuit import DepthReport, _check_wires, _json_document, _json_list, _json_num, _qudit_ids, _wired, longest_chain
+from .circuit import DepthReport, _angles, _check_wires, _json_document, _json_list, _json_num, _qudit_ids, _wired, longest_chain
 from .sim import (
     ZERO_BRANCH_TOL,
     Gate,
@@ -46,7 +46,6 @@ __all__ = [
     "CorrectZ",
     "Command",
     "Pattern",
-    "Violation",
     "validate",
     "run",
     "run_branches",
@@ -272,46 +271,36 @@ class Pattern:
         return replace(self, seq=tuple(seq))
 
 
-@dataclass(frozen=True)
-class Violation:
-    index: int | None
-    message: str
-
-    def __str__(self):
-        where = "pattern" if self.index is None else f"command {self.index}"
-        return f"{where}: {self.message}"
-
-
-def validate(p: Pattern) -> Violation | None:
-    """First violated definiteness condition of the measurement calculus, or
-    None.  ``Pattern`` runs it when built, after its wire checks, so on a
-    built pattern it returns None."""
+def validate(p: Pattern) -> str | None:
+    """First violated definiteness condition of the measurement calculus, as
+    "command i: ..." or "pattern: ...", or None.  ``Pattern`` runs it when
+    built, after its wire checks, so on a built pattern it returns None."""
     qs = set(p.qudits)
     outputs = set(p.outputs)
     measured: set[int] = set()
     for idx, cmd in enumerate(p.seq):
         for s in cmd.sites():
             if s not in qs:
-                return Violation(idx, f"unknown qudit {s}")
+                return f"command {idx}: unknown qudit {s}"
             if s in measured:
-                return Violation(idx, f"qudit {s} was already measured")
+                return f"command {idx}: qudit {s} was already measured"
         for _, sig in cmd.signals():
             if sig.d != p.ctx.d:
-                return Violation(idx, "signal modulus differs from the pattern dimension")
+                return f"command {idx}: signal modulus differs from the pattern dimension"
             for q, _ in sig.coeffs:
                 if q not in measured:
-                    return Violation(idx, f"signal depends on qudit {q} not yet measured")
+                    return f"command {idx}: signal depends on qudit {q} not yet measured"
         if isinstance(cmd, Measure):
             if cmd.site in outputs:
-                return Violation(idx, f"output qudit {cmd.site} must not be measured")
+                return f"command {idx}: output qudit {cmd.site} must not be measured"
             if len(cmd.theta) != p.ctx.d:
-                return Violation(idx, f"angle vector must have length {p.ctx.d}")
+                return f"command {idx}: angle vector must have length {p.ctx.d}"
             if not all(map(math.isfinite, cmd.theta)):
-                return Violation(idx, f"angle vector must be finite, got {list(cmd.theta)}")
+                return f"command {idx}: angle vector must be finite, got {list(cmd.theta)}"
             measured.add(cmd.site)
     unmeasured = qs - outputs - measured
     if unmeasured:
-        return Violation(None, f"non-output qudit(s) {sorted(unmeasured)} never measured")
+        return f"pattern: non-output qudit(s) {sorted(unmeasured)} never measured"
     return None
 
 
@@ -829,6 +818,8 @@ def _signal_from_json(d: int, doc: dict | None) -> Signal:
         raise ValueError(f"a signal must be an object {{qudit: coefficient}}, got {doc!r}")
     if not all(type(c) is int for c in doc.values()):
         raise ValueError(f"signal coefficients must be integers, got {doc!r}")
+    if not all(q.removeprefix("-").isdigit() and q.isascii() for q in doc):
+        raise ValueError(f"signal labels must be decimal qudit ids, got {doc!r}")
     return Signal(d, tuple((int(q), c) for q, c in doc.items()))
 
 
@@ -863,5 +854,5 @@ def _pattern_from_doc(doc: dict) -> Pattern:
         unread = entry.keys() - {"kind", "sites", *theta, *cls.keys}
         if unread:
             raise ValueError(f"{kind} command takes no key(s) {sorted(unread)}")
-        seq.append(cls(*sites, *[entry[k] for k in theta], *[_signal_from_json(ctx.d, entry.get(k)) for k in cls.keys]))
+        seq.append(cls(*sites, *[_angles(entry[k], "M command 'theta'") for k in theta], *[_signal_from_json(ctx.d, entry.get(k)) for k in cls.keys]))
     return Pattern(ctx, _qudit_ids(doc, "qudits"), _qudit_ids(doc, "inputs"), _qudit_ids(doc, "outputs"), tuple(seq))

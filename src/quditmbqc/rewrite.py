@@ -74,23 +74,12 @@ def is_phase_direction(theta, d: int) -> bool:
 
 def is_standard(p: Pattern) -> bool:
     """Entangling commands first, then measurements, then corrections on
-    output qudits only."""
-    seq = p.seq
+    output qudits only: the stage of each command in ``p.seq`` never
+    decreases, and every correction acts on an output."""
     outputs = set(p.outputs)
-    stage = 0
-    for cmd in seq:
-        if isinstance(cmd, Entangle):
-            if stage > 0:
-                return False
-        elif isinstance(cmd, Measure):
-            if stage > 1:
-                return False
-            stage = 1
-        else:
-            stage = 2
-            if cmd.site not in outputs:
-                return False
-    return True
+    order = {"E": 0, "M": 1}  # a correction is stage 2
+    stages = [order.get(cmd.kind, 2) for cmd in p.seq]
+    return stages == sorted(stages) and all(cmd.site in outputs for cmd, stage in zip(p.seq, stages) if stage == 2)
 
 
 def is_completely_standard(p: Pattern) -> bool:
@@ -123,45 +112,36 @@ def signal_shift(p: Pattern) -> Pattern:
 
 
 def _standardise(d: int, seq) -> list[Command]:
-    """A single left-to-right pass accumulates, per qudit, the net pending
-    correction X^sx Z^sz floating at the current position (the X/Z
-    order inside a pending pair only affects a global phase).  An
-    entangling command jumps over the pending pair at the cost of a
-    Z^sx correction on the opposite qudit; a measurement absorbs the
-    pending pair into its signals; whatever remains at the end lands on
-    the output qudits as one X then one Z correction each.
+    """A single left-to-right pass keeps one Pauli frame: per signal key
+    ("s" for X, "t" for Z), the net correction of each qudit floating at the
+    current position (the X/Z order inside a pending pair only affects a
+    global phase).  A correction adds its signal under its own key; an
+    entangling command jumps over a pending X at the cost of a Z of the same
+    signal on the opposite qudit; a measurement pops the frame under its two
+    keys into its signals; whatever remains at the end lands on the output
+    qudits as one X then one Z correction each.
     """
-    pending_x: dict[int, Signal] = {}
-    pending_z: dict[int, Signal] = {}
     zero = Signal.zero(d)
-
-    def px(q):
-        return pending_x.get(q, zero)
-
-    def pz(q):
-        return pending_z.get(q, zero)
-
+    frame: dict[str, dict[int, Signal]] = {"s": {}, "t": {}}
     entangles: list[Command] = []
     measures: list[Command] = []
     for cmd in seq:
         if isinstance(cmd, Entangle):
-            sx_i, sx_j = px(cmd.i), px(cmd.j)
-            if not sx_i.is_zero():
-                pending_z[cmd.j] = pz(cmd.j) + sx_i
-            if not sx_j.is_zero():
-                pending_z[cmd.i] = pz(cmd.i) + sx_j
+            for q, partner in ((cmd.i, cmd.j), (cmd.j, cmd.i)):
+                sx = frame["s"].get(q, zero)
+                if not sx.is_zero():
+                    frame["t"][partner] = frame["t"].get(partner, zero) + sx
             entangles.append(cmd)
         elif isinstance(cmd, Measure):
-            sx, sz = pending_x.pop(cmd.site, zero), pending_z.pop(cmd.site, zero)
+            sx, sz = [frame[key].pop(cmd.site, zero) for key in cmd.keys]
             if sx is not zero or sz is not zero:
                 cmd = Measure(cmd.site, cmd.theta, cmd.x_signal + sx, cmd.z_signal + sz)
             measures.append(cmd)
-        elif isinstance(cmd, CorrectX):
-            pending_x[cmd.site] = px(cmd.site) + cmd.signal
         else:
-            pending_z[cmd.site] = pz(cmd.site) + cmd.signal
+            (key,) = cmd.keys
+            frame[key][cmd.site] = frame[key].get(cmd.site, zero) + cmd.signal
     # zero corrections pass through the later passes; the pattern drops them
-    tail = [cmd for q in sorted(set(pending_x) | set(pending_z)) for cmd in (CorrectX(q, px(q)), CorrectZ(q, pz(q)))]
+    tail = [cls(q, frame[cls.keys[0]].get(q, zero)) for q in sorted(frame["s"] | frame["t"]) for cls in (CorrectX, CorrectZ)]
     return entangles + measures + tail
 
 

@@ -24,6 +24,8 @@
   documents the JSON writers once handed to ``json.dumps(doc, indent=2)``
 - the former per-kind depth items and relabelling of pattern commands, as
   the reference for the commands' one description
+- the former two-dict ``standardise`` pass (pending X and pending Z per
+  qudit), as the reference for the one Pauli frame
 - a context manager that counts the kernel calls a module makes
 """
 
@@ -878,6 +880,43 @@ def oracle_signal_shift(p: Pattern) -> Pattern:
         else:
             seq.append(cmd)
     return p.with_seq(seq)
+
+
+def oracle_standardise(p: Pattern) -> tuple:
+    """The former two-dict ``rewrite._standardise``: the X and Z corrections
+    pending on each qudit kept apart, one branch per correction class, and
+    the tail written by hand."""
+    d = p.ctx.d
+    pending_x: dict[int, Signal] = {}
+    pending_z: dict[int, Signal] = {}
+    zero = Signal.zero(d)
+
+    def px(q):
+        return pending_x.get(q, zero)
+
+    def pz(q):
+        return pending_z.get(q, zero)
+
+    entangles, measures = [], []
+    for cmd in p.seq:
+        if isinstance(cmd, Entangle):
+            sx_i, sx_j = px(cmd.i), px(cmd.j)
+            if not sx_i.is_zero():
+                pending_z[cmd.j] = pz(cmd.j) + sx_i
+            if not sx_j.is_zero():
+                pending_z[cmd.i] = pz(cmd.i) + sx_j
+            entangles.append(cmd)
+        elif isinstance(cmd, Measure):
+            sx, sz = pending_x.pop(cmd.site, zero), pending_z.pop(cmd.site, zero)
+            if sx is not zero or sz is not zero:
+                cmd = Measure(cmd.site, cmd.theta, cmd.x_signal + sx, cmd.z_signal + sz)
+            measures.append(cmd)
+        elif isinstance(cmd, CorrectX):
+            pending_x[cmd.site] = px(cmd.site) + cmd.signal
+        else:
+            pending_z[cmd.site] = pz(cmd.site) + cmd.signal
+    tail = [cmd for q in sorted(set(pending_x) | set(pending_z)) for cmd in (CorrectX(q, px(q)), CorrectZ(q, pz(q)))]
+    return tuple(entangles + measures + tail)
 
 
 def oracle_relabel_commands(seq, mapping: dict[int, int]) -> tuple:

@@ -269,6 +269,11 @@ def _teleport_doc(correction: dict) -> dict:
         ({"kind": "X", "sites": [1], "s": {"0": 1}, "t": {"0": 1}}, "X command takes no key(s) ['t']"),
         ({"kind": "X", "sites": [1], "s": {"0": 1.5}}, "signal coefficients must be integers, got {'0': 1.5}"),
         ({"kind": "Z", "sites": [1], "t": {"0": True}}, "signal coefficients must be integers, got {'0': True}"),
+        # a label is ASCII digits with an optional "-"; int() once read "1_0" as qudit 10
+        ({"kind": "X", "sites": [1], "s": {"0_0": 1}}, "signal labels must be decimal qudit ids, got {'0_0': 1}"),
+        ({"kind": "X", "sites": [1], "s": {" 0 ": 1}}, "signal labels must be decimal qudit ids, got {' 0 ': 1}"),
+        ({"kind": "Z", "sites": [1], "t": {"+0": 1}}, "signal labels must be decimal qudit ids, got {'+0': 1}"),
+        ({"kind": "Z", "sites": [1], "t": {"\u0660": 1}}, "signal labels must be decimal qudit ids, got {'\u0660': 1}"),
     ],
 )
 def test_malformed_command_key_or_signal_is_input_error(tmp_path, capsys, correction, refusal):
@@ -281,6 +286,51 @@ def test_malformed_command_key_or_signal_is_input_error(tmp_path, capsys, correc
     assert run_cli("rewrite", "complete", "--in", str(bad), "--out", str(tmp_path / "bad-out.json")) == 2
     assert capsys.readouterr().err == f"error: {bad}: {refusal}\n"
     assert not (tmp_path / "bad-out.json").exists()
+
+
+@pytest.mark.parametrize(
+    "value, rule",
+    [
+        ("012", "must be a list of numbers"),  # once read character by character as (0.0, 1.0, 2.0)
+        ({"0": 0, "1": 1, "2": 2}, "must be a list of numbers"),  # once read by its keys
+        ([True, "0.5", 0], "must be a list of numbers"),  # once read as (1.0, 0.5, 0.0)
+        ([0.0, 1.0, None], "must be a list of numbers"),
+        ([10**400, 0.0, 0.0], "must be finite"),  # once an OverflowError traceback
+    ],
+)
+@pytest.mark.parametrize("form", ["v", "DIAG", "M"])
+def test_angle_vector_that_is_not_a_json_list_of_numbers_is_input_error(tmp_path, capsys, form, value, rule):
+    """A v gate's theta, a DIAG gate's angles and an M's theta are JSON lists
+    of integers and floats; each bad vector is checked against the same file
+    with a good one, which the same command accepts."""
+    docs = {}
+    for name, theta in (("good", [0, 1.0, 2.5]), ("bad", value)):
+        if form == "M":
+            docs[name] = _teleport_doc({"kind": "X", "sites": [1], "s": {"0": 1}})
+            docs[name]["commands"][1]["theta"] = theta
+        else:
+            op = {"gate": form, "params": {"theta" if form == "v" else "angles": theta}, "sites": [0]}
+            docs[name] = {"d": 3, "qudits": [0], "inputs": [0], "outputs": [0], "ops": [op]}
+        (tmp_path / f"{name}.json").write_text(json.dumps(docs[name]))
+    argv = ["rewrite", "complete", "--out", str(tmp_path / "out.json")] if form == "M" else ["analyze"]
+    assert run_cli(*argv, "--in", str(tmp_path / "good.json")) == 0
+    capsys.readouterr()
+    assert run_cli(*argv, "--in", str(tmp_path / "bad.json")) == 2
+    what = {"v": "v parameter 'theta'", "DIAG": "DIAG parameter 'angles'", "M": "M command 'theta'"}[form]
+    assert capsys.readouterr().err == f"error: {tmp_path / 'bad.json'}: {what} {rule}, got {value!r}\n"
+
+
+def test_op_key_outside_params_is_input_error(tmp_path, capsys):
+    """An op key other than gate, params and sites is refused by name: a
+    power written beside params was once dropped, so X^2 read as X."""
+    docs = {}
+    for name, op in (("good", {"gate": "X", "params": {"k": 2}, "sites": [0]}), ("bad", {"gate": "X", "sites": [0], "k": 2})):
+        docs[name] = tmp_path / f"{name}.json"
+        docs[name].write_text(json.dumps({"d": 3, "qudits": [0], "inputs": [0], "outputs": [0], "ops": [op]}))
+    assert run_cli("verify", str(docs["good"]), str(docs["good"])) == 0
+    capsys.readouterr()
+    assert run_cli("verify", str(docs["bad"]), str(docs["good"])) == 2
+    assert capsys.readouterr().err == f"error: {docs['bad']}: X op takes no key(s) ['k']\n"
 
 
 def test_all_branches_above_the_enumeration_cap_is_input_error(tmp_path, capsys):
@@ -786,3 +836,36 @@ def test_counts_below_their_floor_are_refused_by_flag(capsys, monkeypatch, argv,
         run_cli(*argv)
     assert exc.value.code == 2
     assert capsys.readouterr().err.splitlines()[-1] == f"quditmbqc {argv[0]}: error: {refusal}"
+
+
+def _write_circuit(path: Path, d: int, n: int) -> Path:
+    path.write_text(json.dumps({"d": d, "qudits": list(range(n)), "inputs": list(range(n)), "outputs": list(range(n)), "ops": []}))
+    return path
+
+
+@pytest.mark.parametrize(
+    "case, refusal",
+    [
+        ("missing file", "missing.json: [Errno 2] No such file or directory: "),
+        ("neither", "neither a circuit ('ops') nor a pattern ('commands')"),
+        ("both", "both a circuit ('ops') and a pattern ('commands')"),
+        ("input arities", "input arities differ: 1 vs 2"),
+        ("dimensions", "dimensions differ: 2 vs 3"),
+        ("no input", "analyze needs --in FILE or --sweep LO:HI"),
+    ],
+)
+def test_cli_refusal_is_one_error_line(tmp_path, capsys, case, refusal):
+    one, two, three = (_write_circuit(tmp_path / f"c{i}.json", d, n) for i, d, n in ((1, 2, 1), (2, 2, 2), (3, 3, 1)))
+    doc = tmp_path / "doc.json"
+    doc.write_text(json.dumps({"d": 2, "qudits": [0], "inputs": [0], "outputs": [0], **({"ops": [], "commands": []} if case == "both" else {})}))
+    argv = {
+        "missing file": ["analyze", "--in", str(tmp_path / "missing.json")],
+        "neither": ["analyze", "--in", str(doc)],
+        "both": ["analyze", "--in", str(doc)],
+        "input arities": ["verify", str(one), str(two)],
+        "dimensions": ["verify", str(one), str(three)],
+        "no input": ["analyze"],
+    }[case]
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and refusal in err and err.count("\n") == 1

@@ -7,8 +7,9 @@ input wires, multi-term signals and repeated entangling commands.
 standardise and pauli_simplify hold branch by branch (they never touch
 outcome meanings); signal_shift relabels outcomes, so the full pipeline
 is compared as a channel: same branch-probability multiset and the same
-output density operator.  signal_shift's one-dict substitution is also
-compared command for command with the former term-by-term one.
+output density operator.  standardise's one Pauli frame and signal_shift's
+one-dict substitution are also compared command for command with the
+former two-dict pass and the former term-by-term substitution.
 """
 
 import sys
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from helpers import oracle_signal_shift
+from helpers import oracle_signal_shift, oracle_standardise
 
 from quditmbqc.algebra import DimensionContext
 from quditmbqc.pattern import (
@@ -32,6 +33,7 @@ from quditmbqc.pattern import (
     validate,
 )
 from quditmbqc.rewrite import (
+    _standardise,
     completely_standardise,
     pauli_angles,
     pauli_simplify,
@@ -145,6 +147,21 @@ def test_complete_is_the_three_passes_composed(d):
     for seed in range(25):
         for p in (random_pattern(d, seed), random_standard_pattern(d, seed)):
             assert completely_standardise(p).seq == signal_shift(pauli_simplify(standardise(p))).seq
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_standardise_matches_the_two_dict_oracle(d):
+    """The frame pass returns the former pass's command tuple, zero
+    corrections included, and reuses exactly the commands it reused."""
+    reused = 0
+    for seed in range(40):
+        p = random_pattern(d, seed)
+        new, old = tuple(_standardise(d, p.seq)), oracle_standardise(p)
+        assert new == old
+        source = {id(cmd) for cmd in p.seq}
+        assert [id(cmd) in source for cmd in new] == [id(cmd) in source for cmd in old]
+        reused += sum(isinstance(cmd, Measure) and id(cmd) in source for cmd in new)
+    assert reused > 0
 
 
 @pytest.mark.parametrize("d,seed", [(2, 3), (3, 4)])
