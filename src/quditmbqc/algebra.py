@@ -62,8 +62,10 @@ class DimensionContext:
 
     @staticmethod
     def of(d: int) -> "DimensionContext":
-        """Shared cached context for dimension d; any integer type, never a float."""
+        """Shared cached context for dimension d; any integer type, never a float or a bool."""
         try:
+            if isinstance(d, bool):
+                raise TypeError("a bool is not a dimension")
             d = operator.index(d)
         except TypeError:
             raise ValueError(f"qudit dimension must be an integer >= 2, got {d!r}") from None

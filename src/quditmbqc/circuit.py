@@ -71,6 +71,10 @@ class Circuit:
     Non-input qudits are implicitly prepared in |0>.  When the circuit
     implements a unitary, ``inputs`` and ``outputs`` have equal length
     and the k-th output wire carries the image of the k-th input wire.
+    Each op's sites are checked, but each gate object's arity is read and
+    its ``validate`` run once, however many ops share it: per-gate work
+    is keyed by the object's identity, never by ``Gate`` equality, which
+    holds for 0.0 and -0.0 angles that write different texts.
     """
 
     ctx: DimensionContext
@@ -82,14 +86,19 @@ class Circuit:
     def __post_init__(self):
         qs = _check_wires(self)
         object.__setattr__(self, "ops", tuple(self.ops))
+        arity: dict[int, int] = {}  # id of each gate validated -> its arity
         for op in self.ops:
-            if len(op.sites) != op.gate.arity:
-                raise ValueError(f"{op.gate.name.value} expects {op.gate.arity} sites, got {len(op.sites)}")
-            if len(set(op.sites)) != len(op.sites):
+            n = arity.get(id(op.gate)) or op.gate.arity
+            if len(op.sites) != n:
+                raise ValueError(f"{op.gate.name.value} expects {n} sites, got {len(op.sites)}")
+            sites = set(op.sites)
+            if len(sites) != n:
                 raise ValueError("op sites must be distinct")
-            if not set(op.sites) <= qs:
-                raise ValueError(f"op touches unknown qudit(s) {set(op.sites) - qs}")
-            op.gate.validate(self.ctx)
+            if not sites <= qs:
+                raise ValueError(f"op touches unknown qudit(s) {sites - qs}")
+            if id(op.gate) not in arity:
+                op.gate.validate(self.ctx)
+                arity[id(op.gate)] = n
 
     def with_ops(self, ops) -> "Circuit":
         return replace(self, ops=tuple(ops))
@@ -533,14 +542,23 @@ def _angles(value, what: str) -> tuple[float, ...]:
         raise ValueError(f"{what} must be finite, got {value!r}") from None
 
 
-_OP_JSON = '    {\n      "gate": %s,\n      "params": %s,\n      "sites": %s\n    }'
+_OP_JSON = '    {\n      "gate": %s,\n      "params": %s,\n      "sites": [\n%s\n      ]\n    }'
 
 
 def circuit_to_json(c: Circuit) -> str:
-    ops = [
-        _OP_JSON % (encode_basestring_ascii(op.gate.name.value), _gate_to_json(op.gate), _json_list(op.sites, " " * 8))
-        for op in c.ops
-    ]
+    """The circuit's document, as ``json.dumps(doc, indent=2)`` writes it.
+
+    Each gate object's text is written once, keyed by its identity, as an
+    op template with one ``%d`` per site (its arity, which ``Circuit``
+    checked); every op that holds the object fills it with its sites."""
+    templates: dict[int, str] = {}
+    ops = []
+    for op in c.ops:
+        text = templates.get(id(op.gate))
+        if text is None:
+            sites = ",\n".join(["        %d"] * len(op.sites))
+            text = templates[id(op.gate)] = _OP_JSON % (encode_basestring_ascii(op.gate.name.value), _gate_to_json(op.gate), sites)
+        ops.append(text % op.sites)
     return _json_document(c, "ops", ops)
 
 
@@ -556,12 +574,22 @@ def circuit_from_json(text: str) -> Circuit:
 
 
 def _circuit_from_doc(doc: dict) -> Circuit:
+    """The circuit of a parsed document.  One ``Gate`` is built per distinct
+    gate name and params document, keyed by their ``repr``, which keeps
+    -0.0 and 0.0, 1.0, 1 and true apart; the ops that share it share the
+    object, so ``Circuit`` and the writer do its work once."""
     ctx = DimensionContext.of(doc["d"])
+    gates: dict[str, Gate] = {}
     ops = []
     for entry in doc["ops"]:
         name = entry["gate"]
         unread = entry.keys() - {"gate", "params", "sites"}
         if unread:
             raise ValueError(f"{name} op takes no key(s) {sorted(unread)}")
-        ops.append(Operation(_gate_from_json(name, entry.get("params", {})), _qudit_ids(entry, "sites")))
+        params = entry.get("params", {})
+        key = repr((name, params))
+        gate = gates.get(key)
+        if gate is None:
+            gate = gates[key] = _gate_from_json(name, params)
+        ops.append(Operation(gate, _qudit_ids(entry, "sites")))
     return Circuit(ctx, _qudit_ids(doc, "qudits"), _qudit_ids(doc, "inputs"), _qudit_ids(doc, "outputs"), tuple(ops))

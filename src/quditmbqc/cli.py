@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import reprlib
 import sys
 from functools import cache
 from pathlib import Path
@@ -87,6 +88,8 @@ def load_artifact(path: str) -> Circuit | Pattern:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    if not isinstance(doc, dict):
+        raise InputError(f"{path}: a circuit or pattern must be a JSON object, got {reprlib.repr(doc)}")
     try:
         if "ops" in doc and "commands" in doc:
             raise ValueError("both a circuit ('ops') and a pattern ('commands')")

@@ -17,12 +17,11 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import ClassVar, get_args
-from json.encoder import encode_basestring_ascii
 
 import numpy as np
 
 from .algebra import DimensionContext
-from .circuit import DepthReport, _angles, _check_wires, _json_document, _json_list, _json_num, _qudit_ids, _wired, longest_chain
+from .circuit import DepthReport, _angles, _check_wires, _json_document, _json_list, _qudit_ids, _wired, longest_chain
 from .sim import (
     ZERO_BRANCH_TOL,
     Gate,
@@ -807,7 +806,7 @@ def compose_parallel(p1: Pattern, p0: Pattern) -> Pattern:
 
 def _signal_to_json(sig: Signal) -> str:
     """A signal object {"qudit": coefficient} at command depth."""
-    entries = ",\n        ".join("%s: %s" % (encode_basestring_ascii(str(q)), _json_num(c)) for q, c in sig.coeffs)
+    entries = ",\n        ".join(['"%d": %d' % term for term in sig.coeffs])
     return "{\n        " + entries + "\n      }" if entries else "{}"
 
 
@@ -825,7 +824,7 @@ def _signal_from_json(d: int, doc: dict | None) -> Signal:
 
 def _command_to_json(cmd: Command) -> str:
     """Kind, sites, an M's theta, then each signal; of several, only the nonzero ones."""
-    sites = ",\n        ".join([_json_num(q) for q in cmd.sites()])
+    sites = ",\n        ".join(["%d" % q for q in cmd.sites()])
     theta = ',\n      "theta": ' + _json_list(cmd.theta, " " * 8) if cmd.kind == "M" else ""
     signals = "".join([',\n      "%s": %s' % (key, _signal_to_json(sig)) for key, sig in cmd.signals() if len(cmd.keys) == 1 or not sig.is_zero()])
     return '    {\n      "kind": "%s",\n      "sites": [\n        %s\n      ]%s%s\n    }' % (cmd.kind, sites, theta, signals)

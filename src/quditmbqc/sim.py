@@ -72,7 +72,8 @@ class Gate:
     """A gate kind plus the one parameter its ``_KINDS`` entry reads: the
     integer power ``k``, the angle vector ``theta`` (v = F followed by the
     phase layer R(theta)), the Z(d) coefficient vector ``coeffs`` or the
-    explicit diagonal ``angles``.
+    explicit diagonal ``angles``.  The constructors of the kinds with an
+    integer or no parameter return one shared object per argument.
     """
 
     name: GateName
@@ -83,23 +84,23 @@ class Gate:
 
     @staticmethod
     def f() -> "Gate":
-        return Gate(GateName.F)
+        return _shared(GateName.F)
 
     @staticmethod
     def finv() -> "Gate":
-        return Gate(GateName.FINV)
+        return _shared(GateName.FINV)
 
     @staticmethod
     def x(k: int = 1) -> "Gate":
-        return Gate(GateName.X, k=k)
+        return _shared(GateName.X, k)
 
     @staticmethod
     def z(k: int = 1) -> "Gate":
-        return Gate(GateName.Z, k=k)
+        return _shared(GateName.Z, k)
 
     @staticmethod
     def p() -> "Gate":
-        return Gate(GateName.P)
+        return _shared(GateName.P)
 
     @staticmethod
     def r(theta) -> "Gate":
@@ -111,15 +112,15 @@ class Gate:
 
     @staticmethod
     def cz(k: int = 1) -> "Gate":
-        return Gate(GateName.CZ, k=k)
+        return _shared(GateName.CZ, k)
 
     @staticmethod
     def cx(k: int = 1) -> "Gate":
-        return Gate(GateName.CX, k=k)
+        return _shared(GateName.CX, k)
 
     @staticmethod
     def swap() -> "Gate":
-        return Gate(GateName.SWAP)
+        return _shared(GateName.SWAP)
 
     @staticmethod
     def fanout(coeffs) -> "Gate":
@@ -155,6 +156,14 @@ class Gate:
 
 # the Gate parameter fields at their defaults, i.e. not set
 _UNSET = {"k": 1, "theta": None, "coeffs": None, "angles": None}
+
+
+@lru_cache(maxsize=256, typed=True)
+def _shared(name: GateName, k: int = 1) -> Gate:
+    """One Gate per kind and integer power, so that the circuits built from
+    these constructors share gate objects; typed, so that ``True`` and ``1``
+    stay two gates, as they write two texts."""
+    return Gate(name, k=k)
 
 
 def pauli_angles(d: int) -> tuple[float, ...]:

@@ -1,3 +1,4 @@
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -40,6 +41,11 @@ class TestDimensionContext:
     def test_rejects_bad_dimension(self):
         with pytest.raises(ValueError):
             DimensionContext(1)
+
+    @pytest.mark.parametrize("d", [True, False, 2.0, "3"])
+    def test_of_refuses_a_non_integer_and_echoes_it(self, d):
+        with pytest.raises(ValueError, match=f"got {re.escape(repr(d))}$"):
+            DimensionContext.of(d)
 
 
 class TestMultiply:

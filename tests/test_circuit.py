@@ -797,3 +797,82 @@ class TestJson:
     def test_serialization_is_stable(self):
         c = random_guni_circuit(ctx_of(2), 2, 5, seed=10)
         assert circuit_to_json(c) == circuit_to_json(circuit_from_json(circuit_to_json(c)))
+
+
+def per_op_checks(ctx, qudits, ops) -> str | None:
+    """The first refusal of the checks made on every op in full, in the
+    order ``Circuit`` keeps: arity, distinct sites, known sites, then
+    ``Gate.validate``; None when every op passes."""
+    qs = set(qudits)
+    for op in ops:
+        if len(op.sites) != op.gate.arity:
+            return f"{op.gate.name.value} expects {op.gate.arity} sites, got {len(op.sites)}"
+        if len(set(op.sites)) != len(op.sites):
+            return "op sites must be distinct"
+        if not set(op.sites) <= qs:
+            return f"op touches unknown qudit(s) {set(op.sites) - qs}"
+        try:
+            op.gate.validate(ctx)
+        except ValueError as exc:
+            return str(exc)
+    return None
+
+
+class TestOneCheckPerGateObject:
+    def test_validate_runs_once_per_gate_object(self, monkeypatch):
+        """Two equal v gates are two objects and are validated twice; one CX
+        object on fifteen ops is validated once."""
+        theta = (0.1, 0.2, 0.3)
+        twins = Gate.v(theta), Gate.v(theta)
+        ops = [Operation(g, (q,)) for q in range(4) for g in twins]
+        ops += [Operation(Gate.cx(2), (q, q + 1)) for q in range(3)] * 5
+        seen = []
+        validate = Gate.validate
+        monkeypatch.setattr(Gate, "validate", lambda g, ctx: seen.append(g) or validate(g, ctx))
+        Circuit(ctx_of(3), range(4), range(4), range(4), ops)
+        assert twins[0] == twins[1] and len(seen) == 3
+        assert seen[0] is twins[0] and seen[1] is twins[1] and seen[2] is Gate.cx(2)
+
+    def test_a_shared_invalid_gate_raises_at_its_first_op(self, monkeypatch):
+        bad = Gate.v((0.0, float("nan")))
+        ops = [Operation(Gate.cz(), (0, 1)), Operation(bad, (0,)), Operation(Gate.f(), (7,)), Operation(bad, (1,))]
+        seen = []
+        validate = Gate.validate
+        monkeypatch.setattr(Gate, "validate", lambda g, ctx: seen.append(g) or validate(g, ctx))
+        with pytest.raises(ValueError) as exc:
+            Circuit(ctx_of(2), (0, 1), (0, 1), (0, 1), ops)
+        assert str(exc.value) == "v angles must be finite, got [0.0, nan]"
+        assert seen == [Gate.cz(), bad]
+        # a valid shared gate still has each op's sites checked
+        ops = [Operation(Gate.f(), (0,)), Operation(Gate.f(), (7,))]
+        with pytest.raises(ValueError, match=r"^op touches unknown qudit\(s\) \{7\}$"):
+            Circuit(ctx_of(2), (0, 1), (0, 1), (0, 1), ops)
+
+    @pytest.mark.parametrize("seed", range(60))
+    def test_refusals_match_the_per_op_checks(self, seed):
+        """Random op lists over a pool of shared gate objects, some invalid,
+        with some ops given too many, repeated or unknown sites."""
+        ctx, rng = ctx_of(2), np.random.default_rng(seed)
+        pool = [
+            Gate.cz(), Gate.x(3), Gate.v((0.0, 1.0)), Gate.fanout((1, 1)), Gate.f(),
+            Gate.v((0.0, float("nan"))), Gate(GateName.CZ, theta=(0.0, 0.0)), Gate.fanout(()), Gate.diag((0.0,)),
+        ]
+        ops = []
+        for _ in range(int(rng.integers(1, 8))):
+            gate = pool[rng.integers(len(pool))]
+            sites = [int(q) for q in rng.choice(4, size=gate.arity, replace=False)]
+            fault = rng.integers(10)
+            if fault == 0:
+                sites.append(sites[0] ^ 1 if len(sites) == 1 else 4 - sum(sites) % 4)
+            elif fault == 1:
+                sites[-1] = sites[0] if len(sites) > 1 else 9
+            elif fault == 2:
+                sites[0] = 9
+            ops.append(Operation(gate, tuple(sites)))
+        want = per_op_checks(ctx, range(4), ops)
+        if want is None:
+            assert Circuit(ctx, range(4), (), (), ops).ops == tuple(ops)
+        else:
+            with pytest.raises(ValueError) as exc:
+                Circuit(ctx, range(4), (), (), ops)
+            assert str(exc.value) == want

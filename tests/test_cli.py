@@ -852,16 +852,24 @@ def _write_circuit(path: Path, d: int, n: int) -> Path:
         ("input arities", "input arities differ: 1 vs 2"),
         ("dimensions", "dimensions differ: 2 vs 3"),
         ("no input", "analyze needs --in FILE or --sweep LO:HI"),
+        ("number", "doc.json: a circuit or pattern must be a JSON object, got 5"),
+        ("string", "doc.json: a circuit or pattern must be a JSON object, got 'xopsx'"),
+        ("bool d", "doc.json: qudit dimension must be an integer >= 2, got True"),
     ],
 )
 def test_cli_refusal_is_one_error_line(tmp_path, capsys, case, refusal):
     one, two, three = (_write_circuit(tmp_path / f"c{i}.json", d, n) for i, d, n in ((1, 2, 1), (2, 2, 2), (3, 3, 1)))
     doc = tmp_path / "doc.json"
-    doc.write_text(json.dumps({"d": 2, "qudits": [0], "inputs": [0], "outputs": [0], **({"ops": [], "commands": []} if case == "both" else {})}))
+    wires = {"d": 2, "qudits": [0], "inputs": [0], "outputs": [0]}
+    docs = {"both": {**wires, "ops": [], "commands": []}, "number": 5, "string": "xopsx", "bool d": {**wires, "d": True, "ops": []}}
+    doc.write_text(json.dumps(docs.get(case, wires)))
     argv = {
         "missing file": ["analyze", "--in", str(tmp_path / "missing.json")],
         "neither": ["analyze", "--in", str(doc)],
         "both": ["analyze", "--in", str(doc)],
+        "number": ["analyze", "--in", str(doc)],
+        "string": ["analyze", "--in", str(doc)],
+        "bool d": ["analyze", "--in", str(doc)],
         "input arities": ["verify", str(one), str(two)],
         "dimensions": ["verify", str(one), str(three)],
         "no input": ["analyze"],

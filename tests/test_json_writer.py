@@ -29,7 +29,7 @@ from test_pattern import families
 
 from quditmbqc import circuit, pattern
 from quditmbqc.algebra import DimensionContext
-from quditmbqc.circuit import Circuit, Operation, circuit_to_json
+from quditmbqc.circuit import Circuit, Operation, circuit_from_json, circuit_to_json
 from quditmbqc.convert import circuit_to_pattern_standard
 from quditmbqc.pattern import CorrectX, CorrectZ, Entangle, Measure, Pattern, Signal, pattern_from_json, pattern_to_json
 from quditmbqc.sim import Gate
@@ -119,6 +119,37 @@ def test_every_gate_kind_with_its_parameters(d):
         same_as_dumps_circuit(Circuit(ctx, qudits, qudits, qudits, (Operation(gate, sites),)))
     both = [Operation(gate, sites) for gate, sites in cases]
     same_as_dumps_circuit(Circuit(ctx, (0, 1, 2, 3, 5), (0, 1), (3, 5), tuple(both)))
+
+
+def test_gate_objects_are_written_and_read_once_each_never_by_equality():
+    """v(0.0, ...) and v(-0.0, ...) are equal Gates that write two texts, and
+    one CX object sits on twelve ops: the circuit writes as json.dumps does
+    and reads back with the two angle vectors apart and one object per
+    distinct gate text."""
+    ctx = DimensionContext.of(3)
+    pos, neg = Gate.v((0.0, 1.0, 2.0)), Gate.v((-0.0, 1.0, 2.0))
+    assert pos == neg
+    ops = [Operation(pos, (0,)), Operation(neg, (1,))]
+    ops += [Operation(Gate.cx(2), (q, (q + 1) % 3)) for q in range(3)] * 4 + [Operation(neg, (2,)), Operation(pos, (1,))]
+    text = same_as_dumps_circuit(Circuit(ctx, (0, 1, 2), (0, 1, 2), (0, 1, 2), tuple(ops)))
+    assert text.count('"theta": [\n          -0.0,') == 2 and text.count('"theta": [\n          0.0,') == 2
+    back = circuit_from_json(text)
+    signs = [math.copysign(1.0, op.gate.theta[0]) for op in back.ops if op.gate.name == "v"]
+    assert signs == [1.0, -1.0, -1.0, 1.0]
+    assert same_as_dumps_circuit(back) == text
+    gates = [op.gate for op in back.ops]
+    assert gates[0] is gates[-1] and gates[1] is gates[-2] and gates[0] is not gates[1]
+    assert all(g is gates[2] for g in gates[2:-2]) and len({id(g) for g in gates}) == 3
+
+
+def test_shared_constructors_keep_true_and_1_apart():
+    """The integer and no-parameter constructors return one object per
+    argument, typed: CZ^True writes ``true`` beside CZ^1's ``1``."""
+    assert Gate.cx(2) is Gate.cx(2) and Gate.cx() is Gate.cx(1) and Gate.f() is Gate.f()
+    assert Gate.cz(True) == Gate.cz(1) and Gate.cz(True) is not Gate.cz(1)
+    ops = (Operation(Gate.cz(True), (0, 1)), Operation(Gate.cz(1), (1, 0)), Operation(Gate.cz(True), (1, 0)))
+    text = same_as_dumps_circuit(Circuit(DimensionContext.of(2), (0, 1), (0, 1), (0, 1), ops))
+    assert text.count('"k": true') == 2 and text.count('"k": 1\n') == 1
 
 
 def test_empty_lists():
