@@ -17,7 +17,7 @@ from json.encoder import encode_basestring_ascii
 import numpy as np
 
 from .algebra import DimensionContext
-from .sim import _BLOCK_ROW, _KINDS, AMPLITUDE_CAP, Gate, GateName, StateVector, _apply_single, _kernel, _permute, _phase, basis_state, gate_inverse_ops, gate_matrix, row_parts
+from .sim import _BLOCK_ROW, _KINDS, AMPLITUDE_CAP, Gate, GateName, StateVector, _apply_single, _checked_rows, _input_row, _kernel, _permute, _phase, _reordered, gate_inverse_ops, gate_matrix, row_parts
 
 __all__ = [
     "Operation",
@@ -303,22 +303,15 @@ def simulate_circuit(c: Circuit, input_state: StateVector | None = None) -> Stat
     ``input_state`` must be defined on the input wires (any site
     order); the ancillas are prepared in |0>.
     """
-    if input_state is None:
-        input_state = basis_state(c.ctx, c.inputs, [0] * len(c.inputs))
-    if set(input_state.sites) != set(c.inputs):
-        raise ValueError("input state must be defined exactly on the circuit inputs")
-    amps = input_state.with_sites_order(c.inputs).amplitudes
-    return StateVector(c.ctx, _run_sites(c), _simulate_rows(c, amps[np.newaxis])[0])
+    return StateVector(c.ctx, _run_sites(c), _simulate_rows(c, _input_row(c, input_state))[0])
 
 
 def _outputs_first(c: Circuit, final: np.ndarray) -> np.ndarray:
     """Final rows over ``_run_sites(c)`` as (rows, outputs, other wires)
     amplitude matrices; column 0 holds the other wires in |0...0>."""
-    d, sites = c.ctx.d, _run_sites(c)
-    outputs = set(c.outputs)
-    order = [1 + sites.index(q) for q in c.outputs] + [1 + a for a, q in enumerate(sites) if q not in outputs]
-    block = final.reshape((len(final),) + (d,) * len(sites)).transpose([0] + order)
-    return block.reshape(len(final), d ** len(c.outputs), -1)
+    sites, outputs = _run_sites(c), set(c.outputs)
+    order = c.outputs + tuple(q for q in sites if q not in outputs)
+    return _reordered(final, c.ctx.d, sites, order).reshape(len(final), c.ctx.d ** len(c.outputs), -1)
 
 
 def output_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
@@ -330,6 +323,7 @@ def output_rows(c: Circuit, inputs: np.ndarray) -> np.ndarray:
     other wire the matrix is one column, the final row itself, which is
     returned as it is.  The rows run in parts of at most AMPLITUDE_CAP
     amplitudes."""
+    inputs = _checked_rows(inputs, c.ctx.d ** len(c.inputs))
     out = np.empty((len(inputs), c.ctx.d ** len(c.outputs)), dtype=np.complex128)
     for part in row_parts(len(inputs), c.ctx.d ** len(_run_sites(c))):
         block = _outputs_first(c, _simulate_rows(c, inputs[part]))
@@ -436,21 +430,14 @@ def inverse_circuit(c: Circuit) -> Circuit:
 def validate_gate_set(c: Circuit, model: str = "standard") -> list[str]:
     """Check ops against a circuit model; returns diagnostics (empty = ok).
 
-    ``standard`` admits only gates acting on at most two qudits.
-    ``fanout`` additionally admits the fan-out/modulo family at any arity.
+    ``standard`` admits only gates acting on at most two qudits.  ``fanout``
+    also admits FANOUT and MOD at any arity, the only kinds that can act on
+    more (``Circuit`` checks each op's arity), so it admits every circuit.
     """
     if model not in ("standard", "fanout"):
         raise ValueError(f"unknown model {model!r}")
-    problems = []
-    for idx, op in enumerate(c.ops):
-        if len(op.sites) <= 2:
-            continue
-        if model == "fanout" and _KINDS[op.gate.name].arity is None:
-            continue
-        problems.append(
-            f"op {idx}: {op.gate.name.value} on {len(op.sites)} qudits exceeds arity 2"
-        )
-    return problems
+    return [f"op {idx}: {op.gate.name.value} on {len(op.sites)} qudits exceeds arity 2"
+            for idx, op in enumerate(c.ops) if model == "standard" and len(op.sites) > 2]
 
 
 # -- lowering to the universal set -------------------------------------------

@@ -48,6 +48,7 @@ from .generate import (
 )
 from .pattern import (
     Pattern,
+    _decimal_ids,
     _pattern_from_doc,
     entanglement_depth,
     entanglement_graph,
@@ -315,7 +316,9 @@ def _cmd_run(args) -> int:
         outcomes = json.loads(args.outcomes) if args.outcomes else None
         if not isinstance(outcomes, dict) or not all(type(v) is int for v in outcomes.values()):
             raise InputError("forced mode requires --outcomes as a JSON object {qudit: dit}, e.g. '{\"1\": 0}'")
-        forced = {int(k): v for k, v in outcomes.items()}
+        forced = dict(zip(_decimal_ids(outcomes, "--outcomes keys"), outcomes.values()))
+        if len(forced) != len(outcomes):
+            raise InputError(f"--outcomes names a qudit by two keys, got {outcomes!r}")
     res = run(artifact, mode=args.mode, seed=args.seed, forced_outcomes=forced)
     doc = {
         "kind": "pattern-run",

@@ -36,7 +36,7 @@ from .pattern import (
     entanglement_graph,
 )
 from .rewrite import completely_standardise, is_completely_standard
-from .sim import _KINDS, Gate, GateName
+from .sim import _KINDS, UNITARY_TOL, Gate, GateName
 
 __all__ = [
     "basic_cz_pattern",
@@ -63,20 +63,14 @@ def basic_cz_pattern(ctx: DimensionContext, i: int, j: int) -> Pattern:
 
 
 def basic_v_pattern(ctx: DimensionContext, src: int, dst: int, theta) -> Pattern:
-    """One-step teleportation pattern implementing v(theta): entangle a fresh
-    wire, measure the old wire, correct the new one."""
-    d = ctx.d
-    return Pattern(
-        ctx,
-        (src, dst),
-        (src,),
-        (dst,),
-        (
-            Entangle(src, dst),
-            Measure(src, tuple(theta), Signal.zero(d), Signal.zero(d)),
-            CorrectX(dst, Signal.unit(d, src)),
-        ),
-    )
+    """One-step teleportation pattern implementing v(theta)."""
+    return Pattern(ctx, (src, dst), (src,), (dst,), _teleport(ctx.d, src, dst, theta))
+
+
+def _teleport(d: int, src: int, dst: int, theta) -> tuple[Entangle, Measure, CorrectX]:
+    """The commands of one v(theta) step: entangle the fresh wire ``dst``,
+    measure the old wire ``src``, correct the new one."""
+    return Entangle(src, dst), Measure(src, tuple(theta), Signal.zero(d), Signal.zero(d)), CorrectX(dst, Signal.unit(d, src))
 
 
 # -- circuit -> pattern ---------------------------------------------------------
@@ -112,13 +106,9 @@ def circuit_to_pattern_standard(c: Circuit, standardise: bool = True) -> Pattern
             seq.append(Entangle(wire[i], wire[j]))
         else:
             (i,) = op.sites
-            new = fresh
-            fresh += 1
-            qudits.append(new)
-            seq.append(Entangle(wire[i], new))
-            seq.append(Measure(wire[i], op.gate.theta, Signal.zero(d), Signal.zero(d)))
-            seq.append(CorrectX(new, Signal.unit(d, wire[i])))
-            wire[i] = new
+            seq.extend(_teleport(d, wire[i], fresh, op.gate.theta))
+            qudits.append(fresh)
+            wire[i], fresh = fresh, fresh + 1
     pat = Pattern(c.ctx, tuple(qudits), c.inputs, tuple(wire[q] for q in c.outputs), tuple(seq))
     return completely_standardise(pat) if standardise else pat
 
@@ -297,7 +287,7 @@ def _check_diagonal(c: Circuit) -> None:
     if all(_KINDS[op.gate.name].phases for op in c.ops):
         return
     u = circuit_unitary(replace(c, inputs=c.qudits, outputs=c.qudits))
-    if np.max(np.abs(u - np.diag(np.diag(u)))) > 1e-10:
+    if np.max(np.abs(u - np.diag(np.diag(u)))) > UNITARY_TOL:
         raise ValueError("block is not diagonal in the computational basis")
 
 

@@ -26,14 +26,16 @@ from .sim import (
     ZERO_BRANCH_TOL,
     Gate,
     StateVector,
+    _checked_rows,
     _collapse_rows,
     _fourier,
+    _input_row,
     _kernel,
     _per_row,
+    _reordered,
     _rotate_rows,
     _sample_outcomes,
     _z_phases,
-    basis_state,
     row_parts,
 )
 
@@ -458,10 +460,7 @@ def _walk(p: Pattern, amps: np.ndarray, choose) -> Rows:
                     amps = (_fourier(d)[:, :1] * amps[:, np.newaxis, :]).reshape(len(amps), -1)
                 sites = (q,) + sites
         else:  # no step left: the batch is complete
-            order = [1 + sites.index(q) for q in p.outputs]
-            tensor = amps.reshape((len(amps),) + (d,) * len(sites))
-            amps = np.ascontiguousarray(tensor.transpose([0] + order)).reshape(len(amps), -1)
-            done.append((amps, outcomes, prob, origin))
+            done.append((_reordered(amps, d, sites, p.outputs), outcomes, prob, origin))
     return Rows(measured, *(np.concatenate(columns) for columns in zip(*done)))
 
 
@@ -496,14 +495,6 @@ def _forced(forced_outcomes: dict[int, int] | None):
     return choose
 
 
-def _one_input(p: Pattern, input_state: StateVector | None) -> np.ndarray:
-    if input_state is None:
-        input_state = basis_state(p.ctx, p.inputs, [0] * len(p.inputs))
-    if set(input_state.sites) != set(p.inputs):
-        raise ValueError("input state must be defined exactly on the pattern inputs")
-    return input_state.with_sites_order(p.inputs).amplitudes[np.newaxis]
-
-
 def _results(p: Pattern, rows: Rows) -> list[RunResult]:
     return [
         RunResult(StateVector(p.ctx, p.outputs, amps), dict(zip(rows.measured, outcomes)), prob)
@@ -519,13 +510,10 @@ def run_rows(p: Pattern, inputs: np.ndarray, seeds=None) -> Rows:
     probability at least ZERO_BRANCH_TOL.  With one seed per row, each row
     follows one sampled branch drawn as ``run`` draws it.
     """
-    inputs = np.asarray(inputs, dtype=np.complex128)
-    if inputs.ndim != 2 or inputs.shape[1] != p.ctx.d ** len(p.inputs):
-        raise ValueError(f"inputs must be rows of {p.ctx.d ** len(p.inputs)} amplitudes")
+    inputs = _checked_rows(inputs, p.ctx.d ** len(p.inputs))
     if seeds is not None and len(seeds) != len(inputs):
         raise ValueError(f"{len(seeds)} seeds for {len(inputs)} input rows")
-    choose = _every if seeds is None else _sampled(seeds)
-    return _walk(p, inputs, choose)
+    return _walk(p, inputs, _every if seeds is None else _sampled(seeds))
 
 
 def run(
@@ -551,12 +539,12 @@ def run(
     if mode not in ("sampled", "forced"):
         raise ValueError(f"unknown run mode {mode!r}")
     choose = _sampled([seed]) if mode == "sampled" else _forced(forced_outcomes)
-    return _results(p, _walk(p, _one_input(p, input_state), choose))[0]
+    return _results(p, _walk(p, _input_row(p, input_state), choose))[0]
 
 
 def run_branches(p: Pattern, input_state: StateVector | None = None) -> list[RunResult]:
     """Full branch enumeration: every outcome assignment with its probability."""
-    return _results(p, _walk(p, _one_input(p, input_state), _every))
+    return _results(p, _walk(p, _input_row(p, input_state), _every))
 
 
 # -- metrics ------------------------------------------------------------------
@@ -810,6 +798,13 @@ def _signal_to_json(sig: Signal) -> str:
     return "{\n        " + entries + "\n      }" if entries else "{}"
 
 
+def _decimal_ids(doc: dict, what: str) -> list[int]:
+    """The keys of a JSON object as decimal qudit ids (``int`` alone reads "0_1" and " 1 " too)."""
+    if not all(q.removeprefix("-").isdigit() and q.isascii() for q in doc):
+        raise ValueError(f"{what} must be decimal qudit ids, got {doc!r}")
+    return list(map(int, doc))
+
+
 def _signal_from_json(d: int, doc: dict | None) -> Signal:
     if doc is None:
         return Signal.zero(d)
@@ -817,9 +812,7 @@ def _signal_from_json(d: int, doc: dict | None) -> Signal:
         raise ValueError(f"a signal must be an object {{qudit: coefficient}}, got {doc!r}")
     if not all(type(c) is int for c in doc.values()):
         raise ValueError(f"signal coefficients must be integers, got {doc!r}")
-    if not all(q.removeprefix("-").isdigit() and q.isascii() for q in doc):
-        raise ValueError(f"signal labels must be decimal qudit ids, got {doc!r}")
-    return Signal(d, tuple((int(q), c) for q, c in doc.items()))
+    return Signal(d, tuple(zip(_decimal_ids(doc, "signal labels"), doc.values())))
 
 
 def _command_to_json(cmd: Command) -> str:

@@ -72,8 +72,8 @@ class Gate:
     """A gate kind plus the one parameter its ``_KINDS`` entry reads: the
     integer power ``k``, the angle vector ``theta`` (v = F followed by the
     phase layer R(theta)), the Z(d) coefficient vector ``coeffs`` or the
-    explicit diagonal ``angles``.  The constructors of the kinds with an
-    integer or no parameter return one shared object per argument.
+    explicit diagonal ``angles``.  The constructors of all but the angle
+    kinds return one shared object per argument.
     """
 
     name: GateName
@@ -124,11 +124,11 @@ class Gate:
 
     @staticmethod
     def fanout(coeffs) -> "Gate":
-        return Gate(GateName.FANOUT, coeffs=tuple(int(c) for c in coeffs))
+        return _shared(GateName.FANOUT, 1, tuple(int(c) for c in coeffs))
 
     @staticmethod
     def mod(coeffs) -> "Gate":
-        return Gate(GateName.MOD, coeffs=tuple(int(c) for c in coeffs))
+        return _shared(GateName.MOD, 1, tuple(int(c) for c in coeffs))
 
     @staticmethod
     def diag(angles) -> "Gate":
@@ -159,11 +159,11 @@ _UNSET = {"k": 1, "theta": None, "coeffs": None, "angles": None}
 
 
 @lru_cache(maxsize=256, typed=True)
-def _shared(name: GateName, k: int = 1) -> Gate:
-    """One Gate per kind and integer power, so that the circuits built from
-    these constructors share gate objects; typed, so that ``True`` and ``1``
-    stay two gates, as they write two texts."""
-    return Gate(name, k=k)
+def _shared(name: GateName, k: int = 1, coeffs: tuple[int, ...] | None = None) -> Gate:
+    """One Gate per kind and integer power or ``int`` coefficient tuple, so
+    that the circuits built from these constructors share gate objects;
+    typed, so that ``True`` and ``1`` stay two gates, as they write two texts."""
+    return Gate(name, k=k, coeffs=coeffs)
 
 
 def pauli_angles(d: int) -> tuple[float, ...]:
@@ -408,9 +408,7 @@ class StateVector:
             raise ValueError("new ordering must be a permutation of the sites")
         if new_order == self.sites:
             return self
-        perm = [self.sites.index(s) for s in new_order]
-        amps = np.transpose(self.tensor(), perm).reshape(-1)
-        return StateVector(self.ctx, new_order, np.ascontiguousarray(amps))
+        return StateVector(self.ctx, new_order, _reordered(self.amplitudes[np.newaxis], self.ctx.d, self.sites, new_order)[0])
 
     def extend(self, other: "StateVector") -> "StateVector":
         """Tensor product, appending the other state's sites after ours."""
@@ -436,6 +434,34 @@ def random_state(ctx: DimensionContext, sites, rng: np.random.Generator) -> Stat
     amps = rng.normal(size=dim) + 1j * rng.normal(size=dim)
     amps /= np.linalg.norm(amps)
     return StateVector(ctx, sites, amps)
+
+
+def _reordered(rows: np.ndarray, d: int, sites, order) -> np.ndarray:
+    """Rows of amplitudes over ``sites`` relaid out over ``order``, a
+    permutation of them: the one transpose of the digit axes of rows."""
+    axis = {q: a for a, q in enumerate(sites, 1)}
+    tensor = rows.reshape((len(rows),) + (d,) * len(axis))
+    return np.ascontiguousarray(tensor.transpose([0] + [axis[q] for q in order])).reshape(len(rows), -1)
+
+
+def _input_row(a, state: StateVector | None) -> np.ndarray:
+    """The one-row batch over the inputs of a circuit or pattern ``a``, in
+    their order, of ``state`` on those inputs (|0...0> when None)."""
+    state = basis_state(a.ctx, a.inputs, [0] * len(a.inputs)) if state is None else state
+    what = type(a).__name__.lower()
+    if state.ctx.d != a.ctx.d:
+        raise ValueError(f"input state lives in dimension {state.ctx.d}, the {what} in {a.ctx.d}")
+    if set(state.sites) != set(a.inputs):
+        raise ValueError(f"input state must be defined exactly on the {what} inputs")
+    return _reordered(state.amplitudes[np.newaxis], a.ctx.d, state.sites, a.inputs)
+
+
+def _checked_rows(inputs, width: int) -> np.ndarray:
+    """``inputs`` as a (rows, ``width``) complex matrix; anything else is refused."""
+    inputs = np.asarray(inputs, dtype=np.complex128)
+    if inputs.ndim != 2 or inputs.shape[1] != width:
+        raise ValueError(f"inputs must be rows of {width} amplitudes")
+    return inputs
 
 
 def row_parts(count: int, per_row: int) -> list[slice]:

@@ -13,6 +13,8 @@
 - the simulator's former index-arithmetic kernels, three-pass
   measurement frame and abs-square-sum collapse, as the reference for the
   axis-based kernels
+- the former per-caller transposes of rows to a new site order, as the
+  reference for ``sim._reordered``
 - a one-state pattern walk on those kernels (one state per branch, each
   measurement through the three-pass frame, each sampled outcome drawn by
   ``Generator.choice`` from the oracle's own probabilities), the former
@@ -670,6 +672,17 @@ def oracle_collapse_rows(view: np.ndarray, rows: np.ndarray, outcomes: np.ndarra
     p = probs[rows, outcomes]
     kept = view[rows, :, outcomes, :] / np.sqrt(p)[:, None, None]
     return kept.reshape(len(p), -1), probs
+
+
+# -- site reorder oracle -----------------------------------------------------------
+
+
+def oracle_reordered(rows: np.ndarray, d: int, sites, order) -> np.ndarray:
+    """Rows over ``sites`` relaid out over ``order`` as each caller once did
+    it, one row at a time: the row's digit tensor transposed by the old
+    position of each new site."""
+    perm = [tuple(sites).index(q) for q in order]
+    return np.array([np.transpose(row.reshape((d,) * len(perm)), perm).reshape(-1) for row in rows])
 
 
 # -- the one-state pattern walk ---------------------------------------------------

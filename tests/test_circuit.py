@@ -34,7 +34,7 @@ from quditmbqc.circuit import (
 )
 from quditmbqc.convert import build_generalized
 from quditmbqc.generate import cascade_circuit, random_guni_circuit
-from quditmbqc.sim import _BLOCK_ROW, Gate, GateName, _kernel, basis_state, fidelity_up_to_phase, gate_matrix, random_state
+from quditmbqc.sim import _BLOCK_ROW, _KINDS, Gate, GateName, _kernel, basis_state, fidelity_up_to_phase, gate_matrix, random_state
 
 
 def ctx_of(d):
@@ -769,6 +769,21 @@ class TestGateSetValidation:
         c = Circuit(ctx, (1, 2, 3, 4), (1, 2, 3, 4), (1, 2, 3, 4), (wide,))
         assert validate_gate_set(c, "standard")
         assert not validate_gate_set(c, "fanout")
+
+    def test_the_standard_model_names_each_wide_op(self):
+        ctx = ctx_of(3)
+        ops = (Operation(Gate.cx(), (0, 1)), Operation(Gate.fanout((1, 2)), (0, 1, 2)), Operation(Gate.mod((1, 1, 1)), (3, 2, 1, 0)))
+        c = Circuit(ctx, (0, 1, 2, 3), (0, 1, 2, 3), (0, 1, 2, 3), ops)
+        assert validate_gate_set(c) == ["op 1: FANOUT on 3 qudits exceeds arity 2", "op 2: MOD on 4 qudits exceeds arity 2"]
+        assert validate_gate_set(c, "fanout") == []
+        with pytest.raises(ValueError, match="unknown model 'bounded'"):
+            validate_gate_set(c, "bounded")
+
+    def test_only_fanout_and_mod_can_act_on_more_than_two_qudits(self):
+        """The premise of the one arity rule: every other kind has a fixed arity of at most 2."""
+        wide = {name for name, kind in _KINDS.items() if kind.arity is None}
+        assert wide == {GateName.FANOUT, GateName.MOD}
+        assert all(kind.arity <= 2 for name, kind in _KINDS.items() if name not in wide)
 
     def test_a_two_qudit_cascade_passes_both_models(self):
         ctx = ctx_of(2)

@@ -592,6 +592,7 @@ def _assert_input_error(capsys, *argv):
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    return err
 
 
 @pytest.mark.parametrize("key", ["s", "t"])
@@ -650,6 +651,29 @@ def test_forced_outcomes_that_are_not_an_object_are_input_error(tmp_path, capsys
     pattern = tmp_path / "p.json"
     pattern.write_text(json.dumps(_def7_pattern_doc(tmp_path)))
     _assert_input_error(capsys, "run", "--in", str(pattern), "--mode", "forced", "--outcomes", outcomes)
+
+
+@pytest.mark.parametrize(
+    "spelled, refusal",
+    [
+        (lambda ms: {f"0_{q}": 0 for q in ms}, "--outcomes keys must be decimal qudit ids"),
+        (lambda ms: {f" {q} ": 0 for q in ms}, "--outcomes keys must be decimal qudit ids"),
+        (lambda ms: {str(q): 0 for q in ms} | {"x": 0}, "--outcomes keys must be decimal qudit ids"),
+        (lambda ms: {str(q): 0 for q in ms} | {f"0{ms[0]}": 1}, "--outcomes names a qudit by two keys"),
+    ],
+    ids=["underscore", "spaces", "not-a-number", "one-qudit-twice"],
+)
+def test_forced_outcome_keys_are_read_as_signal_labels_are(tmp_path, capsys, spelled, refusal):
+    """Each key is a decimal qudit id, once per qudit; the same outcomes under
+    plain integer keys run."""
+    doc = _def7_pattern_doc(tmp_path)
+    pattern = tmp_path / "p.json"
+    pattern.write_text(json.dumps(doc))
+    measured = [cmd["sites"][0] for cmd in doc["commands"] if cmd["kind"] == "M"]
+    argv = ("run", "--in", str(pattern), "--mode", "forced", "--outcomes")
+    assert run_cli(*argv, json.dumps({str(q): 0 for q in measured}), "--out", str(tmp_path / "r.json")) == 0
+    err = _assert_input_error(capsys, *argv, json.dumps(spelled(measured)))
+    assert err.count("\n") == 1 and refusal in err
 
 
 def _malformed_pattern(tmp_path, fault: str) -> Path:

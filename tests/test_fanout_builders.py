@@ -113,5 +113,18 @@ def test_each_public_compiler_builds_one_circuit(monkeypatch):
         assert len(built) == 1
 
 
+def test_fanout_and_mod_constructors_share_one_object_per_coefficient_vector():
+    assert Gate.fanout([1, 2]) is Gate.fanout((1, 2)) is Gate.fanout(np.array([1, 2]))
+    assert Gate.mod((2, 1)) is Gate.mod([2, 1]) and Gate.mod((1, 2)) is not Gate.fanout((1, 2))
+
+
+def test_a_fanout_compile_holds_one_object_per_distinct_fanout_or_mod_value():
+    """The fan-out compiles of def7 patterns of 4-qudit, 20-gate circuits."""
+    for d, seed in itertools.product((2, 3), range(5)):
+        pattern = circuit_to_pattern_standard(lower_to_guni(random_guni_circuit(DimensionContext.of(d), 4, 20, seed)))
+        gates = [op.gate for op in pattern_to_fanout_circuit(pattern).ops if op.gate.name in ("FANOUT", "MOD")]
+        assert gates and len({id(g) for g in gates}) == len(set(gates))
+
+
 if __name__ == "__main__":
     GOLDEN.write_text(fanout_builders_record())

@@ -8,16 +8,19 @@ from helpers import (
     oracle_apply_gate,
     oracle_collapse_rows,
     oracle_measure_branches,
+    oracle_reordered,
     plus_state,
     purity,
     reduced_density_matrix,
 )
 from quditmbqc.algebra import DimensionContext, xi_p
-from quditmbqc.circuit import Circuit, Operation
-from quditmbqc.pattern import Measure, Pattern, Signal, run, run_branches
+from quditmbqc.circuit import Circuit, Operation, _outputs_first, _run_sites, output_rows, simulate_circuit
+from quditmbqc.convert import basic_v_pattern
+from quditmbqc.pattern import Measure, Pattern, Signal, run, run_branches, run_rows
 from quditmbqc.sim import (
     _KINDS,
     _collapse_rows,
+    _reordered,
     _kernel,
     _phase,
     _rotate_rows,
@@ -511,3 +514,59 @@ class TestFidelityAndLayout:
         assert abs(purity(rho) - 1) < 1e-12
         bell = StateVector(ctx, (0, 1), np.array([1, 0, 0, 1]) / np.sqrt(2))
         assert abs(purity(reduced_density_matrix(bell, (0,))) - 0.5) < 1e-12
+
+
+class TestRowHelpers:
+    """The one reorder of rows to a new site order, the one input row of a
+    run and the one rows check, each read by every caller."""
+
+    @pytest.mark.parametrize("d", [2, 3, 5])
+    @pytest.mark.parametrize("count", [1, 6])
+    def test_every_reorder_matches_the_former_transposes(self, d, count):
+        rng = np.random.default_rng(d * 10 + count)
+        sites = tuple(int(q) for q in rng.permutation([3, 8, 1, 6]))
+        rows = rng.normal(size=(count, d ** len(sites))) + 1j * rng.normal(size=(count, d ** len(sites)))
+        for _ in range(4):
+            order = tuple(int(q) for q in rng.permutation(sites))
+            want = oracle_reordered(rows, d, sites, order)
+            got = _reordered(rows, d, sites, order)
+            assert got.flags.c_contiguous and np.array_equal(got, want)
+            state = StateVector(ctx_of(d), sites, rows[0])
+            assert np.array_equal(state.with_sites_order(order).amplitudes, want[0])
+            # a circuit whose inputs and outputs are two shuffled halves of its qudits
+            c = Circuit(ctx_of(d), sites, order[:2], order[1:3])
+            final = rows.reshape(count, -1)
+            others = tuple(q for q in _run_sites(c) if q not in c.outputs)
+            want = oracle_reordered(final, d, _run_sites(c), c.outputs + others).reshape(count, d**2, -1)
+            assert np.array_equal(_outputs_first(c, final), want)
+
+    def test_a_run_refuses_a_state_on_other_sites(self):
+        ctx = ctx_of(3)
+        c = Circuit(ctx, (0, 1), (0, 1), (0, 1), (Operation(Gate.cx(), (0, 1)),))
+        p = basic_v_pattern(ctx, 0, 1, (0.1, 0.2, 0.3))
+        with pytest.raises(ValueError, match="^input state must be defined exactly on the circuit inputs$"):
+            simulate_circuit(c, basis_state(ctx, (0, 2), (1, 1)))
+        for go in (lambda psi: run(p, psi), lambda psi: run_branches(p, psi)):
+            with pytest.raises(ValueError, match="^input state must be defined exactly on the pattern inputs$"):
+                go(basis_state(ctx, (1,), (1,)))
+
+    def test_a_run_refuses_a_state_of_another_dimension_by_name(self):
+        c = Circuit(ctx_of(2), (0, 1), (0, 1), (0, 1), (Operation(Gate.cx(), (0, 1)),))
+        p = basic_v_pattern(ctx_of(2), 0, 1, (0.1, 0.2))
+        with pytest.raises(ValueError, match="^input state lives in dimension 4, the circuit in 2$"):
+            simulate_circuit(c, basis_state(ctx_of(4), (0,), (1,)))
+        for go in (lambda psi: run(p, psi), lambda psi: run_branches(p, psi)):
+            with pytest.raises(ValueError, match="^input state lives in dimension 4, the pattern in 2$"):
+                go(basis_state(ctx_of(4), (0,), (1,)))
+
+    def test_rows_of_the_wrong_shape_are_refused_alike(self):
+        """A 1-D vector is not read as one row per amplitude, and a wrong
+        width is refused before numpy broadcasts it."""
+        ctx = ctx_of(2)
+        c = Circuit(ctx, (0, 1), (0, 1), (0, 1), (Operation(Gate.cx(), (0, 1)),))
+        p = basic_v_pattern(ctx, 0, 1, (0.1, 0.2))
+        for go, width in ((lambda rows: output_rows(c, rows), 4), (lambda rows: run_rows(p, rows), 2)):
+            for rows in (np.ones(width), np.ones((1, width + 1)), np.ones((1, 1, width))):
+                with pytest.raises(ValueError, match=f"^inputs must be rows of {width} amplitudes$"):
+                    go(rows)
+            assert go(np.eye(width)) is not None
