@@ -316,9 +316,7 @@ def _cmd_run(args) -> int:
         outcomes = json.loads(args.outcomes) if args.outcomes else None
         if not isinstance(outcomes, dict) or not all(type(v) is int for v in outcomes.values()):
             raise InputError("forced mode requires --outcomes as a JSON object {qudit: dit}, e.g. '{\"1\": 0}'")
-        forced = dict(zip(_decimal_ids(outcomes, "--outcomes keys"), outcomes.values()))
-        if len(forced) != len(outcomes):
-            raise InputError(f"--outcomes names a qudit by two keys, got {outcomes!r}")
+        forced = dict(zip(_decimal_ids(outcomes, "--outcomes", "keys"), outcomes.values()))
     res = run(artifact, mode=args.mode, seed=args.seed, forced_outcomes=forced)
     doc = {
         "kind": "pattern-run",

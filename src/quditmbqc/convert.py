@@ -471,14 +471,15 @@ def _sorted_entangling_prefix(p: Pattern) -> Pattern:
 
 
 def clifford_constant_depth(c: Circuit) -> Pattern:
-    """Compile an {F, P, CZ} circuit to a constant-depth pattern;
-    ``pattern_to_fanout_circuit`` takes it on to the fan-out model.
+    """Compile a circuit of Clifford kinds, those with no angle-vector
+    parameter, to a constant-depth pattern for ``pattern_to_fanout_circuit``.
 
-    The cluster-style pattern of a Clifford circuit is completely
-    standard with every measurement independent, so the measurements
-    form one layer and the entangling block runs in edge-coloring depth.
+    Its cluster-style pattern measures in Clifford directions only, so once
+    completely standard every measurement is independent: they form one
+    layer and the entangling block runs in edge-coloring depth.
     """
-    _require_gates(c.ops, {GateName.F, GateName.P, GateName.CZ}, c.ctx.d, True, "gate {} is not in the {{F, P, CZ}} set")
+    clifford = {name for name, kind in _KINDS.items() if kind.param not in ("theta", "angles")}
+    _require_gates(c.ops, clifford, c.ctx.d, False, "gate {} is not a Clifford gate")
     pat = circuit_to_pattern_cluster(c)
     for cmd in pat.seq:
         if isinstance(cmd, Measure) and not cmd.is_independent():

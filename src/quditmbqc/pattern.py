@@ -482,11 +482,21 @@ def _sampled(seeds):
     return choose
 
 
-def _forced(forced_outcomes: dict[int, int] | None):
+def _forced(p: Pattern, forced_outcomes: dict[int, int] | None):
+    """Each measured qudit takes its outcome, a dit in 0..d-1; an outcome for
+    a qudit the pattern does not measure is refused, not dropped."""
+    forced = forced_outcomes or {}
+    unmeasured = sorted(forced.keys() - set(p.measured_qudits()))
+    if unmeasured:
+        raise ValueError(f"forced outcomes name qudits {unmeasured} that the pattern does not measure")
+    bad = {q: j for q, j in forced.items() if not 0 <= j < p.ctx.d}
+    if bad:
+        raise ValueError(f"forced outcomes must be dits in 0..{p.ctx.d - 1}, got {bad}")
+
     def choose(step, index, probs, origin):
-        if forced_outcomes is None or step.site not in forced_outcomes:
+        if step.site not in forced:
             raise ValueError(f"forced mode needs an outcome for qudit {step.site}")
-        j = int(forced_outcomes[step.site]) % probs.shape[1]
+        j = int(forced[step.site])
         low = probs[:, j] < ZERO_BRANCH_TOL
         if low.any():
             raise ValueError(f"forced outcome {j} on site {step.site} has probability {probs[low, j][0]:.3e}")
@@ -538,7 +548,7 @@ def run(
         raise ValueError("every pattern runs on the lazy schedule")
     if mode not in ("sampled", "forced"):
         raise ValueError(f"unknown run mode {mode!r}")
-    choose = _sampled([seed]) if mode == "sampled" else _forced(forced_outcomes)
+    choose = _sampled([seed]) if mode == "sampled" else _forced(p, forced_outcomes)
     return _results(p, _walk(p, _input_row(p, input_state), choose))[0]
 
 
@@ -798,11 +808,15 @@ def _signal_to_json(sig: Signal) -> str:
     return "{\n        " + entries + "\n      }" if entries else "{}"
 
 
-def _decimal_ids(doc: dict, what: str) -> list[int]:
-    """The keys of a JSON object as decimal qudit ids (``int`` alone reads "0_1" and " 1 " too)."""
+def _decimal_ids(doc: dict, owner: str, noun: str) -> list[int]:
+    """The keys of a JSON object as decimal qudit ids, one per qudit (``int``
+    alone reads "0_1" and " 1 " too, and "1" and "01" as one qudit)."""
     if not all(q.removeprefix("-").isdigit() and q.isascii() for q in doc):
-        raise ValueError(f"{what} must be decimal qudit ids, got {doc!r}")
-    return list(map(int, doc))
+        raise ValueError(f"{owner} {noun} must be decimal qudit ids, got {doc!r}")
+    ids = list(map(int, doc))
+    if len(set(ids)) != len(ids):
+        raise ValueError(f"{owner} names a qudit by two {noun}, got {doc!r}")
+    return ids
 
 
 def _signal_from_json(d: int, doc: dict | None) -> Signal:
@@ -812,7 +826,7 @@ def _signal_from_json(d: int, doc: dict | None) -> Signal:
         raise ValueError(f"a signal must be an object {{qudit: coefficient}}, got {doc!r}")
     if not all(type(c) is int for c in doc.values()):
         raise ValueError(f"signal coefficients must be integers, got {doc!r}")
-    return Signal(d, tuple(zip(_decimal_ids(doc, "signal labels"), doc.values())))
+    return Signal(d, tuple(zip(_decimal_ids(doc, "signal", "labels"), doc.values())))
 
 
 def _command_to_json(cmd: Command) -> str:

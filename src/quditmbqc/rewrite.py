@@ -3,9 +3,9 @@
 ``standardise`` moves every entangling command to the front, absorbs
 interleaved Pauli corrections into the measurements they precede, and
 merges what remains into at most one X and one Z correction per output
-qudit.  ``pauli_simplify`` drops redundant dependencies from the two
-distinguished measurement directions (the Fourier direction theta = 0
-and the phase-gate direction theta = p).  ``signal_shift`` removes all
+qudit.  ``pauli_simplify`` turns the X dependency of each measurement in a
+Clifford direction, v(theta) = F.P^a.Z^b up to a phase, into a Z
+dependency.  ``signal_shift`` removes all
 Z-type dependencies by classical post-processing.  Running the three
 passes in that order yields a completely standard pattern.
 
@@ -34,8 +34,6 @@ __all__ = [
     "zero_angles",
     "pauli_angles",
     "angles_match",
-    "is_fourier_direction",
-    "is_phase_direction",
     "standardise",
     "pauli_simplify",
     "signal_shift",
@@ -64,12 +62,16 @@ def angles_match(theta, reference) -> bool:
     return len(tuple(theta)) == len(tuple(reference))
 
 
-def is_fourier_direction(theta, d: int) -> bool:
-    return angles_match(theta, zero_angles(d))
-
-
-def is_phase_direction(theta, d: int) -> bool:
-    return angles_match(theta, pauli_angles(d))
+def _clifford_power(theta, d: int) -> int | None:
+    """a when v(theta) = F.P^a.Z^b up to a global phase, else None: theta is
+    then a constant plus a*p plus 2*pi*b*j/d mod 2*pi.  a is read off the
+    second difference (2*pi/d for p; at d = 2 the one step, pi/2 for p), b
+    off the first step, and one match confirms both; reducing mod 2*pi
+    first keeps huge entries finite."""
+    p, t = pauli_angles(d), [x % math.tau for x in theta]
+    a = round((t[1] - t[0]) / p[1] if d == 2 else (t[2] - 2.0 * t[1] + t[0]) * d / math.tau) % d
+    b = round((t[1] - t[0] - a * p[1]) * d / math.tau)
+    return a if angles_match(t, [t[0] + a * pj + math.tau * b * j / d for j, pj in enumerate(p)]) else None
 
 
 def is_standard(p: Pattern) -> bool:
@@ -83,17 +85,14 @@ def is_standard(p: Pattern) -> bool:
 
 
 def is_completely_standard(p: Pattern) -> bool:
-    """Standard form, no Z dependencies anywhere, and no X dependency on
-    Fourier-direction measurements."""
-    if not is_standard(p):
-        return False
-    for cmd in p.seq:
-        if isinstance(cmd, Measure):
-            if not cmd.z_signal.is_zero():
-                return False
-            if is_fourier_direction(cmd.theta, p.ctx.d) and not cmd.x_signal.is_zero():
-                return False
-    return True
+    """Standard form, no Z dependency anywhere, and no X dependency on a
+    measurement in a Clifford direction: ``pauli_simplify`` and
+    ``signal_shift`` have nothing left to do."""
+    return is_standard(p) and all(
+        cmd.z_signal.is_zero() and (cmd.x_signal.is_zero() or _clifford_power(cmd.theta, p.ctx.d) is None)
+        for cmd in p.seq
+        if isinstance(cmd, Measure)
+    )
 
 
 def standardise(p: Pattern) -> Pattern:
@@ -102,7 +101,7 @@ def standardise(p: Pattern) -> Pattern:
 
 
 def pauli_simplify(p: Pattern) -> Pattern:
-    """Drop dependencies that the two Clifford measurement directions ignore."""
+    """Turn the X dependency of each Clifford-direction measurement into a Z dependency."""
     return p.with_seq(_pauli_simplify(p.ctx.d, p.seq))
 
 
@@ -146,16 +145,15 @@ def _standardise(d: int, seq) -> list[Command]:
 
 
 def _pauli_simplify(d: int, seq) -> list[Command]:
-    """Fourier-direction measurements lose their X dependency; phase-
-    direction measurements convert the X dependency into an extra Z
-    dependency."""
+    """A measurement in direction v(theta) = F.P^a.Z^b trades its X dependency
+    s for the Z dependency a*s: v(theta).X^s = Z^s.v(theta).Z^(a*s) up to a
+    phase (as P.X^s = X^s.P.Z^s), and Z^s after the frame rephases only."""
     out = []
     for cmd in seq:
         if isinstance(cmd, Measure) and not cmd.x_signal.is_zero():
-            if is_fourier_direction(cmd.theta, d):
-                cmd = Measure(cmd.site, cmd.theta, Signal.zero(d), cmd.z_signal)
-            elif is_phase_direction(cmd.theta, d):
-                cmd = Measure(cmd.site, cmd.theta, Signal.zero(d), cmd.x_signal + cmd.z_signal)
+            a = _clifford_power(cmd.theta, d)
+            if a is not None:
+                cmd = Measure(cmd.site, cmd.theta, Signal.zero(d), cmd.z_signal + cmd.x_signal.scaled(a))
         out.append(cmd)
     return out
 

@@ -166,6 +166,7 @@ def _shared(name: GateName, k: int = 1, coeffs: tuple[int, ...] | None = None) -
     return Gate(name, k=k, coeffs=coeffs)
 
 
+@lru_cache(maxsize=None)
 def pauli_angles(d: int) -> tuple[float, ...]:
     """Angle vector p with v(p) = F.P, i.e. p_j = pi * j * (j + delta_d) / d."""
     ctx = DimensionContext.of(d)

@@ -842,6 +842,36 @@ def random_controlled_pauli_circuit(
     return Circuit(ctx, qudits, qudits, qudits, tuple(ops))
 
 
+def random_clifford_kinds_circuit(ctx: DimensionContext, n: int, gates: int, seed: int) -> Circuit:
+    """A random circuit over every gate kind with no angle-vector parameter,
+    each kind once first, then drawn uniformly; powers and coefficients are
+    drawn from 1..d-1, and FANOUT and MOD take the n-1 other qudits."""
+    rng = np.random.default_rng(seed)
+    d, qudits = ctx.d, tuple(range(1, n + 1))
+
+    def power() -> int:
+        return int(rng.integers(1, d))
+
+    makers = {
+        GateName.F: (1, Gate.f),
+        GateName.FINV: (1, Gate.finv),
+        GateName.X: (1, lambda: Gate.x(power())),
+        GateName.Z: (1, lambda: Gate.z(power())),
+        GateName.P: (1, Gate.p),
+        GateName.CZ: (2, lambda: Gate.cz(power())),
+        GateName.CX: (2, lambda: Gate.cx(power())),
+        GateName.SWAP: (2, Gate.swap),
+        GateName.FANOUT: (n, lambda: Gate.fanout(power() for _ in range(n - 1))),
+        GateName.MOD: (n, lambda: Gate.mod(power() for _ in range(n - 1))),
+    }
+    names = list(makers)
+    ops = []
+    for g in range(gates):
+        arity, make = makers[names[g] if g < len(names) else names[int(rng.integers(len(names)))]]
+        ops.append(Operation(make(), tuple(int(q) for q in rng.choice(qudits, size=arity, replace=False))))
+    return Circuit(ctx, qudits, qudits, qudits, tuple(ops))
+
+
 def all_digit_tuples(d: int, n: int):
     return product(range(d), repeat=n)
 

@@ -274,6 +274,8 @@ def _teleport_doc(correction: dict) -> dict:
         ({"kind": "X", "sites": [1], "s": {" 0 ": 1}}, "signal labels must be decimal qudit ids, got {' 0 ': 1}"),
         ({"kind": "Z", "sites": [1], "t": {"+0": 1}}, "signal labels must be decimal qudit ids, got {'+0': 1}"),
         ({"kind": "Z", "sites": [1], "t": {"\u0660": 1}}, "signal labels must be decimal qudit ids, got {'\u0660': 1}"),
+        # once summed, read as 2*s[0]
+        ({"kind": "X", "sites": [1], "s": {"0": 1, "00": 1}}, "signal names a qudit by two labels, got {'0': 1, '00': 1}"),
     ],
 )
 def test_malformed_command_key_or_signal_is_input_error(tmp_path, capsys, correction, refusal):
@@ -676,6 +678,29 @@ def test_forced_outcome_keys_are_read_as_signal_labels_are(tmp_path, capsys, spe
     assert err.count("\n") == 1 and refusal in err
 
 
+@pytest.mark.parametrize(
+    "spelled, refusal",
+    [
+        # once read mod d: 3 as 0, 4 as 1 and -1 as 2 at d = 3
+        (lambda ms: {str(q): 0 for q in ms} | {str(ms[0]): 3}, "forced outcomes must be dits in 0..2, got {"),
+        (lambda ms: {str(q): 0 for q in ms} | {str(ms[-1]): -1}, "forced outcomes must be dits in 0..2, got {"),
+        # once dropped without a word
+        (lambda ms: {str(q): 0 for q in ms} | {"99": 1}, "forced outcomes name qudits [99] that the pattern does not measure"),
+    ],
+    ids=["past-d", "negative", "unmeasured"],
+)
+def test_forced_outcomes_outside_the_pattern_are_input_error(tmp_path, capsys, spelled, refusal):
+    doc = _def7_pattern_doc(tmp_path)
+    assert doc["d"] == 3
+    pattern = tmp_path / "p.json"
+    pattern.write_text(json.dumps(doc))
+    measured = [cmd["sites"][0] for cmd in doc["commands"] if cmd["kind"] == "M"]
+    argv = ("run", "--in", str(pattern), "--mode", "forced", "--outcomes")
+    assert run_cli(*argv, json.dumps({str(q): 0 for q in measured}), "--out", str(tmp_path / "r.json")) == 0
+    err = _assert_input_error(capsys, *argv, json.dumps(spelled(measured)))
+    assert err.count("\n") == 1 and refusal in err
+
+
 def _malformed_pattern(tmp_path, fault: str) -> Path:
     """The def7 pattern with every M moved after the corrections (a signal
     reads an outcome before its measurement), or with an output repeated."""
@@ -733,7 +758,7 @@ def test_clifford_const_refuses_a_guni_circuit_by_its_gate_set_message(tmp_path,
     run_cli("gen", "guni", "--d", "3", "--n", "2", "--gates", "6", "--seed", "1", "--out", str(circuit))
     capsys.readouterr()
     assert run_cli("convert", "clifford-const", "--in", str(circuit)) == 2
-    assert capsys.readouterr().err == "error: gate v is not in the {F, P, CZ} set\n"
+    assert capsys.readouterr().err == "error: gate v is not a Clifford gate\n"
 
 
 # 4096: the largest d whose d x d frame or Fourier matrix fits one capped state

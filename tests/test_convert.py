@@ -13,6 +13,7 @@ from helpers import (
     pattern_checks,
     phase_poly_equivalent,
     purity,
+    random_clifford_kinds_circuit,
     random_controlled_pauli_circuit,
     reduced_density_matrix,
 )
@@ -28,7 +29,9 @@ from quditmbqc.circuit import (
     lower_to_guni,
     simulate_circuit,
 )
+from quditmbqc.cli import verify_equivalent
 from quditmbqc.convert import (
+    _measurement_layers,
     _normalize_controlled_pauli,
     basic_cz_pattern,
     basic_v_pattern,
@@ -640,7 +643,18 @@ class TestFanoutCompileAndCliffordPipeline:
         measures = [m for m in pat.seq if isinstance(m, Measure)]
         assert len(measures) == 1 and measures[0].is_independent()
 
+    @pytest.mark.parametrize("d, n", [(2, 3), (3, 3), (4, 2), (5, 2), (6, 2)])
+    def test_every_clifford_kind_gives_one_measurement_layer(self, d, n):
+        """Lowered X, Z, CX, SWAP, FANOUT and MOD measure in directions
+        F.P^a.Z^b other than F and F.P, which lose their X dependency too."""
+        for seed in range(2):
+            c = random_clifford_kinds_circuit(ctx_of(d), n, 12, 10 * d + seed)
+            assert {op.gate.name for op in c.ops} == set(GateName) - {GateName.R, GateName.V, GateName.DIAG}
+            pat = clifford_constant_depth(c)
+            assert len(_measurement_layers(pat)) == 1
+            assert verify_equivalent(c, pat, seed)[0] < 1e-9
+
     def test_rejects_non_clifford_gate(self):
         ctx = ctx_of(2)
-        with pytest.raises(ValueError, match=r"^gate X is not in the \{F, P, CZ\} set$"):
-            clifford_constant_depth(one_gate_circuit(ctx, Gate.x(1), (1,), (1,)))
+        with pytest.raises(ValueError, match=r"^gate v is not a Clifford gate$"):
+            clifford_constant_depth(one_gate_circuit(ctx, Gate.v((0.1, 0.2)), (1,), (1,)))

@@ -183,12 +183,13 @@ def test_signals_zero_and_multi_term():
 
 
 def test_non_canonical_signal_reads_to_the_canonical_signal():
-    """An ``M`` signal with unsorted keys, one label spelt "1" and "01", a
-    coefficient >= d, a negative one and terms that cancel loads to the
-    canonical ``Signal`` and writes back as json.dumps bytes."""
+    """An ``M`` signal with unsorted keys, a label spelt "01", a coefficient
+    >= d, a negative one and one past 2^64 that is 0 mod d loads to the
+    canonical ``Signal`` and writes back as json.dumps bytes; a qudit spelt
+    "1" and "01" in one signal is refused."""
     d = 3
     measure = {"kind": "M", "sites": [0], "theta": [0.0] * d}
-    s = {"2": 7, "1": 1, "01": 4, "0": -1, "3": 2**64, "03": -(2**64)}
+    s = {"2": 7, "01": 5, "0": -1, "3": 3 * 2**64}
     doc = {
         "d": d,
         "qudits": [0, 1, 2, 3, 4, 5],
@@ -201,6 +202,9 @@ def test_non_canonical_signal_reads_to_the_canonical_signal():
     assert p.seq[-1].x_signal.coeffs == ((0, 2), (1, 2), (2, 1))
     doc["commands"][-1]["s"] = {"0": 2, "1": 2, "2": 1}
     assert same_as_dumps_pattern(p) == dumped(doc)
+    doc["commands"][-1]["s"] = {"1": 1, "01": 4}
+    with pytest.raises(ValueError, match="^signal names a qudit by two labels, got"):
+        pattern_from_json(json.dumps(doc))
 
 
 def test_float_and_id_edge_cases():

@@ -151,8 +151,12 @@ class TestSignal:
     def test_every_constructor_matches_the_oracle(self, d, a, b, cancel, factor, mapping):
         a = a + cancel + [(q, -c) for q, c in cancel]  # these terms sum to zero
         sa, sb = Signal(d, tuple(a)), Signal(d, tuple(b))
-        # a JSON object spells a repeated label with leading zeros: "1", "01", ...
-        doc = {"0" * k + str(q): c for k, (q, c) in enumerate(a)}
+        # a JSON object names each label once, its sum of terms, spelt with
+        # leading zeros: "1", "02", "003", ...
+        sums: dict[int, int] = {}
+        for q, c in a:
+            sums[q] = sums.get(q, 0) + c
+        doc = {"0" * k + str(q): c for k, (q, c) in enumerate(sums.items())}
         cases = [
             (sa, a),
             (sa + sb, a + b),
@@ -877,4 +881,6 @@ class TestJsonReader:
         with pytest.raises(ValueError, match=r"^a signal must be an object \{qudit: coefficient\}, got \[1\]$"):
             _signal_from_json(3, [1])
         assert _signal_from_json(3, None) == Signal.zero(3)
-        assert _signal_from_json(3, {"0": 4, "00": -1, "1": 3}) == Signal.zero(3)
+        assert _signal_from_json(3, {"0": 3, "01": 6}) == Signal.zero(3)
+        with pytest.raises(ValueError, match=r"^signal names a qudit by two labels, got \{'0': 4, '00': -1, '1': 3\}$"):
+            _signal_from_json(3, {"0": 4, "00": -1, "1": 3})

@@ -5,11 +5,12 @@ import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
-from helpers import pattern_items, longest_dependent_path
+from helpers import longest_dependent_path, match_clifford_diagonal, pattern_items
 
 from quditmbqc.algebra import DimensionContext
-from quditmbqc.circuit import lower_to_guni
-from quditmbqc.convert import basic_v_pattern, circuit_to_pattern_standard
+from quditmbqc.circuit import Circuit, Operation, lower_to_guni
+from quditmbqc.cli import verify_equivalent
+from quditmbqc.convert import _measurement_layers, basic_v_pattern, circuit_to_pattern_standard
 from quditmbqc.generate import random_guni_circuit
 from quditmbqc.pattern import (
     CorrectX,
@@ -24,6 +25,7 @@ from quditmbqc.pattern import (
     validate,
 )
 from quditmbqc.rewrite import (
+    _clifford_power,
     completely_standardise,
     is_completely_standard,
     is_standard,
@@ -151,6 +153,8 @@ def _chain(*order, x2=None, z2=None, theta2=(0.1, 0.2, 0.3), s3=None):
         (_chain(*"abced", s3={1: 1}), False, False),  # M after a correction
         (_chain(*"abcde", z2={1: 1}), True, False),  # Z-dependent M
         (_chain(*"abcde", x2={1: 1}, theta2=zero_angles(3)), True, False),  # X signal on a Fourier-direction M
+        (_chain(*"abcde", x2={1: 1}, theta2=pauli_angles(3)), True, False),  # ... on a phase-direction M
+        (_chain(*"abcde", x2={1: 1}, theta2=(0.5, 0.5 + 2 * np.pi / 3, 0.5 + 4 * np.pi / 3)), True, False),  # ... on v = F.Z
     ],
 )
 def test_standard_form_predicates(pattern, standard, complete):
@@ -209,6 +213,72 @@ class TestPauliSimplify:
         for pat in (std, simp):
             for b in run_branches(pat, psi):
                 assert fidelity_up_to_phase(b.state, ref) > 1 - 1e-9
+
+
+def _clifford_theta(rng, d: int, a: int, b: int) -> tuple[float, ...]:
+    """Angles of v = F.P^a.Z^b times a random phase, each entry off by a
+    random whole number of turns."""
+    j = np.arange(d)
+    turns = rng.integers(-3, 4, size=d)
+    return tuple(a * np.asarray(pauli_angles(d)) + 2 * np.pi * (b * j / d + turns) + rng.uniform(-np.pi, np.pi))
+
+
+class TestCliffordDirections:
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_clifford_power_matches_the_oracle(self, d):
+        """Every F.P^a.Z^b direction gives a mod d (P^d is Z^(d/2) at even d),
+        as the brute-force search over P^a Z^b diagonals does; generic angles
+        give None."""
+        ctx, rng = ctx_of(d), np.random.default_rng(d)
+        for a in range(ctx.D):
+            for b in range(d):
+                theta = _clifford_theta(rng, d, a, b)
+                assert _clifford_power(theta, d) == a % d == match_clifford_diagonal(ctx, theta)[0] % d
+        for _ in range(50):
+            theta = tuple(rng.uniform(0, 2 * np.pi, d))
+            assert _clifford_power(theta, d) is None and match_clifford_diagonal(ctx, theta) is None
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_huge_entries_neither_raise_nor_misclassify(self, d):
+        # unreduced, t2 - 2*t1 + t0 overflows to -inf and round() raises
+        for big in (1e308, -1e308):
+            assert _clifford_power((big,) * d, d) == 0  # a global phase
+        for theta in [(1e308, -1e308) + (0.0,) * (d - 2), (0.0,) * (d - 1) + (1e308,)]:
+            reduced = [t % (2 * np.pi) for t in theta]
+            assert match_clifford_diagonal(ctx_of(d), reduced) is None
+            assert _clifford_power(theta, d) is None
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6])
+    def test_def7_of_clifford_directions_verifies_in_one_layer(self, d):
+        """v gates in random F.P^a.Z^b directions, some circuits mixed with
+        generic ones: def7 verifies, the pattern is completely standard, every
+        Clifford-direction M loses its X dependency and pauli_simplify leaves
+        the generic ones as they were; with no generic gate, one layer."""
+        ctx = ctx_of(d)
+        for seed in range(6):
+            rng = np.random.default_rng(100 * d + seed)
+            generic = seed % 2
+            ops = []
+            for _ in range(7):
+                if rng.random() < 0.3:
+                    ops.append(Operation(Gate.cz(), (1, 2)))
+                    continue
+                theta = _clifford_theta(rng, d, int(rng.integers(2 * d)), int(rng.integers(d)))
+                if generic and rng.random() < 0.4:
+                    theta = tuple(rng.uniform(0, 2 * np.pi, d))
+                ops.append(Operation(Gate.v(theta), (int(rng.integers(1, 3)),)))
+            c = Circuit(ctx, (1, 2), (1, 2), (1, 2), tuple(ops))
+            std = standardise(circuit_to_pattern_standard(c, standardise=False))
+            for before, after in zip(std.seq, pauli_simplify(std).seq):
+                if isinstance(before, Measure) and _clifford_power(before.theta, d) is None:
+                    assert after is before
+            pat = circuit_to_pattern_standard(c)
+            assert is_completely_standard(pat)
+            measures = [m for m in pat.seq if isinstance(m, Measure)]
+            assert all(m.x_signal.is_zero() for m in measures if _clifford_power(m.theta, d) is not None)
+            if not generic:
+                assert len(_measurement_layers(pat)) == 1
+            assert verify_equivalent(c, pat, seed)[0] < 1e-9
 
 
 class TestSignalShift:
