@@ -6,8 +6,8 @@ compilers), ``rewrite`` (standardisation passes), ``run`` (simulate),
 random-state simulation) and ``analyze`` (depth/size/entanglement
 reports and scaling sweeps).
 
-Exit codes: 0 success, 1 verification failure, 2 malformed or too
-large input.
+Exit codes, picked in ``main`` only: 0 success, 1 verification failure,
+2 a refusal (malformed or too large input, or an unwritable output).
 All randomness flows from the single --seed value; measurement k of a
 run draws from the stream spawned with key (k,) off that seed.
 """
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import reprlib
 import sys
 from functools import cache
@@ -85,10 +86,7 @@ def load_artifact(path: str) -> Circuit | Pattern:
         text = Path(path).read_text()
     except OSError as exc:
         raise InputError(f"{path}: {exc}") from exc
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise InputError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    doc = _parse_json(text, path)
     if not isinstance(doc, dict):
         raise InputError(f"{path}: a circuit or pattern must be a JSON object, got {reprlib.repr(doc)}")
     try:
@@ -120,19 +118,29 @@ def _context(d) -> DimensionContext:
     return ctx
 
 
-def _write(text: str, out: str | None) -> None:
-    if out:
-        Path(out).write_text(text)
+def _parse_json(text: str, source: str):
+    """json.loads, refusing a syntax error or nesting past the recursion limit with the source named."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise InputError(f"{source}: line {exc.lineno} column {exc.colno}: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InputError(f"{source}: {exc}") from exc
+
+
+def _write(result: Circuit | Pattern | dict, out: str | None, fmt: str) -> None:
+    """A circuit or pattern as its JSON document, a report as JSON or a text table; to ``out`` or stdout."""
+    if isinstance(result, (Circuit, Pattern)):
+        text = circuit_to_json(result) if isinstance(result, Circuit) else pattern_to_json(result)
     else:
+        text = json.dumps(result, indent=2) + "\n" if fmt == "json" else _as_table(result)
+    if not out:
         sys.stdout.write(text)
-
-
-def dump_artifact(artifact: Circuit | Pattern, out: str | None) -> None:
-    _write(circuit_to_json(artifact) if isinstance(artifact, Circuit) else pattern_to_json(artifact), out)
-
-
-def emit(doc: dict, fmt: str, out: str | None) -> None:
-    _write(json.dumps(doc, indent=2) + "\n" if fmt == "json" else _as_table(doc), out)
+        return
+    try:
+        Path(out).write_text(text)
+    except OSError as exc:
+        raise InputError(f"{out}: {exc}") from exc
 
 
 def _as_table(doc: dict, prefix: str = "") -> str:
@@ -220,7 +228,7 @@ def verify_equivalent(a: Circuit | Pattern, b: Circuit | Pattern, seed: int) -> 
     return worst, {"inputs": dim + RANDOM_INPUTS, "first": first, "second": second}
 
 
-# -- subcommand handlers ---------------------------------------------------------
+# -- subcommand handlers: each returns the artifact or report that main writes --
 
 
 _FAMILIES = {
@@ -231,12 +239,11 @@ _FAMILIES = {
 }
 
 
-def _cmd_gen(args) -> int:
-    dump_artifact(_FAMILIES[args.family](_context(args.d), args), args.out)
-    return EXIT_OK
+def _cmd_gen(args) -> Circuit:
+    return _FAMILIES[args.family](_context(args.d), args)
 
 
-def _cmd_convert(args) -> int:
+def _cmd_convert(args) -> Circuit | Pattern:
     if args.target == "fanout-circuit" and args.kind != "clifford-const":
         raise InputError(f"--target fanout-circuit applies to clifford-const only; {args.kind} has one output")
     artifact = load_artifact(args.input)
@@ -253,23 +260,21 @@ def _cmd_convert(args) -> int:
     result = compile_(artifact)
     if args.target == "fanout-circuit":
         result = pattern_to_fanout_circuit(result)
-    dump_artifact(result, args.out)
-    if not args.report:
-        return EXIT_OK
-    if args.kind == "fanout-compile":
-        pattern, circuit = pattern_depth_and_size(artifact), depth_and_size(result)
-        report = {
-            "pattern": {"depth": pattern.depth, "size": pattern.size},
-            "circuit": {"depth": circuit.depth, "size": circuit.size},
-            "ancillas_added": len(result.qudits) - len(artifact.qudits),
-        }
-    else:
-        report = _analysis_doc(result)
-    emit(report, args.format, args.report)
-    return EXIT_OK
+    if args.report:
+        if args.kind == "fanout-compile":
+            pattern, circuit = pattern_depth_and_size(artifact), depth_and_size(result)
+            report = {
+                "pattern": {"depth": pattern.depth, "size": pattern.size},
+                "circuit": {"depth": circuit.depth, "size": circuit.size},
+                "ancillas_added": len(result.qudits) - len(artifact.qudits),
+            }
+        else:
+            report = _analysis_doc(result)
+        _write(report, args.report, args.format)
+    return result
 
 
-def _cmd_rewrite(args) -> int:
+def _cmd_rewrite(args) -> Pattern:
     artifact = load_artifact(args.input)
     if not isinstance(artifact, Pattern):
         raise InputError("rewrite passes operate on patterns")
@@ -279,63 +284,58 @@ def _cmd_rewrite(args) -> int:
         "shift": signal_shift,
         "complete": completely_standardise,
     }
-    result = passes[args.pass_name](artifact)
-    dump_artifact(result, args.out)
-    return EXIT_OK
+    return passes[args.pass_name](artifact)
 
 
-def _cmd_run(args) -> int:
+def _state_doc(state) -> dict:
+    return {
+        "sites": list(state.sites),
+        "amplitudes": [[float(a.real), float(a.imag)] for a in state.amplitudes],
+    }
+
+
+def _outcomes_doc(outcomes: dict) -> dict:
+    return {str(k): v for k, v in sorted(outcomes.items())}
+
+
+def _cmd_run(args) -> dict:
     artifact = load_runnable(args.input)
     if isinstance(artifact, Circuit):
-        final = simulate_circuit(artifact)
-        doc = {
-            "kind": "circuit-run",
-            "sites": list(final.sites),
-            "amplitudes": [[float(a.real), float(a.imag)] for a in final.amplitudes],
-        }
-        emit(doc, args.format, args.out)
-        return EXIT_OK
+        return {"kind": "circuit-run", **_state_doc(simulate_circuit(artifact))}
     if args.mode == "all-branches":
         if _samples(artifact):
             raise InputError(f"{artifact.ctx.d}^{len(artifact.measured_qudits())} branches exceed the cap of {BRANCH_ENUMERATION_CAP}; use --mode sampled")
         branches = run_branches(artifact)
-        doc = {
+        return {
             "kind": "pattern-branches",
             "branches": [
                 {
-                    "outcomes": {str(k): v for k, v in sorted(b.outcomes.items())},
+                    "outcomes": _outcomes_doc(b.outcomes),
                     "probability": b.probability,
                 }
                 for b in branches
             ],
         }
-        emit(doc, args.format, args.out)
-        return EXIT_OK
     forced = None
     if args.mode == "forced":
-        outcomes = json.loads(args.outcomes) if args.outcomes else None
+        outcomes = _parse_json(args.outcomes, "--outcomes") if args.outcomes else None
         if not isinstance(outcomes, dict) or not all(type(v) is int for v in outcomes.values()):
             raise InputError("forced mode requires --outcomes as a JSON object {qudit: dit}, e.g. '{\"1\": 0}'")
         forced = dict(zip(_decimal_ids(outcomes, "--outcomes", "keys"), outcomes.values()))
     res = run(artifact, mode=args.mode, seed=args.seed, forced_outcomes=forced)
-    doc = {
+    return {
         "kind": "pattern-run",
-        "outcomes": {str(k): v for k, v in sorted(res.outcomes.items())},
+        "outcomes": _outcomes_doc(res.outcomes),
         "probability": res.probability,
-        "sites": list(res.state.sites),
-        "amplitudes": [[float(a.real), float(a.imag)] for a in res.state.amplitudes],
+        **_state_doc(res.state),
     }
-    emit(doc, args.format, args.out)
-    return EXIT_OK
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     a = load_runnable(args.first)
     b = load_runnable(args.second)
     worst, coverage = verify_equivalent(a, b, args.seed)
-    doc = {"max_infidelity": worst, "tolerance": args.tol, "equivalent": worst <= args.tol, **coverage}
-    emit(doc, args.format, args.out)
-    return EXIT_OK if worst <= args.tol else EXIT_VERIFY_FAILED
+    return {"max_infidelity": worst, "tolerance": args.tol, "equivalent": worst <= args.tol, **coverage}
 
 
 def _analysis_doc(artifact: Circuit | Pattern) -> dict:
@@ -364,7 +364,7 @@ def _analysis_doc(artifact: Circuit | Pattern) -> dict:
     }
 
 
-def _cmd_analyze(args) -> int:
+def _cmd_analyze(args) -> dict:
     if args.sweep:
         rng_text = args.sweep.removeprefix("n=").replace("..", ":")
         try:
@@ -389,13 +389,10 @@ def _cmd_analyze(args) -> int:
                     "circuit_size": crep.size,
                 }
             )
-        emit({"kind": "clifford-const-sweep", "d": args.d, "rows": rows}, args.format, args.out)
-        return EXIT_OK
+        return {"kind": "clifford-const-sweep", "d": args.d, "rows": rows}
     if not args.input:
         raise InputError("analyze needs --in FILE or --sweep LO:HI")
-    artifact = load_artifact(args.input)
-    emit(_analysis_doc(artifact), args.format, args.out)
-    return EXIT_OK
+    return _analysis_doc(load_artifact(args.input))
 
 
 # -- argument parsing -------------------------------------------------------------
@@ -415,75 +412,75 @@ def _count(low: int):
     return integer
 
 
+def _tolerance(text: str) -> float:
+    """An argparse ``type=`` for verify's --tol: a finite float of at least 0."""
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be a finite number of at least 0, got {text}")
+    return value
+
+
 @cache
 def build_parser() -> argparse.ArgumentParser:
     """The one parser of every ``main`` call; each parse gets a fresh namespace."""
     parser = argparse.ArgumentParser(prog="quditmbqc", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
+    shared = {flag: argparse.ArgumentParser(add_help=False) for flag in ("out", "in", "seed", "format")}
+    shared["out"].add_argument("--out", default=None)
+    shared["in"].add_argument("--in", dest="input", required=True)
+    shared["seed"].add_argument("--seed", type=int, default=0)
+    shared["format"].add_argument("--format", choices=["json", "text"], default="json")
 
-    p = sub.add_parser("gen", help="generate an example circuit")
+    def command(name: str, func, help: str, *flags: str) -> argparse.ArgumentParser:
+        p = sub.add_parser(name, help=help, parents=[shared[flag] for flag in ("out", *flags)])
+        p.set_defaults(func=func)
+        return p
+
+    p = command("gen", _cmd_gen, "generate an example circuit", "seed")
     p.add_argument("family", choices=list(_FAMILIES))
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--n", type=_count(1), default=2)
     p.add_argument("--gates", type=_count(0), default=10)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_gen)
 
-    p = sub.add_parser("convert", help="convert between circuits and patterns")
+    p = command("convert", _cmd_convert, "convert between circuits and patterns", "in", "format")
     p.add_argument("kind", choices=["def7", "def8", "def9", "fanout-compile", "clifford-const"])
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", default=None)
     p.add_argument("--target", choices=["pattern", "fanout-circuit"], default="pattern")
     p.add_argument("--report", default=None, help="also write a depth/size report")
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(func=_cmd_convert)
 
-    p = sub.add_parser("rewrite", help="run standardisation passes on a pattern")
+    p = command("rewrite", _cmd_rewrite, "run standardisation passes on a pattern", "in")
     p.add_argument("pass_name", choices=["standardise", "pauli", "shift", "complete"])
-    p.add_argument("--in", dest="input", required=True)
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_rewrite)
 
-    p = sub.add_parser("run", help="simulate a circuit or pattern")
-    p.add_argument("--in", dest="input", required=True)
+    p = command("run", _cmd_run, "simulate a circuit or pattern", "in", "seed", "format")
     p.add_argument("--mode", choices=["sampled", "forced", "all-branches"], default="sampled")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--outcomes", default=None, help="forced outcomes as JSON {qudit: dit}")
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(func=_cmd_run)
 
-    p = sub.add_parser("verify", help="check two artifacts for equivalence")
+    p = command("verify", _cmd_verify, "check two artifacts for equivalence", "seed", "format")
     p.add_argument("first")
     p.add_argument("second")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(func=_cmd_verify)
+    p.add_argument("--tol", type=_tolerance, default=DEFAULT_TOL)
 
-    p = sub.add_parser("analyze", help="depth/size/entanglement report or scaling sweep")
+    p = command("analyze", _cmd_analyze, "depth/size/entanglement report or scaling sweep", "seed", "format")
     p.add_argument("--in", dest="input", default=None)
     p.add_argument("--sweep", default=None, help="n range LO:HI for a clifford-const sweep")
     p.add_argument("--d", type=int, default=2)
     p.add_argument("--gates-per-n", type=_count(0), default=5)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "text"], default="json")
-    p.set_defaults(func=_cmd_analyze)
 
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    """Run one subcommand and write its result; the one place that picks the exit code."""
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        result = args.func(args)
+        _write(result, args.out, getattr(args, "format", "json"))
     except (InputError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    return EXIT_VERIFY_FAILED if isinstance(result, dict) and result.get("equivalent") is False else EXIT_OK
 
 
 if __name__ == "__main__":

@@ -56,8 +56,9 @@ def angles_match(theta, reference) -> bool:
     if tuple(theta) == tuple(reference):
         return True
     for a, b in zip(theta, reference):
-        diff = (a - b) % (2.0 * math.pi)
-        if min(diff, 2.0 * math.pi - diff) > ANGLE_TOL:
+        # each side reduced first: a - b rounds b away when a is huge
+        diff = (a % math.tau - b % math.tau) % math.tau
+        if min(diff, math.tau - diff) > ANGLE_TOL:
             return False
     return len(tuple(theta)) == len(tuple(reference))
 

@@ -203,6 +203,11 @@ class TestSimulate:
             assert rows == [1] * d ** len(c.inputs)
             monkeypatch.undo()
 
+    def test_unitary_refuses_unequal_input_and_output_counts(self):
+        c = Circuit(ctx_of(2), (1, 2), (1, 2), (1,), ())
+        with pytest.raises(ValueError, match=r"^\|inputs\| must equal \|outputs\| for a unitary$"):
+            circuit_unitary(c)
+
     def test_residue_names_the_first_failing_basis_input(self, monkeypatch):
         import quditmbqc.sim as sim_module
 
@@ -705,6 +710,10 @@ class TestCompose:
         ctx = ctx_of(2)
         with pytest.raises(ValueError):
             compose_serial(cascade_circuit(ctx, 3), cascade_circuit(ctx, 2))
+
+    def test_serial_rejects_two_dimensions(self):
+        with pytest.raises(ValueError, match="^circuits live in different dimensions$"):
+            compose_serial(cascade_circuit(ctx_of(3), 2), cascade_circuit(ctx_of(2), 2))
 
 
 class TestLowering:

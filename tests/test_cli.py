@@ -686,8 +686,9 @@ def test_forced_outcome_keys_are_read_as_signal_labels_are(tmp_path, capsys, spe
         (lambda ms: {str(q): 0 for q in ms} | {str(ms[-1]): -1}, "forced outcomes must be dits in 0..2, got {"),
         # once dropped without a word
         (lambda ms: {str(q): 0 for q in ms} | {"99": 1}, "forced outcomes name qudits [99] that the pattern does not measure"),
+        (lambda ms: {}, "forced mode needs an outcome for qudit "),
     ],
-    ids=["past-d", "negative", "unmeasured"],
+    ids=["past-d", "negative", "unmeasured", "none"],
 )
 def test_forced_outcomes_outside_the_pattern_are_input_error(tmp_path, capsys, spelled, refusal):
     doc = _def7_pattern_doc(tmp_path)
@@ -904,6 +905,12 @@ def _write_circuit(path: Path, d: int, n: int) -> Path:
         ("number", "doc.json: a circuit or pattern must be a JSON object, got 5"),
         ("string", "doc.json: a circuit or pattern must be a JSON object, got 'xopsx'"),
         ("bool d", "doc.json: qudit dimension must be an integer >= 2, got True"),
+        ("cascade of one", "a cascade needs at least two qudits"),
+        ("ancilla def7", "conversion expects a circuit acting in place (inputs = outputs = qudits)"),
+        ("ancilla clifford-const", "conversion expects a circuit acting in place (inputs = outputs = qudits)"),
+        ("out in a missing directory", "missing/x.json: [Errno 2] No such file or directory: "),
+        ("out is a directory", ": [Errno 21] Is a directory: "),
+        ("report in a missing directory", "missing/r.json: [Errno 2] No such file or directory: "),
     ],
 )
 def test_cli_refusal_is_one_error_line(tmp_path, capsys, case, refusal):
@@ -911,6 +918,7 @@ def test_cli_refusal_is_one_error_line(tmp_path, capsys, case, refusal):
     doc = tmp_path / "doc.json"
     wires = {"d": 2, "qudits": [0], "inputs": [0], "outputs": [0]}
     docs = {"both": {**wires, "ops": [], "commands": []}, "number": 5, "string": "xopsx", "bool d": {**wires, "d": True, "ops": []}}
+    docs["ancilla def7"] = docs["ancilla clifford-const"] = {**wires, "qudits": [0, 1], "ops": []}
     doc.write_text(json.dumps(docs.get(case, wires)))
     argv = {
         "missing file": ["analyze", "--in", str(tmp_path / "missing.json")],
@@ -922,7 +930,38 @@ def test_cli_refusal_is_one_error_line(tmp_path, capsys, case, refusal):
         "input arities": ["verify", str(one), str(two)],
         "dimensions": ["verify", str(one), str(three)],
         "no input": ["analyze"],
+        "cascade of one": ["gen", "cascade", "--n", "1"],
+        "ancilla def7": ["convert", "def7", "--in", str(doc)],
+        "ancilla clifford-const": ["convert", "clifford-const", "--in", str(doc)],
+        "out in a missing directory": ["gen", "guni", "--out", str(tmp_path / "missing" / "x.json")],
+        "out is a directory": ["gen", "guni", "--out", str(tmp_path)],
+        "report in a missing directory": ["convert", "def7", "--in", str(one), "--report", str(tmp_path / "missing" / "r.json")],
     }[case]
     assert run_cli(*argv) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and refusal in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("where", ["artifact", "outcomes"])
+def test_json_nested_past_the_recursion_limit_is_input_error(tmp_path, capsys, where):
+    if where == "artifact":
+        deep = tmp_path / "deep.json"
+        deep.write_text("[" * 100_000)
+        argv = ("analyze", "--in", str(deep))
+    else:
+        pattern = tmp_path / "p.json"
+        pattern.write_text(json.dumps(_def7_pattern_doc(tmp_path)))
+        argv = ("run", "--in", str(pattern), "--mode", "forced", "--outcomes", "[" * 5_000)
+    err = _assert_input_error(capsys, *argv)
+    assert "maximum recursion depth exceeded" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-inf", "-1", "1e400", "x"])
+def test_tolerance_that_is_not_finite_and_non_negative_is_refused_by_flag(tmp_path, capsys, tol):
+    circuit = tmp_path / "c.json"
+    run_cli("gen", "guni", "--d", "2", "--n", "1", "--gates", "2", "--seed", "1", "--out", str(circuit))
+    capsys.readouterr()
+    with pytest.raises(SystemExit) as exc:
+        run_cli("verify", str(circuit), str(circuit), f"--tol={tol}")
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == f"quditmbqc verify: error: argument --tol: must be a finite number of at least 0, got {tol}"

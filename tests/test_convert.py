@@ -292,6 +292,26 @@ class TestFanoutBuilders:
             assert fidelity_up_to_phase(got, want) > 1 - 1e-9
 
 
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (lambda ctx: build_fanout(ctx, 0), "^need at least one target$"),
+            (lambda ctx: build_fanout(ctx, 2, "tree"), "^unknown variant 'tree'$"),
+            (lambda ctx: build_generalized(ctx, ()), "^need at least one coefficient$"),
+            (lambda ctx: build_generalized(ctx, (1,), "swap"), "^unknown kind 'swap'$"),
+            (lambda ctx: parallelize_commuting(Circuit(ctx, (1,), (1,), (1,), ()), []), "^need at least one diagonal block$"),
+            (
+                lambda ctx: parallelize_commuting(Circuit(ctx, (1,), (1,), (1,), ()), [Circuit(ctx, (2,), (2,), (2,), ())]),
+                "^diagonal blocks must act on the same register as the basis change$",
+            ),
+        ],
+        ids=["no-target", "unknown-variant", "no-coefficient", "unknown-kind", "no-block", "block-on-another-register"],
+    )
+    def test_builders_refuse_malformed_arguments(self, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(ctx_of(3))
+
+
 class TestGeneralizedGates:
     def test_plain_coefficients_reduce_to_fanout(self):
         ctx = ctx_of(3)

@@ -374,6 +374,10 @@ class TestRun:
                 assert abs(a.probability - b.probability) < 1e-12
                 assert fidelity_up_to_phase(a.state, b.state) > 1 - 1e-9
 
+    def test_run_refuses_an_unknown_mode(self):
+        with pytest.raises(ValueError, match="^unknown run mode 'x'$"):
+            run(families(3)["def7"], mode="x")
+
     def test_run_takes_only_the_lazy_schedule(self):
         p = families(3)["def7"]
         with pytest.raises(ValueError, match="every pattern runs on the lazy schedule"):
@@ -458,6 +462,16 @@ class TestBatchedWalk:
                 same_results(run_branches(p, psi), oracle_run_branches(p, psi, lazy=lazy))
             for seed in seeds:
                 same_results([run(p, psi, mode="sampled", seed=seed)], [oracle_run(p, psi, seed=seed, lazy=lazy)])
+
+    def test_an_all_zero_row_has_no_branch(self):
+        # every outcome of the first measurement has probability 0, so the walk's batch empties there
+        p = families(3)["def7"]
+        width = 3 ** len(p.inputs)
+        rows = run_rows(p, np.zeros((1, width)))
+        assert rows.amplitudes.shape == (0, 3 ** len(p.outputs)) and len(rows.origin) == 0
+        # beside a basis row, only the basis row's branches come out
+        rows = run_rows(p, np.vstack([np.zeros(width), np.eye(width)[0]]))
+        assert len(rows.origin) and set(rows.origin) == {1}
 
     def test_run_rows_checks_its_seeds_and_takes_no_rows(self):
         p = families(3)["def7"]
@@ -750,6 +764,10 @@ class TestComposeAndJson:
         with pytest.raises(ValueError):
             compose_parallel(p, p)
 
+    def test_serial_rejects_two_dimensions(self):
+        with pytest.raises(ValueError, match="^patterns live in different dimensions$"):
+            compose_serial(basic_cz_pattern(ctx_of(3), 1, 2), basic_cz_pattern(ctx_of(2), 1, 2))
+
     def test_parallel_metrics(self):
         ctx = ctx_of(2)
         a = basic_v_pattern(ctx, 1, 2, (0.0, 0.0))
@@ -806,6 +824,10 @@ class TestCommandDescription:
         for cmd in commands:
             assert tuple(key for key, _ in cmd.signals()) == cmd.keys
             assert len(cmd.sites()) == cmd.arity
+
+    def test_entangle_refuses_one_qudit_twice(self):
+        with pytest.raises(ValueError, match="^entangling command needs two distinct qudits$"):
+            Entangle(1, 1)
 
     def test_corrections_of_the_two_kinds_differ(self):
         s = Signal.unit(3, 0)

@@ -26,6 +26,7 @@ from quditmbqc.pattern import (
 )
 from quditmbqc.rewrite import (
     _clifford_power,
+    angles_match,
     completely_standardise,
     is_completely_standard,
     is_standard,
@@ -84,6 +85,14 @@ class TestDistinguishedAngles:
         for a, b in zip(closed, got):
             diff = (a - b) % (2 * np.pi)
             assert min(diff, 2 * np.pi - diff) < 1e-12
+
+    @pytest.mark.parametrize("huge", [1e17, 1e308])
+    def test_huge_entries_match_their_reduction(self, huge):
+        # huge - (huge mod 2*pi) rounds to huge, which is no multiple of 2*pi
+        reduced = huge % (2 * np.pi)
+        assert angles_match((huge, 0.0), (reduced, 0.0))
+        assert angles_match((reduced, 0.0), (huge, 0.0))
+        assert not angles_match((huge, 0.0), ((reduced + 0.5) % (2 * np.pi), 0.0))
 
 
 class TestStandardise:

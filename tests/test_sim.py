@@ -501,6 +501,23 @@ class TestFidelityAndLayout:
         with pytest.raises(ValueError):
             fidelity_up_to_phase(basis_state(ctx, (0,), (0,)), basis_state(ctx, (1,), (0,)))
 
+    @pytest.mark.parametrize(
+        "make, error, message",
+        [
+            (lambda ctx: StateVector(ctx, (1, 1), np.zeros(4)), ValueError, "^duplicate site identifiers$"),
+            (lambda ctx: StateVector(ctx, (1, 2), np.zeros(3)), ValueError, "^amplitude vector has wrong length$"),
+            (lambda ctx: basis_state(ctx, (1, 2), (0, 1)).site_axis(3), KeyError, "site 3 not in state"),
+            (lambda ctx: basis_state(ctx, (1, 2), (0, 1)).with_sites_order((1, 3)), ValueError, "^new ordering must be a permutation of the sites$"),
+            (lambda ctx: basis_state(ctx, (1, 2), (0, 1)).with_sites_order((1, 2, 2)), ValueError, "^new ordering must be a permutation of the sites$"),
+            (lambda ctx: basis_state(ctx, (1, 2), (0, 1)).extend(basis_state(ctx, (2,), (0,))), ValueError, "^site sets overlap$"),
+            (lambda ctx: basis_state(ctx, (1, 2), (0,)), ValueError, "^one digit per site required$"),
+        ],
+        ids=["duplicate-sites", "wrong-length", "unknown-site", "reorder-to-other-sites", "reorder-repeating-a-site", "overlapping-extend", "digit-count"],
+    )
+    def test_state_refusals(self, make, error, message):
+        with pytest.raises(error, match=message):
+            make(ctx_of(2))
+
     def test_first_site_most_significant(self):
         ctx = ctx_of(3)
         state = basis_state(ctx, (4, 7), (2, 1))
