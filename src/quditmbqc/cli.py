@@ -15,8 +15,10 @@ run draws from the stream spawned with key (k,) off that seed.
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
+import os
 import reprlib
 import sys
 from functools import cache
@@ -128,19 +130,36 @@ def _parse_json(text: str, source: str):
         raise InputError(f"{source}: {exc}") from exc
 
 
-def _write(result: Circuit | Pattern | dict, out: str | None, fmt: str) -> None:
-    """A circuit or pattern as its JSON document, a report as JSON or a text table; to ``out`` or stdout."""
+def _text(result: Circuit | Pattern | dict, fmt: str) -> str:
+    """A circuit or pattern as its JSON document, a report as JSON or a text table."""
     if isinstance(result, (Circuit, Pattern)):
-        text = circuit_to_json(result) if isinstance(result, Circuit) else pattern_to_json(result)
-    else:
-        text = json.dumps(result, indent=2) + "\n" if fmt == "json" else _as_table(result)
-    if not out:
-        sys.stdout.write(text)
-        return
+        return circuit_to_json(result) if isinstance(result, Circuit) else pattern_to_json(result)
+    return json.dumps(result, indent=2) + "\n" if fmt == "json" else _as_table(result)
+
+
+def _write(outputs: list[tuple[Circuit | Pattern | dict, str | None]], fmt: str) -> None:
+    """Write each (result, out) pair as its ``_text`` to the file ``out``, or to
+    stdout when it is None, stdout last.  Several files are written first
+    beside their targets, as ``out.part``, and renamed onto them once all are
+    written, so that a refused destination leaves none of them written; one
+    file is written in place, as a rename costs more than the write."""
+    texts = [(_text(result, fmt), out) for result, out in outputs]
+    files = [(text, out) for text, out in texts if out]
+    staged = {out: f"{out}.part" if len(files) > 1 else out for _, out in files}
     try:
-        Path(out).write_text(text)
+        for text, out in files:
+            if staged[out] != out and Path(out).is_dir():  # a rename onto it would fail after the others
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), out)
+            Path(staged[out]).write_text(text)
+        for out, part in staged.items():
+            if part != out:
+                os.replace(part, out)
     except OSError as exc:
+        for target, part in staged.items():
+            if part != target:
+                Path(part).unlink(missing_ok=True)
         raise InputError(f"{out}: {exc}") from exc
+    sys.stdout.write("".join(text for text, out in texts if not out))
 
 
 def _as_table(doc: dict, prefix: str = "") -> str:
@@ -228,7 +247,7 @@ def verify_equivalent(a: Circuit | Pattern, b: Circuit | Pattern, seed: int) -> 
     return worst, {"inputs": dim + RANDOM_INPUTS, "first": first, "second": second}
 
 
-# -- subcommand handlers: each returns the artifact or report that main writes --
+# -- subcommand handlers: each returns what main writes (convert: its --report too) --
 
 
 _FAMILIES = {
@@ -243,7 +262,7 @@ def _cmd_gen(args) -> Circuit:
     return _FAMILIES[args.family](_context(args.d), args)
 
 
-def _cmd_convert(args) -> Circuit | Pattern:
+def _cmd_convert(args) -> Circuit | Pattern | tuple[Circuit | Pattern, dict]:
     if args.target == "fanout-circuit" and args.kind != "clifford-const":
         raise InputError(f"--target fanout-circuit applies to clifford-const only; {args.kind} has one output")
     artifact = load_artifact(args.input)
@@ -270,7 +289,7 @@ def _cmd_convert(args) -> Circuit | Pattern:
             }
         else:
             report = _analysis_doc(result)
-        _write(report, args.report, args.format)
+        return result, report
     return result
 
 
@@ -476,7 +495,9 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         result = args.func(args)
-        _write(result, args.out, getattr(args, "format", "json"))
+        # convert with --report returns its artifact and the report
+        outputs = [(result, args.out)] if not isinstance(result, tuple) else list(zip(result, (args.out, args.report)))
+        _write(outputs, getattr(args, "format", "json"))
     except (InputError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR

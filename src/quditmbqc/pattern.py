@@ -35,6 +35,7 @@ from .sim import (
     _reordered,
     _rotate_rows,
     _sample_outcomes,
+    _teleport_rows,
     _z_phases,
     row_parts,
 )
@@ -387,7 +388,11 @@ def _schedule(p: Pattern) -> list:
 
 
 def peak_live_qudits(p: Pattern) -> int:
-    """Most qudits the schedule holds at once, read before any allocation."""
+    """Most qudits the schedule holds at once, read before any allocation.
+
+    An upper bound on what a run holds: ``_walk`` runs a pair (q, e) that
+    the measurement of q's partner follows as one teleportation step, which
+    holds one qudit fewer than the schedule counts."""
     width = peak = len(p.inputs)
     for step in _schedule(p):
         if not isinstance(step, Command):  # an append
@@ -402,12 +407,23 @@ def _walk(p: Pattern, amps: np.ndarray, choose) -> Rows:
     """Run the schedule once for every input row of ``amps`` (amplitudes over
     ``p.inputs``).  At each measurement ``choose(step, index, probs, origin)``
     gives the (row, outcome) pairs to follow, in row order and then outcome
-    order; ``index`` counts the measurements before this one.  Appended
-    qudits take the leading axes, in front of the live sites.  A batch that
-    would outgrow AMPLITUDE_CAP is split, and its parts run depth first, so
-    the rows come out in the same order, each over ``p.outputs``."""
+    order; ``index`` counts the measurements before this one.
+
+    A pair (q, e) that the measurement of q's partner follows directly is one
+    teleportation step: ``_teleport_rows`` maps the partner's axis straight
+    onto q, which takes that axis, and the d times larger state is never
+    built.  Other appended qudits take the leading axes, in front of the
+    live sites.  A batch that would outgrow AMPLITUDE_CAP at an append, a
+    teleportation step included, is split, and its parts run depth first,
+    so the rows come out in the same order, each over ``p.outputs``."""
     ctx, d = p.ctx, p.ctx.d
-    steps = _schedule(p)
+    steps = []
+    for step in _schedule(p):
+        pair = steps[-1] if steps and isinstance(steps[-1], tuple) else None
+        if isinstance(step, Measure) and pair and step.site in pair[1].sites() and step.site != pair[0]:
+            steps[-1] = pair + (step,)  # (q, e, M): teleport onto q
+        else:
+            steps.append(step)
     measured = p.measured_qudits()
     column = {q: k for k, q in enumerate(measured)}
 
@@ -428,37 +444,39 @@ def _walk(p: Pattern, amps: np.ndarray, choose) -> Rows:
             if isinstance(step, Entangle):
                 axes = (sites.index(step.i), sites.index(step.j))
                 amps = _kernel(amps, d, n, Gate.cz(), axes).reshape(len(amps), -1)
-            elif isinstance(step, Measure):
-                axis, k = sites.index(step.site), column[step.site]
-                s_vals, t_vals = value(step.x_signal, outcomes), value(step.z_signal, outcomes)
-                view, probs = _rotate_rows(amps, ctx, n, axis, step.theta, s_vals, t_vals)
-                kept, picked = choose(step, k, probs, origin)
-                amps, p_kept = _collapse_rows(view, probs, kept, picked)
-                outcomes, prob, origin = outcomes[kept], prob[kept] * p_kept, origin[kept]
-                outcomes[:, k] = picked
-                sites = sites[:axis] + sites[axis + 1 :]
-                if not len(amps):
-                    break
             elif isinstance(step, (CorrectX, CorrectZ)):
                 axis, make = sites.index(step.site), (Gate.x if isinstance(step, CorrectX) else Gate.z)
                 amps = _per_row(amps, value(step.signal, outcomes), lambda k, r: _kernel(r, d, n, make(k), (axis,)) if k else r)
-            else:  # an append
-                parts = row_parts(len(amps), d ** (n + 1))
-                if len(parts) > 1:
-                    for part in reversed(parts):
-                        stack.append((i, sites, tuple(c[part] for c in (amps, outcomes, prob, origin))))
-                    break
-                if isinstance(step, tuple):
-                    # prepared already entangled with the live qudit: F|0>_k omega^(kj) over its digit j
-                    q, e = step
-                    w = sites.index(e.j if e.i == q else e.i)
-                    joint = _fourier(d)[:, :1] * _z_phases(1, d, 2)  # over (k, j)
-                    view = amps.reshape(len(amps), 1, d**w, d, -1)
-                    amps = (view * joint.reshape(1, d, 1, d, 1)).reshape(len(amps), -1)
-                else:
-                    q = step
-                    amps = (_fourier(d)[:, :1] * amps[:, np.newaxis, :]).reshape(len(amps), -1)
+            elif not isinstance(step, Measure) and len(parts := row_parts(len(amps), d ** (n + 1))) > 1:  # an append past the cap
+                for part in reversed(parts):
+                    stack.append((i, sites, tuple(c[part] for c in (amps, outcomes, prob, origin))))
+                break
+            elif isinstance(step, int):
+                amps = (_fourier(d)[:, :1] * amps[:, np.newaxis, :]).reshape(len(amps), -1)
+                sites = (step,) + sites
+            elif isinstance(step, tuple) and len(step) == 2:
+                # prepared already entangled with the live qudit: F|0>_k omega^(kj) over its digit j
+                q, e = step
+                w = sites.index(e.j if e.i == q else e.i)
+                joint = _fourier(d)[:, :1] * _z_phases(1, d, 2)  # over (k, j)
+                view = amps.reshape(len(amps), 1, d**w, d, -1)
+                amps = (view * joint.reshape(1, d, 1, d, 1)).reshape(len(amps), -1)
                 sites = (q,) + sites
+            else:  # a measurement, or a teleportation step (q, e, M)
+                m, fresh = (step, ()) if isinstance(step, Measure) else (step[2], step[:1])
+                axis, k = sites.index(m.site), column[m.site]
+                frame = (ctx, n, axis, m.theta, value(m.x_signal, outcomes), value(m.z_signal, outcomes))
+                if fresh:
+                    kept, picked, amps, p_kept = _teleport_rows(amps, *frame, lambda probs: choose(m, k, probs, origin))
+                else:
+                    view, probs = _rotate_rows(amps, *frame)
+                    kept, picked = choose(m, k, probs, origin)
+                    amps, p_kept = _collapse_rows(view, probs, kept, picked)
+                outcomes, prob, origin = outcomes[kept], prob[kept] * p_kept, origin[kept]
+                outcomes[:, k] = picked
+                sites = sites[:axis] + fresh + sites[axis + 1 :]
+                if not len(amps):
+                    break
         else:  # no step left: the batch is complete
             done.append((_reordered(amps, d, sites, p.outputs), outcomes, prob, origin))
     return Rows(measured, *(np.concatenate(columns) for columns in zip(*done)))

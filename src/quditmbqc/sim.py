@@ -214,11 +214,6 @@ def _p_phases(d: int) -> np.ndarray:
     return _read_only(np.array([ctx.phase(xi_p(ctx, j)) for j in range(d)]))
 
 
-@lru_cache(maxsize=None)
-def _x_matrix(k: int, d: int) -> np.ndarray:
-    return _read_only(_permutation_matrix(d, 1, lambda g: [g[0] + k]))
-
-
 # -- the gate-kind table ------------------------------------------------------
 
 
@@ -609,23 +604,62 @@ def _per_row(amps: np.ndarray, keys: np.ndarray, kernel: Callable[[int, np.ndarr
     return out
 
 
+def _frames(ctx: DimensionContext, theta, s_vals, t_vals) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct measurement frames M = v(theta) X^s Z^t of rows with X powers
+    ``s_vals`` and Z powers ``t_vals``, as (frames, d, d), and each row's frame
+    index.  M[m, j] = v[m, j + s] omega^(t j): one gather of v's columns times
+    the Z phases."""
+    d = ctx.d
+    keys = np.asarray(s_vals) % d * d + np.asarray(t_vals) % d
+    present = np.bincount(keys) > 0
+    s, t = np.divmod(np.flatnonzero(present)[:, None], d)
+    j, v = np.arange(d), gate_matrix(Gate.v(theta), ctx)
+    return np.swapaxes(v.T[(j + s) % d], 1, 2) * _z_phases(1, d)[t * j % d][:, None, :], np.cumsum(present)[keys] - 1
+
+
+def _slice_weights(view: np.ndarray) -> np.ndarray:
+    """The (rows, d) weights sum |psi_j|^2 of each row's slices j of its
+    (rows, d**axis, d, rest) view, read in one contraction of the real and
+    imaginary parts."""
+    floats = view.view(np.float64)  # real and imaginary parts side by side
+    return np.einsum("rajb,rajb->rj", floats, floats)
+
+
 def _rotate_rows(amps: np.ndarray, ctx: DimensionContext, n: int, axis: int, theta, s_vals, t_vals) -> tuple[np.ndarray, np.ndarray]:
     """Rotate the measured axis of each row by its own frame M = v(theta) X^s Z^t
     (``s_vals`` and ``t_vals`` hold one power per row), so that outcome j is
     digit j after M; one matmul per distinct frame.  Returns the rows as
-    (rows, d**axis, d, rest) and the (rows, d) outcome probabilities, read
-    in one contraction of the rows' real and imaginary parts."""
+    (rows, d**axis, d, rest) and the (rows, d) outcome probabilities."""
     d = ctx.d
-    keys = np.asarray(s_vals) % d * d + np.asarray(t_vals) % d
-    v = gate_matrix(Gate.v(theta), ctx)
+    frames, which = _frames(ctx, theta, s_vals, t_vals)
+    view = _per_row(amps, which, lambda f, rows: _apply_single(rows, d, n, frames[f], axis)).reshape(len(amps), d**axis, d, -1)
+    return view, _slice_weights(view)
 
-    def rotate(key: int, rows: np.ndarray) -> np.ndarray:
-        frame = (v @ _x_matrix(key // d, d)) * _z_phases(key % d, d)
-        return _apply_single(rows, d, n, frame, axis)
 
-    view = _per_row(amps, keys, rotate).reshape(len(amps), d**axis, d, -1)
-    floats = view.view(np.float64)  # real and imaginary parts side by side
-    return view, np.einsum("rajb,rajb->rj", floats, floats)
+def _teleport_rows(amps: np.ndarray, ctx: DimensionContext, n: int, axis: int, theta, s_vals, t_vals, choose) -> tuple:
+    """A fresh qudit in F|0>, entangled by one E with the qudit on ``axis`` of
+    each row, which is then measured in its own frame M = v(theta) X^s Z^t:
+    one d x d map on that axis, with no d times larger state.
+
+    Outcome m has probability p(m) = sum_j |M[m, j]|^2 w_j over the row's
+    slice weights w (exact, F being unitary); ``choose(probs)`` gives the
+    (row, outcome) pairs to keep.  Each pair's row becomes A psi on the axis,
+    A[k, j] = F[k, j] M[m, j] / sqrt(p(m)), so the axis holds the fresh qudit:
+    one matmul by A for a single row, else the diagonal factor of A on each
+    row and then one F on all of them.  Returns the kept rows, their
+    outcomes, the new rows and p."""
+    d = ctx.d
+    frames, which = _frames(ctx, theta, s_vals, t_vals)
+    view = amps.reshape(len(amps), d**axis, d, -1)
+    probs = np.einsum("rmj,rj->rm", np.abs(frames[which]) ** 2, _slice_weights(view))
+    rows, outcomes = choose(probs)
+    p = probs[rows, outcomes]
+    scale = frames[which[rows], outcomes] * (1 / np.sqrt(p))[:, None]
+    if len(rows) == 1:
+        new = _apply_single(view[rows[0]], d, n, _fourier(d) * scale, axis)
+    else:
+        new = _apply_single(view[rows] * scale[:, None, :, None], d, n, _fourier(d), axis)
+    return rows, outcomes, new.reshape(len(rows), amps.shape[1]), p
 
 
 def _sample_outcomes(probs: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -29,6 +29,9 @@
 - the former two-dict ``standardise`` pass (pending X and pending Z per
   qudit), as the reference for the one Pauli frame
 - a context manager that counts the kernel calls a module makes
+- a context manager that unfuses the schedule's pairs (q, e), so that the
+  walk runs its generic append, CZ, frame rotation and collapse in place
+  of each teleportation step, as the reference for that step
 """
 
 from __future__ import annotations
@@ -818,6 +821,23 @@ def counted_calls(module, names=("_kernel", "_phase", "_apply_single", "_permute
     finally:
         for name, fn in saved.items():
             setattr(module, name, fn)
+
+
+@contextmanager
+def unfused_schedule(module):
+    """Wrap ``module._schedule`` so that each pair (q, e) becomes the plain
+    append q followed by e: the walk then has no pair to fuse with the
+    measurement of q's partner.  The schedule is restored on exit."""
+    schedule = module._schedule
+
+    def unfused(p):
+        return [part for step in schedule(p) for part in (step if isinstance(step, tuple) else (step,))]
+
+    module._schedule = unfused
+    try:
+        yield
+    finally:
+        module._schedule = schedule
 
 
 # -- misc generators -----------------------------------------------------------------

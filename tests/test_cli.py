@@ -942,6 +942,21 @@ def test_cli_refusal_is_one_error_line(tmp_path, capsys, case, refusal):
     assert err.startswith("error: ") and refusal in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("refused", ["out in a missing directory", "report in a missing directory", "out is a directory", "report is a directory"])
+def test_a_refused_convert_writes_neither_file(tmp_path, capsys, refused):
+    circuit = _write_circuit(tmp_path / "c.json", 2, 2)
+    (tmp_path / "dir").mkdir()
+    out, report = tmp_path / "x.json", tmp_path / "rep.json"
+    bad = {"missing": tmp_path / "missing" / "y.json", "directory": tmp_path / "dir"}[refused.split()[-1]]
+    out, report = (bad, report) if refused.startswith("out") else (out, bad)
+    err = _assert_input_error(capsys, "convert", "def7", "--in", str(circuit), "--out", str(out), "--report", str(report))
+    assert err.startswith(f"error: {bad}: ")
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.json", "dir"]
+    # with both destinations writable, both files are written and nothing else
+    assert run_cli("convert", "def7", "--in", str(circuit), "--out", str(tmp_path / "x.json"), "--report", str(tmp_path / "rep.json")) == 0
+    assert sorted(p.name for p in tmp_path.rglob("*")) == ["c.json", "dir", "rep.json", "x.json"]
+
+
 @pytest.mark.parametrize("where", ["artifact", "outcomes"])
 def test_json_nested_past_the_recursion_limit_is_input_error(tmp_path, capsys, where):
     if where == "artifact":

@@ -24,6 +24,7 @@ from helpers import (
     oracle_signal,
     pattern_checks,
     pattern_items,
+    unfused_schedule,
 )
 
 from quditmbqc.algebra import DimensionContext
@@ -548,6 +549,88 @@ class TestBatchedWalk:
         rows = run_rows(p, psi.amplitudes[np.newaxis])
         assert max(parts) > 1
         same_rows(rows, np.arange(len(rows.origin)), want)
+
+
+def teleport_cases(d: int) -> dict[str, Pattern]:
+    """``families(d)`` and a clifford-const pattern that also has a pair (q, e)
+    the measurement of q's partner does not follow."""
+    n, gates, seed = {2: (2, 3, 5), 3: (2, 3, 11), 4: (2, 3, 11), 6: (3, 3, 7)}[d]
+    return {**families(d), "clifford-const-mixed": clifford_constant_depth(random_clifford_circuit(ctx_of(d), n, gates, seed=seed))}
+
+
+def same_batches(got, want, tol=1e-12):
+    assert got.measured == want.measured
+    assert np.array_equal(got.outcomes, want.outcomes) and np.array_equal(got.origin, want.origin)
+    assert np.max(np.abs(got.probability - want.probability), initial=0) < tol
+    assert np.max(np.abs(got.amplitudes - want.amplitudes), initial=0) < tol
+
+
+class TestTeleportStep:
+    """A pair (q, e) followed by the measurement of q's partner runs as one
+    d x d map on the partner's axis; the reference is the same walk on the
+    unfused schedule, whose append, CZ, rotation and collapse run apart."""
+
+    @pytest.mark.parametrize("family", ["def7", "raw7", "def8", "clifford-const", "clifford-const-mixed"])
+    @pytest.mark.parametrize("d", [2, 3, 4, 6])
+    def test_teleport_steps_match_the_unfused_walk(self, d, family, monkeypatch):
+        import quditmbqc.pattern as pattern_module
+
+        p = teleport_cases(d)[family]
+        steps = _schedule(p)
+        pairs = [i for i, step in enumerate(steps) if isinstance(step, tuple)]
+        teleports = [i for i in pairs if isinstance(steps[i + 1], Measure) and steps[i + 1].site in steps[i][1].sites() and steps[i + 1].site != steps[i][0]]
+        assert teleports and (len(teleports) < len(pairs)) == (family == "clifford-const-mixed")
+        rng = np.random.default_rng(70 + d)
+        states = [random_state(p.ctx, p.inputs, rng) for _ in range(3)]
+        inputs = np.array([np.zeros(d ** len(p.inputs))] + [st.amplitudes for st in states])
+        seeds = [0, 3, 8]
+        forced = run(p, states[0], seed=1).outcomes
+
+        def walk():
+            # every branch of every row, the all-zero row having none; one sampled branch per (row, seed)
+            batches = [run_rows(p, inputs), run_rows(p, np.repeat(inputs[1:], len(seeds), axis=0), seeds=np.tile(seeds, len(states)))]
+            results = [run(p, psi, seed=seed) for psi in states for seed in seeds]
+            results += [run(p, psi, mode="forced", forced_outcomes=forced) for psi in states]
+            return batches, results + run_branches(p, states[1])
+
+        frames = []  # distinct (s, t) pairs among the rows of each teleportation step
+        teleport = pattern_module._teleport_rows
+
+        def counted(amps, ctx, n, axis, theta, s_vals, t_vals, choose):
+            frames.append(len(set(zip(s_vals.tolist(), t_vals.tolist()))))
+            return teleport(amps, ctx, n, axis, theta, s_vals, t_vals, choose)
+
+        monkeypatch.setattr(pattern_module, "_teleport_rows", counted)
+        got = walk()
+        assert frames
+        if family in ("def7", "def8"):
+            assert max(frames) > 1  # X/Z signals give the rows different frames
+        frames.clear()
+        with unfused_schedule(pattern_module):
+            want = walk()
+        assert not frames
+        for g, w in zip(got[0], want[0], strict=True):
+            same_batches(g, w)
+        same_results(got[1], want[1])
+        assert 0 not in got[0][0].origin
+
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_a_teleport_pair_never_holds_the_larger_state(self, d):
+        # every pair of a def7 pattern is followed by its partner's measurement,
+        # so no frame acts on the d**(live + 1) amplitudes the schedule counts
+        import quditmbqc.pattern as pattern_module
+        import quditmbqc.sim as sim_module
+
+        p = circuit_to_pattern_standard(lower_to_guni(random_guni_circuit(ctx_of(d), 4, 8, seed=d)))
+        peak = peak_live_qudits(p)
+        psi = random_state(p.ctx, p.inputs, np.random.default_rng(d))
+        with counted_calls(sim_module, ("_apply_single",)) as fused:
+            got = run(p, psi, seed=4)
+        with counted_calls(sim_module, ("_apply_single",)) as unfused, unfused_schedule(pattern_module):
+            want = run(p, psi, seed=4)
+        assert max(args[0].size for _, args in fused.log) == d ** (peak - 1)
+        assert max(args[0].size for _, args in unfused.log) == d ** peak
+        same_results([got], [want])
 
 
 class TestSchedule:
