@@ -36,7 +36,6 @@ from .sim import (
     _rotate_rows,
     _sample_outcomes,
     _teleport_rows,
-    _z_phases,
     row_parts,
 )
 
@@ -337,9 +336,10 @@ def _rng_for_measurement(seed: int, index: int) -> np.random.Generator:
 
 
 def _schedule(p: Pattern) -> list:
-    """The fixed steps of a run: a qudit q to append in F|0>, a pair (q, e)
-    to append q already entangled by the E command e with its live
-    partner, or a command to apply.
+    """The fixed steps of a run, of three kinds: a qudit q to append in F|0>;
+    a command to apply; or a teleportation step (q, e, M), when the append
+    of q, the E command e between q and a live qudit r and the measurement
+    M of r come one after another.
 
     Each E command waits until a later command touches one of its qudits,
     and each qudit is appended only when first needed, which keeps the live
@@ -364,10 +364,7 @@ def _schedule(p: Pattern) -> list:
         e = pending.pop(pos)
         touch(e.i)
         touch(e.j)
-        if steps and not isinstance(steps[-1], Command) and steps[-1] in (e.i, e.j):
-            steps[-1] = (steps[-1], e)
-        else:
-            steps.append(e)
+        steps.append(e)
 
     for pos, cmd in enumerate(p.seq):
         if isinstance(cmd, Entangle):
@@ -379,7 +376,11 @@ def _schedule(p: Pattern) -> list:
             for waited in waiting.pop(cmd.site, ()):
                 if waited in pending:
                     emit(waited)
-            steps.append(cmd)
+            q, e = steps[-2:] if len(steps) > 1 else (None, None)
+            if isinstance(cmd, Measure) and isinstance(q, int) and isinstance(e, Entangle) and {q, cmd.site} == set(e.sites()):
+                steps[-2:] = [(q, e, cmd)]
+            else:
+                steps.append(cmd)
     for q in p.outputs:
         touch(q)
     for pos in list(pending):
@@ -390,15 +391,15 @@ def _schedule(p: Pattern) -> list:
 def peak_live_qudits(p: Pattern) -> int:
     """Most qudits the schedule holds at once, read before any allocation.
 
-    An upper bound on what a run holds: ``_walk`` runs a pair (q, e) that
-    the measurement of q's partner follows as one teleportation step, which
-    holds one qudit fewer than the schedule counts."""
+    A teleportation step (q, e, M) counts q too: in all-branches mode it
+    turns each row of d^n amplitudes into up to d rows of d^n, the d^(n+1)
+    of an append of q, which the split before the step is sized for."""
     width = peak = len(p.inputs)
     for step in _schedule(p):
-        if not isinstance(step, Command):  # an append
+        if not isinstance(step, Command):  # an append, alone or in a teleportation step
             width += 1
             peak = max(peak, width)
-        elif isinstance(step, Measure):
+        if isinstance(step, (Measure, tuple)):
             width -= 1
     return peak
 
@@ -409,21 +410,16 @@ def _walk(p: Pattern, amps: np.ndarray, choose) -> Rows:
     gives the (row, outcome) pairs to follow, in row order and then outcome
     order; ``index`` counts the measurements before this one.
 
-    A pair (q, e) that the measurement of q's partner follows directly is one
-    teleportation step: ``_teleport_rows`` maps the partner's axis straight
-    onto q, which takes that axis, and the d times larger state is never
-    built.  Other appended qudits take the leading axes, in front of the
-    live sites.  A batch that would outgrow AMPLITUDE_CAP at an append, a
-    teleportation step included, is split, and its parts run depth first,
-    so the rows come out in the same order, each over ``p.outputs``."""
+    A teleportation step (q, e, M) runs as one d x d map: ``_teleport_rows``
+    maps the measured qudit's axis straight onto q, which takes that axis,
+    and the d times larger state is never built.  A plain append puts its
+    qudit on the leading axis, in front of the live sites.  A batch that
+    would outgrow AMPLITUDE_CAP at an append is split, and so is one at a
+    teleportation step, whose up to d rows out per row in all-branches mode
+    hold as many amplitudes; the parts run depth first, so the rows come
+    out in the same order, each over ``p.outputs``."""
     ctx, d = p.ctx, p.ctx.d
-    steps = []
-    for step in _schedule(p):
-        pair = steps[-1] if steps and isinstance(steps[-1], tuple) else None
-        if isinstance(step, Measure) and pair and step.site in pair[1].sites() and step.site != pair[0]:
-            steps[-1] = pair + (step,)  # (q, e, M): teleport onto q
-        else:
-            steps.append(step)
+    steps = _schedule(p)
     measured = p.measured_qudits()
     column = {q: k for k, q in enumerate(measured)}
 
@@ -447,21 +443,13 @@ def _walk(p: Pattern, amps: np.ndarray, choose) -> Rows:
             elif isinstance(step, (CorrectX, CorrectZ)):
                 axis, make = sites.index(step.site), (Gate.x if isinstance(step, CorrectX) else Gate.z)
                 amps = _per_row(amps, value(step.signal, outcomes), lambda k, r: _kernel(r, d, n, make(k), (axis,)) if k else r)
-            elif not isinstance(step, Measure) and len(parts := row_parts(len(amps), d ** (n + 1))) > 1:  # an append past the cap
+            elif not isinstance(step, Measure) and len(parts := row_parts(len(amps), d ** (n + 1))) > 1:  # an append or teleportation step past the cap
                 for part in reversed(parts):
                     stack.append((i, sites, tuple(c[part] for c in (amps, outcomes, prob, origin))))
                 break
             elif isinstance(step, int):
                 amps = (_fourier(d)[:, :1] * amps[:, np.newaxis, :]).reshape(len(amps), -1)
                 sites = (step,) + sites
-            elif isinstance(step, tuple) and len(step) == 2:
-                # prepared already entangled with the live qudit: F|0>_k omega^(kj) over its digit j
-                q, e = step
-                w = sites.index(e.j if e.i == q else e.i)
-                joint = _fourier(d)[:, :1] * _z_phases(1, d, 2)  # over (k, j)
-                view = amps.reshape(len(amps), 1, d**w, d, -1)
-                amps = (view * joint.reshape(1, d, 1, d, 1)).reshape(len(amps), -1)
-                sites = (q,) + sites
             else:  # a measurement, or a teleportation step (q, e, M)
                 m, fresh = (step, ()) if isinstance(step, Measure) else (step[2], step[:1])
                 axis, k = sites.index(m.site), column[m.site]
@@ -489,13 +477,16 @@ def _every(step, index, probs, origin):
 
 def _sampled(seeds):
     """Input row r draws from the stream (seeds[r], measurement index): one
-    uniform per stream, shared by the rows that use it."""
+    uniform per stream, shared by the rows that use it.  A row with no
+    outcome of probability at least ZERO_BRANCH_TOL is dropped, as in
+    ``_every``."""
     stream_of: dict[int, int] = {}  # seed -> its position among the distinct seeds
     row_stream = np.array([stream_of.setdefault(int(s), len(stream_of)) for s in seeds], dtype=np.int64)
 
     def choose(step, index, probs, origin):
         uniforms = np.array([_rng_for_measurement(s, index).random() for s in stream_of])
-        return np.arange(len(probs)), _sample_outcomes(probs, uniforms[row_stream[origin]])
+        rows = np.flatnonzero(probs.max(axis=1) >= ZERO_BRANCH_TOL)
+        return rows, _sample_outcomes(probs[rows], uniforms[row_stream[origin[rows]]])
 
     return choose
 
@@ -536,7 +527,8 @@ def run_rows(p: Pattern, inputs: np.ndarray, seeds=None) -> Rows:
 
     Without ``seeds`` every row is expanded into each of its branches of
     probability at least ZERO_BRANCH_TOL.  With one seed per row, each row
-    follows one sampled branch drawn as ``run`` draws it.
+    follows one sampled branch drawn as ``run`` draws it, or none when a
+    measurement leaves it no such branch (an all-zero row).
     """
     inputs = _checked_rows(inputs, p.ctx.d ** len(p.inputs))
     if seeds is not None and len(seeds) != len(inputs):
@@ -557,7 +549,8 @@ def run(
     Sampled mode draws each outcome from a stream split off a single
     root seed (stream k for the k-th measurement in execution order),
     so runs are bit-reproducible.  Forced mode takes an outcome per
-    measured qudit and fails on zero-probability branches.
+    measured qudit and fails on zero-probability branches.  An input state
+    with no branch of probability at least ZERO_BRANCH_TOL (zero) is refused.
 
     ``lazy`` must be True, as every pattern runs on one schedule; the
     keyword goes once the ``perfbench`` workloads stop passing it.
@@ -567,7 +560,10 @@ def run(
     if mode not in ("sampled", "forced"):
         raise ValueError(f"unknown run mode {mode!r}")
     choose = _sampled([seed]) if mode == "sampled" else _forced(p, forced_outcomes)
-    return _results(p, _walk(p, _input_row(p, input_state), choose))[0]
+    rows = _walk(p, _input_row(p, input_state), choose)
+    if not len(rows.probability):
+        raise ValueError(f"input state has no branch of probability at least {ZERO_BRANCH_TOL}")
+    return _results(p, rows)[0]
 
 
 def run_branches(p: Pattern, input_state: StateVector | None = None) -> list[RunResult]:

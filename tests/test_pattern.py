@@ -474,6 +474,19 @@ class TestBatchedWalk:
         rows = run_rows(p, np.vstack([np.zeros(width), np.eye(width)[0]]))
         assert len(rows.origin) and set(rows.origin) == {1}
 
+    def test_a_sampled_all_zero_row_is_dropped_and_a_zero_state_refused(self):
+        # no outcome of the first measurement reaches ZERO_BRANCH_TOL: the row
+        # is dropped, and the other rows draw as run draws them
+        p = families(3)["def7"]
+        states = [random_state(p.ctx, p.inputs, np.random.default_rng(k)) for k in range(2)]
+        zeros = np.zeros(3 ** len(p.inputs))
+        rows = run_rows(p, np.array([states[0].amplitudes, zeros, states[1].amplitudes]), seeds=[3, 5, 3])
+        assert rows.origin.tolist() == [0, 2]
+        same_rows(rows, [0, 1], [run(p, psi, seed=3) for psi in states])
+        assert len(run_rows(p, zeros[np.newaxis], seeds=[0]).origin) == 0
+        with pytest.raises(ValueError, match="no branch of probability"):
+            run(p, StateVector(p.ctx, p.inputs, zeros))
+
     def test_run_rows_checks_its_seeds_and_takes_no_rows(self):
         p = families(3)["def7"]
         inputs = np.eye(3 ** len(p.inputs), dtype=np.complex128)[:2]
@@ -517,22 +530,24 @@ class TestBatchedWalk:
     @pytest.mark.parametrize("family", ["def7", "def8", "clifford-const"])
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_fresh_qudits_are_prepared_entangled(self, d, family, monkeypatch):
-        # each append puts its qudit on the leading axis; an append (q, e),
-        # q prepared already entangled by e with a live qudit, is one
-        # multiply, so those E commands run no CZ kernel of their own
+        # each append puts its qudit on the leading axis; a teleportation step
+        # (q, e, M), q prepared already entangled by e with the measured qudit,
+        # is one d x d map, so only the E commands outside those steps run a
+        # CZ kernel
         import quditmbqc.pattern as pattern_module
         import quditmbqc.sim as sim_module
 
         p = families(d)[family]
         steps = _schedule(p)
-        joined = [step for step in steps if isinstance(step, tuple)]
-        assert joined and all(q in (e.i, e.j) for q, e in joined)
-        total = sum(isinstance(step, Entangle) for step in oracle_schedule(p, lazy=True))
+        teleports = [step for step in steps if isinstance(step, tuple)]
+        assert teleports and all({q, m.site} == set(e.sites()) for q, e, m in teleports)
+        plain = sum(isinstance(step, Entangle) for step in steps)
+        assert plain + len(teleports) == sum(isinstance(step, Entangle) for step in oracle_schedule(p, lazy=True))
         psi = random_state(p.ctx, p.inputs, np.random.default_rng(40 + d))
         want = oracle_run_branches(p, psi, lazy=True)
         with counted_calls(pattern_module, ("_kernel",)) as calls:
             same_results(run_branches(p, psi), want)
-        assert calls["_kernel", GateName.CZ] == total - len(joined)
+        assert calls["_kernel", GateName.CZ] == plain
         # the oracle's eager schedule appends every ancilla in one step
         assert len(oracle_schedule(p, lazy=False)[0]) > 1
         same_results(run_branches(p, psi), oracle_run_branches(p, psi, lazy=False))
@@ -552,8 +567,8 @@ class TestBatchedWalk:
 
 
 def teleport_cases(d: int) -> dict[str, Pattern]:
-    """``families(d)`` and a clifford-const pattern that also has a pair (q, e)
-    the measurement of q's partner does not follow."""
+    """``families(d)`` and a clifford-const pattern that also has an E right
+    after the append of one of its qudits, outside any teleportation step."""
     n, gates, seed = {2: (2, 3, 5), 3: (2, 3, 11), 4: (2, 3, 11), 6: (3, 3, 7)}[d]
     return {**families(d), "clifford-const-mixed": clifford_constant_depth(random_clifford_circuit(ctx_of(d), n, gates, seed=seed))}
 
@@ -566,9 +581,9 @@ def same_batches(got, want, tol=1e-12):
 
 
 class TestTeleportStep:
-    """A pair (q, e) followed by the measurement of q's partner runs as one
-    d x d map on the partner's axis; the reference is the same walk on the
-    unfused schedule, whose append, CZ, rotation and collapse run apart."""
+    """A teleportation step (q, e, M) of the schedule runs as one d x d map on
+    the measured qudit's axis; the reference is the same walk on the unfused
+    schedule, whose append, CZ, rotation and collapse run apart."""
 
     @pytest.mark.parametrize("family", ["def7", "raw7", "def8", "clifford-const", "clifford-const-mixed"])
     @pytest.mark.parametrize("d", [2, 3, 4, 6])
@@ -577,9 +592,9 @@ class TestTeleportStep:
 
         p = teleport_cases(d)[family]
         steps = _schedule(p)
-        pairs = [i for i, step in enumerate(steps) if isinstance(step, tuple)]
-        teleports = [i for i in pairs if isinstance(steps[i + 1], Measure) and steps[i + 1].site in steps[i][1].sites() and steps[i + 1].site != steps[i][0]]
-        assert teleports and (len(teleports) < len(pairs)) == (family == "clifford-const-mixed")
+        # an E that follows the append of one of its qudits outside a teleportation step
+        leftover = any(isinstance(q, int) and isinstance(e, Entangle) and q in e.sites() for q, e in zip(steps, steps[1:]))
+        assert any(isinstance(step, tuple) for step in steps) and leftover == (family == "clifford-const-mixed")
         rng = np.random.default_rng(70 + d)
         states = [random_state(p.ctx, p.inputs, rng) for _ in range(3)]
         inputs = np.array([np.zeros(d ** len(p.inputs))] + [st.amplitudes for st in states])
@@ -616,8 +631,8 @@ class TestTeleportStep:
 
     @pytest.mark.parametrize("d", [2, 3])
     def test_a_teleport_pair_never_holds_the_larger_state(self, d):
-        # every pair of a def7 pattern is followed by its partner's measurement,
-        # so no frame acts on the d**(live + 1) amplitudes the schedule counts
+        # every E of a def7 pattern is in a teleportation step, so no frame
+        # acts on the d**(live + 1) amplitudes the schedule counts
         import quditmbqc.pattern as pattern_module
         import quditmbqc.sim as sim_module
 
@@ -633,6 +648,38 @@ class TestTeleportStep:
         same_results([got], [want])
 
 
+    @pytest.mark.parametrize("family", ["def7", "raw7", "def8", "clifford-const"])
+    @pytest.mark.parametrize("d", [2, 3])
+    def test_all_branches_fit_the_schedule_width(self, d, family, monkeypatch):
+        # with the cap at d**peak_live_qudits, no array that the walk's kernels
+        # read or return in a one-row run_branches holds more than the cap: a
+        # teleportation step returns up to d rows of d**live for each row
+        import quditmbqc.pattern as pattern_module
+        import quditmbqc.sim as sim_module
+
+        p = families(d)[family]
+        psi = random_state(p.ctx, p.inputs, np.random.default_rng(d))
+        want, cap, sizes = run_branches(p, psi), d ** peak_live_qudits(p), []
+
+        def arrays(x):
+            return [x.size] if isinstance(x, np.ndarray) else [n for y in x for n in arrays(y)] if isinstance(x, tuple) else []
+
+        def watched(fn):
+            def call(*args):
+                out = fn(*args)
+                sizes.extend(arrays(args) + arrays(out))
+                return out
+
+            return call
+
+        kernels = ("_kernel", "_per_row", "_rotate_rows", "_teleport_rows", "_collapse_rows", "_reordered")
+        for module, name in [(pattern_module, name) for name in kernels] + [(sim_module, "_apply_single")]:
+            monkeypatch.setattr(module, name, watched(getattr(module, name)))
+        monkeypatch.setattr(sim_module, "AMPLITUDE_CAP", cap)
+        same_results(run_branches(p, psi), want)
+        assert max(sizes) == cap
+
+
 class TestSchedule:
     def test_indexed_schedule_matches_the_rescan(self):
         patterns = [p for d in (2, 3, 4) for p in families(d).values()]
@@ -646,17 +693,19 @@ class TestSchedule:
         patterns.append(circuit_to_pattern_cluster(random_guni_circuit(ctx_of(3), 16, 800, seed=1)))
         assert len(patterns[-1].seq) == 4379
         for p in patterns:
-            # the oracle appends (q,) and then applies e where the schedule has
-            # one step (q, e), and the schedule fuses every such pair
+            # the oracle appends (q,), applies E(q, r) and measures r where the
+            # schedule has one teleportation step (q, e, M), and the schedule
+            # fuses every such window
             steps, expanded = _schedule(p), []
             for step in steps:
                 if isinstance(step, tuple):
-                    expanded += [(step[0],), step[1]]
+                    expanded += [(step[0],), step[1], step[2]]
                 else:
                     expanded.append(step if isinstance(step, (Entangle, Measure, CorrectX, CorrectZ)) else (step,))
             want = oracle_schedule(p, lazy=True)
             assert expanded == want
-            fusable = sum(isinstance(a, tuple) and isinstance(b, Entangle) and a[0] in (b.i, b.j) for a, b in zip(want, want[1:]))
+            windows = zip(want, want[1:], want[2:])
+            fusable = sum(isinstance(a, tuple) and isinstance(b, Entangle) and isinstance(c, Measure) and {a[0], c.site} == set(b.sites()) for a, b, c in windows)
             assert sum(isinstance(step, tuple) for step in steps) == fusable
             width = peak = len(p.inputs)
             for step in want:
