@@ -81,7 +81,8 @@ class Signal:
     entries removed and sorted by label; the empty signal is the constant
     zero.  Signals are pure linear forms: there is no constant term.
     ``_canonical`` is the one rule, applied to a term list by ``__init__``
-    and to a dict of per-label sums by ``_of_raw``.
+    and to a dict of per-label sums by ``_of_raw``; ``_of_terms`` takes
+    terms already in that form.
     """
 
     d: int
@@ -96,9 +97,15 @@ class Signal:
     @classmethod
     def _of_raw(cls, d: int, raw: dict[int, int]) -> "Signal":
         """The signal whose coefficient on each label of ``raw`` is its value mod d."""
+        return cls._of_terms(d, _canonical(d, raw))
+
+    @classmethod
+    def _of_terms(cls, d: int, terms: tuple[tuple[int, int], ...]) -> "Signal":
+        """The signal of (label, coefficient) terms already sorted by label,
+        each coefficient reduced mod d and nonzero."""
         sig = object.__new__(cls)
         object.__setattr__(sig, "d", d)
-        object.__setattr__(sig, "coeffs", _canonical(d, raw))
+        object.__setattr__(sig, "coeffs", terms)
         return sig
 
     @classmethod
@@ -479,12 +486,15 @@ def _sampled(seeds):
     """Input row r draws from the stream (seeds[r], measurement index): one
     uniform per stream, shared by the rows that use it.  A row with no
     outcome of probability at least ZERO_BRANCH_TOL is dropped, as in
-    ``_every``."""
+    ``_every``; only the first measurement can drop one, as every row it
+    keeps leaves it normalised."""
     stream_of: dict[int, int] = {}  # seed -> its position among the distinct seeds
     row_stream = np.array([stream_of.setdefault(int(s), len(stream_of)) for s in seeds], dtype=np.int64)
 
     def choose(step, index, probs, origin):
         uniforms = np.array([_rng_for_measurement(s, index).random() for s in stream_of])
+        if index:
+            return np.arange(len(probs)), _sample_outcomes(probs, uniforms[row_stream[origin]])
         rows = np.flatnonzero(probs.max(axis=1) >= ZERO_BRANCH_TOL)
         return rows, _sample_outcomes(probs[rows], uniforms[row_stream[origin[rows]]])
 
@@ -561,7 +571,8 @@ def run(
         raise ValueError(f"unknown run mode {mode!r}")
     choose = _sampled([seed]) if mode == "sampled" else _forced(p, forced_outcomes)
     rows = _walk(p, _input_row(p, input_state), choose)
-    if not len(rows.probability):
+    # a kept branch is normalised once measured; a walk with no measurement keeps the input's norm
+    if not len(rows.probability) or np.vdot(rows.amplitudes[0], rows.amplitudes[0]).real < ZERO_BRANCH_TOL:
         raise ValueError(f"input state has no branch of probability at least {ZERO_BRANCH_TOL}")
     return _results(p, rows)[0]
 

@@ -5,9 +5,13 @@ interleaved Pauli corrections into the measurements they precede, and
 merges what remains into at most one X and one Z correction per output
 qudit.  ``pauli_simplify`` turns the X dependency of each measurement in a
 Clifford direction, v(theta) = F.P^a.Z^b up to a phase, into a Z
-dependency.  ``signal_shift`` removes all
-Z-type dependencies by classical post-processing.  Running the three
-passes in that order yields a completely standard pattern.
+dependency.  ``signal_shift`` removes all Z-type dependencies by
+classical post-processing: with Z the matrix of the measurements' Z
+signals, each output signal v becomes w = v.(I + Z)^-1, found by one
+back-substitution sweep over the measured outcomes in reverse
+measurement order, on rows in parts of at most AMPLITUDE_CAP entries.
+Running the three passes in that order yields a completely standard
+pattern.
 
 Each pass body maps a command list to a command list, reusing every
 command whose signals do not change; ``completely_standardise`` composes
@@ -17,6 +21,8 @@ the three and builds one ``Pattern``, which drops the zero corrections.
 from __future__ import annotations
 
 import math
+
+import numpy as np
 
 from .pattern import (
     Command,
@@ -28,7 +34,7 @@ from .pattern import (
     Signal,
     pattern_depth_and_size,
 )
-from .sim import pauli_angles
+from .sim import pauli_angles, row_parts
 
 __all__ = [
     "zero_angles",
@@ -160,36 +166,62 @@ def _pauli_simplify(d: int, seq) -> list[Command]:
 
 
 def _signal_shift(d: int, seq) -> list[Command]:
-    """Processing measurements in execution order, each measurement's Z
-    signal t is dropped and every later reference to that outcome s_i
-    is replaced by s_i - t (classical post-processing mod d)."""
-    shifts: dict[int, Signal] = {}
+    """Each measurement's Z signal is dropped, and every later reference to
+    its outcome s_r is replaced by s_r - t_r, with t_r that Z signal after
+    the same replacement (classical post-processing mod d).  With Z the
+    matrix whose row r is measurement r's Z signal, each resolved output
+    signal w of a signal v (a measurement's X signal, or a correction's
+    signal) satisfies w = v - w.Z, so w = v.(I + Z)^-1.
 
-    def substituted(sig: Signal) -> Signal:
-        # shift expressions are already fully resolved, so every -c*shift
-        # term joins the argument's own terms in one dict, summed mod d
-        if not any(q in shifts for q, _ in sig.coeffs):
-            return sig
-        raw = dict(sig.coeffs)
-        for q, c in sig.coeffs:
-            if q in shifts:
-                for r, e in shifts[q].coeffs:
-                    raw[r] = raw.get(r, 0) - c * e
-        return Signal._of_raw(d, raw)
-
-    out = []
-    for cmd in seq:
+    The output signals that meet a shifted outcome are the rows of one
+    integer array W over the sorted labels.  One sweep over the measured
+    columns, in reverse measurement order, sets W[:, r] = W[:, r] -
+    W[:, users(r)] @ c mod d, where users(r) are the later measurements
+    whose Z signal has r with coefficient c: every column it reads is
+    already final.  One ``np.nonzero`` then reads each row's terms sorted
+    and reduced.  The rows run in parts of at most AMPLITUDE_CAP entries
+    (``row_parts``); a command whose signals do not change is returned
+    as it is."""
+    shifted = {cmd.site: cmd.z_signal for cmd in seq if isinstance(cmd, Measure) and not cmd.z_signal.is_zero()}
+    if not shifted:
+        return list(seq)
+    meets = {}  # position in seq -> an output signal that meets a shifted outcome
+    for i, cmd in enumerate(seq):
+        if not isinstance(cmd, Entangle):
+            sig = cmd.x_signal if isinstance(cmd, Measure) else cmd.signal
+            if any(q in shifted for q, _ in sig.coeffs):
+                meets[i] = sig
+    labels = sorted({q for sig in (*meets.values(), *shifted.values()) for q, _ in sig.coeffs} | shifted.keys())
+    column = {q: k for k, q in enumerate(labels)}
+    users: dict[int, tuple[list[int], list[int]]] = {}
+    for u, z in shifted.items():
+        for r, c in z.coeffs:
+            cols, coeffs = users.setdefault(r, ([], []))
+            cols.append(column[u])
+            coeffs.append(c)
+    sweep = [(column[cmd.site], *users[cmd.site]) for cmd in reversed(seq) if isinstance(cmd, Measure) and cmd.site in users]
+    items, resolved = list(meets.items()), {}
+    for part in row_parts(len(items), len(labels)):
+        rows = items[part]
+        wt = np.zeros((len(labels), len(rows)), dtype=np.int64)  # W transposed: a column of W is a row here
+        qs, ks, cs = zip(*[(column[q], k, c) for k, (_, sig) in enumerate(rows) for q, c in sig.coeffs])
+        wt[qs, ks] = cs
+        for r, cols, coeffs in sweep:
+            wt[r] = (wt[r] - coeffs @ wt[cols]) % d
+        row, col = np.nonzero(wt.T)
+        terms = list(zip(map(labels.__getitem__, col.tolist()), wt[col, row].tolist()))
+        ends = np.bincount(row, minlength=len(rows)).cumsum().tolist()
+        for (i, sig), lo, hi in zip(rows, [0, *ends], ends):
+            t = tuple(terms[lo:hi])
+            resolved[i] = sig if t == sig.coeffs else Signal._of_terms(d, t)
+    zero, out = Signal.zero(d), []
+    for i, cmd in enumerate(seq):
         if isinstance(cmd, Measure):
-            s = substituted(cmd.x_signal)
-            if not cmd.z_signal.is_zero():
-                t = substituted(cmd.z_signal)
-                if not t.is_zero():
-                    shifts[cmd.site] = t
-                cmd = Measure(cmd.site, cmd.theta, s, Signal.zero(d))
-            elif s is not cmd.x_signal:
-                cmd = Measure(cmd.site, cmd.theta, s, cmd.z_signal)
-        elif not isinstance(cmd, Entangle):
-            cmd = type(cmd)(cmd.site, substituted(cmd.signal))
+            s = resolved.get(i, cmd.x_signal)
+            if s is not cmd.x_signal or not cmd.z_signal.is_zero():
+                cmd = Measure(cmd.site, cmd.theta, s, zero)
+        elif i in resolved and resolved[i] is not cmd.signal:
+            cmd = type(cmd)(cmd.site, resolved[i])
         out.append(cmd)
     return out
 

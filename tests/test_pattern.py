@@ -487,6 +487,15 @@ class TestBatchedWalk:
         with pytest.raises(ValueError, match="no branch of probability"):
             run(p, StateVector(p.ctx, p.inputs, zeros))
 
+    def test_a_zero_state_is_refused_without_a_measurement(self):
+        # a walk with no measurement keeps every row, so the refusal reads the output's norm
+        ctx = ctx_of(3)
+        p = Pattern(ctx, (1, 2), (1, 2), (1, 2), (Entangle(1, 2),))
+        for kwargs in ({"mode": "sampled"}, {"mode": "forced", "forced_outcomes": {}}):
+            with pytest.raises(ValueError, match="no branch of probability"):
+                run(p, StateVector(ctx, (1, 2), np.zeros(9)), **kwargs)
+            assert run(p, **kwargs).probability == 1.0
+
     def test_run_rows_checks_its_seeds_and_takes_no_rows(self):
         p = families(3)["def7"]
         inputs = np.eye(3 ** len(p.inputs), dtype=np.complex128)[:2]

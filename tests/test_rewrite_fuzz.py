@@ -8,8 +8,10 @@ standardise and pauli_simplify hold branch by branch (they never touch
 outcome meanings); signal_shift relabels outcomes, so the full pipeline
 is compared as a channel: same branch-probability multiset and the same
 output density operator.  standardise's one Pauli frame and signal_shift's
-one-dict substitution are also compared command for command with the
-former two-dict pass and the former term-by-term substitution.
+back-substitution are also compared command for command with the
+former two-dict pass and the former term-by-term substitution, on
+relabelled patterns (label order unlike measurement order) and with the
+rows split into parts as well.
 """
 
 import sys
@@ -21,7 +23,11 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 from helpers import oracle_signal_shift, oracle_standardise
 
+from quditmbqc import rewrite, sim
 from quditmbqc.algebra import DimensionContext
+from quditmbqc.circuit import lower_to_guni
+from quditmbqc.convert import circuit_to_pattern_standard
+from quditmbqc.generate import random_guni_circuit
 from quditmbqc.pattern import (
     CorrectX,
     CorrectZ,
@@ -29,10 +35,12 @@ from quditmbqc.pattern import (
     Measure,
     Pattern,
     Signal,
+    _relabel_commands,
     run_branches,
     validate,
 )
 from quditmbqc.rewrite import (
+    _signal_shift,
     _standardise,
     completely_standardise,
     pauli_angles,
@@ -220,12 +228,81 @@ def _cancellations(p) -> int:
     return count
 
 
-@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def relabelled(p, rng):
+    """``p`` over distinct random qudit ids, negative ones included, so that
+    label order and measurement order differ."""
+    n = len(p.qudits)
+    mapping = dict(zip(p.qudits, rng.choice(np.arange(-3 * n, 3 * n), size=n, replace=False).tolist()))
+    ids = [tuple(mapping[q] for q in wires) for wires in (p.qudits, p.inputs, p.outputs)]
+    return Pattern(p.ctx, *ids, _relabel_commands(p.seq, mapping))
+
+
+def raw_def7(d, seed):
+    """The pattern of a 3-qudit, 20-gate guni circuit before any rewrite pass, whose
+    teleportation steps put Z signals on later measurements."""
+    circuit = lower_to_guni(random_guni_circuit(DimensionContext.of(d), 3, 20, seed=seed))
+    return circuit_to_pattern_standard(circuit, standardise=False)
+
+
+def assert_shift_matches_the_oracle(p) -> int:
+    """``signal_shift`` of ``p`` against the oracle; a command returned
+    unchanged is the same object.  Returns how many were reused."""
+    out = _signal_shift(p.ctx.d, p.seq)
+    assert p.with_seq(out).seq == oracle_signal_shift(p).seq
+    assert all(new is old or new != old for new, old in zip(out, p.seq))
+    return sum(new is old for new, old in zip(out, p.seq) if not isinstance(new, Entangle))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 12])
 def test_signal_shift_matches_the_term_by_term_oracle(d):
-    cancelled = 0
+    cancelled = reused = 0
+    rng = np.random.default_rng(d)
     for seed in range(25):
-        for p in (random_standard_pattern(d, seed), pauli_simplify(standardise(random_pattern(d, seed)))):
-            shifted = signal_shift(p)
-            assert shifted.seq == oracle_signal_shift(p).seq
+        for p in (random_standard_pattern(d, seed), pauli_simplify(standardise(random_pattern(d, seed))), pauli_simplify(standardise(raw_def7(d, seed)))):
+            for q in (p, relabelled(p, rng)):
+                reused += assert_shift_matches_the_oracle(q)
             cancelled += _cancellations(p)
-    assert cancelled > 0
+    assert cancelled > 0 and reused > 0
+
+
+@pytest.mark.parametrize("d", [2, 3, 5, 12])
+def test_signal_shift_drops_cancelled_terms_and_keeps_unchanged_signals(d):
+    """s2 is shifted by s1, and s3 by s2 + s1, which resolves to s2: the s1
+    term cancels.  s2 + s3 resolves to s3 - s1, its s2 term cancelling in
+    the sweep.  s2 - s5, with s5 also shifted by s1, resolves to itself."""
+    s = {q: Signal.unit(d, q) for q in range(1, 6)}
+    theta = tuple(np.linspace(0.3, 2.0, d))
+    seq = [Entangle(q, q + 1) for q in range(1, 6)] + [
+        Measure(1, theta, Signal.zero(d), Signal.zero(d)),
+        Measure(2, theta, Signal.zero(d), s[1]),
+        Measure(3, theta, Signal.zero(d), s[2] + s[1]),
+        Measure(4, theta, s[2] + s[3], Signal.zero(d)),
+        Measure(5, theta, Signal.zero(d), s[1]),
+        CorrectX(6, s[2] - s[5]),
+        CorrectZ(6, s[3] + s[2]),
+    ]
+    p = Pattern(DimensionContext.of(d), tuple(range(1, 7)), (1,), (6,), tuple(seq))
+    out = _signal_shift(d, p.seq)
+    assert out[8].x_signal == out[11].signal == s[3] - s[1]
+    assert out[10] is p.seq[10] and out[5] is p.seq[5]
+    for q in (p, relabelled(p, np.random.default_rng(d))):
+        assert_shift_matches_the_oracle(q)
+
+
+@pytest.mark.parametrize("cap", [1, 64])
+def test_signal_shift_rows_run_in_parts_within_the_cap(monkeypatch, cap):
+    """With AMPLITUDE_CAP small the output signals run in several parts of
+    rows (one row each when a row alone is past the cap), with the same result."""
+    parts = []
+
+    def counted(count, per_row):
+        parts.append(sim.row_parts(count, per_row))
+        return parts[-1]
+
+    monkeypatch.setattr(sim, "AMPLITUDE_CAP", cap)
+    monkeypatch.setattr(rewrite, "row_parts", counted)
+    for d, seed in ((2, 0), (3, 1), (6, 2)):
+        p = pauli_simplify(standardise(raw_def7(d, seed)))
+        assert_shift_matches_the_oracle(p)
+        assert_shift_matches_the_oracle(relabelled(p, np.random.default_rng(seed)))
+    assert min(len(x) for x in parts) > 1
